@@ -62,8 +62,8 @@ chaos:
 # profile compiles with -opaque, which disables the cross-module
 # inlining the zero-allocation contract depends on. Its gated history
 # metric is the logical events-per-simulated-second (deterministic, so
-# immune to 1-CPU wall-clock noise); the wall rates and arena/legacy
-# ratio land in BENCH_results.json as informational output.
+# immune to 1-CPU wall-clock noise); the best-of-3 wall rate lands in
+# BENCH_results.json as informational output.
 perfcheck:
 	dune build bench/main.exe bin/perf_report.exe
 	dune exec bench/main.exe -- perf-smoke

@@ -749,78 +749,19 @@ let run_search_overhead ~scale () =
     ~recorder:None ~groups:[||]
 
 (* ------------------------------------------------------------------ *)
-(* Many-flow scale-out lane: logical events per wall second on the
-   closure engine vs the arena engine (Flow_table), over the same
-   deep-buffered wired scenario. The buffer is sized so each flow
-   carries thousands of packets in flight: the legacy engine's
-   per-ACK cost is two Queue.iter passes over the whole out-queue
-   (O(inflight)), which is exactly the regime the arena's O(1) ring
-   lookups remove -- the ratio is the point of the lane. Wall-clock
-   rates go to BENCH_results.json; the *gated* history metric is the
-   logical event count per simulated second, which is deterministic
-   and therefore immune to 1-CPU wall noise (see ROADMAP). *)
+(* Many-flow scale-out lane: logical events per wall second on the flow
+   engine (Flow_table) with native AIMD, over a deep-buffered wired
+   scenario where each flow carries thousands of packets in flight --
+   the regime where O(1) ring lookups per ACK matter. Wall-clock rates
+   go to BENCH_results.json; the *gated* history metric is the logical
+   event count per simulated second, which is deterministic and
+   therefore immune to 1-CPU wall noise (see ROADMAP). *)
 
 let scaleout_flows = 64
 let scaleout_duration = 5.0
 let scaleout_rate_bps = Netsim.Units.mbps_to_bps 800.0
 let scaleout_rtt = 0.04
 let scaleout_buffer = Netsim.Units.mb 384
-
-(* Closure-based mirror of the arena's native AIMD: same slow start,
-   additive increase, halve-on-loss and pacing formula, so the two
-   engines schedule the same logical work and the ratio measures engine
-   mechanics (closures + O(inflight) ACK scans vs flat arrays + O(1)
-   ring lookups), not algorithm differences. *)
-let closure_aimd () =
-  let cwnd = ref 4.0 and ssthresh = ref 1e9 in
-  let rtt = Netsim.Cca.Rtt_tracker.create () in
-  {
-    Netsim.Cca.name = "aimd";
-    on_ack =
-      (fun a ->
-        Netsim.Cca.Rtt_tracker.observe rtt a.Netsim.Cca.rtt;
-        if !cwnd < !ssthresh then cwnd := !cwnd +. 1.0
-        else cwnd := !cwnd +. (1.0 /. !cwnd));
-    on_loss =
-      (fun l ->
-        ssthresh := Float.max 2.0 (!cwnd /. 2.0);
-        cwnd :=
-          (match l.Netsim.Cca.kind with
-          | Netsim.Cca.Gap_detected -> !ssthresh
-          | Netsim.Cca.Timeout -> 1.0));
-    on_send = (fun _ -> ());
-    pacing_rate =
-      (fun ~now:_ ->
-        2.0 *. !cwnd *. float_of_int Netsim.Units.mtu
-        /. Netsim.Cca.Rtt_tracker.srtt rtt);
-    cwnd = (fun ~now:_ -> !cwnd);
-  }
-
-let scaleout_link () =
-  {
-    Netsim.Network.rate_fn = (fun _ -> scaleout_rate_bps);
-    const_rate = Some scaleout_rate_bps;
-    grain = 0.01;
-    buffer_bytes = scaleout_buffer;
-    loss_p = 0.0;
-    aqm = `Fifo;
-  }
-
-let scaleout_legacy () =
-  let flows =
-    List.init scaleout_flows (fun _ ->
-        {
-          Netsim.Network.cca = closure_aimd ();
-          start_at = 0.0;
-          stop_at = scaleout_duration;
-          rtt = scaleout_rtt;
-        })
-  in
-  let s =
-    Netsim.Network.run ~seed:7 ~link:(scaleout_link ()) ~flows
-      ~duration:scaleout_duration ()
-  in
-  s.Netsim.Network.events
 
 let scaleout_arena () =
   let sim = Netsim.Sim.create () in
@@ -945,25 +886,16 @@ let run_alloc_contract () =
 
 let run_events_per_sec ~scale () =
   Harness.Table.heading
-    (Printf.sprintf "Events/sec: closure engine vs arena (%d flows, %gs, %g Mbit/s)"
+    (Printf.sprintf "Events/sec: arena AIMD (%d flows, %gs, %g Mbit/s)"
        scaleout_flows scaleout_duration
        (Netsim.Units.bps_to_mbps scaleout_rate_bps));
-  (* Short warm legs so allocator state does not bias either engine. *)
-  ignore (Netsim.Network.run ~seed:7 ~link:(scaleout_link ())
-            ~flows:[ { Netsim.Network.cca = closure_aimd (); start_at = 0.0;
-                       stop_at = 0.5; rtt = scaleout_rtt } ]
-            ~duration:0.5 ());
   let recorder = Obs.Span.create () in
-  let legacy_events, legacy_s =
-    time_run (fun () -> Obs.Span.run recorder ~lane:0 scaleout_legacy)
-  in
-  (* The arena leg is short (~1s), so a single sample is at the mercy
-     of scheduler noise on a shared 1-CPU box; take the best of three.
-     The legacy leg is an order of magnitude longer and self-averages. *)
-  let arena_events, arena_s =
+  (* The leg is short (~1s), so a single sample is at the mercy of
+     scheduler noise on a shared 1-CPU box; take the best of three. *)
+  let events, wall_s =
     let best_events = ref 0 and best_s = ref infinity in
     for _ = 1 to 3 do
-      let ev, s = time_run (fun () -> Obs.Span.run recorder ~lane:1 scaleout_arena) in
+      let ev, s = time_run (fun () -> Obs.Span.run recorder ~lane:0 scaleout_arena) in
       if !best_events <> 0 && ev <> !best_events then
         failwith "events-per-sec: arena event count varied across repetitions";
       best_events := ev;
@@ -971,27 +903,14 @@ let run_events_per_sec ~scale () =
     done;
     (!best_events, !best_s)
   in
-  if arena_events <> legacy_events then
-    Printf.printf
-      "\nWARNING: engines executed different event counts (%d vs %d)\n"
-      legacy_events arena_events;
-  let lr = float_of_int legacy_events /. legacy_s in
-  let ar = float_of_int arena_events /. arena_s in
+  let rate = float_of_int events /. wall_s in
   Harness.Table.print
     ~header:[ "engine"; "events"; "wall"; "events/sec" ]
     [
-      [ "legacy"; string_of_int legacy_events; Printf.sprintf "%.3fs" legacy_s;
-        Printf.sprintf "%.0f" lr ];
-      [ "arena"; string_of_int arena_events; Printf.sprintf "%.3fs" arena_s;
-        Printf.sprintf "%.0f" ar ];
+      [ "arena"; string_of_int events; Printf.sprintf "%.3fs" wall_s;
+        Printf.sprintf "%.0f" rate ];
     ];
-  Printf.printf "\narena/legacy events-per-sec ratio: %.1fx\n" (ar /. lr);
   run_alloc_contract ();
-  let lane_spans lane =
-    match List.assoc_opt lane (Obs.Span.lanes_json recorder) with
-    | Some trees -> trees
-    | None -> Obs.Json.Null
-  in
   patch_bench_json "events_per_sec"
     (Obs.Json.Obj
        [
@@ -1000,15 +919,13 @@ let run_events_per_sec ~scale () =
              (Printf.sprintf "wired%.0f-aimd-%dflows-%.0fs"
                 (Netsim.Units.bps_to_mbps scaleout_rate_bps) scaleout_flows
                 scaleout_duration) );
-         ("legacy_events", Obs.Json.Num (float_of_int legacy_events));
-         ("legacy_s", Obs.Json.Num legacy_s);
-         ("legacy_events_per_s", Obs.Json.Num lr);
-         ("arena_events", Obs.Json.Num (float_of_int arena_events));
-         ("arena_s", Obs.Json.Num arena_s);
-         ("arena_events_per_s", Obs.Json.Num ar);
-         ("ratio", Obs.Json.Num (ar /. lr));
+         ("arena_events", Obs.Json.Num (float_of_int events));
+         ("arena_s", Obs.Json.Num wall_s);
+         ("arena_events_per_s", Obs.Json.Num rate);
          ( "spans",
-           Obs.Json.Obj [ ("legacy", lane_spans 0); ("arena", lane_spans 1) ] );
+           match List.assoc_opt 0 (Obs.Span.lanes_json recorder) with
+           | Some trees -> trees
+           | None -> Obs.Json.Null );
        ]);
   (* The gated history metric is LOGICAL: kilo-events per simulated
      second. It is bit-deterministic for a fixed seed, so perf_report's
@@ -1021,9 +938,7 @@ let run_events_per_sec ~scale () =
     ~timed:
       [
         ( "arena-logical-kev-per-simsec",
-          float_of_int arena_events /. scaleout_duration /. 1e3 );
-        ( "legacy-logical-kev-per-simsec",
-          float_of_int legacy_events /. scaleout_duration /. 1e3 );
+          float_of_int events /. scaleout_duration /. 1e3 );
       ]
     ~recorder:None ~groups:[||]
 

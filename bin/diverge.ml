@@ -2,7 +2,6 @@
    be byte-identical.
 
      diverge --trace wired:24 --cca c-libra         # pool 1 vs pool 4
-     diverge --trace lte:driving -b engine=arena    # legacy vs arena
      diverge --loss 0.02 -b bump-seed=1             # a real divergence
      diverge -b perturb=25                          # self-test: inject at 25
 
@@ -14,7 +13,6 @@
    window of each stream.
 
    Variant overrides (-a / -b, comma-joined k=v):
-     engine=arena|legacy   flow engine        (default: the --engine flag)
      seed=N                base seed          (default: the --seed flag)
      domains=N             pool size          (defaults: a=1, b=4)
      bump-seed=K           bump repetition K's seed by 1 (a real divergence)
@@ -27,7 +25,6 @@ open Cmdliner
 
 type variant = {
   tag : string;  (* "A" | "B" *)
-  engine : [ `Legacy | `Arena ];
   seed : int;
   domains : int;
   bump_seed : int option;
@@ -35,9 +32,7 @@ type variant = {
 }
 
 let variant_label v =
-  Printf.sprintf "%s(engine=%s,seed=%d,domains=%d%s%s)" v.tag
-    (match v.engine with `Legacy -> "legacy" | `Arena -> "arena")
-    v.seed v.domains
+  Printf.sprintf "%s(seed=%d,domains=%d%s%s)" v.tag v.seed v.domains
     (match v.bump_seed with Some k -> Printf.sprintf ",bump-seed=%d" k | None -> "")
     (match v.perturb with Some n -> Printf.sprintf ",perturb=%d" n | None -> "")
 
@@ -62,13 +57,6 @@ let parse_variant ~defaults spec =
                exit 2
            in
            (match key with
-           | "engine" -> (
-             match value with
-             | "legacy" -> { v with engine = `Legacy }
-             | "arena" -> { v with engine = `Arena }
-             | _ ->
-               Printf.eprintf "bad engine %S (want arena or legacy)\n" value;
-               exit 2)
            | "seed" -> { v with seed = int_v () }
            | "domains" ->
              let d = int_v () in
@@ -81,7 +69,7 @@ let parse_variant ~defaults spec =
            | "perturb" -> { v with perturb = Some (int_v ()) }
            | _ ->
              Printf.eprintf
-               "unknown variant key %S (engine, seed, domains, bump-seed, perturb)\n"
+               "unknown variant key %S (seed, domains, bump-seed, perturb)\n"
                key;
              exit 2))
        defaults
@@ -110,8 +98,8 @@ let capture ~cca ~trace_spec ~rtt_ms ~buffer_kb ~loss ~duration ~flows ~runs
                  ~loss_p:loss ~impair ~duration ~seed trace_spec
              in
              Obs.Trace.run tracer ~lane:i (fun () ->
-                 Harness.Scenario.run_uniform ~seed ~n_flows:flows
-                   ~engine:v.engine ~factory ~duration spec))
+                 Harness.Scenario.run_uniform ~seed ~n_flows:flows ~factory
+                   ~duration spec))
            (Array.init runs Fun.id)));
   let lines =
     match String.split_on_char '\n' (Obs.Trace.to_jsonl tracer) with
@@ -128,16 +116,8 @@ let capture ~cca ~trace_spec ~rtt_ms ~buffer_kb ~loss ~duration ~flows ~runs
   | None -> ());
   lines
 
-let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed engine impair
-    runs window a_spec b_spec =
-  let engine =
-    match engine with
-    | "legacy" -> `Legacy
-    | "arena" -> `Arena
-    | other ->
-      Printf.eprintf "unknown --engine %S (want arena or legacy)\n" other;
-      exit 2
-  in
+let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed impair runs
+    window a_spec b_spec =
   let impair =
     match Faults.Spec.of_string impair with
     | Ok s -> s
@@ -150,7 +130,7 @@ let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed engine impa
     exit 2
   end;
   let base tag domains =
-    { tag; engine; seed; domains; bump_seed = None; perturb = None }
+    { tag; seed; domains; bump_seed = None; perturb = None }
   in
   let a = parse_variant ~defaults:(base "A" 1) a_spec in
   let b = parse_variant ~defaults:(base "B" 4) b_spec in
@@ -177,13 +157,6 @@ let duration = Arg.(value & opt float 5.0 & info [ "duration" ] ~doc:"seconds")
 let flows = Arg.(value & opt int 1 & info [ "flows" ] ~doc:"number of flows")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"base random seed")
 
-let engine =
-  Arg.(
-    value
-    & opt string "legacy"
-    & info [ "engine" ] ~docv:"arena|legacy"
-        ~doc:"flow engine both variants use unless overridden per variant")
-
 let impair =
   Arg.(
     value
@@ -208,8 +181,8 @@ let a_spec =
     value & opt string ""
     & info [ "a" ] ~docv:"K=V,.."
         ~doc:
-          "variant A overrides (engine=, seed=, domains=, bump-seed=, \
-           perturb=); default domains=1")
+          "variant A overrides (seed=, domains=, bump-seed=, perturb=); \
+           default domains=1")
 
 let b_spec =
   Arg.(
@@ -225,6 +198,6 @@ let cmd =
           the first diverging event")
     Term.(
       const run_cmd $ cca $ trace $ rtt $ buffer $ loss $ duration $ flows $ seed
-      $ engine $ impair $ runs $ window $ a_spec $ b_spec)
+      $ impair $ runs $ window $ a_spec $ b_spec)
 
 let () = exit (Cmd.eval' cmd)

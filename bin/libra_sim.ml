@@ -117,8 +117,8 @@ let with_observability ~trace_out ~trace_filter ~sample ~metrics_out ~rollup_out
       trace_out;
     result
 
-let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed engine
-    impair chaos chaos_seed deadline_events invariants invariant_file series
+let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed impair
+    chaos chaos_seed deadline_events invariants invariant_file series
     trace_out trace_filter trace_sample metrics_out rollup_out rollup_window
     flight_capacity flight_dir list_all =
   if list_all then begin
@@ -132,14 +132,6 @@ let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed engine
   end
   else begin
     let factory = Harness.Ccas.find cca in
-    let engine =
-      match engine with
-      | "legacy" -> `Legacy
-      | "arena" -> `Arena
-      | other ->
-        Printf.eprintf "unknown --engine %S (want arena or legacy)\n" other;
-        exit 2
-    in
     let impair =
       match Faults.Spec.of_string impair with
       | Ok s -> s
@@ -199,8 +191,8 @@ let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed engine
             with_observability ~trace_out ~trace_filter ~sample ~metrics_out
               ~rollup_out ~rollup_window ~flight_capacity ~manifest
               ~checker (fun () ->
-                Harness.Scenario.run_uniform ~seed ~n_flows:flows ~engine
-                  ~factory ~duration spec))
+                Harness.Scenario.run_uniform ~seed ~n_flows:flows ~factory
+                  ~duration spec))
       with
       | Netsim.Budget.Exceeded { spent; budget } ->
         Printf.eprintf "deadline: logical event budget exhausted (%d/%d)\n"
@@ -263,16 +255,6 @@ let loss = Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"stochastic loss pr
 let duration = Arg.(value & opt float 20.0 & info [ "duration" ] ~doc:"seconds")
 let flows = Arg.(value & opt int 1 & info [ "flows" ] ~doc:"number of flows")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"random seed")
-
-let engine =
-  Arg.(
-    value
-    & opt string "legacy"
-    & info [ "engine" ] ~docv:"arena|legacy"
-        ~doc:
-          "flow engine: the closure-based engine (legacy, default) or the \
-           struct-of-arrays arena engine (arena). Summaries are \
-           byte-identical; arena scales to many flows.")
 
 let impair =
   Arg.(
@@ -416,7 +398,7 @@ let cmd =
     (Cmd.info "libra_sim" ~doc:"packet-level congestion-control simulator")
     Term.(
       const run_cmd $ cca $ trace $ rtt $ buffer $ loss $ duration $ flows $ seed
-      $ engine $ impair $ chaos $ chaos_seed $ deadline_events $ invariants
+      $ impair $ chaos $ chaos_seed $ deadline_events $ invariants
       $ invariant_file $ series $ trace_out $ trace_filter $ trace_sample
       $ metrics_out $ rollup_out $ rollup_window $ flight_capacity $ flight_dir
       $ list_all)

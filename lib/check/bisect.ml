@@ -1,5 +1,5 @@
 (* Divergence bisection over two event streams that should be
-   byte-identical (pool 1 vs N, resume vs clean, arena vs legacy).
+   byte-identical (pool 1 vs N, resume vs clean, seed vs seed).
 
    Each stream is reduced to a chain of running digests: d(0) =
    MD5(line 0), d(i) = MD5(d(i-1) ^ line i). Chained digests make

@@ -104,11 +104,8 @@ type outcome = {
   summary : Netsim.Network.summary;
 }
 
-(* Run [n_flows] copies of one CCA for [duration]; all flows start at 0.
-   [engine] selects the closure engine (default) or the arena
-   [Flow_table] engine — the two produce byte-identical summaries. *)
-let run_uniform ?(seed = 1) ?(n_flows = 1) ?(engine = `Legacy) ~factory
-    ~duration spec =
+(* Run [n_flows] copies of one CCA for [duration]; all flows start at 0. *)
+let run_uniform ?(seed = 1) ?(n_flows = 1) ~factory ~duration spec =
   let flows =
     List.init n_flows (fun i ->
         {
@@ -118,13 +115,8 @@ let run_uniform ?(seed = 1) ?(n_flows = 1) ?(engine = `Legacy) ~factory
           rtt = spec.rtt;
         })
   in
-  let runner =
-    match engine with
-    | `Legacy -> Netsim.Network.run
-    | `Arena -> Netsim.Network.run_arena
-  in
   let summary =
-    runner ~seed ~dup_thresh:spec.dup_thresh ?faults:(faults_of spec)
+    Netsim.Network.run ~seed ~dup_thresh:spec.dup_thresh ?faults:(faults_of spec)
       ~link:(link_of spec) ~flows ~duration ()
   in
   let stats = List.map (fun f -> f.Netsim.Network.stats) summary.Netsim.Network.flows in

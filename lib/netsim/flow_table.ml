@@ -1,30 +1,27 @@
-(* Arena flow engine: the struct-of-arrays twin of [Flow].
+(* The flow engine: every flow of a run is an int handle into
+   preallocated struct-of-arrays state.
 
-   [Flow] allocates one record, one stats record, one RTT tracker and a
-   queue of [outstanding] records per flow, and every scheduling step
-   captures a fresh closure. That is fine for a handful of long flows
-   but dominates both time and memory once a run carries thousands of
-   short flows (the population traffic model). Here a flow is an int
-   handle into preallocated typed arrays: float state lives in flat
-   float arrays (loads/stores stay unboxed), int state in int arrays,
-   and all scheduling goes through coded events ([Sim.at_coded]), so
-   the steady-state ACK path allocates nothing on the minor heap when
-   tracing is off. The events-per-sec bench asserts that contract with
-   [Gc.counters].
+   Float state lives in flat float arrays (loads/stores stay unboxed),
+   int state in int arrays, and all scheduling goes through coded events
+   ([Sim.at_coded]), so a flow costs a few array slots rather than
+   records and closures, and the steady-state ACK path allocates nothing
+   on the minor heap when tracing is off. The events-per-sec bench
+   asserts that contract with [Gc.counters].
 
-   Behavior mirrors [Flow] expression for expression -- versioned send
-   and RTO invalidation, the three-pass dup-ACK accounting, the RTT
-   EWMA formulas, the pacing floor -- and every event is pushed in the
-   same order at the same simulated time, so a [Generic] arena run is
-   byte-identical to the closure engine under the same seed (the
-   equivalence test in test_population holds this line).
+   A sender paces packets at its CCA's pacing rate, capped by its
+   window. Loss is detected by dup-ACK counting: an outstanding packet
+   is declared lost once [dup_thresh] ACKs for higher sequences have
+   arrived. On an unimpaired FIFO bottleneck ACKs arrive in order, so
+   [dup_thresh = 1] is exact gap detection; fault-injected paths
+   reorder ACKs, and there a TCP-style 3 absorbs bounded reordering. A
+   versioned RTO covers tail losses. Lost data is not retransmitted:
+   flows model sources whose delivered goodput is what is measured, as
+   in the paper's emulation.
 
    Outstanding packets per flow form a ring over parallel arrays.
    Because sequence numbers are consecutive, the entry for sequence [s]
    sits at logical index [s - head_seq]: an ACK resolves its packet in
-   O(1) and the dup-ACK scan touches only the true gap, where [Flow]
-   walks the whole queue per ACK (O(inflight) -- quadratic pain under
-   deep buffers). *)
+   O(1), and the dup-ACK scan touches only the true gap below it. *)
 
 type cca = Aimd | Rate of float | Generic of Cca.t
 
@@ -91,10 +88,10 @@ type t = {
 }
 
 (* Observability probes (no-ops unless a registry is attached). *)
-let m_acks = Obs.Metrics.counter "netsim.arena.acks"
-let m_lost = Obs.Metrics.counter "netsim.arena.lost_pkts"
+let m_acks = Obs.Metrics.counter "netsim.flow.acks"
+let m_lost = Obs.Metrics.counter "netsim.flow.lost_pkts"
 let m_rtt =
-  Obs.Metrics.histogram "netsim.arena.rtt_s"
+  Obs.Metrics.histogram "netsim.flow.rtt_s"
     ~bounds:[| 0.01; 0.025; 0.05; 0.1; 0.2; 0.4; 0.8; 1.6 |]
 
 let dummy_cca = Cca.constant_rate 0.0
@@ -161,7 +158,7 @@ let[@inline] pacing_of t h ~now =
   match t.kind.(h) with
   | 0 ->
     (* AIMD paces at twice cwnd per smoothed RTT so sending stays
-       ACK-clocked (window-limited), matching the closure mirror. *)
+       ACK-clocked (window-limited). *)
     let srtt = if t.samples.(h) = 0 then 0.1 else t.srtt.(h) in
     2.0 *. t.cwnd.(h) *. float_of_int t.pkt_size.(h) /. srtt
   | 1 -> t.fixed_rate.(h)
@@ -230,7 +227,7 @@ let[@inline] ring_push t h ~now ~das =
   t.out_res.(h).(p) <- 0;
   t.out_len.(h) <- t.out_len.(h) + 1
 
-(* Drop resolved entries at the ring front (Flow's pass 3). *)
+(* Drop resolved entries at the ring front. *)
 let rec trim t h =
   if t.out_len.(h) > 0 && t.out_res.(h).(t.out_off.(h)) = 1 then begin
     let mask = Array.length t.out_res.(h) - 1 in
@@ -240,10 +237,10 @@ let rec trim t h =
     trim t h
   end
 
-(* Flow's pass 1 on the ring: bump dup-ACK counts for the unresolved
-   entries below the ACKed sequence; returns packets newly declared
-   lost. Tail-recursive over ints -- no allocation (a [ref]
-   accumulator would box). In-order ACKs have [limit = 0]. *)
+(* Bump dup-ACK counts for the unresolved entries below the ACKed
+   sequence; returns packets newly declared lost. Tail-recursive over
+   ints -- no allocation (a [ref] accumulator would box). In-order ACKs
+   have [limit = 0]. *)
 let rec dup_scan dup res ~mask ~off ~thresh ~limit i lost =
   if i >= limit then lost
   else begin
@@ -266,7 +263,7 @@ let[@inline] record_loss t h ~now ~pkts =
   t.lost.(h) <- t.lost.(h) + pkts;
   if not t.lite then Flow_stats.record_loss t.stats.(h) ~now ~pkts
 
-(* ---- Engine: mirrors Flow's event chain step for step ---- *)
+(* ---- Engine: the versioned send / RTO / ACK event chain ---- *)
 
 let[@inline] schedule_send t h at =
   t.send_ver.(h) <- t.send_ver.(h) + 1;
@@ -344,9 +341,9 @@ let fire_rto t h v =
     schedule_send t h now
   end
 
-(* ACK arrival at the sender: Flow.handle_ack on the ring. Pass 1 is
-   [dup_scan] over the gap below [seq] (empty for in-order ACKs), pass
-   2 is the O(1) ring lookup, pass 3 is [trim]. *)
+(* ACK arrival at the sender, in three passes: [dup_scan] over the gap
+   below [seq] (empty for in-order ACKs), the O(1) ring lookup of the
+   covered packet, then [trim]. *)
 let deliver_ack t h seq =
   if not (finished t h) then begin
     let now = Sim.now t.sim in
@@ -594,9 +591,9 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
     t.stats.(h) <- Flow_stats.create ~bin:t.stats_bin ();
   h
 
-(* Mirrors Flow.start: one event at [start_at] that enters the
-   versioned send chain (keeping the intermediate event preserves
-   heap-order equivalence with the closure engine). *)
+(* One event at [start_at] that enters the versioned send chain. The
+   intermediate event fixes the heap order of the first send, which
+   seeded runs (and their golden pins in test_population) depend on. *)
 let start t h = Sim.at_coded t.sim t.start_at.(h) ~kind:k_start ~a:h ~b:0
 
 let finish t h = t.flags.(h) <- t.flags.(h) lor 1

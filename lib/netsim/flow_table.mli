@@ -1,13 +1,13 @@
-(** Arena flow engine: flows as int handles into struct-of-arrays
-    state, scheduled entirely through coded events.
+(** The flow engine: flows as int handles into struct-of-arrays state,
+    scheduled entirely through coded events.
 
-    The behavioral twin of {!Flow} — same pacing, dup-ACK loss
-    detection, RTO and RTT estimator, event for event — but flows cost
-    a few array slots instead of records and closures, ACK handling
-    resolves packets in O(1) instead of O(inflight), and the
-    steady-state ACK path allocates nothing on the minor heap when
-    tracing is off. Use it for many-flow runs (the population traffic
-    model); the closure engine remains for single-flow studies.
+    Senders pace at their CCA's rate, capped by its window; loss is
+    detected by dup-ACK counting (threshold [dup_thresh]) with an RTO
+    for tail losses, and lost data is not retransmitted. ACK handling
+    resolves packets in O(1), and the steady-state ACK path allocates
+    nothing on the minor heap when tracing is off. {!Network.run} runs
+    configured CCAs on a table; many-flow workloads (the population
+    traffic model) build one directly.
 
     A table installs the simulation's coded-event handler at {!create};
     run at most one table per {!Sim.t}. *)
@@ -17,9 +17,8 @@ type t
 (** Congestion control for an arena flow. [Aimd] (slow start +
     additive-increase / halve-on-loss) and [Rate] (unresponsive CBR)
     run natively on the arrays with no per-ACK allocation; [Generic]
-    delegates to closure-based {!Cca.t} callbacks (allocates per ACK —
-    the compatibility path, and what the arena-vs-legacy equivalence
-    test runs). *)
+    delegates to closure-based {!Cca.t} callbacks (allocates per ACK;
+    every CCA of {!Network.run} takes this path). *)
 type cca = Aimd | Rate of float | Generic of Cca.t
 
 (** [create ?capacity ?stats_bin ?lite ~sim ()] — [capacity] presizes

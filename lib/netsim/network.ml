@@ -116,72 +116,6 @@ let run ?(seed = 42) ?(stats_bin = 0.01) ?(dup_thresh = 1) ?faults ~link ~flows
   let hooks =
     Option.map (fun mk -> mk (Rng.split_key rng ~key:0xFA)) faults
   in
-  let flow_arr =
-    List.mapi
-      (fun i (cfg : flow_cfg) ->
-        Flow.create ~sim ~id:i ~cca:cfg.cca ~return_delay:cfg.rtt
-          ~start_at:cfg.start_at ~stop_at:cfg.stop_at ~dup_thresh ~stats_bin ())
-      flows
-    |> Array.of_list
-  in
-  let rtts = Array.of_list (List.map (fun (cfg : flow_cfg) -> cfg.rtt) flows) in
-  let deliver (pkt : Packet.t) =
-    (* A corrupted payload fails the receiver's checksum: no ACK. The
-       sender recovers via dup-ACKs or its RTO, like a real loss. *)
-    if not pkt.Packet.corrupt then
-      let flow = flow_arr.(pkt.Packet.flow) in
-      Sim.after sim rtts.(pkt.Packet.flow) (fun () -> Flow.handle_ack flow pkt)
-  in
-  let the_link =
-    Link.create ~aqm:link.aqm ?hooks ?const_rate:link.const_rate ~sim
-      ~rate_fn:link.rate_fn ~grain:link.grain ~buffer_bytes:link.buffer_bytes
-      ~loss_p:link.loss_p ~rng ~deliver ()
-  in
-  Array.iter
-    (fun f ->
-      Flow.attach f the_link;
-      Flow.start f)
-    flow_arr;
-  Sim.run sim ~until:duration;
-  Array.iter Flow.finish flow_arr;
-  let results =
-    Array.to_list flow_arr
-    |> List.map (fun f ->
-           {
-             flow_id = Flow.id f;
-             cca_name = (Flow.cca f).Cca.name;
-             stats = Flow.stats f;
-           })
-  in
-  {
-    flows = results;
-    link_delivered_bytes = Link.delivered_bytes the_link;
-    capacity_bytes =
-      capacity_integral ?const_rate:link.const_rate ~rate_fn:link.rate_fn
-        ~grain:link.grain ~duration ();
-    queue_drops = Link.queue_drops the_link;
-    random_drops = Link.random_drops the_link;
-    duration;
-    events = Sim.events sim;
-  }
-
-let span_run_arena = Obs.Span.probe "netsim.run_arena"
-
-(* The same scenario on the arena engine (Flow_table). Configured CCAs
-   run as [Generic] flows, so under the same seed the run is
-   byte-identical to [run] -- the equivalence test in test_population
-   holds that line; native arena CCAs and lite mode are for callers
-   that build their own tables (the population runner). *)
-let run_arena ?(seed = 42) ?(stats_bin = 0.01) ?(dup_thresh = 1) ?faults ~link
-    ~flows ~duration () =
- Obs.Span.timed span_run_arena @@ fun () ->
-  let sim = Sim.create () in
-  if Obs.Trace.on Obs.Category.Run then
-    Obs.Trace.emit (Obs.Event.Run_start { t = Sim.now sim; label = "sim" });
-  let rng = Rng.create seed in
-  let hooks =
-    Option.map (fun mk -> mk (Rng.split_key rng ~key:0xFA)) faults
-  in
   let table =
     Flow_table.create ~capacity:(max 64 (List.length flows)) ~stats_bin ~sim ()
   in

@@ -60,24 +60,11 @@ val capacity_integrator :
     use 3 with impairments that reorder. [faults] builds the link's
     fault hooks from a keyed rng derived from [seed] -- attaching it
     does not perturb the link's own loss stream, and corrupted packets
-    are discarded at the receiver (no ACK). *)
+    are discarded at the receiver (no ACK). Each configured CCA runs as
+    a [Generic] flow of one {!Flow_table}; many-flow workloads that want
+    native arena CCAs or lite stats build a table directly (see
+    {!Population}). *)
 val run :
-  ?seed:int ->
-  ?stats_bin:float ->
-  ?dup_thresh:int ->
-  ?faults:(Rng.t -> Link.hooks) ->
-  link:link_cfg ->
-  flows:flow_cfg list ->
-  duration:float ->
-  unit ->
-  summary
-
-(** [run] on the arena engine ({!Flow_table}): configured CCAs become
-    [Generic] arena flows, so the result is byte-identical to {!run}
-    under the same seed while exercising the coded-event path end to
-    end. Many-flow workloads that want native arena CCAs or lite stats
-    build a {!Flow_table} directly (see {!Population}). *)
-val run_arena :
   ?seed:int ->
   ?stats_bin:float ->
   ?dup_thresh:int ->

@@ -1,7 +1,7 @@
 (* Open-loop population traffic: flows arrive over time and carry
    finite, heavy-tailed transfers, instead of the closed-loop "n
-   long-running sources" setup the headline experiments use. This is
-   the workload that motivates the arena engine (Flow_table): most real
+   long-running sources" setup the headline experiments use. Spawned
+   flows are native arena flows in the caller's Flow_table. Most real
    traffic is short flows arriving at a shared bottleneck while a few
    long transfers persist, and congestion-control behavior under that
    churn (flow completion times, long-flow throughput under churn) is a

@@ -3,10 +3,10 @@
    Events come in two shapes (see Event_heap): closure events, the
    historical cold-path API, and coded events -- an int kind plus two
    int operands -- dispatched through the single match in [run] to the
-   handler installed with [set_handler] (the arena flow engine,
-   Flow_table, installs one per simulation). The clock lives in a
-   one-cell float array so reads and writes stay unboxed; with spans
-   disabled the loop allocates nothing per event. *)
+   handler installed with [set_handler] (the flow engine, Flow_table,
+   installs one per simulation). The clock lives in a one-cell float
+   array so reads and writes stay unboxed; with spans disabled the loop
+   allocates nothing per event. *)
 
 type handler = int -> int -> int -> unit
 

@@ -1,5 +1,5 @@
-(* Population traffic model: sampler properties, spawn determinism, and
-   the arena-vs-legacy engine equivalence line. *)
+(* Population traffic model: sampler properties and spawn determinism;
+   plus golden pins for seeded Network.run scenarios. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -127,47 +127,102 @@ let test_spawn_produces_flows () =
   check_int "fingerprint covers all flows" n (List.length flows)
 
 (* ------------------------------------------------------------------ *)
-(* Arena-vs-legacy engine equivalence *)
+(* Golden pins for Network.run *)
 
-(* Under the same seed, running a scenario's configured CCAs through
-   the arena engine ([Generic] flows over Flow_table) must reproduce
-   the closure engine bit for bit: same utilization, delay, loss and
-   throughput. This is the line that lets the arena replace the legacy
-   engine for many-flow runs without re-validating every experiment. *)
-let outcome_quad o =
-  ( o.Harness.Scenario.utilization,
-    o.Harness.Scenario.mean_delay,
-    o.Harness.Scenario.loss_rate,
-    o.Harness.Scenario.throughput )
+(* Seeded scenario runs pinned bit for bit: the outcome quad (as hex
+   floats), per-flow acked packets and the logical event count. The
+   values were recorded when a second, closure-based engine still
+   produced them identically, so they hold the flow engine's pacing,
+   dup-ACK, RTO and event-order semantics in place. A deliberate
+   behaviour change updates them; an accidental one fails here. *)
+let acked_pkts (s : Netsim.Network.summary) =
+  List.map
+    (fun f -> Netsim.Flow_stats.total_acked_pkts f.Netsim.Network.stats)
+    s.Netsim.Network.flows
 
-let check_engines_agree label spec ~n_flows ~duration =
-  let run engine =
-    Harness.Scenario.run_uniform ~seed:5 ~n_flows ~engine
-      ~factory:Harness.Ccas.cubic ~duration spec
+let lost_pkts (s : Netsim.Network.summary) =
+  List.map
+    (fun f -> Netsim.Flow_stats.total_lost_pkts f.Netsim.Network.stats)
+    s.Netsim.Network.flows
+
+let check_float label want got =
+  Alcotest.(check string) label (Printf.sprintf "%h" want) (Printf.sprintf "%h" got)
+
+let check_uniform label spec ~n_flows ~quad:(util, delay, loss, thr) ~acked
+    ~events =
+  let o =
+    Harness.Scenario.run_uniform ~seed:5 ~n_flows ~factory:Harness.Ccas.cubic
+      ~duration:4.0 spec
   in
-  let l = run `Legacy and a = run `Arena in
-  check_bool (label ^ ": outcome bit-identical") true
-    (outcome_quad l = outcome_quad a);
-  let delivered o =
-    List.map
-      (fun f -> Netsim.Flow_stats.total_acked_pkts f.Netsim.Network.stats)
-      o.Harness.Scenario.summary.Netsim.Network.flows
-  in
-  Alcotest.(check (list int))
-    (label ^ ": per-flow acked pkts") (delivered l) (delivered a);
-  check_int
-    (label ^ ": same logical event count")
-    l.Harness.Scenario.summary.Netsim.Network.events
-    a.Harness.Scenario.summary.Netsim.Network.events
+  check_float (label ^ ": utilization") util o.Harness.Scenario.utilization;
+  check_float (label ^ ": mean delay") delay o.Harness.Scenario.mean_delay;
+  check_float (label ^ ": loss rate") loss o.Harness.Scenario.loss_rate;
+  check_float (label ^ ": throughput") thr o.Harness.Scenario.throughput;
+  let s = o.Harness.Scenario.summary in
+  Alcotest.(check (list int)) (label ^ ": per-flow acked pkts") acked (acked_pkts s);
+  check_int (label ^ ": logical event count") events s.Netsim.Network.events
 
-let test_engines_agree_wired () =
-  let spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in
-  check_engines_agree "wired" spec ~n_flows:3 ~duration:4.0
+let test_golden_wired () =
+  check_uniform "wired"
+    (Harness.Scenario.make_spec (Traces.Rate.constant 24.0))
+    ~n_flows:3
+    ~quad:
+      ( 0x1.fb22d0e560419p-1,
+        0x1.2b93d02dcb6a5p-4,
+        0x1.8877b914cfccap-6,
+        0x1.67fc4p+21 )
+    ~acked:[ 2201; 2388; 3275 ] ~events:50620
 
-let test_engines_agree_lte () =
+let test_golden_lte () =
   let trace = Traces.Lte.generate ~seed:11 ~duration:4.0 Traces.Lte.Walking in
-  let spec = Harness.Scenario.make_spec ~loss_p:0.01 trace in
-  check_engines_agree "lte" spec ~n_flows:2 ~duration:4.0
+  check_uniform "lte"
+    (Harness.Scenario.make_spec ~loss_p:0.01 trace)
+    ~n_flows:2
+    ~quad:
+      ( 0x1.2fed7136c5ff4p-1,
+        0x1.090f996ec5fb4p-5,
+        0x1.5711b08319f5cp-7,
+        0x1.2edb4p+20 )
+    ~acked:[ 1782; 1526 ] ~events:21217
+
+(* Staggered heterogeneous flows (cubic at 0 s, C-Libra at 1 s, BBR at
+   2 s) under a robustness profile with dup_thresh 3: the run_mixed
+   path, loss recovery and the fault hooks. 6 s covers the flap
+   profile's first outage (5.1-6 s). C-Libra's policy trains at the
+   tiny scale, which keeps the case fast and its policy fixed. *)
+let check_mixed profile ~util ~acked ~lost ~delivered ~queue_drops ~events =
+  Harness.Scale.set Harness.Scale.tiny;
+  let spec =
+    Harness.Scenario.make_spec
+      ~impair:(List.assoc profile Faults.Spec.robustness_profiles)
+      ~dup_thresh:3 (Traces.Rate.constant 24.0)
+  in
+  let s =
+    Harness.Scenario.run_mixed ~seed:5
+      ~flows:
+        [
+          (Harness.Ccas.cubic, 0.0);
+          (Harness.Ccas.c_libra, 1.0);
+          (Harness.Ccas.bbr, 2.0);
+        ]
+      ~duration:6.0 spec
+  in
+  check_float (profile ^ ": utilization") util (Netsim.Network.utilization s);
+  Alcotest.(check (list int)) (profile ^ ": per-flow acked pkts") acked (acked_pkts s);
+  Alcotest.(check (list int)) (profile ^ ": per-flow lost pkts") lost (lost_pkts s);
+  check_int (profile ^ ": delivered bytes") delivered
+    s.Netsim.Network.link_delivered_bytes;
+  check_int (profile ^ ": queue drops") queue_drops s.Netsim.Network.queue_drops;
+  check_int (profile ^ ": random drops") 0 s.Netsim.Network.random_drops;
+  check_int (profile ^ ": logical event count") events s.Netsim.Network.events
+
+let test_golden_mixed_flap () =
+  check_mixed "flap" ~util:0x1.ac756b2dbd194p-1 ~acked:[ 4674; 772; 4596 ]
+    ~lost:[ 273; 94; 988 ] ~delivered:15063000 ~queue_drops:1492 ~events:69235
+
+let test_golden_mixed_reorder () =
+  check_mixed "reorder" ~util:0x1.8fc962fc962fdp-1 ~acked:[ 1932; 3584; 3748 ]
+    ~lost:[ 32; 63; 60 ] ~delivered:14055000 ~queue_drops:109 ~events:63193
 
 (* ------------------------------------------------------------------ *)
 
@@ -187,9 +242,11 @@ let () =
             test_spawn_insensitive_to_parent_draws;
           Alcotest.test_case "produces flows" `Quick test_spawn_produces_flows;
         ] );
-      ( "engine-equivalence",
+      ( "network-run-golden",
         [
-          Alcotest.test_case "wired" `Quick test_engines_agree_wired;
-          Alcotest.test_case "lte" `Quick test_engines_agree_lte;
+          Alcotest.test_case "wired" `Quick test_golden_wired;
+          Alcotest.test_case "lte" `Quick test_golden_lte;
+          Alcotest.test_case "mixed flap" `Quick test_golden_mixed_flap;
+          Alcotest.test_case "mixed reorder" `Quick test_golden_mixed_reorder;
         ] );
     ]

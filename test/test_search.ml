@@ -202,6 +202,20 @@ let test_search_finds_and_shrinks_cubic () =
         (deg_of dropped < 0.25))
     spec.Faults.Spec.shapers
 
+(* Feedback plumbing: the impaired leg's registry must carry the flow
+   engine's ACK counter under the name [feedback_of_registry] reads.
+   Were the probe renamed, [acks] would read 0 and the engine's
+   tail-drops/ACKs knob bias would silently change the search. *)
+let test_feedback_counts_acks () =
+  let runner =
+    Harness.Scenario.adversarial_runner ~factory:Harness.Ccas.cubic
+      ~duration:1.0 ()
+  in
+  let r = Search.Eval.evaluate ~runner ~duration:1.0 plant in
+  let fb = r.Search.Eval.feedback in
+  check_bool "acks > 0" true (fb.Search.Eval.acks > 0.0);
+  check_bool "offered > 0" true (fb.Search.Eval.offered > 0.0)
+
 (* ------------------------------------------------------------------ *)
 (* scenarios/ corpus: .scn round-trip and directory loading *)
 
@@ -271,6 +285,9 @@ let () =
           Alcotest.test_case "pool 1 vs 4 identical" `Quick
             test_engine_pool_determinism;
         ] );
+      ( "feedback",
+        [ Alcotest.test_case "impaired leg counts acks" `Quick test_feedback_counts_acks ]
+      );
       ( "end-to-end",
         [
           Alcotest.test_case "finds + shrinks a CUBIC counterexample" `Slow
