@@ -118,13 +118,6 @@ let capture ~cca ~trace_spec ~rtt_ms ~buffer_kb ~loss ~duration ~flows ~runs
 
 let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed impair runs
     window a_spec b_spec =
-  let impair =
-    match Faults.Spec.of_string impair with
-    | Ok s -> s
-    | Error m ->
-      prerr_endline m;
-      exit 2
-  in
   if runs < 1 then begin
     Printf.eprintf "bad --runs %d (want >= 1)\n" runs;
     exit 2
@@ -141,28 +134,27 @@ let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed impair runs
   let ea = cap a in
   let eb = cap b in
   Printf.printf "scenario: cca=%s trace=%s duration=%gs runs=%d flows=%d\n" cca
-    trace_spec duration runs flows;
+    (Harness.Scenario.trace_to_string trace_spec) duration runs flows;
   let result = Check.Bisect.first_divergence ea eb in
   print_string
     (Check.Bisect.report ~radius:window ~label_a:(variant_label a)
        ~label_b:(variant_label b) ea eb result);
   match result with Check.Bisect.Identical _ -> 0 | Check.Bisect.Diverged _ -> 1
 
-let cca = Arg.(value & opt string "c-libra" & info [ "cca" ] ~doc:"CCA to run")
-let trace = Arg.(value & opt string "wired:24" & info [ "trace" ] ~doc:"trace spec")
+let cca =
+  Arg.(value & opt Run_opts.cca_conv "c-libra" & info [ "cca" ] ~doc:"CCA to run")
+
+let trace =
+  Arg.(
+    value
+    & opt Run_opts.trace_conv (Harness.Scenario.Wired 24.0)
+    & info [ "trace" ] ~doc:"trace spec")
 let rtt = Arg.(value & opt float 30.0 & info [ "rtt" ] ~doc:"min RTT in ms")
 let buffer = Arg.(value & opt int 150 & info [ "buffer" ] ~doc:"buffer in KB")
 let loss = Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"stochastic loss prob")
 let duration = Arg.(value & opt float 5.0 & info [ "duration" ] ~doc:"seconds")
 let flows = Arg.(value & opt int 1 & info [ "flows" ] ~doc:"number of flows")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"base random seed")
-
-let impair =
-  Arg.(
-    value
-    & opt string "clean"
-    & info [ "impair" ] ~docv:"SPEC"
-        ~doc:"fault-injection schedule (see libra_sim --list); 'clean' disables")
 
 let runs =
   Arg.(
@@ -190,14 +182,11 @@ let b_spec =
     & info [ "b" ] ~docv:"K=V,.."
         ~doc:"variant B overrides; default domains=4")
 
-let cmd =
-  Cmd.v
-    (Cmd.info "diverge"
-       ~doc:
-         "re-run two supposedly identical simulations and binary-search to \
-          the first diverging event")
+let () =
+  Run_opts.eval ~name:"diverge"
+    ~doc:
+      "re-run two supposedly identical simulations and binary-search to the \
+       first diverging event"
     Term.(
       const run_cmd $ cca $ trace $ rtt $ buffer $ loss $ duration $ flows $ seed
-      $ impair $ runs $ window $ a_spec $ b_spec)
-
-let () = exit (Cmd.eval' cmd)
+      $ Run_opts.impair $ runs $ window $ a_spec $ b_spec)

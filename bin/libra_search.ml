@@ -22,20 +22,10 @@ type cca_result = {
 
 let run_cmd seed domains ccas generations population elites threshold duration
     plants out mini =
-  (match domains with
-  | Some d when d < 1 ->
-    Printf.eprintf "invalid --domains %d (want a positive integer)\n" d;
-    exit 2
-  | _ -> ());
   Option.iter Exec.Pool.set_default_size domains;
   let plants =
     List.map
-      (fun s ->
-        match Faults.Spec.of_string s with
-        | Ok spec -> { Search.Space.impair = spec; knobs = Search.Space.base_knobs }
-        | Error m ->
-          Printf.eprintf "--plant: %s\n" m;
-          exit 2)
+      (fun impair -> { Search.Space.impair; knobs = Search.Space.base_knobs })
       plants
   in
   (* --mini: the searchcheck shape — CUBIC only, 2 cheap generations,
@@ -64,15 +54,6 @@ let run_cmd seed domains ccas generations population elites threshold duration
         { Search.Engine.seed; generations; population; elites; threshold; duration },
         plants )
   in
-  List.iter
-    (fun cca ->
-      try
-        let (_ : Harness.Ccas.factory) = Harness.Ccas.find cca in
-        ()
-      with Invalid_argument m ->
-        Printf.eprintf "--cca: %s\n" m;
-        exit 2)
-    ccas;
   let results =
     List.mapi
       (fun index cca ->
@@ -154,17 +135,10 @@ let run_cmd seed domains ccas generations population elites threshold duration
 
 let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"search root seed")
 
-let domains =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"size of the domain pool (default: \\$LIBRA_DOMAINS or core count)")
-
 let ccas =
   Arg.(
     value
-    & opt_all string []
+    & opt_all Run_opts.cca_conv []
     & info [ "cca" ] ~docv:"NAME"
         ~doc:"CCA to attack (repeatable; default cubic, bbr, c-libra)")
 
@@ -193,7 +167,7 @@ let duration =
 let plants =
   Arg.(
     value
-    & opt_all string []
+    & opt_all Run_opts.impair_conv []
     & info [ "plant" ] ~docv:"SPEC"
         ~doc:
           "seed generation 0 with this --impair spec (repeatable); the \
@@ -216,14 +190,11 @@ let mini =
           "tier-1 smoke shape: CUBIC only, 2 generations of 4 at 2 s legs, \
            with a planted trivial counterexample to rediscover")
 
-let cmd =
-  Cmd.v
-    (Cmd.info "libra_search"
-       ~doc:
-         "adversarial scenario search: find and shrink impairment specs that \
-          degrade a CCA's utility vs a clean baseline")
+let () =
+  Run_opts.eval ~name:"libra_search"
+    ~doc:
+      "adversarial scenario search: find and shrink impairment specs that \
+       degrade a CCA's utility vs a clean baseline"
     Term.(
-      const run_cmd $ seed $ domains $ ccas $ generations $ population $ elites
-      $ threshold $ duration $ plants $ out $ mini)
-
-let () = exit (Cmd.eval' cmd)
+      const run_cmd $ seed $ Run_opts.domains $ ccas $ generations $ population
+      $ elites $ threshold $ duration $ plants $ out $ mini)

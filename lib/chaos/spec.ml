@@ -1,5 +1,7 @@
 (* Host-fault chaos specifications: the parsed form of the `--chaos`
-   CLI grammar, mirroring `--impair` (lib/faults/spec.ml).
+   CLI grammar. `--chaos` and `--impair` are two tables over one item
+   grammar, the kernel in lib/grammar (tokenizing, positioned errors,
+   windows, canonical printing).
 
    Where `--impair` attacks the simulated network, `--chaos` attacks
    the *host* that the harness persists through: checkpoint saves,
@@ -43,118 +45,48 @@ let is_empty s = s.items = []
 let has_kill s =
   List.exists (fun w -> match w.item with Kill_domain _ -> true | _ -> false) s.items
 
-(* ---- parsing (same shape as Faults.Spec) ---- *)
+(* ---- the grammar table (kernel: lib/grammar) ---- *)
 
-let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
+let windowed name keys mk =
+  Grammar.windowed name keys (fun get (from_, until) -> { item = mk get; from_; until })
 
-let parse_kvs name kvs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | kv :: rest -> (
-      match String.index_opt kv '=' with
-      | None -> fail "chaos %s: expected key=value, got %S" name kv
-      | Some i ->
-        let key = String.sub kv 0 i in
-        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        (match float_of_string_opt v with
-        | None -> fail "chaos key %s: %S is not a number" key v
-        | Some f -> go ((key, f) :: acc) rest))
-  in
-  go [] kvs
+let grammar =
+  {
+    Grammar.noun = "chaos";
+    label = "chaos item";
+    empty = "none";
+    items =
+      [
+        windowed "torn" [ "p"; "keep" ] (fun g -> Torn { p = g "p" 1.0; keep = g "keep" 0.5 });
+        windowed "flip" [ "p"; "bytes" ] (fun g ->
+            Flip { p = g "p" 1.0; bytes = max 1 (int_of_float (g "bytes" 1.0)) });
+        windowed "enospc" [ "after" ] (fun g ->
+            Enospc { after = max 0 (int_of_float (g "after" 0.0)) });
+        windowed "eio" [ "p" ] (fun g -> Eio { p = g "p" 1.0 });
+        windowed "kill-domain" [ "p" ] (fun g -> Kill_domain { p = g "p" 0.5 });
+      ];
+  }
 
-let lookup kvs key default = Option.value ~default (List.assoc_opt key kvs)
-
-let check_keys name kvs allowed =
-  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
-  | Some (k, _) ->
-    fail "chaos %s: unknown key %S (expected one of: %s)" name k
-      (String.concat ", " allowed)
-  | None -> Ok ()
-
-let parse_item item =
-  let name, kvs_raw =
-    match String.index_opt item ':' with
-    | None -> (item, [])
-    | Some i ->
-      ( String.sub item 0 i,
-        String.split_on_char ','
-          (String.sub item (i + 1) (String.length item - i - 1)) )
-  in
-  let ( let* ) = Result.bind in
-  let* kvs = parse_kvs name kvs_raw in
-  let windowed allowed mk =
-    let* () = check_keys name kvs ("from" :: "until" :: allowed) in
-    let g key default = lookup kvs key default in
-    Ok { item = mk g; from_ = g "from" 0.0; until = g "until" infinity }
-  in
-  match name with
-  | "torn" ->
-    windowed [ "p"; "keep" ] (fun g ->
-        Torn { p = g "p" 1.0; keep = g "keep" 0.5 })
-  | "flip" ->
-    windowed [ "p"; "bytes" ] (fun g ->
-        Flip { p = g "p" 1.0; bytes = max 1 (int_of_float (g "bytes" 1.0)) })
-  | "enospc" ->
-    windowed [ "after" ] (fun g ->
-        Enospc { after = max 0 (int_of_float (g "after" 0.0)) })
-  | "eio" -> windowed [ "p" ] (fun g -> Eio { p = g "p" 1.0 })
-  | "kill-domain" -> windowed [ "p" ] (fun g -> Kill_domain { p = g "p" 0.5 })
-  | _ ->
-    fail
-      "unknown chaos fault %S (known: torn, flip, enospc, eio, kill-domain, \
-       none)"
-      name
-
-let of_string s =
-  let s = String.trim s in
-  if s = "" || s = "none" then Ok empty
-  else
-    let rec go acc pos = function
-      | [] -> Ok { items = List.rev acc }
-      | item :: rest -> (
-        let item = String.trim item in
-        match parse_item item with
-        | Error m ->
-          (* Prefix the '+'-position and offending item so a malformed
-             spec pinpoints itself in a long CI log. *)
-          fail "chaos item %d (%S): %s" pos item m
-        | Ok x -> go (x :: acc) (pos + 1) rest)
-    in
-    go [] 1 (String.split_on_char '+' s)
+let names = Grammar.names grammar
+let of_string s = Result.map (fun items -> { items }) (Grammar.parse grammar s)
 
 let of_string_exn s =
   match of_string s with Ok t -> t | Error m -> invalid_arg m
 
-(* ---- canonical printing ---- *)
+(* ---- canonical printing: keys at their default are omitted ---- *)
 
-let f = Printf.sprintf "%g"
-
-let window_kvs from_ until =
-  (if from_ <> 0.0 then [ "from=" ^ f from_ ] else [])
-  @ if until <> infinity then [ "until=" ^ f until ] else []
-
-let item_to_string name kvs =
-  if kvs = [] then name else name ^ ":" ^ String.concat "," kvs
+let kv key ~default v = if v <> default then [ Grammar.kv key v ] else []
+let kv_int key ~default n = if n <> default then [ Grammar.kv_int key n ] else []
 
 let windowed_to_string { item; from_; until } =
   let name, kvs =
     match item with
-    | Torn { p; keep } ->
-      ( "torn",
-        (if p <> 1.0 then [ "p=" ^ f p ] else [])
-        @ if keep <> 0.5 then [ "keep=" ^ f keep ] else [] )
-    | Flip { p; bytes } ->
-      ( "flip",
-        (if p <> 1.0 then [ "p=" ^ f p ] else [])
-        @ if bytes <> 1 then [ "bytes=" ^ string_of_int bytes ] else [] )
-    | Enospc { after } ->
-      ("enospc", if after <> 0 then [ "after=" ^ string_of_int after ] else [])
-    | Eio { p } -> ("eio", if p <> 1.0 then [ "p=" ^ f p ] else [])
-    | Kill_domain { p } ->
-      ("kill-domain", if p <> 0.5 then [ "p=" ^ f p ] else [])
+    | Torn { p; keep } -> ("torn", kv "p" ~default:1.0 p @ kv "keep" ~default:0.5 keep)
+    | Flip { p; bytes } -> ("flip", kv "p" ~default:1.0 p @ kv_int "bytes" ~default:1 bytes)
+    | Enospc { after } -> ("enospc", kv_int "after" ~default:0 after)
+    | Eio { p } -> ("eio", kv "p" ~default:1.0 p)
+    | Kill_domain { p } -> ("kill-domain", kv "p" ~default:0.5 p)
   in
-  item_to_string name (kvs @ window_kvs from_ until)
+  Grammar.item_to_string name (kvs @ Grammar.window_kvs from_ until)
 
-let to_string s =
-  if is_empty s then "none"
-  else String.concat "+" (List.map windowed_to_string s.items)
+let to_string s = Grammar.to_string grammar (List.map windowed_to_string s.items)

@@ -18,7 +18,9 @@
      flap:period=6,duty=0.85               up 85% of each 6 s period
      clamp:from=5,until=15,factor=0.25     rate cut to a quarter
 
-   [to_string] is canonical (defaults omitted, fixed key order) and
+   The item grammar, its errors and printing pieces are the shared
+   kernel (lib/grammar); this module is its table of names, keys and
+   defaults. [to_string] is canonical (fixed key order) and
    round-trips through [of_string]. *)
 
 type shaper =
@@ -57,179 +59,95 @@ let default_duplicate = Channel.Duplicate { p = 0.01 }
 let default_corrupt = Channel.Corrupt { p = 0.01 }
 let default_jitter = Channel.Jitter { max_delay = 0.012 }
 
-(* ---- parsing ---- *)
+(* ---- the grammar table (kernel: lib/grammar) ---- *)
 
-let fail fmt = Printf.ksprintf (fun m -> Error m) fmt
+let channel name keys mk =
+  Grammar.windowed name keys (fun get (from_, until) ->
+      `Channel { kind = mk get; from_; until })
 
-let float_of_kv key v =
-  match float_of_string_opt v with
-  | Some f -> Ok f
-  | None -> fail "impairment key %s: %S is not a number" key v
+let grammar =
+  {
+    Grammar.noun = "impairment";
+    label = "spec item";
+    empty = "clean";
+    items =
+      [
+        channel "gilbert" [ "p_gb"; "p_bg"; "p_good"; "p_bad" ] (fun g ->
+            Channel.Gilbert
+              {
+                p_gb = g "p_gb" 0.015;
+                p_bg = g "p_bg" 0.25;
+                p_good = g "p_good" 0.0;
+                p_bad = g "p_bad" 0.6;
+              });
+        channel "bernoulli" [ "p" ] (fun g -> Channel.Bernoulli { p = g "p" 0.01 });
+        channel "reorder" [ "p"; "depth"; "max_hold" ] (fun g ->
+            Channel.Reorder
+              {
+                p = g "p" 0.08;
+                depth = max 1 (int_of_float (g "depth" 4.0));
+                max_hold = g "max_hold" 0.2;
+              });
+        channel "dup" [ "p" ] (fun g -> Channel.Duplicate { p = g "p" 0.01 });
+        channel "corrupt" [ "p" ] (fun g -> Channel.Corrupt { p = g "p" 0.01 });
+        channel "jitter" [ "max" ] (fun g -> Channel.Jitter { max_delay = g "max" 0.012 });
+        Grammar.item "outage" [ "at"; "for" ] (fun g ->
+            `Shaper (Outage { at = g "at" 8.0; dur = g "for" 2.0 }));
+        Grammar.windowed "clamp" [ "factor" ] (fun g (from_, until) ->
+            `Shaper (Clamp { from_; until; factor = g "factor" 0.25 }));
+        Grammar.windowed "flap" [ "period"; "duty" ] (fun g (from_, until) ->
+            `Shaper (Flap { from_; until; period = g "period" 6.0; duty = g "duty" 0.85 }));
+      ];
+  }
 
-(* Parse ["k=v"; ...] into an assoc list, rejecting malformed pairs. *)
-let parse_kvs name kvs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | kv :: rest -> (
-      match String.index_opt kv '=' with
-      | None -> fail "impairment %s: expected key=value, got %S" name kv
-      | Some i ->
-        let key = String.sub kv 0 i in
-        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        ( match float_of_kv key v with
-        | Error _ as e -> e
-        | Ok f -> go ((key, f) :: acc) rest ))
-  in
-  go [] kvs
-
-let lookup kvs key default = Option.value ~default (List.assoc_opt key kvs)
-
-let check_keys name kvs allowed =
-  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) kvs with
-  | Some (k, _) ->
-    fail "impairment %s: unknown key %S (expected one of: %s)" name k
-      (String.concat ", " allowed)
-  | None -> Ok ()
-
-let parse_item item =
-  let name, kvs_raw =
-    match String.index_opt item ':' with
-    | None -> (item, [])
-    | Some i ->
-      ( String.sub item 0 i,
-        String.split_on_char ','
-          (String.sub item (i + 1) (String.length item - i - 1)) )
-  in
-  let ( let* ) = Result.bind in
-  let* kvs = parse_kvs name kvs_raw in
-  let channel allowed mk =
-    let* () = check_keys name kvs ("from" :: "until" :: allowed) in
-    let g key default = lookup kvs key default in
-    Ok
-      (`Channel
-        { kind = mk g; from_ = g "from" 0.0; until = g "until" infinity })
-  in
-  match name with
-  | "gilbert" ->
-    channel [ "p_gb"; "p_bg"; "p_good"; "p_bad" ] (fun g ->
-        Channel.Gilbert
-          {
-            p_gb = g "p_gb" 0.015;
-            p_bg = g "p_bg" 0.25;
-            p_good = g "p_good" 0.0;
-            p_bad = g "p_bad" 0.6;
-          })
-  | "bernoulli" ->
-    channel [ "p" ] (fun g -> Channel.Bernoulli { p = g "p" 0.01 })
-  | "reorder" ->
-    channel [ "p"; "depth"; "max_hold" ] (fun g ->
-        Channel.Reorder
-          {
-            p = g "p" 0.08;
-            depth = max 1 (int_of_float (g "depth" 4.0));
-            max_hold = g "max_hold" 0.2;
-          })
-  | "dup" -> channel [ "p" ] (fun g -> Channel.Duplicate { p = g "p" 0.01 })
-  | "corrupt" -> channel [ "p" ] (fun g -> Channel.Corrupt { p = g "p" 0.01 })
-  | "jitter" ->
-    channel [ "max" ] (fun g -> Channel.Jitter { max_delay = g "max" 0.012 })
-  | "outage" ->
-    let* () = check_keys name kvs [ "at"; "for" ] in
-    Ok (`Shaper (Outage { at = lookup kvs "at" 8.0; dur = lookup kvs "for" 2.0 }))
-  | "clamp" ->
-    let* () = check_keys name kvs [ "from"; "until"; "factor" ] in
-    Ok
-      (`Shaper
-        (Clamp
-           {
-             from_ = lookup kvs "from" 0.0;
-             until = lookup kvs "until" infinity;
-             factor = lookup kvs "factor" 0.25;
-           }))
-  | "flap" ->
-    let* () = check_keys name kvs [ "from"; "until"; "period"; "duty" ] in
-    Ok
-      (`Shaper
-        (Flap
-           {
-             from_ = lookup kvs "from" 0.0;
-             until = lookup kvs "until" infinity;
-             period = lookup kvs "period" 6.0;
-             duty = lookup kvs "duty" 0.85;
-           }))
-  | _ ->
-    fail
-      "unknown impairment %S (known: gilbert, bernoulli, reorder, dup, \
-       corrupt, jitter, outage, clamp, flap, clean)"
-      name
+let names = Grammar.names grammar
 
 let of_string s =
-  let s = String.trim s in
-  if s = "" || s = "clean" then Ok empty
-  else
-    let rec go acc pos = function
-      | [] ->
-        let channels, shapers =
-          List.partition_map
-            (function `Channel c -> Left c | `Shaper sh -> Right sh)
-            (List.rev acc)
-        in
-        Ok { channels; shapers }
-      | item :: rest -> (
-        let item = String.trim item in
-        match parse_item item with
-        | Error m ->
-          (* Prefix the '+'-position and offending item so a malformed
-             spec in a long search log pinpoints itself. *)
-          fail "spec item %d (%S): %s" pos item m
-        | Ok x -> go (x :: acc) (pos + 1) rest )
-    in
-    go [] 1 (String.split_on_char '+' s)
+  Result.map
+    (fun items ->
+      let channels, shapers =
+        List.partition_map
+          (function `Channel c -> Either.Left c | `Shaper sh -> Either.Right sh)
+          items
+      in
+      { channels; shapers })
+    (Grammar.parse grammar s)
 
 let of_string_exn s =
   match of_string s with Ok t -> t | Error m -> invalid_arg m
 
 (* ---- canonical printing ---- *)
 
-let f = Printf.sprintf "%g"
-
-let window_kvs from_ until =
-  (if from_ <> 0.0 then [ "from=" ^ f from_ ] else [])
-  @ if until <> infinity then [ "until=" ^ f until ] else []
-
-let item_to_string name kvs =
-  if kvs = [] then name else name ^ ":" ^ String.concat "," kvs
-
 let channel_to_string { kind; from_; until } =
+  let kv = Grammar.kv in
   let kvs =
     match kind with
     | Channel.Gilbert { p_gb; p_bg; p_good; p_bad } ->
-      [ "p_gb=" ^ f p_gb; "p_bg=" ^ f p_bg ]
-      @ (if p_good <> 0.0 then [ "p_good=" ^ f p_good ] else [])
-      @ [ "p_bad=" ^ f p_bad ]
-    | Channel.Bernoulli { p } -> [ "p=" ^ f p ]
+      [ kv "p_gb" p_gb; kv "p_bg" p_bg ]
+      @ (if p_good <> 0.0 then [ kv "p_good" p_good ] else [])
+      @ [ kv "p_bad" p_bad ]
+    | Channel.Bernoulli { p } | Channel.Duplicate { p } | Channel.Corrupt { p } ->
+      [ kv "p" p ]
     | Channel.Reorder { p; depth; max_hold } ->
-      [ "p=" ^ f p; "depth=" ^ string_of_int depth; "max_hold=" ^ f max_hold ]
-    | Channel.Duplicate { p } -> [ "p=" ^ f p ]
-    | Channel.Corrupt { p } -> [ "p=" ^ f p ]
-    | Channel.Jitter { max_delay } -> [ "max=" ^ f max_delay ]
+      [ kv "p" p; Grammar.kv_int "depth" depth; kv "max_hold" max_hold ]
+    | Channel.Jitter { max_delay } -> [ kv "max" max_delay ]
   in
-  item_to_string (Channel.kind_name kind) (kvs @ window_kvs from_ until)
+  Grammar.item_to_string (Channel.kind_name kind) (kvs @ Grammar.window_kvs from_ until)
 
 let shaper_to_string = function
-  | Outage { at; dur } -> item_to_string "outage" [ "at=" ^ f at; "for=" ^ f dur ]
+  | Outage { at; dur } ->
+    Grammar.item_to_string "outage" [ Grammar.kv "at" at; Grammar.kv "for" dur ]
   | Clamp { from_; until; factor } ->
-    item_to_string "clamp" (window_kvs from_ until @ [ "factor=" ^ f factor ])
+    Grammar.item_to_string "clamp"
+      (Grammar.window_kvs from_ until @ [ Grammar.kv "factor" factor ])
   | Flap { from_; until; period; duty } ->
-    item_to_string "flap"
-      (window_kvs from_ until @ [ "period=" ^ f period; "duty=" ^ f duty ])
+    Grammar.item_to_string "flap"
+      (Grammar.window_kvs from_ until
+      @ [ Grammar.kv "period" period; Grammar.kv "duty" duty ])
 
 let to_string s =
-  if is_empty s then "clean"
-  else
-    String.concat "+"
-      (List.map channel_to_string s.channels
-      @ List.map shaper_to_string s.shapers)
+  Grammar.to_string grammar
+    (List.map channel_to_string s.channels @ List.map shaper_to_string s.shapers)
 
 (* ---- named profiles for the robustness matrix ---- *)
 

@@ -68,10 +68,12 @@ let all =
     ("r-libra", r_libra);
   ]
 
-let find name =
+let lookup name =
   match List.assoc_opt name all with
-  | Some f -> f
+  | Some f -> Ok f
   | None ->
-    invalid_arg
+    Error
       (Printf.sprintf "unknown CCA %S (known: %s)" name
          (String.concat ", " (List.map fst all)))
+
+let find name = match lookup name with Ok f -> f | Error m -> invalid_arg m

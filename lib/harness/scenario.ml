@@ -37,35 +37,66 @@ let make_spec ?(rtt = 0.03) ?(buffer_kb = 150) ?(loss_p = 0.0) ?(aqm = `Fifo)
 
 (* The CLI trace grammar shared by libra_sim and diverge:
    wired:<mbps> | lte:<stationary|walking|driving|moving> |
-   step:<mbps,mbps,...> | wan:<inter|intra>. WAN paths carry their own
-   RTT / buffer / loss, so they return the full path record. *)
-let parse_trace ~duration ~seed spec =
+   step:<mbps,mbps,...> | wan:<inter|intra>. Parsing only checks the
+   text, so bad input fails at the command line; [spec_of_cli] builds
+   the trace (LTE traces need the run's duration and seed). *)
+type trace_spec =
+  | Wired of float
+  | Lte of Traces.Lte.scenario
+  | Step of float list
+  | Wan of [ `Inter | `Intra ]
+
+let lte_scenarios =
+  Traces.Lte.[ ("stationary", Stationary); ("walking", Walking); ("driving", Driving);
+               ("moving", Moving) ]
+
+let parse_trace spec =
+  let ( let* ) = Result.bind in
+  let num v =
+    match float_of_string_opt v with
+    | Some f -> Ok f
+    | None -> Error (Printf.sprintf "trace %S: %S is not a number" spec v)
+  in
+  let rec nums acc = function
+    | [] -> Ok (List.rev acc)
+    | v :: rest ->
+      let* f = num v in
+      nums (f :: acc) rest
+  in
   match String.split_on_char ':' spec with
-  | [ "wired"; mbps ] -> `Trace (Traces.Rate.constant (float_of_string mbps))
-  | [ "lte"; scenario ] ->
-    let s =
-      match scenario with
-      | "stationary" -> Traces.Lte.Stationary
-      | "walking" -> Traces.Lte.Walking
-      | "driving" -> Traces.Lte.Driving
-      | "moving" -> Traces.Lte.Moving
-      | other -> invalid_arg (Printf.sprintf "unknown LTE scenario %S" other)
-    in
-    `Trace (Traces.Lte.generate ~seed ~duration s)
+  | [ "wired"; mbps ] -> Result.map (fun m -> Wired m) (num mbps)
+  | [ "lte"; name ] -> (
+    match List.assoc_opt name lte_scenarios with
+    | Some s -> Ok (Lte s)
+    | None ->
+      Error
+        (Printf.sprintf "unknown LTE scenario %S (known: %s)" name
+           (String.concat ", " (List.map fst lte_scenarios))))
   | [ "step"; levels ] ->
-    let levels = List.map float_of_string (String.split_on_char ',' levels) in
-    `Trace (Traces.Rate.step ~period:10.0 levels)
-  | [ "wan"; "inter" ] -> `Wan (Traces.Wan.inter_continental ~duration ())
-  | [ "wan"; "intra" ] -> `Wan (Traces.Wan.intra_continental ~duration ())
-  | _ -> invalid_arg (Printf.sprintf "bad trace spec %S" spec)
+    Result.map (fun l -> Step l) (nums [] (String.split_on_char ',' levels))
+  | [ "wan"; "inter" ] -> Ok (Wan `Inter)
+  | [ "wan"; "intra" ] -> Ok (Wan `Intra)
+  | _ ->
+    Error
+      (Printf.sprintf
+         "bad trace spec %S (want wired:<mbps> | lte:<scenario> | \
+          step:<mbps,mbps,..> | wan:<inter|intra>)"
+         spec)
+
+let trace_to_string = function
+  | Wired m -> Printf.sprintf "wired:%g" m
+  | Lte s ->
+    "lte:" ^ fst (List.find (fun (_, s') -> s' = s) lte_scenarios)
+  | Step l -> "step:" ^ String.concat "," (List.map (Printf.sprintf "%g") l)
+  | Wan `Inter -> "wan:inter"
+  | Wan `Intra -> "wan:intra"
 
 (* A full spec from the CLI knobs: the scenario-level rtt/buffer/loss
    apply to rate-trace specs; WAN paths keep their own. *)
 let spec_of_cli ?(rtt = 0.03) ?(buffer_kb = 150) ?(loss_p = 0.0) ?impair ~duration
     ~seed trace_spec =
-  match parse_trace ~duration ~seed trace_spec with
-  | `Trace trace -> make_spec ~rtt ~buffer_kb ~loss_p ?impair trace
-  | `Wan path ->
+  let rate trace = make_spec ~rtt ~buffer_kb ~loss_p ?impair trace in
+  let wan path =
     let impair = match impair with Some i -> i | None -> !default_impair in
     {
       trace = path.Traces.Wan.rate;
@@ -76,6 +107,13 @@ let spec_of_cli ?(rtt = 0.03) ?(buffer_kb = 150) ?(loss_p = 0.0) ?impair ~durati
       impair;
       dup_thresh = (if Faults.Spec.may_reorder impair then 3 else 1);
     }
+  in
+  match trace_spec with
+  | Wired mbps -> rate (Traces.Rate.constant mbps)
+  | Lte s -> rate (Traces.Lte.generate ~seed ~duration s)
+  | Step levels -> rate (Traces.Rate.step ~period:10.0 levels)
+  | Wan `Inter -> wan (Traces.Wan.inter_continental ~duration ())
+  | Wan `Intra -> wan (Traces.Wan.intra_continental ~duration ())
 
 (* Network.run's [faults] argument for this spec ([None] when clean, so
    unimpaired runs take the hook-free fast path and stay bit-identical

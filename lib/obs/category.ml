@@ -80,13 +80,19 @@ let mask_of cats = List.fold_left (fun m c -> m lor bit c) 0 cats
 
 (* Parse a "pkt,ack,stage" filter string (as given to --trace-filter). *)
 let parse_filter s =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | tok :: rest -> (
+      match of_string tok with
+      | Some c -> go (c :: acc) rest
+      | None ->
+        Error
+          (Printf.sprintf "unknown trace category %S (known: %s)" tok
+             (String.concat ", " (List.map to_string all))))
+  in
   String.split_on_char ',' s
-  |> List.filter (fun tok -> String.trim tok <> "")
-  |> List.map (fun tok ->
-         let tok = String.trim (String.lowercase_ascii tok) in
-         match of_string tok with
-         | Some c -> c
-         | None ->
-           invalid_arg
-             (Printf.sprintf "unknown trace category %S (known: %s)" tok
-                (String.concat ", " (List.map to_string all))))
+  |> List.filter_map (fun tok ->
+         match String.trim tok with
+         | "" -> None
+         | tok -> Some (String.lowercase_ascii tok))
+  |> go []

@@ -95,6 +95,31 @@ let test_spec_none_and_errors () =
   | Error m -> check_bool "unknown key rejected" true (contains m "unknown key")
   | Ok _ -> Alcotest.fail "unknown key accepted"
 
+(* The canonical printer's exact bytes (defaults omitted, fixed key
+   order, integer keys printed as integers), captured from the printer
+   as it was before the grammar kernel existed. *)
+let test_spec_printer_pinned () =
+  List.iter
+    (fun (input, want) ->
+      check_string ("to_string of " ^ input) want
+        (Chaos.Spec.to_string (Chaos.Spec.of_string_exn input)))
+    [
+      ("none", "none");
+      ("", "none");
+      ("torn", "torn");
+      ("torn:p=0.3,keep=0.5", "torn:p=0.3");
+      ("flip:bytes=2,p=0.1", "flip:p=0.1,bytes=2");
+      ("flip:bytes=2.9", "flip:bytes=2");
+      ("enospc:after=4096", "enospc:after=4096");
+      ("enospc:after=-5", "enospc");
+      ("eio:p=0.05", "eio:p=0.05");
+      ("kill-domain", "kill-domain");
+      ("kill-domain:p=0.25,from=2,until=8", "kill-domain:p=0.25,from=2,until=8");
+      ("torn:from=16+eio:p=0.5", "torn:from=16+eio:p=0.5");
+      ("enospc:after=1e9", "enospc:after=1000000000");
+      ("torn:p=1,keep=0.5", "torn");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Exec.Io: the checksummed record envelope *)
 
@@ -450,6 +475,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest test_spec_round_trip;
           Alcotest.test_case "none and errors" `Quick test_spec_none_and_errors;
+          Alcotest.test_case "printer pinned" `Quick test_spec_printer_pinned;
         ] );
       ( "envelope",
         [

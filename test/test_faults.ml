@@ -190,6 +190,136 @@ let test_spec_errors () =
   check_bool "position counts from 1" true (contains msg "spec item 2");
   check_bool "unknown key is quoted" true (contains msg "\"wat\"")
 
+(* The canonical printer's exact bytes, captured from the printer as it
+   was before the grammar kernel existed. They feed trace manifests,
+   checkpoint keys and the committed scenarios/*.scn corpus, so a
+   printer change must show up here, not only as a broken round-trip. *)
+let impair_pins =
+  [
+    ("clean", "clean");
+    ("", "clean");
+    ("gilbert", "gilbert:p_gb=0.015,p_bg=0.25,p_bad=0.6");
+    ("gilbert:p_gb=0.01,p_bg=0.3", "gilbert:p_gb=0.01,p_bg=0.3,p_bad=0.6");
+    ("gilbert:p_good=0.01", "gilbert:p_gb=0.015,p_bg=0.25,p_good=0.01,p_bad=0.6");
+    ("gilbert:from=8,until=10", "gilbert:p_gb=0.015,p_bg=0.25,p_bad=0.6,from=8,until=10");
+    ("bernoulli", "bernoulli:p=0.01");
+    ("bernoulli:p=0.02,from=1", "bernoulli:p=0.02,from=1");
+    ("reorder", "reorder:p=0.08,depth=4,max_hold=0.2");
+    ("reorder:p=0.1,depth=2.7,max_hold=0.5", "reorder:p=0.1,depth=2,max_hold=0.5");
+    ("dup", "dup:p=0.01");
+    ("corrupt:p=0.05,until=3", "corrupt:p=0.05,until=3");
+    ("jitter", "jitter:max=0.012");
+    ("jitter:max=0.02", "jitter:max=0.02");
+    ("outage", "outage:at=8,for=2");
+    ("outage:at=1,for=0.25", "outage:at=1,for=0.25");
+    ("clamp", "clamp:factor=0.25");
+    ("clamp:from=5,until=15,factor=0.25", "clamp:from=5,until=15,factor=0.25");
+    ("flap", "flap:period=6,duty=0.85");
+    ("flap:period=6,duty=0.85,from=2", "flap:from=2,period=6,duty=0.85");
+    ("reorder:p=0.1,depth=2+jitter", "reorder:p=0.1,depth=2,max_hold=0.2+jitter:max=0.012");
+    ( "bernoulli:p=0.02+flap:period=4,duty=0.5+outage:at=1,for=0.25",
+      "bernoulli:p=0.02+flap:period=4,duty=0.5+outage:at=1,for=0.25" );
+    ("flap+gilbert", "gilbert:p_gb=0.015,p_bg=0.25,p_bad=0.6+flap:period=6,duty=0.85");
+    ( " gilbert + reorder ",
+      "gilbert:p_gb=0.015,p_bg=0.25,p_bad=0.6+reorder:p=0.08,depth=4,max_hold=0.2" );
+    ("bernoulli:p=1e-7", "bernoulli:p=1e-07");
+    ("gilbert:p_gb=0.123456789", "gilbert:p_gb=0.123457,p_bg=0.25,p_bad=0.6");
+    (* the committed scenarios/*.scn impair: lines *)
+    ("dup:p=0.002225", "dup:p=0.002225");
+    ("flap:period=7.499,duty=0.3939", "flap:period=7.499,duty=0.3939");
+    ("clamp:factor=0.9", "clamp:factor=0.9");
+  ]
+
+let profile_pins =
+  [
+    ("clean", "clean");
+    ("bursty-loss", "gilbert:p_gb=0.015,p_bg=0.25,p_bad=0.6");
+    ("reorder", "reorder:p=0.08,depth=4,max_hold=0.2");
+    ("flap", "flap:period=6,duty=0.85");
+    ("jitter", "jitter:max=0.012");
+  ]
+
+let test_spec_printer_pinned () =
+  List.iter
+    (fun (input, want) ->
+      check_string ("to_string of " ^ input) want
+        (Faults.Spec.to_string (Faults.Spec.of_string_exn input)))
+    impair_pins;
+  check_bool "profile names" true
+    (List.map fst Faults.Spec.robustness_profiles = List.map fst profile_pins);
+  List.iter2
+    (fun (name, spec) (_, want) ->
+      check_string ("profile " ^ name) want (Faults.Spec.to_string spec))
+    Faults.Spec.robustness_profiles profile_pins
+
+(* One error shape for both grammars, from one case list: what each
+   error must contain, for the same mistake made in --impair and in
+   --chaos. *)
+let test_grammar_error_shape () =
+  let contains hay needle =
+    let lh = String.length hay and ln = String.length needle in
+    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+    go 0
+  in
+  let grammars =
+    [
+      ( "impair",
+        (fun s -> Result.map ignore (Faults.Spec.of_string s)),
+        "spec item",
+        ("gilbert", "p_gb") );
+      ( "chaos",
+        (fun s -> Result.map ignore (Chaos.Spec.of_string s)),
+        "chaos item",
+        ("torn", "keep") );
+    ]
+  in
+  List.iter
+    (fun (g, parse, label, (name, key)) ->
+      let cases =
+        [
+          ("unknown name", name ^ "+bogus", [ label ^ " 2"; "\"bogus\""; "known: " ^ name ]);
+          ( "unknown key",
+            name ^ ":wat=1",
+            [ label ^ " 1"; "unknown key \"wat\""; "expected one of"; key ] );
+          ("not a number", name ^ "+" ^ name ^ ":" ^ key ^ "=x", [ label ^ " 2"; "not a number" ]);
+          ("missing value", name ^ ":" ^ key, [ label ^ " 1"; "expected key=value" ]);
+          ("position counts from 1", "bogus", [ label ^ " 1 (\"bogus\")" ]);
+        ]
+      in
+      List.iter
+        (fun (what, input, needles) ->
+          match parse input with
+          | Ok () -> Alcotest.failf "%s: %S accepted" g input
+          | Error m ->
+            List.iter
+              (fun needle ->
+                check_bool (Printf.sprintf "%s %s: %S mentions %S" g what m needle) true
+                  (contains m needle))
+              needles)
+        cases)
+    grammars
+
+(* Every name in each grammar's table parses bare and round-trips. *)
+let test_grammar_names_round_trip () =
+  check_bool "impair names" true
+    (Faults.Spec.names
+    = [ "gilbert"; "bernoulli"; "reorder"; "dup"; "corrupt"; "jitter"; "outage"; "clamp"; "flap" ]);
+  check_bool "chaos names" true
+    (Chaos.Spec.names = [ "torn"; "flip"; "enospc"; "eio"; "kill-domain" ]);
+  List.iter
+    (fun name ->
+      let spec = Faults.Spec.of_string_exn name in
+      check_bool (name ^ " round-trips") true
+        (Faults.Spec.of_string_exn (Faults.Spec.to_string spec) = spec))
+    Faults.Spec.names;
+  List.iter
+    (fun name ->
+      let spec = Chaos.Spec.of_string_exn name in
+      check_string (name ^ " prints bare") name (Chaos.Spec.to_string spec);
+      check_bool (name ^ " round-trips") true
+        (Chaos.Spec.of_string (Chaos.Spec.to_string spec) = Ok spec))
+    Chaos.Spec.names
+
 let test_spec_semantics () =
   check_bool "clean is empty" true
     (Faults.Spec.is_empty (Faults.Spec.of_string_exn "clean"));
@@ -373,6 +503,10 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_spec_roundtrip;
           Alcotest.test_case "errors" `Quick test_spec_errors;
           Alcotest.test_case "semantics" `Quick test_spec_semantics;
+          Alcotest.test_case "printer pinned" `Quick test_spec_printer_pinned;
+          Alcotest.test_case "grammar error shape" `Quick test_grammar_error_shape;
+          Alcotest.test_case "grammar names round-trip" `Quick
+            test_grammar_names_round_trip;
         ] );
       ( "shapers",
         [
