@@ -53,27 +53,23 @@ observe:
 chaos:
 	dune build @chaos
 
-# CI perf gate: run the quick perf-smoke subset (spans on), append the
-# result to BENCH_history.jsonl, and compare against the most recent
-# comparable entry — non-zero exit if any experiment regressed > 20%.
-# The first run only seeds the history (nothing to gate against).
+# CI perf gate: one bench invocation runs the quick perf-smoke subset
+# (spans on) and the gated overhead lanes, appends ONE entry to
+# BENCH_history.jsonl, and perf_report compares that whole entry
+# against the most recent comparable one — non-zero exit if any metric
+# regressed > 20%. The first run only seeds the history (nothing to
+# gate against).
 #
-# The events-per-sec lane runs under --profile release: dune's dev
-# profile compiles with -opaque, which disables the cross-module
-# inlining the zero-allocation contract depends on. Its gated history
-# metric is the logical events-per-simulated-second (deterministic, so
-# immune to 1-CPU wall-clock noise); the best-of-3 wall rate lands in
+# The run uses --profile release: dune's dev profile compiles with
+# -opaque, which disables the cross-module inlining the events-per-sec
+# lane's zero-allocation contract depends on. That lane's gated metric
+# is the logical events-per-simulated-second (deterministic, so immune
+# to 1-CPU wall-clock noise); its best-of-3 wall rate lands in
 # BENCH_results.json as informational output.
 perfcheck:
-	dune build bench/main.exe bin/perf_report.exe
-	dune exec bench/main.exe -- perf-smoke
-	dune exec bench/main.exe -- invariant-overhead
-	dune exec bench/main.exe -- rollup-overhead
-	dune exec bench/main.exe -- flight-overhead
-	dune exec bench/main.exe -- search-overhead
-	dune exec bench/main.exe -- chaos-overhead
 	dune build --profile release bench/main.exe
-	dune exec --profile release bench/main.exe -- events-per-sec
+	dune exec --profile release bench/main.exe -- perf-smoke invariant-overhead \
+	  rollup-overhead flight-overhead search-overhead chaos-overhead events-per-sec
 	dune exec bin/perf_report.exe -- --gate 20
 
 clean:

@@ -1,12 +1,14 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Sec. 2, Sec. 4.2, Sec. 5, Appendix B) and runs
+   paper's evaluation (Sec. 2, Sec. 4.2, Sec. 5, Appendix B), runs
    Bechamel micro-benchmarks of the per-decision costs that drive the
-   overhead results.
+   overhead results, and prices each of the repo's own layers in one
+   overhead lane per layer.
 
      dune exec bench/main.exe                 # everything, quick scale
      dune exec bench/main.exe -- fig7 tab6    # selected experiments
      dune exec bench/main.exe -- micro        # micro-benchmarks only
      dune exec bench/main.exe -- --full all   # paper-scale durations
+     dune exec bench/main.exe -- flight-overhead events-per-sec
 
    Absolute numbers come from a packet-level simulator rather than the
    authors' kernel/Mahimahi testbed; EXPERIMENTS.md records, per
@@ -113,676 +115,384 @@ let run_micro () =
      is what Fig. 2(c) and Fig. 12 measure at the system level."
 
 (* ------------------------------------------------------------------ *)
-(* Tracing overhead: one fixed wired scenario run with the trace
-   subsystem off, with an in-memory ring-buffer sink, and with the
-   full event stream serialized to JSONL. The results land under the
-   "trace_overhead" key of BENCH_results.json (patched in place, the
-   rest of the file untouched). *)
+(* What a target measured. [main] appends the merged records of one
+   invocation as one BENCH_history.jsonl line, so perf_report gates all
+   of it. Wall seconds and deterministic values (counts, logical rates)
+   live in separate maps: only the first sums into [total_wall_s]. *)
 
-let trace_overhead_scenario () =
-  let spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in
-  ignore
-    (Harness.Scenario.run_uniform ~factory:Harness.Ccas.cubic ~duration:10.0 spec)
+type record = {
+  experiments : (string * float) list;  (* wall seconds *)
+  logical : (string * float) list;
+  spans : (string * Obs.Json.t) list;  (* span trees per experiment *)
+  failed : string list;  (* experiments or targets that failed: not recorded *)
+}
 
-let time_run f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+let no_record = { experiments = []; logical = []; spans = []; failed = [] }
 
-let patch_bench_json key value =
-  let path = "BENCH_results.json" in
+let merge a b =
+  {
+    experiments = a.experiments @ b.experiments;
+    logical = a.logical @ b.logical;
+    spans = a.spans @ b.spans;
+    failed = a.failed @ b.failed;
+  }
+
+let nums kvs = Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Num v)) kvs)
+let total_wall r = List.fold_left (fun a (_, s) -> a +. s) 0.0 r.experiments
+let domains () = Exec.Pool.default_size ()
+
+(* BENCH_results.json is the "latest run" snapshot: each target replaces
+   its own top-level keys and keeps every other one. A file that is not
+   a JSON object is refused rather than overwritten, because it may hold
+   other lanes' results: the target fails instead. *)
+let results_path = "BENCH_results.json"
+
+let update_results kvs =
+  let refuse why =
+    failwith (Printf.sprintf "refusing to overwrite %s: %s" results_path why)
+  in
   let base =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Obs.Json.parse s with Ok v -> v | Error _ -> Obs.Json.Obj []
-    end
-    else Obs.Json.Obj []
+    match Chaos.Io.read_file results_path with
+    | None -> Obs.Json.Obj []
+    | Some text -> (
+      match Obs.Json.parse text with
+      | Ok (Obs.Json.Obj _ as v) -> v
+      | Ok _ -> refuse "not a JSON object"
+      | Error e -> refuse e)
   in
-  let patched = Obs.Json.set_member key value base in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (Obs.Json.to_string patched);
-  output_string oc "\n";
-  close_out oc;
-  Sys.rename tmp path;
-  Printf.printf "\n[bench] patched %S into %s\n" key path
+  let updated = List.fold_left (fun acc (k, v) -> Obs.Json.set_member k v acc) base kvs in
+  Chaos.Io.write_file results_path (Obs.Json.to_string updated ^ "\n");
+  Printf.printf "\n[bench] updated %s in %s\n" (String.concat ", " (List.map fst kvs))
+    results_path
 
-let run_trace_overhead () =
-  Harness.Table.heading "Tracing overhead: 10s wired run, cubic, all categories";
-  (* Warm-up run so allocator/cache effects do not bias the first leg. *)
-  trace_overhead_scenario ();
-  let (), off_s = time_run trace_overhead_scenario in
-  let ring = Obs.Trace.create ~ring_capacity:65536 () in
-  let (), ring_s =
-    time_run (fun () -> Obs.Trace.run ring trace_overhead_scenario)
+(* ------------------------------------------------------------------ *)
+(* Overhead lanes: each prices one layer as a baseline leg followed by
+   legs that switch the layer on. A leg returns its deterministic count
+   (events traced, checked or held, rollup windows, checkpoint cells; 0
+   when it produces none), which must repeat exactly. Lane "X-overhead"
+   writes BENCH_results.json key "X_overhead" and history metrics
+   "X-<leg>" (wall) and "X-<leg>-count" (logical). *)
+
+type leg = { key : string; label : string; run : unit -> int }
+
+type lane = {
+  id : string;
+  heading : string;
+  scenario : string;
+  count : string;  (* what the legs count: the table's last column *)
+  legs : leg list;  (* the first is the baseline *)
+  within : (string * string) option;  (* (leg, reference): see [noise_bound] *)
+}
+
+(* A leg takes ~50 ms to ~1 s, so one sample is at the mercy of
+   scheduler noise on a shared box: every leg is timed best-of-[reps],
+   which compares the legs' floors rather than their jitter. *)
+let reps = 3
+
+(* A [within] leg must stay within this many times its reference leg's
+   wall time: "within noise", as the 1-CPU CI container sees +-25%. *)
+let noise_bound = 1.75
+
+(* Warm the baseline leg once so allocator/cache effects do not bias
+   the first timing, time every leg, print the lane table and enforce
+   the bound. Returns (leg, best wall seconds, count) per leg. *)
+let measure lane =
+  Harness.Table.heading lane.heading;
+  let base = List.hd lane.legs in
+  ignore (base.run ());
+  let time leg =
+    let samples =
+      List.init reps (fun _ ->
+          let t0 = Unix.gettimeofday () in
+          let n = leg.run () in
+          (n, Unix.gettimeofday () -. t0))
+    in
+    let n = fst (List.hd samples) in
+    List.iter
+      (fun (n', _) ->
+        if n' <> n then
+          failwith (Printf.sprintf "leg %s counted %d, then %d" leg.key n n'))
+      samples;
+    (leg, List.fold_left (fun a (_, s) -> Float.min a s) infinity samples, n)
   in
-  let jsonl = Obs.Trace.create () in
-  let (), run_s =
-    time_run (fun () -> Obs.Trace.run jsonl trace_overhead_scenario)
+  let timed = List.map time lane.legs in
+  let wall key = List.assoc key (List.map (fun (leg, s, _) -> (leg.key, s)) timed) in
+  let base_s = wall base.key in
+  let row (leg, s, n) =
+    let vs = (s -. base_s) /. base_s *. 100.0 in
+    let vs = if leg == base then "-" else Printf.sprintf "%+.1f%%" vs in
+    [ leg.label; Printf.sprintf "%.3fs" s; vs; string_of_int n ]
   in
-  let out, ser_s = time_run (fun () -> Obs.Trace.to_jsonl jsonl) in
-  let jsonl_s = run_s +. ser_s in
-  let pct base v = Printf.sprintf "%+.1f%%" ((v -. base) /. base *. 100.0) in
-  Harness.Table.print
-    ~header:[ "sink"; "wall"; "vs off"; "events" ]
+  Harness.Table.print ~header:[ "leg"; "wall"; "vs " ^ base.key; lane.count ]
+    (List.map row timed);
+  Option.iter
+    (fun (key, reference) ->
+      if wall key > noise_bound *. wall reference then
+        failwith
+          (Printf.sprintf "%s (%.3fs) not within %.2fx of %s (%.3fs)" key (wall key)
+             noise_bound reference (wall reference)))
+    lane.within;
+  timed
+
+let run_lane lane =
+  let timed = measure lane in
+  let walls name = List.map (fun (leg, s, _) -> (name leg.key, s)) timed in
+  let counts name = List.map (fun (leg, _, n) -> (name leg.key, float_of_int n)) timed in
+  let result = nums (walls (fun k -> k ^ "_s") @ counts (fun k -> k ^ "_count")) in
+  update_results
     [
-      [ "off"; Printf.sprintf "%.3fs" off_s; "-"; "0" ];
-      [
-        "ring-65536";
-        Printf.sprintf "%.3fs" ring_s;
-        pct off_s ring_s;
-        string_of_int (Obs.Trace.length ring);
-      ];
-      [
-        "jsonl";
-        Printf.sprintf "%.3fs" jsonl_s;
-        pct off_s jsonl_s;
-        string_of_int (Obs.Trace.length jsonl);
-      ];
+      ( String.map (function '-' -> '_' | c -> c) lane.id,
+        Obs.Json.set_member "scenario" (Obs.Json.Str lane.scenario) result );
     ];
-  Printf.printf
-    "\njsonl = capture %.3fs + serialize %.3fs (%d bytes of JSONL)\n" run_s
-    ser_s (String.length out);
-  patch_bench_json "trace_overhead"
-    (Obs.Json.Obj
-       [
-         ("scenario", Obs.Json.Str "wired24-cubic-10s");
-         ("off_s", Obs.Json.Num off_s);
-         ("ring_s", Obs.Json.Num ring_s);
-         ("jsonl_s", Obs.Json.Num jsonl_s);
-         ("events", Obs.Json.Num (float_of_int (Obs.Trace.length jsonl)));
-       ])
+  let metric k = String.sub lane.id 0 (String.index lane.id '-') ^ "-" ^ k in
+  { no_record with
+    experiments = walls metric; logical = counts (fun k -> metric k ^ "-count") }
 
-(* ------------------------------------------------------------------ *)
-(* Impairment overhead: the same fixed wired scenario run clean, with
-   the full packet-channel pipeline, and with a flapping link, so the
-   per-packet cost of the fault injector is tracked in
-   BENCH_results.json ("impairment_overhead") across PRs. *)
+let leg key label run = { key; label; run }
 
-let impairment_scenario impair () =
-  let spec =
-    Harness.Scenario.make_spec
-      ~impair:(Faults.Spec.of_string_exn impair)
-      (Traces.Rate.constant 24.0)
-  in
-  ignore
-    (Harness.Scenario.run_uniform ~factory:Harness.Ccas.cubic ~duration:10.0 spec)
+let lane ?within ?(scenario = "wired24-cubic-10s") id heading count legs =
+  { id; heading; scenario; count; legs; within }
 
-let run_impairment_overhead () =
-  Harness.Table.heading "Impairment overhead: 10s wired run, cubic";
-  (* Zero-probability channels / identity shaper: the packet stream is
-     identical to the clean run, so the wall-clock delta is purely the
-     cost of the injection machinery (per-packet hook + rng draws, and
-     per-service-slot rate shaping), not a traffic-volume artefact of
-     impairments that change the congestion controller's behaviour. *)
-  let pipeline =
-    "gilbert:p_gb=0,p_bad=0+reorder:p=0+dup:p=0+corrupt:p=0+jitter:max=0"
-  in
-  let shaper = "clamp:factor=1" in
-  (* Warm-up leg, as in the tracing bench. *)
-  impairment_scenario "clean" ();
-  let (), clean_s = time_run (impairment_scenario "clean") in
-  let (), pipeline_s = time_run (impairment_scenario pipeline) in
-  let (), shaper_s = time_run (impairment_scenario shaper) in
-  let pct v = Printf.sprintf "%+.1f%%" ((v -. clean_s) /. clean_s *. 100.0) in
-  Harness.Table.print
-    ~header:[ "impairment"; "wall"; "vs clean" ]
+let wired_spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0)
+
+let wired ?(spec = wired_spec) () =
+  ignore (Harness.Scenario.run_uniform ~factory:Harness.Ccas.cubic ~duration:10.0 spec)
+
+let traced ?ring_capacity ?observer () =
+  let t = Obs.Trace.create ?ring_capacity () in
+  Obs.Trace.run t ?observer wired;
+  t
+
+let off = leg "off" "off" (fun () -> wired (); 0)
+let ring = leg "ring" "ring-4096" (fun () -> ignore (traced ~ring_capacity:4096 ()); 0)
+
+let trace_lane =
+  let big_ring () = Obs.Trace.length (traced ~ring_capacity:65536 ()) in
+  lane "trace-overhead" "Tracing overhead: 10s wired run, cubic, all categories" "events"
     [
-      [ "clean"; Printf.sprintf "%.3fs" clean_s; "-" ];
-      [ "5-channel pipeline (all p=0)"; Printf.sprintf "%.3fs" pipeline_s;
-        pct pipeline_s ];
-      [ "shaper (clamp factor=1)"; Printf.sprintf "%.3fs" shaper_s;
-        pct shaper_s ];
-    ];
-  patch_bench_json "impairment_overhead"
-    (Obs.Json.Obj
-       [
-         ("scenario", Obs.Json.Str "wired24-cubic-10s");
-         ("clean_s", Obs.Json.Num clean_s);
-         ("pipeline_s", Obs.Json.Num pipeline_s);
-         ("shaper_s", Obs.Json.Num shaper_s);
-       ])
+      off;
+      leg "ring" "ring-65536" big_ring;
+      leg "jsonl" "jsonl (capture + serialize)" (fun () ->
+          let t = traced () in
+          ignore (Obs.Trace.to_jsonl t);
+          Obs.Trace.length t);
+    ]
 
-(* ------------------------------------------------------------------ *)
-
-(* Run the given experiment groups on the domain pool, timing each;
-   print the buffered reports in registry order. With [recorder], each
-   group also runs inside its own span lane (lane = group index), so
-   the history entry carries a per-group span profile whose root
-   [group.<name>] span covers the same extent as the wall timing —
-   which is what makes perf_report's attribution column meaningful. *)
-let run_groups_timed ?recorder gs =
-  let pool = Exec.Pool.default () in
-  (* Train the four shared evaluation policies up front, in parallel,
-     so the per-group timings below measure the experiments themselves
-     rather than whichever group happens to fault a policy in first. *)
-  Rlcc.Pretrained.warm ~pool ();
-  let results =
-    Exec.Pool.map pool
-      (fun (i, e) ->
-        let t0 = Unix.gettimeofday () in
-        let run () =
-          Obs.Span.timed
-            (Obs.Span.probe ("group." ^ e.Harness.Registry.group))
-            (fun () -> e.Harness.Registry.run ())
-        in
-        let r =
-          match recorder with
-          | Some rec_ -> Obs.Span.run rec_ ~lane:i run
-          | None -> e.Harness.Registry.run ()
-        in
-        (e.Harness.Registry.group, r, Unix.gettimeofday () -. t0))
-      (Array.mapi (fun i e -> (i, e)) gs)
+(* Zero-probability channels / identity shaper: the packet stream is
+   identical to the clean run, so the wall-clock delta is purely the
+   cost of the injection machinery (per-packet hook + rng draws, and
+   per-service-slot rate shaping), not a traffic-volume artefact of
+   impairments that change the congestion controller's behaviour. *)
+let impairment_lane =
+  let impaired key label impair =
+    leg key label (fun () ->
+        let impair = Faults.Spec.of_string_exn impair in
+        wired ~spec:(Harness.Scenario.make_spec ~impair (Traces.Rate.constant 24.0)) ();
+        0)
   in
-  Array.iter (fun (_, r, _) -> Harness.Report.print r) results;
-  Array.to_list (Array.map (fun (g, _, s) -> (g, s)) results)
+  lane "impairment-overhead" "Impairment overhead: 10s wired run, cubic" "count"
+    [
+      impaired "clean" "clean" "clean";
+      impaired "pipeline" "5-channel pipeline (all p=0)"
+        "gilbert:p_gb=0,p_bad=0+reorder:p=0+dup:p=0+corrupt:p=0+jitter:max=0";
+      impaired "shaper" "shaper (clamp factor=1)" "clamp:factor=1";
+    ]
 
-let bench_manifest ~scale =
-  Obs.Manifest.make ~scale ~domains:(Exec.Pool.size (Exec.Pool.default ())) ()
-
-(* Per-group span rollup for the history entry: { group: [trees...] }.
-   Lane ids are the group indices [run_groups_timed] assigned. *)
-let spans_json ~groups recorder =
-  let by_lane = Obs.Span.lanes_json recorder in
-  Obs.Json.Obj
-    (List.filter_map
-       (fun (lane, trees) ->
-         if lane < Array.length groups then
-           Some (groups.(lane).Harness.Registry.group, trees)
-         else None)
-       by_lane)
-
-let total_wall timed = List.fold_left (fun a (_, s) -> a +. s) 0.0 timed
-
-let experiments_json timed =
-  Obs.Json.Obj (List.map (fun (g, s) -> (g, Obs.Json.Num s)) timed)
-
-(* BENCH_results.json stays the "latest run" snapshot: experiment group
-   -> wall-clock seconds, pool size, scale, and now the provenance
-   manifest. Keys other runs patched in (trace_overhead,
-   impairment_overhead) are preserved instead of silently dropped.
-   Written atomically via a temp file. *)
-let write_bench_json ~scale ~timed =
-  let path = "BENCH_results.json" in
-  let base =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Obs.Json.parse s with Ok (Obs.Json.Obj _ as v) -> v | _ -> Obs.Json.Obj []
-    end
-    else Obs.Json.Obj []
-  in
-  let updated =
-    base
-    |> Obs.Json.set_member "domains"
-         (Obs.Json.Num (float_of_int (Exec.Pool.size (Exec.Pool.default ()))))
-    |> Obs.Json.set_member "scale" (Obs.Json.Str scale)
-    |> Obs.Json.set_member "experiments" (experiments_json timed)
-    |> Obs.Json.set_member "total_wall_s" (Obs.Json.Num (total_wall timed))
-    |> Obs.Json.set_member "manifest" (bench_manifest ~scale)
-  in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (Obs.Json.to_string updated);
-  output_string oc "\n";
-  close_out oc;
-  Sys.rename tmp path;
-  Printf.printf "\n[bench] wrote %s\n" path
-
-(* The bench trajectory: every run appends one compact line to
-   BENCH_history.jsonl (manifest + timings + optional span rollup), so
-   past runs survive shape changes to BENCH_results.json and
-   perf_report can gate regressions between any two entries. *)
-let append_history ~scale ~subset ~timed ~recorder ~groups =
-  let path = "BENCH_history.jsonl" in
-  let entry =
-    Obs.Json.Obj
-      [
-        ("manifest", bench_manifest ~scale);
-        ("scale", Obs.Json.Str scale);
-        ( "domains",
-          Obs.Json.Num (float_of_int (Exec.Pool.size (Exec.Pool.default ()))) );
-        ( "subset",
-          match subset with
-          | None -> Obs.Json.Str "all"
-          | Some ids -> Obs.Json.List (List.map (fun i -> Obs.Json.Str i) ids) );
-        ("experiments", experiments_json timed);
-        ("total_wall_s", Obs.Json.Num (total_wall timed));
-        ( "spans",
-          match recorder with
-          | Some r -> spans_json ~groups r
-          | None -> Obs.Json.Null );
-      ]
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc (Obs.Json.to_compact entry);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "[bench] appended history entry to %s\n" path
-
-let run_all_timed ~scale ~spans () =
-  let gs = Array.of_list (Harness.Registry.groups ()) in
-  let recorder = if spans then Some (Obs.Span.create ()) else None in
-  let timed = run_groups_timed ?recorder gs in
-  write_bench_json ~scale ~timed;
-  append_history ~scale ~subset:None ~timed ~recorder ~groups:gs
-
-(* perf-smoke: the fastest experiment groups, spans always on — the
-   quick subset `make perfcheck` runs twice-in-a-row cheaply and gates
-   with perf_report. *)
-let perf_smoke_ids = [ "fig2a"; "fig8"; "fig17"; "fig18" ]
-
-let run_perf_smoke ~scale () =
-  let gs =
-    Array.of_list (List.filter_map Harness.Registry.find perf_smoke_ids)
-  in
-  let recorder = Some (Obs.Span.create ()) in
-  let timed = run_groups_timed ?recorder gs in
-  append_history ~scale ~subset:(Some perf_smoke_ids) ~timed ~recorder ~groups:gs
-
-(* ------------------------------------------------------------------ *)
-(* Supervisor overhead: the same fixed wired scenario run bare, under
-   Supervisor.protect, and under protect plus a never-expiring
-   deterministic event budget (the per-event [Netsim.Budget.tick] in
-   the simulator loop goes from one atomic load to a live countdown).
-   Tracked in BENCH_results.json ("supervisor_overhead") and as a
-   history entry, so perf_report --gate catches regressions in the
-   supervision fast path. *)
-let run_supervisor_overhead ~scale () =
-  Harness.Table.heading "Supervisor overhead: 10s wired run, cubic";
-  (* Warm-up leg, as in the tracing bench. *)
-  trace_overhead_scenario ();
-  let (), off_s = time_run trace_overhead_scenario in
+(* Bare, under Supervisor.protect, and under protect plus a
+   never-expiring deterministic event budget (the per-event
+   [Netsim.Budget.tick] goes from one atomic load to a live countdown). *)
+let supervisor_lane =
   let protected ?deadline_events () =
     match
-      Exec.Supervisor.protect ?deadline_events ~context:"bench"
-        (fun ~attempt:_ -> trace_overhead_scenario ())
+      Exec.Supervisor.protect ?deadline_events ~context:"bench" (fun ~attempt:_ ->
+          wired ())
     with
-    | Ok () -> ()
-    | Error f -> failwith ("bench: protected run failed: " ^ f.Exec.Supervisor.exn)
+    | Ok () -> 0
+    | Error f -> failwith ("protected run failed: " ^ f.Exec.Supervisor.exn)
   in
-  let (), protect_s = time_run (fun () -> protected ()) in
-  let (), budget_s = time_run (fun () -> protected ~deadline_events:max_int ()) in
-  let pct v = Printf.sprintf "%+.1f%%" ((v -. off_s) /. off_s *. 100.0) in
-  Harness.Table.print
-    ~header:[ "execution"; "wall"; "vs bare" ]
+  lane "supervisor-overhead" "Supervisor overhead: 10s wired run, cubic" "count"
     [
-      [ "bare"; Printf.sprintf "%.3fs" off_s; "-" ];
-      [ "protect"; Printf.sprintf "%.3fs" protect_s; pct protect_s ];
-      [ "protect + event budget"; Printf.sprintf "%.3fs" budget_s; pct budget_s ];
-    ];
-  patch_bench_json "supervisor_overhead"
-    (Obs.Json.Obj
-       [
-         ("scenario", Obs.Json.Str "wired24-cubic-10s");
-         ("off_s", Obs.Json.Num off_s);
-         ("protect_s", Obs.Json.Num protect_s);
-         ("budget_s", Obs.Json.Num budget_s);
-       ]);
-  append_history ~scale ~subset:(Some [ "supervisor-overhead" ])
-    ~timed:
-      [
-        ("supervisor-off", off_s);
-        ("supervisor-protect", protect_s);
-        ("supervisor-budget", budget_s);
-      ]
-    ~recorder:None ~groups:[||]
+      off;
+      leg "protect" "protect" (fun () -> protected ());
+      leg "budget" "protect + event budget" (protected ~deadline_events:max_int);
+    ]
 
-(* ------------------------------------------------------------------ *)
-(* Invariant-checker overhead: the same fixed wired scenario run with
-   tracing off, with a ring-buffer tracer alone, and with the tracer
-   plus the default invariant pack evaluated online (lib/check wired in
-   as a [Trace.run ~observer]). The ring-only leg isolates the checker
-   cost from the tracing cost; the checked leg must come back clean —
-   a violation here means the default pack regressed. Tracked in
-   BENCH_results.json ("invariant_overhead") and as a history entry
-   under `make perfcheck`. *)
-let run_invariant_overhead ~scale () =
-  Harness.Table.heading
-    "Invariant overhead: 10s wired run, cubic, default pack";
-  (* Warm-up leg, as in the tracing bench. *)
-  trace_overhead_scenario ();
-  let (), off_s = time_run trace_overhead_scenario in
-  let ring = Obs.Trace.create ~ring_capacity:4096 () in
-  let (), ring_s =
-    time_run (fun () -> Obs.Trace.run ring trace_overhead_scenario)
+(* The default invariant pack evaluated online (lib/check as a
+   [Trace.run ~observer]); the ring leg isolates the checker cost from
+   the tracing cost. The checked leg must come back clean: a violation
+   means the default pack regressed. *)
+let invariant_lane =
+  let { Harness.Scenario.buffer_bytes; rtt; _ } = wired_spec in
+  let pack = Check.Spec.default_pack ~buffer_bytes () in
+  let checked () =
+    let checker = Check.Checker.create ~rtt pack in
+    ignore (traced ~ring_capacity:4096 ~observer:(Check.Checker.on_event checker) ());
+    if Check.Checker.total checker > 0 then begin
+      prerr_string (Check.Checker.report checker);
+      failwith "default invariant pack violated on the clean bench run"
+    end;
+    Check.Checker.events_seen checker
   in
-  let spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in
-  let pack =
-    Check.Spec.default_pack ~buffer_bytes:spec.Harness.Scenario.buffer_bytes ()
-  in
-  let checker = Check.Checker.create ~rtt:spec.Harness.Scenario.rtt pack in
-  let checked = Obs.Trace.create ~ring_capacity:4096 () in
-  let (), pack_s =
-    time_run (fun () ->
-        Obs.Trace.run checked
-          ~observer:(Check.Checker.on_event checker)
-          trace_overhead_scenario)
-  in
-  if Check.Checker.total checker > 0 then begin
-    prerr_string (Check.Checker.report checker);
-    failwith "bench: default invariant pack violated on the clean bench run"
-  end;
-  let pct v = Printf.sprintf "%+.1f%%" ((v -. off_s) /. off_s *. 100.0) in
-  Harness.Table.print
-    ~header:[ "execution"; "wall"; "vs off"; "events checked" ]
-    [
-      [ "off"; Printf.sprintf "%.3fs" off_s; "-"; "0" ];
-      [ "ring-4096"; Printf.sprintf "%.3fs" ring_s; pct ring_s; "0" ];
-      [
-        "ring-4096 + default pack";
-        Printf.sprintf "%.3fs" pack_s;
-        pct pack_s;
-        string_of_int (Check.Checker.events_seen checker);
-      ];
-    ];
-  Printf.printf "\n%d spec(s) clean over %d event(s)\n" (List.length pack)
-    (Check.Checker.events_seen checker);
-  patch_bench_json "invariant_overhead"
-    (Obs.Json.Obj
-       [
-         ("scenario", Obs.Json.Str "wired24-cubic-10s");
-         ("off_s", Obs.Json.Num off_s);
-         ("ring_s", Obs.Json.Num ring_s);
-         ("pack_s", Obs.Json.Num pack_s);
-         ("specs", Obs.Json.Num (float_of_int (List.length pack)));
-         ( "events",
-           Obs.Json.Num (float_of_int (Check.Checker.events_seen checker)) );
-         ("violations", Obs.Json.Num (float_of_int (Check.Checker.total checker)));
-       ]);
-  append_history ~scale ~subset:(Some [ "invariant-overhead" ])
-    ~timed:
-      [
-        ("invariant-off", off_s);
-        ("invariant-ring", ring_s);
-        ("invariant-pack", pack_s);
-      ]
-    ~recorder:None ~groups:[||]
+  lane "invariant-overhead" "Invariant overhead: 10s wired run, cubic, default pack"
+    "events checked"
+    [ off; ring; leg "pack" "ring-4096 + default pack" checked ]
 
-(* ------------------------------------------------------------------ *)
-(* Rollup overhead: the fixed wired scenario traced into a ring alone
-   vs ring + a windowed rollup observer. The rollup's per-event work is
-   a handful of mutable-field updates (O(1), no allocation outside
-   window close), so the third leg must stay within noise of the
-   second. Tracked in BENCH_results.json ("rollup_overhead") and as a
-   history entry under `make perfcheck`. *)
-let run_rollup_overhead ~scale () =
-  Harness.Table.heading "Rollup overhead: 10s wired run, cubic, 100ms windows";
-  trace_overhead_scenario ();
-  let (), off_s = time_run trace_overhead_scenario in
-  let ring = Obs.Trace.create ~ring_capacity:4096 () in
-  let (), ring_s =
-    time_run (fun () -> Obs.Trace.run ring trace_overhead_scenario)
+(* A windowed rollup observer on top of ring tracing: O(1) mutable-field
+   updates per event, no allocation outside window close. *)
+let rollup_lane =
+  let rolled () =
+    let rollup = Obs.Rollup.create ~window:0.1 () in
+    ignore (traced ~ring_capacity:4096 ~observer:(Obs.Rollup.observe rollup) ());
+    Obs.Rollup.flush rollup;
+    Obs.Rollup.windows rollup
   in
-  let rollup = Obs.Rollup.create ~window:0.1 () in
-  let rolled = Obs.Trace.create ~ring_capacity:4096 () in
-  let (), rollup_s =
-    time_run (fun () ->
-        Obs.Trace.run rolled
-          ~observer:(Obs.Rollup.observe rollup)
-          trace_overhead_scenario)
-  in
-  Obs.Rollup.flush rollup;
-  let pct v = Printf.sprintf "%+.1f%%" ((v -. off_s) /. off_s *. 100.0) in
-  Harness.Table.print
-    ~header:[ "execution"; "wall"; "vs off"; "windows" ]
-    [
-      [ "off"; Printf.sprintf "%.3fs" off_s; "-"; "0" ];
-      [ "ring-4096"; Printf.sprintf "%.3fs" ring_s; pct ring_s; "0" ];
-      [
-        "ring-4096 + rollup";
-        Printf.sprintf "%.3fs" rollup_s;
-        pct rollup_s;
-        string_of_int (Obs.Rollup.windows rollup);
-      ];
-    ];
-  patch_bench_json "rollup_overhead"
-    (Obs.Json.Obj
-       [
-         ("scenario", Obs.Json.Str "wired24-cubic-10s");
-         ("off_s", Obs.Json.Num off_s);
-         ("ring_s", Obs.Json.Num ring_s);
-         ("rollup_s", Obs.Json.Num rollup_s);
-         ("windows", Obs.Json.Num (float_of_int (Obs.Rollup.windows rollup)));
-       ]);
-  append_history ~scale ~subset:(Some [ "rollup-overhead" ])
-    ~timed:
-      [
-        ("rollup-off", off_s); ("rollup-ring", ring_s); ("rollup-on", rollup_s);
-      ]
-    ~recorder:None ~groups:[||]
+  lane "rollup-overhead" "Rollup overhead: 10s wired run, cubic, 100ms windows"
+    "windows" [ off; ring; leg "on" "ring-4096 + rollup" rolled ]
 
-(* ------------------------------------------------------------------ *)
-(* Flight-recorder overhead: the fixed wired scenario run with tracing
-   off, traced into a ring, and recorded by the always-on flight ring.
-   The flight path does the same per-event work as ring tracing minus
-   the mask test, so it must stay within noise of the ring leg — this
-   is the "cheap enough to leave on every run" claim, enforced with a
-   generous band (the 1-CPU CI container sees ±25% wall noise).
-   Tracked in BENCH_results.json ("flight_overhead") and as a history
-   entry under `make perfcheck`. *)
-let run_flight_overhead ~scale () =
-  Harness.Table.heading "Flight-recorder overhead: 10s wired run, cubic";
-  trace_overhead_scenario ();
-  let (), off_s = time_run trace_overhead_scenario in
-  let ring = Obs.Trace.create ~ring_capacity:4096 () in
-  let (), ring_s =
-    time_run (fun () -> Obs.Trace.run ring trace_overhead_scenario)
-  in
-  let flight = Obs.Flight.create ~capacity:4096 () in
-  let (), flight_s =
-    time_run (fun () -> Obs.Flight.run flight trace_overhead_scenario)
-  in
-  let held =
+(* The always-on flight ring does the same per-event work as ring
+   tracing minus the mask test: the "cheap enough to leave on every
+   run" claim, held within noise of the ring leg. *)
+let flight_lane =
+  let recorded () =
+    let flight = Obs.Flight.create ~capacity:4096 () in
+    Obs.Flight.run flight wired;
     List.fold_left (fun a (_, evs) -> a + List.length evs) 0 (Obs.Flight.events flight)
   in
-  let pct v = Printf.sprintf "%+.1f%%" ((v -. off_s) /. off_s *. 100.0) in
-  Harness.Table.print
-    ~header:[ "execution"; "wall"; "vs off"; "events held" ]
-    [
-      [ "off"; Printf.sprintf "%.3fs" off_s; "-"; "0" ];
-      [ "ring-4096"; Printf.sprintf "%.3fs" ring_s; pct ring_s; "0" ];
-      [
-        "flight-4096";
-        Printf.sprintf "%.3fs" flight_s;
-        pct flight_s;
-        string_of_int held;
-      ];
-    ];
-  if flight_s > 1.75 *. ring_s then
-    failwith
-      (Printf.sprintf
-         "bench: flight recorder (%.3fs) not within noise of ring tracing \
-          (%.3fs)"
-         flight_s ring_s);
-  patch_bench_json "flight_overhead"
-    (Obs.Json.Obj
-       [
-         ("scenario", Obs.Json.Str "wired24-cubic-10s");
-         ("off_s", Obs.Json.Num off_s);
-         ("ring_s", Obs.Json.Num ring_s);
-         ("flight_s", Obs.Json.Num flight_s);
-         ("events_held", Obs.Json.Num (float_of_int held));
-       ]);
-  append_history ~scale ~subset:(Some [ "flight-overhead" ])
-    ~timed:
-      [
-        ("flight-off", off_s); ("flight-ring", ring_s); ("flight-on", flight_s);
-      ]
-    ~recorder:None ~groups:[||]
+  lane ~within:("on", "ring") "flight-overhead"
+    "Flight-recorder overhead: 10s wired run, cubic" "events held"
+    [ off; ring; leg "on" "flight-4096" recorded ]
 
-(* ------------------------------------------------------------------ *)
-(* Chaos-plane overhead: the harness persistence path (sealed
-   checkpoint cells through the atomic tmp+fsync+rename discipline)
-   with no plane installed vs an armed plane whose schedule never
-   fires (every p=0). The armed leg adds one atomic load and a few
-   keyed draws per operation, so it must stay within noise of the
-   uninstalled leg — the "chaos checks are cheap enough to compile in
-   unconditionally" claim. Tracked in BENCH_results.json
-   ("chaos_overhead") and as a history entry under `make perfcheck`. *)
-let run_chaos_overhead ~scale () =
-  Harness.Table.heading "Chaos-plane overhead: 200 sealed checkpoint cells";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "libra-bench-chaos-%d" (Unix.getpid ()))
+(* One Search.Eval.evaluate of a candidate runs the scenario twice
+   (clean + impaired leg) plus the metrics-registry feedback scrape, so
+   the interesting number is the ratio over a bare run: the search
+   engine's own cost per candidate. *)
+let search_lane =
+  let runner =
+    Harness.Scenario.adversarial_runner ~factory:Harness.Ccas.cubic ~duration:10.0 ()
   in
+  let cand =
+    { Search.Space.impair = Faults.Spec.of_string_exn "gilbert";
+      knobs = Search.Space.base_knobs }
+  in
+  lane "search-overhead" "Search overhead: per-candidate evaluation, 10s wired run"
+    "count"
+    [
+      { off with key = "bare"; label = "bare scenario run" };
+      leg "eval" "Eval.evaluate (2 legs + feedback)" (fun () ->
+          ignore (Search.Eval.evaluate ~runner ~duration:10.0 cand);
+          0);
+    ]
+
+(* The harness persistence path (sealed checkpoint cells through the
+   atomic tmp+fsync+rename discipline) with no chaos plane installed vs
+   an armed plane whose schedule never fires (every p=0). The armed leg
+   adds one atomic load and a few keyed draws per operation, so it must
+   stay within noise: the "chaos checks are cheap enough to compile in
+   unconditionally" claim. The bench store is emptied afterwards so
+   reruns start fresh. *)
+let run_chaos_overhead () =
+  let dir = Filename.temp_dir "libra-bench-chaos-" "" in
   let store = Exec.Checkpoint.create ~dir in
   let payload = String.make 4096 'x' in
-  let cells = 200 in
-  let leg () =
-    for i = 0 to cells - 1 do
+  let cells () =
+    for i = 0 to 199 do
       let key = Exec.Checkpoint.key ~parts:[ "bench"; string_of_int i ] in
       Exec.Checkpoint.save store ~key payload;
       match Exec.Checkpoint.load store ~key with
       | Exec.Checkpoint.Hit _ -> ()
       | Exec.Checkpoint.Miss | Exec.Checkpoint.Corrupt _ ->
-        failwith "bench: checkpoint cell did not round-trip"
-    done
-  in
-  (* fsync dominates both legs and is noisy on shared storage: take the
-     best of three repetitions per leg so the gated ratio compares the
-     legs' floors, not their jitter. *)
-  let best () =
-    let m = ref infinity in
-    for _ = 1 to 3 do
-      let (), s = time_run leg in
-      if s < !m then m := s
+        failwith "checkpoint cell did not round-trip"
     done;
-    !m
+    200
   in
-  (* Warm-up, then the uninstalled baseline. *)
-  Chaos.Plane.clear ();
-  leg ();
-  let off_s = best () in
-  (* Armed-but-quiet: the full schedule machinery runs per operation,
-     but every fault class is at probability zero. *)
-  Chaos.Plane.install
-    (Chaos.Spec.of_string_exn "torn:p=0+flip:p=0+eio:p=0+kill-domain:p=0");
-  let armed_s = best () in
-  Chaos.Plane.clear ();
-  (* Clean up the bench store so reruns start fresh. *)
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||]);
-  let ratio = armed_s /. off_s in
-  Harness.Table.print
-    ~header:[ "execution"; "wall"; "vs off" ]
-    [
-      [ "plane off"; Printf.sprintf "%.3fs" off_s; "-" ];
-      [
-        "plane armed, p=0";
-        Printf.sprintf "%.3fs" armed_s;
-        Printf.sprintf "%.2fx" ratio;
-      ];
-    ];
-  if armed_s > 1.75 *. off_s then
-    failwith
-      (Printf.sprintf
-         "bench: armed chaos plane (%.3fs) not within noise of the \
-          uninstalled plane (%.3fs)"
-         armed_s off_s);
-  patch_bench_json "chaos_overhead"
-    (Obs.Json.Obj
-       [
-         ("scenario", Obs.Json.Str "ckpt-200x4096");
-         ("off_s", Obs.Json.Num off_s);
-         ("armed_s", Obs.Json.Num armed_s);
-         ("armed_over_off", Obs.Json.Num ratio);
-       ]);
-  append_history ~scale ~subset:(Some [ "chaos-overhead" ])
-    ~timed:[ ("chaos-off", off_s); ("chaos-armed", armed_s) ]
-    ~recorder:None ~groups:[||]
+  let armed () =
+    Chaos.Plane.install
+      (Chaos.Spec.of_string_exn "torn:p=0+flip:p=0+eio:p=0+kill-domain:p=0");
+    Fun.protect ~finally:Chaos.Plane.clear cells
+  in
+  let cleanup () =
+    try
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir
+    with Sys_error _ -> ()
+  in
+  Fun.protect ~finally:cleanup (fun () ->
+      run_lane
+        (lane ~within:("armed", "off") ~scenario:"ckpt-200x4096" "chaos-overhead"
+           "Chaos-plane overhead: 200 sealed checkpoint cells" "cells"
+           [ leg "off" "plane off" cells; leg "armed" "plane armed, p=0" armed ]))
 
 (* ------------------------------------------------------------------ *)
-(* Adversarial-search evaluation overhead: the same fixed wired
-   scenario run bare vs one Search.Eval.evaluate of an equivalent
-   candidate. An evaluation runs the scenario twice (clean + impaired
-   leg) plus the metrics-registry feedback scrape, so the interesting
-   number is the ratio over 2x bare — the search engine's own cost per
-   candidate. Tracked in BENCH_results.json ("search_overhead") and as
-   a history entry under `make perfcheck`. *)
-let run_search_overhead ~scale () =
-  Harness.Table.heading "Search overhead: per-candidate evaluation, 10s wired run";
-  (* Warm-up leg, as in the tracing bench. *)
-  trace_overhead_scenario ();
-  let (), bare_s = time_run trace_overhead_scenario in
-  let runner =
-    Harness.Scenario.adversarial_runner ~factory:Harness.Ccas.cubic
-      ~duration:10.0 ()
+(* Experiment groups through the registry's supervised fan-out: each
+   entry is timed and, with [spans], profiled in its own span lane,
+   whose root [group.<name>] span covers the same extent as the timing
+   (which is what makes perf_report's attribution column meaningful). A
+   failed entry prints its failure report and is not recorded. *)
+let run_groups ~spans entries =
+  let pool = Exec.Pool.default () in
+  (* Train the four shared evaluation policies up front, in parallel,
+     so the timings measure the experiments themselves rather than
+     whichever group happens to fault a policy in first. *)
+  Rlcc.Pretrained.warm ~pool ();
+  let recorder = if spans then Some (Obs.Span.create ()) else None in
+  let walls = Array.make (List.length entries) 0.0 in
+  let wrap i run =
+    let t0 = Unix.gettimeofday () in
+    let o = match recorder with Some r -> Obs.Span.run r ~lane:i run | None -> run () in
+    walls.(i) <- Unix.gettimeofday () -. t0;
+    o
   in
-  let cand =
-    {
-      Search.Space.impair = Faults.Spec.of_string_exn "gilbert";
-      knobs = Search.Space.base_knobs;
-    }
-  in
-  let result, eval_s =
-    time_run (fun () -> Search.Eval.evaluate ~runner ~duration:10.0 cand)
-  in
-  let ratio = eval_s /. bare_s in
-  Harness.Table.print
-    ~header:[ "execution"; "wall"; "vs bare" ]
-    [
-      [ "bare scenario run"; Printf.sprintf "%.3fs" bare_s; "-" ];
-      [
-        "Eval.evaluate (2 legs + feedback)";
-        Printf.sprintf "%.3fs" eval_s;
-        Printf.sprintf "%.2fx" ratio;
-      ];
-    ];
-  Printf.printf "\ncandidate %s: degradation %.1f%%\n"
-    (Search.Space.to_string cand)
-    (100.0 *. result.Search.Eval.degradation);
-  patch_bench_json "search_overhead"
-    (Obs.Json.Obj
-       [
-         ("scenario", Obs.Json.Str "wired24-cubic-10s");
-         ("bare_s", Obs.Json.Num bare_s);
-         ("eval_s", Obs.Json.Num eval_s);
-         ("eval_over_bare", Obs.Json.Num ratio);
-       ]);
-  append_history ~scale ~subset:(Some [ "search-overhead" ])
-    ~timed:[ ("search-bare", bare_s); ("search-eval", eval_s) ]
-    ~recorder:None ~groups:[||]
+  let outcomes = Harness.Registry.run_entries ~pool ~wrap ~entries () in
+  ignore (Harness.Registry.print_outcomes outcomes);
+  let trees = match recorder with Some r -> Obs.Span.lanes_json r | None -> [] in
+  List.mapi
+    (fun i (o : Harness.Registry.outcome) ->
+      let id = o.entry.id in
+      if Option.is_some o.failure then { no_record with failed = [ id ] }
+      else
+        {
+          no_record with
+          experiments = [ (id, walls.(i)) ];
+          spans = Option.to_list (Option.map (fun t -> (id, t)) (List.assoc_opt i trees));
+        })
+    outcomes
+  |> List.fold_left merge no_record
 
 (* ------------------------------------------------------------------ *)
-(* Many-flow scale-out lane: logical events per wall second on the flow
-   engine (Flow_table) with native AIMD, over a deep-buffered wired
-   scenario where each flow carries thousands of packets in flight --
-   the regime where O(1) ring lookups per ACK matter. Wall-clock rates
-   go to BENCH_results.json; the *gated* history metric is the logical
-   event count per simulated second, which is deterministic and
-   therefore immune to 1-CPU wall noise (see ROADMAP). *)
+(* Many-flow scale-out lane: events per wall second on the flow engine
+   (Flow_table) with native AIMD, over a deep-buffered wired scenario
+   where each flow carries thousands of packets in flight -- the regime
+   where O(1) ring lookups per ACK matter. *)
 
 let scaleout_flows = 64
 let scaleout_duration = 5.0
-let scaleout_rate_bps = Netsim.Units.mbps_to_bps 800.0
-let scaleout_rtt = 0.04
-let scaleout_buffer = Netsim.Units.mb 384
+let scaleout_mbps = 800.0
 
-let scaleout_arena () =
+(* A lite arena on one constant-rate lossless link; [add ~stop_at] adds
+   a native-AIMD flow with a 40 ms return path. *)
+let arena ~capacity ~mbps ~buffer_bytes =
   let sim = Netsim.Sim.create () in
-  let table =
-    Netsim.Flow_table.create ~capacity:scaleout_flows ~lite:true ~sim ()
-  in
+  let table = Netsim.Flow_table.create ~capacity ~lite:true ~sim () in
+  let rate = Netsim.Units.mbps_to_bps mbps in
   let link =
-    Netsim.Link.create ~const_rate:scaleout_rate_bps ~sim
-      ~rate_fn:(fun _ -> scaleout_rate_bps)
-      ~grain:0.01 ~buffer_bytes:scaleout_buffer ~loss_p:0.0
-      ~rng:(Netsim.Rng.create 7)
-      ~deliver:(Netsim.Flow_table.on_pkt_delivered table)
-      ()
+    Netsim.Link.create ~const_rate:rate ~sim ~rate_fn:(fun _ -> rate) ~grain:0.01
+      ~buffer_bytes ~loss_p:0.0 ~rng:(Netsim.Rng.create 7)
+      ~deliver:(Netsim.Flow_table.on_pkt_delivered table) ()
   in
   Netsim.Flow_table.attach table link;
+  let add ~stop_at =
+    Netsim.Flow_table.add_flow table ~cca:Netsim.Flow_table.Aimd ~return_delay:0.04
+      ~start_at:0.0 ~stop_at ()
+  in
+  (sim, table, link, add)
+
+let scaleout_arena () =
+  let sim, table, _, add =
+    arena ~capacity:scaleout_flows ~mbps:scaleout_mbps
+      ~buffer_bytes:(Netsim.Units.mb 384)
+  in
   for _ = 1 to scaleout_flows do
-    let h =
-      Netsim.Flow_table.add_flow table ~cca:Netsim.Flow_table.Aimd
-        ~return_delay:scaleout_rtt ~start_at:0.0 ~stop_at:scaleout_duration ()
-    in
-    Netsim.Flow_table.start table h
+    Netsim.Flow_table.start table (add ~stop_at:scaleout_duration)
   done;
   Netsim.Sim.run sim ~until:scaleout_duration;
   Netsim.Sim.events sim
@@ -796,35 +506,22 @@ let scaleout_arena () =
    calibration. *)
 let run_alloc_contract () =
   Harness.Table.heading "Allocation contract: arena ACK / link egress paths";
-  let sim = Netsim.Sim.create () in
-  let table = Netsim.Flow_table.create ~capacity:8 ~lite:true ~sim () in
-  let rate = Netsim.Units.mbps_to_bps 1000.0 in
-  let link =
-    Netsim.Link.create ~const_rate:rate ~sim
-      ~rate_fn:(fun _ -> rate)
-      ~grain:0.01
-      ~buffer_bytes:(Netsim.Units.mb 256)
-      ~loss_p:0.0 ~rng:(Netsim.Rng.create 7)
-      ~deliver:(Netsim.Flow_table.on_pkt_delivered table)
-      ()
+  let sim, table, link, add =
+    arena ~capacity:8 ~mbps:1000.0 ~buffer_bytes:(Netsim.Units.mb 256)
   in
-  Netsim.Flow_table.attach table link;
-  let h =
-    Netsim.Flow_table.add_flow table ~cca:Netsim.Flow_table.Aimd
-      ~return_delay:0.04 ~start_at:0.0 ~stop_at:infinity ()
-  in
+  let h = add ~stop_at:infinity in
   let k = 20_000 in
   Netsim.Sim.reserve sim (8 * k);
   for _ = 1 to 2 * k do
     Netsim.Flow_table.bench_send table h
   done;
+  let drain n = for _ = 1 to n do Netsim.Link.drain_one link done in
+  let ack ~from n =
+    for s = from to from + n - 1 do Netsim.Flow_table.deliver_ack table h s done
+  in
   (* Warm both paths past any growth/laziness before measuring. *)
-  for _ = 1 to 100 do
-    Netsim.Link.drain_one link
-  done;
-  for s = 0 to 99 do
-    Netsim.Flow_table.deliver_ack table h s
-  done;
+  drain 100;
+  ack ~from:0 100;
   let minor_words f =
     let m0, _, _ = Gc.counters () in
     f ();
@@ -847,169 +544,172 @@ let run_alloc_contract () =
         done)
   in
   let inlined = (canary -. baseline) /. float_of_int k < 0.5 in
-  let egress =
-    minor_words (fun () ->
-        for _ = 1 to k do
-          Netsim.Link.drain_one link
-        done)
-  in
-  let ack =
-    minor_words (fun () ->
-        for s = 100 to 100 + k - 1 do
-          Netsim.Flow_table.deliver_ack table h s
-        done)
-  in
   let per v = (v -. baseline) /. float_of_int k in
+  let egress = per (minor_words (fun () -> drain k)) in
+  let acks = per (minor_words (fun () -> ack ~from:100 k)) in
+  let paths = [ ("link egress (drain_one)", egress); ("ACK (deliver_ack)", acks) ] in
   Harness.Table.print
     ~header:[ "path"; "ops"; "minor words/op" ]
-    [
-      [ "link egress (drain_one)"; string_of_int k; Printf.sprintf "%.4f" (per egress) ];
-      [ "ACK (deliver_ack)"; string_of_int k; Printf.sprintf "%.4f" (per ack) ];
-    ];
+    (List.map (fun (p, w) -> [ p; string_of_int k; Printf.sprintf "%.4f" w ]) paths);
   if not inlined then
     print_endline
       "\nalloc contract reported, not asserted: cross-module inlining is \
        inactive (dev/-opaque build); run with --profile release to assert"
   else begin
-    if per egress > 1e-3 then
-      failwith
-        (Printf.sprintf
-           "alloc contract violated: link egress allocates %.4f minor words/op"
-           (per egress));
-    if per ack > 1e-3 then
-      failwith
-        (Printf.sprintf
-           "alloc contract violated: ACK path allocates %.4f minor words/op"
-           (per ack));
+    List.iter
+      (fun (path, w) ->
+        if w > 1e-3 then
+          failwith
+            (Printf.sprintf "alloc contract violated: %s allocates %.4f minor words/op"
+               path w))
+      paths;
     print_endline "\nboth hot paths allocate 0 minor-heap words per operation"
   end
 
-let run_events_per_sec ~scale () =
-  Harness.Table.heading
-    (Printf.sprintf "Events/sec: arena AIMD (%d flows, %gs, %g Mbit/s)"
-       scaleout_flows scaleout_duration
-       (Netsim.Units.bps_to_mbps scaleout_rate_bps));
+let run_events_per_sec () =
   let recorder = Obs.Span.create () in
-  (* The leg is short (~1s), so a single sample is at the mercy of
-     scheduler noise on a shared 1-CPU box; take the best of three. *)
-  let events, wall_s =
-    let best_events = ref 0 and best_s = ref infinity in
-    for _ = 1 to 3 do
-      let ev, s = time_run (fun () -> Obs.Span.run recorder ~lane:0 scaleout_arena) in
-      if !best_events <> 0 && ev <> !best_events then
-        failwith "events-per-sec: arena event count varied across repetitions";
-      best_events := ev;
-      if s < !best_s then best_s := s
-    done;
-    (!best_events, !best_s)
+  let scenario =
+    Printf.sprintf "wired%.0f-aimd-%dflows-%.0fs" scaleout_mbps scaleout_flows
+      scaleout_duration
+  in
+  let arena () = Obs.Span.run recorder ~lane:0 scaleout_arena in
+  let _, wall_s, events =
+    List.hd
+      (measure
+         (lane ~scenario "events-per-sec"
+            (Printf.sprintf "Events/sec: arena AIMD (%d flows, %gs, %g Mbit/s)"
+               scaleout_flows scaleout_duration scaleout_mbps)
+            "events" [ leg "arena" "arena" arena ]))
   in
   let rate = float_of_int events /. wall_s in
-  Harness.Table.print
-    ~header:[ "engine"; "events"; "wall"; "events/sec" ]
-    [
-      [ "arena"; string_of_int events; Printf.sprintf "%.3fs" wall_s;
-        Printf.sprintf "%.0f" rate ];
-    ];
+  Printf.printf "\n%.0f events/sec\n" rate;
   run_alloc_contract ();
-  patch_bench_json "events_per_sec"
-    (Obs.Json.Obj
-       [
-         ( "scenario",
-           Obs.Json.Str
-             (Printf.sprintf "wired%.0f-aimd-%dflows-%.0fs"
-                (Netsim.Units.bps_to_mbps scaleout_rate_bps) scaleout_flows
-                scaleout_duration) );
-         ("arena_events", Obs.Json.Num (float_of_int events));
-         ("arena_s", Obs.Json.Num wall_s);
-         ("arena_events_per_s", Obs.Json.Num rate);
-         ( "spans",
-           match List.assoc_opt 0 (Obs.Span.lanes_json recorder) with
-           | Some trees -> trees
-           | None -> Obs.Json.Null );
-       ]);
-  (* The gated history metric is LOGICAL: kilo-events per simulated
-     second. It is bit-deterministic for a fixed seed, so perf_report's
-     lower-is-better gate catches logical regressions (an engine change
-     that schedules more events per simulated second) without ever
-     tripping on wall-clock noise -- per the 1-CPU noise note in
-     ROADMAP, wall rates are recorded in BENCH_results.json but not
-     gated. *)
-  append_history ~scale ~subset:(Some [ "events-per-sec" ])
-    ~timed:
+  let spans = List.assoc_opt 0 (Obs.Span.lanes_json recorder) in
+  let result =
+    nums [ ("arena_events", float_of_int events); ("arena_s", wall_s);
+           ("arena_events_per_s", rate) ]
+    |> Obs.Json.set_member "scenario" (Obs.Json.Str scenario)
+    |> Obs.Json.set_member "spans" (Option.value ~default:Obs.Json.Null spans)
+  in
+  update_results [ ("events_per_sec", result) ];
+  (* The gated history metric is logical: kilo-events per simulated
+     second, bit-deterministic for a fixed seed, so the gate catches an
+     engine change that schedules more events without ever tripping on
+     wall-clock noise. The wall rate above is recorded, not gated. *)
+  let kev_per_simsec = float_of_int events /. scaleout_duration /. 1e3 in
+  { no_record with logical = [ ("arena-logical-kev-per-simsec", kev_per_simsec) ] }
+
+(* ------------------------------------------------------------------ *)
+
+let append_history ~manifest ~scale ~targets r =
+  let path = "BENCH_history.jsonl" in
+  let entry =
+    Obs.Json.Obj
       [
-        ( "arena-logical-kev-per-simsec",
-          float_of_int events /. scaleout_duration /. 1e3 );
+        ("manifest", manifest);
+        ("scale", Obs.Json.Str scale);
+        ("domains", Obs.Json.Num (float_of_int (domains ())));
+        ("subset", Obs.Json.List (List.map (fun t -> Obs.Json.Str t) targets));
+        ("experiments", nums r.experiments);
+        ("logical", nums r.logical);
+        ("total_wall_s", Obs.Json.Num (total_wall r));
+        ("spans", if r.spans = [] then Obs.Json.Null else Obs.Json.Obj r.spans);
       ]
-    ~recorder:None ~groups:[||]
+  in
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+  output_string oc (Obs.Json.to_compact entry ^ "\n");
+  close_out oc;
+  Printf.printf "[bench] appended history entry to %s\n" path
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let full = List.mem "--full" args in
-  (* --spans records a per-group span profile into the history entry;
-     off by default so `bench all` numbers stay comparable with
-     profile-free baselines (the disabled path is one branch). *)
-  let spans = List.mem "--spans" args in
-  let args = List.filter (fun a -> a <> "--full" && a <> "--spans") args in
-  (* --domains N overrides LIBRA_DOMAINS / the detected core count. *)
-  let rec strip_domains = function
+  let full = ref false and spans = ref false in
+  let rec parse = function
+    | "--full" :: rest -> full := true; parse rest
+    (* --spans records a per-group span profile into the history entry;
+       off by default so `bench all` numbers stay comparable with
+       profile-free baselines (the disabled path is one branch). *)
+    | "--spans" :: rest -> spans := true; parse rest
+    (* --domains N overrides LIBRA_DOMAINS and the detected core count. *)
     | "--domains" :: n :: rest ->
       (match int_of_string_opt n with
       | Some d when d >= 1 -> Exec.Pool.set_default_size d
       | _ ->
-        Printf.eprintf "invalid --domains %S (want a positive integer)\n" n;
+        Printf.eprintf "bench: invalid --domains %S (want a positive integer)\n" n;
         exit 2);
-      strip_domains rest
-    | a :: rest -> a :: strip_domains rest
+      parse rest
+    | flag :: _ when String.starts_with ~prefix:"-" flag ->
+      Printf.eprintf "bench: bad flag %s (flags: --full, --spans, --domains N)\n" flag;
+      exit 2
+    | target :: rest -> target :: parse rest
     | [] -> []
   in
-  let args = strip_domains args in
-  Harness.Scale.set (if full then Harness.Scale.full else Harness.Scale.quick);
+  let targets =
+    match parse (List.tl (Array.to_list Sys.argv)) with [] -> [ "all" ] | ts -> ts
+  in
+  let scale = if !full then "full" else "quick" in
+  (* Built before any timing, so the manifest's (memoized) git lookup
+     does not land inside the first experiment's wall time. *)
+  let manifest = Obs.Manifest.make ~scale ~domains:(domains ()) () in
+  let group ?(spans = !spans) entries () = run_groups ~spans entries in
+  let table =
+    [
+      ( "all",
+        fun () ->
+          let r = group (Harness.Registry.groups ()) () in
+          update_results
+            [
+              ("domains", Obs.Json.Num (float_of_int (domains ())));
+              ("scale", Obs.Json.Str scale);
+              ("experiments", nums r.experiments);
+              ("total_wall_s", Obs.Json.Num (total_wall r));
+              ("manifest", manifest);
+            ];
+          run_micro ();
+          r );
+      (* The fastest experiment groups, spans always on: the quick
+         subset `make perfcheck` gates. *)
+      ( "perf-smoke",
+        group ~spans:true
+          (List.filter_map Harness.Registry.find [ "fig2a"; "fig8"; "fig17"; "fig18" ]) );
+      ("micro", fun () -> run_micro (); no_record);
+      ("chaos-overhead", run_chaos_overhead);
+      ("events-per-sec", run_events_per_sec);
+      ("alloc-contract", fun () -> run_alloc_contract (); no_record);
+    ]
+    (* The trace and impairment lanes are recorded in BENCH_results.json
+       only, not in the gated history. *)
+    @ List.map
+        (fun l -> (l.id, fun () -> ignore (run_lane l); no_record))
+        [ trace_lane; impairment_lane ]
+    @ List.map
+        (fun l -> (l.id, fun () -> run_lane l))
+        [ supervisor_lane; invariant_lane; rollup_lane; flight_lane; search_lane ]
+  in
+  let find target =
+    match List.assoc_opt target table with
+    | None -> Option.map (fun e -> group [ e ]) (Harness.Registry.find target)
+    | run -> run
+  in
+  (match List.filter (fun t -> Option.is_none (find t)) targets with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment(s): %s\nknown: %s\n" (String.concat ", " unknown)
+      (String.concat ", " (Harness.Registry.ids () @ List.map fst table));
+    exit 1);
+  Harness.Scale.set (if !full then Harness.Scale.full else Harness.Scale.quick);
   let t0 = Unix.gettimeofday () in
-  let scale = if full then "full" else "quick" in
-  (match args with
-  | [] | [ "all" ] ->
-    run_all_timed ~scale ~spans ();
-    run_micro ()
-  | [ "micro" ] -> run_micro ()
-  | [ "trace-overhead" ] -> run_trace_overhead ()
-  | [ "impairment-overhead" ] -> run_impairment_overhead ()
-  | [ "perf-smoke" ] -> run_perf_smoke ~scale ()
-  | [ "supervisor-overhead" ] -> run_supervisor_overhead ~scale ()
-  | [ "invariant-overhead" ] -> run_invariant_overhead ~scale ()
-  | [ "rollup-overhead" ] -> run_rollup_overhead ~scale ()
-  | [ "flight-overhead" ] -> run_flight_overhead ~scale ()
-  | [ "chaos-overhead" ] -> run_chaos_overhead ~scale ()
-  | [ "search-overhead" ] -> run_search_overhead ~scale ()
-  | [ "events-per-sec" ] -> run_events_per_sec ~scale ()
-  | [ "alloc-contract" ] -> run_alloc_contract ()
-  | ids ->
-    List.iter
-      (fun id ->
-        if id = "micro" then run_micro ()
-        else if id = "trace-overhead" then run_trace_overhead ()
-        else if id = "impairment-overhead" then run_impairment_overhead ()
-        else if id = "perf-smoke" then run_perf_smoke ~scale ()
-        else if id = "supervisor-overhead" then run_supervisor_overhead ~scale ()
-        else if id = "invariant-overhead" then run_invariant_overhead ~scale ()
-        else if id = "rollup-overhead" then run_rollup_overhead ~scale ()
-        else if id = "flight-overhead" then run_flight_overhead ~scale ()
-        else if id = "chaos-overhead" then run_chaos_overhead ~scale ()
-        else if id = "search-overhead" then run_search_overhead ~scale ()
-        else if id = "events-per-sec" then run_events_per_sec ~scale ()
-        else if id = "alloc-contract" then run_alloc_contract ()
-        else
-          match Harness.Registry.find id with
-          | Some e -> Harness.Report.print (e.Harness.Registry.run ())
-          | None ->
-            Printf.eprintf
-              "unknown experiment %S (known: %s, micro, trace-overhead, \
-               impairment-overhead, perf-smoke, supervisor-overhead, \
-               invariant-overhead, rollup-overhead, flight-overhead, \
-               chaos-overhead, search-overhead, events-per-sec, \
-               alloc-contract)\n"
-              id
-              (String.concat ", " (Harness.Registry.ids ())))
-      ids);
-  Printf.printf "\n[bench] %d domain(s), total wall time: %.1fs\n"
-    (Exec.Pool.size (Exec.Pool.default ()))
-    (Unix.gettimeofday () -. t0)
+  (* A failed lane check, like a failed experiment group, is reported
+     and not recorded; the remaining targets still run. *)
+  let run target =
+    match Option.get (find target) () with
+    | r -> r
+    | exception Failure msg ->
+      Printf.eprintf "bench: %s failed: %s\n%!" target msg;
+      { no_record with failed = [ target ] }
+  in
+  let r = List.fold_left (fun acc t -> merge acc (run t)) no_record targets in
+  if r.experiments <> [] || r.logical <> [] then
+    append_history ~manifest ~scale ~targets r;
+  Printf.printf "\n[bench] %d domain(s), total wall time: %.1fs\n" (domains ())
+    (Unix.gettimeofday () -. t0);
+  if r.failed <> [] then exit 3

@@ -297,8 +297,7 @@ let run_all_reports ?pool ?wrap () =
    unsupervised clean run) and summarize on stderr — the summary line
    must not disturb report bytes, which checkpoint resumes and the
    crash-isolation tests compare exactly. *)
-let run_all ?pool ?wrap ?supervision ?entries () =
-  let outcomes = run_entries ?pool ?wrap ?supervision ?entries () in
+let print_outcomes outcomes =
   List.iter (fun o -> Report.print o.report) outcomes;
   let s = summarize outcomes in
   Printf.eprintf "[registry] %d group(s): %d ok, %d failed, %d resumed%s\n%!" s.total
@@ -329,3 +328,6 @@ let run_all ?pool ?wrap ?supervision ?entries () =
       | None -> ())
     outcomes;
   s
+
+let run_all ?pool ?wrap ?supervision ?entries () =
+  print_outcomes (run_entries ?pool ?wrap ?supervision ?entries ())

@@ -1,19 +1,71 @@
 (* Perf-regression analysis over the bench trajectory.
 
-   `bench` appends one compact JSON line per run to BENCH_history.jsonl:
+   `bench` appends one compact JSON line per invocation to
+   BENCH_history.jsonl:
    { "manifest": {...}, "scale": "quick", "domains": 1,
-     "subset": "all" | [ids...],
-     "experiments": { group: seconds, ... }, "total_wall_s": s,
-     "spans": { group: [span trees...], ... } | null }
+     "subset": "all" | [targets...],
+     "experiments": { name: wall seconds, ... },
+     "logical": { name: deterministic value (count, logical rate), ... },
+     "total_wall_s": sum of "experiments",
+     "spans": { experiment: [span trees...], ... } | null }
+
+   Older entries hold the events-per-sec logical rate under
+   "experiments"; parsing reclassifies it (see [reclassify]).
 
    This module parses that file, picks comparison baselines, computes
-   per-experiment deltas, applies the regression gate, and renders the
+   per-metric deltas, applies the regression gate, and renders the
    tables `bin/perf_report` prints. It also renders span-profile
    rollups (from history entries or `experiments --profile` files) and
    computes the span attribution fraction — the share of an
    experiment's wall time covered by named top-level spans. *)
 
 type entry = { index : int; json : Json.t }
+
+(* ---- accessors ---- *)
+
+let str_member key e = Option.bind (Json.member key e.json) Json.str
+let scale e = Option.value ~default:"unknown" (str_member "scale" e)
+
+let subset e =
+  match Json.member "subset" e.json with
+  | Some (Json.List items) -> String.concat "," (List.filter_map Json.str items)
+  | Some (Json.Str s) -> s
+  | _ -> "all"
+
+let git_describe e =
+  match Option.bind (Json.member "manifest" e.json) (Json.member "git_describe") with
+  | Some (Json.Str s) -> s
+  | _ -> "unknown"
+
+let num_map key e =
+  match Json.member key e.json with
+  | Some (Json.Obj kvs) -> List.filter_map (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.num v)) kvs
+  | _ -> []
+
+(* (name, wall seconds) and (name, deterministic value), in file order. *)
+let experiments = num_map "experiments"
+let logical = num_map "logical"
+
+(* Every metric of [e] by name, with whether it is logical. *)
+let metrics e =
+  List.map (fun (k, v) -> (k, (false, v))) (experiments e)
+  @ List.map (fun (k, v) -> (k, (true, v))) (logical e)
+
+let nums kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) kvs)
+
+(* A name any entry holds under "logical" is logical in every entry, so
+   rows written before the map existed pair with new ones by name and
+   their logical rate never counts as wall time. *)
+let reclassify entries =
+  let names = List.concat_map (fun e -> List.map fst (logical e)) entries in
+  List.map
+    (fun e ->
+      match List.partition (fun (k, _) -> List.mem k names) (experiments e) with
+      | [], _ -> e
+      | moved, walls ->
+        let json = Json.set_member "experiments" (nums walls) e.json in
+        { e with json = Json.set_member "logical" (nums (logical e @ moved)) json })
+    entries
 
 (* ---- parsing ---- *)
 
@@ -29,39 +81,12 @@ let parse_history text =
         | Ok json -> go (i + 1) ({ index = i; json } :: acc) rest
         | Error e -> Error (Printf.sprintf "history entry %d: %s" i e))
   in
-  go 0 [] lines
+  Result.map reclassify (go 0 [] lines)
 
 let load_history path =
-  if not (Sys.file_exists path) then Error (Printf.sprintf "no history file %s" path)
-  else
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    parse_history text
-
-(* ---- accessors ---- *)
-
-let str_member key e = Option.bind (Json.member key e.json) Json.str
-let scale e = Option.value ~default:"unknown" (str_member "scale" e)
-let total_wall_s e = Option.bind (Json.member "total_wall_s" e.json) Json.num
-
-let subset e =
-  match Json.member "subset" e.json with
-  | Some (Json.List items) -> String.concat "," (List.filter_map Json.str items)
-  | Some (Json.Str s) -> s
-  | _ -> "all"
-
-let git_describe e =
-  match Option.bind (Json.member "manifest" e.json) (Json.member "git_describe") with
-  | Some (Json.Str s) -> s
-  | _ -> "unknown"
-
-(* (group, seconds) in file order. *)
-let experiments e =
-  match Json.member "experiments" e.json with
-  | Some (Json.Obj kvs) -> List.filter_map (fun (k, v) -> Option.map (fun s -> (k, s)) (Json.num v)) kvs
-  | _ -> []
+  match Chaos.Io.read_file path with
+  | Some text -> parse_history text
+  | None -> Error (Printf.sprintf "no history file %s" path)
 
 (* Span trees per group, if the entry recorded spans. *)
 let spans e =
@@ -71,23 +96,30 @@ let spans e =
 
 (* ---- comparison and gate ---- *)
 
-type delta = { group : string; base_s : float; cand_s : float; pct : float }
+type delta = { group : string; logical : bool; base : float; cand : float; pct : float }
 
 let compare_entries ~baseline ~candidate =
-  let base = experiments baseline in
+  let base_metrics = metrics baseline in
   List.filter_map
-    (fun (group, cand_s) ->
-      match List.assoc_opt group base with
+    (fun (group, (logical, cand)) ->
+      match List.assoc_opt group base_metrics with
       | None -> None
-      | Some base_s ->
-        let pct = if base_s > 0.0 then (cand_s -. base_s) /. base_s *. 100.0 else 0.0 in
-        Some { group; base_s; cand_s; pct })
-    (experiments candidate)
+      | Some (_, base) ->
+        let pct = if base > 0.0 then (cand -. base) /. base *. 100.0 else 0.0 in
+        Some { group; logical; base; cand; pct })
+    (metrics candidate)
+
+(* (base, candidate) wall seconds summed over the compared wall metrics;
+   logical values never enter a wall total. *)
+let wall_totals deltas =
+  List.fold_left
+    (fun (b, c) d -> if d.logical then (b, c) else (b +. d.base, c +. d.cand))
+    (0.0, 0.0) deltas
 
 let regressions ~threshold_pct deltas = List.filter (fun d -> d.pct > threshold_pct) deltas
 
 (* The baseline for [candidate]: the latest earlier entry with the same
-   scale and at least one experiment in common. Comparing across scales
+   scale and at least one metric in common. Comparing across scales
    (quick vs full) or disjoint subsets would gate on noise. *)
 let find_baseline entries ~candidate =
   let earlier =
@@ -95,7 +127,7 @@ let find_baseline entries ~candidate =
       (fun e ->
         e.index < candidate.index
         && scale e = scale candidate
-        && List.exists (fun (g, _) -> List.mem_assoc g (experiments e)) (experiments candidate))
+        && List.exists (fun (g, _) -> List.mem_assoc g (metrics e)) (metrics candidate))
       entries
   in
   match List.rev earlier with [] -> None | e :: _ -> Some e
@@ -137,6 +169,12 @@ let render_span_trees b spans =
 
 (* ---- rendering ---- *)
 
+(* Wall values carry their unit; logical values are bare numbers. *)
+let render_value ~logical v =
+  if not logical then Printf.sprintf "%.3fs" v
+  else if Float.is_integer v then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.3f" v
+
 let describe_entry e =
   Printf.sprintf "#%d %s scale=%s subset=%s" e.index (git_describe e) (scale e) (subset e)
 
@@ -144,20 +182,23 @@ let render_entry e =
   let b = Buffer.create 1024 in
   Buffer.add_string b (Printf.sprintf "entry %s\n" (describe_entry e));
   let sp = spans e in
-  Buffer.add_string b (Printf.sprintf "  %-28s %10s %12s\n" "experiment" "wall_s" "attributed");
+  Buffer.add_string b (Printf.sprintf "  %-28s %12s %12s\n" "metric" "value" "attributed");
   List.iter
-    (fun (group, wall) ->
+    (fun (group, (logical, v)) ->
       let attributed =
         match List.assoc_opt group sp with
-        | Some trees when wall > 0.0 ->
-          Printf.sprintf "%5.1f%%" (100.0 *. attributed_fraction ~spans:trees ~wall)
+        | Some trees when v > 0.0 && not logical ->
+          Printf.sprintf "%5.1f%%" (100.0 *. attributed_fraction ~spans:trees ~wall:v)
         | _ -> "-"
       in
-      Buffer.add_string b (Printf.sprintf "  %-28s %10.3f %12s\n" group wall attributed))
-    (experiments e);
-  (match total_wall_s e with
-  | Some t -> Buffer.add_string b (Printf.sprintf "  %-28s %10.3f\n" "total" t)
-  | None -> ());
+      Buffer.add_string b
+        (Printf.sprintf "  %-28s %12s %12s\n" group (render_value ~logical v) attributed))
+    (metrics e);
+  if experiments e <> [] then
+    Buffer.add_string b
+      (Printf.sprintf "  %-28s %12s\n" "total wall"
+         (render_value ~logical:false
+            (List.fold_left (fun a (_, s) -> a +. s) 0.0 (experiments e))));
   List.iter
     (fun (group, trees) ->
       Buffer.add_string b (Printf.sprintf "  spans: %s\n" group);
@@ -169,19 +210,16 @@ let render_comparison ~baseline ~candidate deltas =
   let b = Buffer.create 1024 in
   Buffer.add_string b (Printf.sprintf "baseline  %s\n" (describe_entry baseline));
   Buffer.add_string b (Printf.sprintf "candidate %s\n" (describe_entry candidate));
-  Buffer.add_string b
-    (Printf.sprintf "  %-28s %10s %10s %9s\n" "experiment" "base_s" "cand_s" "delta");
-  List.iter
-    (fun d ->
-      Buffer.add_string b
-        (Printf.sprintf "  %-28s %10.3f %10.3f %+8.1f%%\n" d.group d.base_s d.cand_s d.pct))
-    deltas;
-  (match (total_wall_s baseline, total_wall_s candidate) with
-  | Some bt, Some ct when bt > 0.0 ->
+  let row name ~logical base cand pct =
     Buffer.add_string b
-      (Printf.sprintf "  %-28s %10.3f %10.3f %+8.1f%%\n" "total" bt ct
-         ((ct -. bt) /. bt *. 100.0))
-  | _ -> ());
+      (Printf.sprintf "  %-28s %12s %12s %+8.1f%%\n" name (render_value ~logical base)
+         (render_value ~logical cand) pct)
+  in
+  Buffer.add_string b
+    (Printf.sprintf "  %-28s %12s %12s %9s\n" "metric" "base" "cand" "delta");
+  List.iter (fun d -> row d.group ~logical:d.logical d.base d.cand d.pct) deltas;
+  let bt, ct = wall_totals deltas in
+  if bt > 0.0 then row "total wall" ~logical:false bt ct ((ct -. bt) /. bt *. 100.0);
   Buffer.contents b
 
 (* ---- trend: quantiles of each experiment's wall time across the

@@ -510,6 +510,37 @@ let test_perf_gate_fixture () =
     let trend = Obs.Perf.trend entries in
     check_int "trend covers both experiments" 2 (List.length trend)
 
+(* An events-per-sec row written before "logical" existed (the rate
+   under "experiments", summed into total_wall_s) against a new-schema
+   row holding the rate under "logical" next to a wall metric: the
+   rate still pairs by name, as a logical metric, and stays out of the
+   wall total. *)
+let perf_schema_fixture =
+  String.concat "\n"
+    [
+      {|{"manifest":{"manifest":1},"scale":"quick","domains":1,"subset":["events-per-sec"],"experiments":{"arena-logical-kev-per-simsec":501.598},"total_wall_s":501.598,"spans":null}|};
+      {|{"manifest":{"manifest":1},"scale":"quick","domains":1,"subset":["chaos-overhead","events-per-sec"],"experiments":{"chaos-off":0.05},"logical":{"chaos-off-count":200,"arena-logical-kev-per-simsec":501.598},"total_wall_s":0.05,"spans":null}|};
+    ]
+
+let test_perf_schema_mix () =
+  match Obs.Perf.parse_history perf_schema_fixture with
+  | Error e -> Alcotest.failf "fixture does not parse: %s" e
+  | Ok entries ->
+    let candidate = List.nth entries 1 in
+    (match Obs.Perf.find_baseline entries ~candidate with
+    | None -> Alcotest.fail "the old-schema row is not a baseline"
+    | Some baseline -> (
+      match Obs.Perf.compare_entries ~baseline ~candidate with
+      | [ d ] as deltas ->
+        check_string "the rate pairs by name" "arena-logical-kev-per-simsec"
+          d.Obs.Perf.group;
+        check_bool "the rate is logical" true d.Obs.Perf.logical;
+        check_bool "the wall total excludes the rate" true
+          (Obs.Perf.wall_totals deltas = (0.0, 0.0))
+      | deltas -> Alcotest.failf "expected one delta, got %d" (List.length deltas)));
+    check_bool "the rate is not a wall-time trend" true
+      (List.for_all (fun (g, _, _, _) -> g = "chaos-off") (Obs.Perf.trend entries))
+
 let test_perf_gate_empty_and_garbage () =
   (match Obs.Perf.parse_history "" with
   | Ok [] -> ()
@@ -912,6 +943,7 @@ let () =
       ( "perf",
         [
           Alcotest.test_case "gate fixture" `Quick test_perf_gate_fixture;
+          Alcotest.test_case "wall vs logical schema" `Quick test_perf_schema_mix;
           Alcotest.test_case "empty + garbage history" `Quick
             test_perf_gate_empty_and_garbage;
         ] );
