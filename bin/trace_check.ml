@@ -2,109 +2,90 @@
 
      trace_check [--require-manifest] FILE
 
-   A FILE ending in .csv is validated as a CSV export: the expected
-   column count is derived from the file's own header line — never
-   hardcoded, so a file produced by a build whose event schema widened
-   the header (it has grown 33 -> 35 -> 36 columns already) still
-   validates. Every row must have exactly the header's width, a numeric
-   "t", a numeric "lane" and a known "ev" (columns located by name in
-   the header), with the same per-lane monotonicity rules as JSONL.
+   A FILE ending in .csv is a CSV export, anything else JSONL. Every
+   line becomes a row that one validator checks against Obs.Event's
+   schema: a known "ev"; a numeric "t" and "lane"; each payload field
+   of that event with its type (floats may be null, an empty CSV
+   cell), the "kind" of "harness" and "violation" events drawn from
+   its known set; and timestamps non-decreasing within each lane (the
+   exporter's determinism contract). A "run_start" event restarts its
+   lane's clock; "harness" events are stamped outside any simulation
+   clock and are exempt.
 
-   Anything else is JSONL: every line must parse as a JSON object. A
-   line carrying a
-   "manifest" key is a provenance header (see Obs.Manifest) and is
-   validated for required keys and formats (7-40 hex-char sha or
-   "unknown", numeric seeds, etc.). Every other line must be an event:
-   numeric "t" and "lane" fields, a string "ev" naming a known event,
-   timestamps non-decreasing within each lane (the exporter's
-   determinism contract; a "run_start" event marks a fresh simulation /
-   RL episode whose clock restarts at 0, so it resets the lane's
-   clock), and "fault" events must carry a string "kind".
+   CSV width and column positions come from the file's own header
+   line, never hardcoded, so a file whose header widened still
+   validates. In JSONL a line carrying a "manifest" key is a
+   provenance header, validated by Obs.Manifest; --require-manifest
+   demands one on the first non-empty line (the contract of
+   Obs.Trace.to_jsonl).
 
-   "harness" events are supervision records (failures, retries,
-   deadlines, checkpoints, watchdog fallbacks, invariant violations).
-   They must carry a string "id" and a "kind" drawn from the known set,
-   and are exempt from the per-lane monotonicity check: they are
-   structural, emitted by scaffolding outside any simulation clock.
-
-   "violation" events are online invariant-checker verdicts
-   (lib/check): they must carry a string "name", a "kind" naming the
-   temporal combinator that failed, and a numeric event "index". They
-   are stamped with the sim time of the offending event, so they stay
-   inside the monotonicity check.
-
-   With --require-manifest the first non-empty line must be a valid
-   manifest header (the contract of Obs.Trace.to_jsonl). Exits 0 on
-   success, 1 with a diagnostic otherwise. *)
+   Exits 0 on success, 1 with a diagnostic otherwise. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
-(* ---- CSV validation ----
+(* A row as the validator reads it: a field's numeric value (nan for a
+   JSON null or an empty cell) and its string value; [None] when the
+   row has no such field of that type. *)
+type row = { num : string -> float option; str : string -> string option }
 
-   The expected width and the positions of the t / lane / ev columns
-   all come from the header row of the file under test, so this
-   validator keeps working when the exporter's schema widens. *)
-let check_csv file =
-  let ic = try open_in file with Sys_error e -> fail "cannot open: %s" e in
-  let header =
-    match input_line ic with
-    | h -> h
-    | exception End_of_file -> fail "%s: empty CSV (no header row)" file
+let json_row v =
+  let member k = Obs.Json.member k v in
+  {
+    num =
+      (fun k ->
+        match member k with Some Obs.Json.Null -> Some nan | j -> Option.bind j Obs.Json.num);
+    str = (fun k -> Option.bind (member k) Obs.Json.str);
+  }
+
+let csv_row ~col cells =
+  let cell k = Option.map (List.nth cells) (col (Obs.Event.csv_column k)) in
+  {
+    num =
+      (fun k -> if cell k = Some "" then Some nan else Option.bind (cell k) float_of_string_opt);
+    str = cell;
+  }
+
+let closed_sets =
+  [
+    (("harness", "kind"), List.map Obs.Event.Harness_kind.name Obs.Event.Harness_kind.all);
+    (("violation", "kind"), Check.Spec.kind_names);
+  ]
+
+let last_t = Hashtbl.create 8
+let events = ref 0
+
+let validate ~at row =
+  let ev = match row.str "ev" with Some ev -> ev | None -> fail "%s: missing \"ev\"" at in
+  let fields =
+    match List.assoc_opt ev Obs.Event.schema with
+    | Some fields -> fields
+    | None ->
+      fail "%s: unknown event %S (known: %s)" at ev (String.concat ", " Obs.Event.all_names)
   in
-  let width = Obs.Event.csv_width_of_header header in
-  let cols = String.split_on_char ',' header in
-  let col name =
-    let rec go i = function
-      | [] -> fail "%s: header has no %S column" file name
-      | c :: _ when c = name -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 0 cols
+  let num ?(null = false) key =
+    match row.num key with
+    | Some v when null || not (Float.is_nan v) -> v
+    | _ -> fail "%s: %s event missing numeric %S" at ev key
   in
-  let t_col = col "t" and lane_col = col "lane" and ev_col = col "ev" in
-  let last_t = Hashtbl.create 8 in
-  let events = ref 0 in
-  let lineno = ref 1 in
-  (try
-     while true do
-       let line = input_line ic in
-       incr lineno;
-       if String.trim line <> "" then begin
-         let cells = String.split_on_char ',' line in
-         let n = List.length cells in
-         if n <> width then
-           fail "%s:%d: %d column(s), header has %d" file !lineno n width;
-         let cell i = List.nth cells i in
-         let t =
-           match float_of_string_opt (cell t_col) with
-           | Some t -> t
-           | None -> fail "%s:%d: non-numeric \"t\" %S" file !lineno (cell t_col)
-         in
-         let lane =
-           match int_of_string_opt (cell lane_col) with
-           | Some l -> l
-           | None ->
-             fail "%s:%d: non-numeric \"lane\" %S" file !lineno (cell lane_col)
-         in
-         let ev = cell ev_col in
-         if not (List.mem ev Obs.Event.all_names) then
-           fail "%s:%d: unknown event %S (known: %s)" file !lineno ev
-             (String.concat ", " Obs.Event.all_names);
-         if ev <> "run_start" && ev <> "harness" then
-           (match Hashtbl.find_opt last_t lane with
-           | Some prev when t < prev ->
-             fail "%s:%d: time went backwards in lane %d (%.9g < %.9g)" file
-               !lineno lane t prev
-           | _ -> ());
-         if ev <> "harness" then Hashtbl.replace last_t lane t;
-         incr events
-       end
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Printf.printf
-    "%s: %d events, %d lane(s), %d columns, timestamps non-decreasing\n" file
-    !events (Hashtbl.length last_t) width
+  let t = num "t" and lane = int_of_float (num "lane") in
+  List.iter
+    (fun (key, proto) ->
+      match proto, row.str key, List.assoc_opt (ev, key) closed_sets with
+      | Obs.Event.Int _, _, _ -> ignore (num key)
+      | Obs.Event.Float _, _, _ -> ignore (num ~null:true key)
+      | Obs.Event.Str _, None, _ -> fail "%s: %s event missing string %S" at ev key
+      | Obs.Event.Str _, Some v, Some known when not (List.mem v known) ->
+        fail "%s: %s event with unknown %s %S (known: %s)" at ev key v
+          (String.concat ", " known)
+      | Obs.Event.Str _, Some _, _ -> ())
+    fields;
+  if ev <> "run_start" && ev <> "harness" then
+    (match Hashtbl.find_opt last_t lane with
+    | Some prev when t < prev ->
+      fail "%s: time went backwards in lane %d (%.9g < %.9g)" at lane t prev
+    | _ -> ());
+  if ev <> "harness" then Hashtbl.replace last_t lane t;
+  incr events
 
 let () =
   let require_manifest, file =
@@ -113,101 +94,57 @@ let () =
     | [ _; "--require-manifest"; file ] | [ _; file; "--require-manifest" ] -> (true, file)
     | _ -> fail "usage: trace_check [--require-manifest] FILE"
   in
-  if Filename.check_suffix file ".csv" then begin
-    if require_manifest then
-      fail "%s: --require-manifest applies to JSONL exports only" file;
-    check_csv file;
-    exit 0
-  end;
+  let csv = Filename.check_suffix file ".csv" in
+  if csv && require_manifest then
+    fail "%s: --require-manifest applies to JSONL exports only" file;
   let ic = try open_in file with Sys_error e -> fail "cannot open: %s" e in
-  let last_t = Hashtbl.create 8 in
-  let events = ref 0 in
-  let manifests = ref 0 in
-  let first_is_manifest = ref false in
-  let nonempty = ref 0 in
-  let lineno = ref 0 in
+  let header =
+    if not csv then None
+    else
+      match input_line ic with
+      | h -> Some h
+      | exception End_of_file -> fail "%s: empty CSV (no header row)" file
+  in
+  let width = Option.fold ~none:0 ~some:Obs.Event.csv_width_of_header header in
+  let columns = Option.fold ~none:[] ~some:(String.split_on_char ',') header in
+  let col name = List.find_index (String.equal name) columns in
+  let manifests = ref 0 and first_is_manifest = ref false and nonempty = ref 0 in
+  (* The row a line holds; [None] for a JSONL manifest header. *)
+  let read ~at line =
+    if csv then begin
+      let cells = String.split_on_char ',' line in
+      let n = List.length cells in
+      if n <> width then fail "%s: %d column(s), header has %d" at n width;
+      Some (csv_row ~col cells)
+    end
+    else
+      match Obs.Json.parse line with
+      | Error msg -> fail "%s: bad JSON: %s" at msg
+      | Ok v when Obs.Json.member "manifest" v <> None -> (
+        match Obs.Manifest.validate v with
+        | Ok () ->
+          incr manifests;
+          if !nonempty = 1 then first_is_manifest := true;
+          None
+        | Error msg -> fail "%s: %s" at msg)
+      | Ok v -> Some (json_row v)
+  in
+  let lineno = ref (if csv then 1 else 0) in
   (try
      while true do
        let line = input_line ic in
        incr lineno;
        if String.trim line <> "" then begin
          incr nonempty;
-         let v =
-           match Obs.Json.parse line with
-           | Ok v -> v
-           | Error msg -> fail "%s:%d: bad JSON: %s" file !lineno msg
-         in
-         match Obs.Json.member "manifest" v with
-         | Some _ ->
-           (match Obs.Manifest.validate v with
-           | Ok () ->
-             incr manifests;
-             if !nonempty = 1 then first_is_manifest := true
-           | Error msg -> fail "%s:%d: %s" file !lineno msg)
-         | None ->
-           let num key =
-             match Option.bind (Obs.Json.member key v) Obs.Json.num with
-             | Some n -> n
-             | None -> fail "%s:%d: missing numeric %S" file !lineno key
-           in
-           let t = num "t" in
-           let lane = int_of_float (num "lane") in
-           let ev =
-             match Option.bind (Obs.Json.member "ev" v) Obs.Json.str with
-             | Some ev -> ev
-             | None -> fail "%s:%d: missing \"ev\"" file !lineno
-           in
-           if not (List.mem ev Obs.Event.all_names) then
-             fail "%s:%d: unknown event %S (known: %s)" file !lineno ev
-               (String.concat ", " Obs.Event.all_names);
-           if ev = "fault" then
-             (match Option.bind (Obs.Json.member "kind" v) Obs.Json.str with
-             | Some _ -> ()
-             | None -> fail "%s:%d: fault event missing string \"kind\"" file !lineno);
-           if ev = "violation" then begin
-             let violation_kinds = [ "always"; "never"; "leads_to"; "after_until" ] in
-             (match Option.bind (Obs.Json.member "name" v) Obs.Json.str with
-             | Some _ -> ()
-             | None -> fail "%s:%d: violation event missing string \"name\"" file !lineno);
-             (match Option.bind (Obs.Json.member "kind" v) Obs.Json.str with
-             | Some k when List.mem k violation_kinds -> ()
-             | Some k ->
-               fail "%s:%d: violation event with unknown kind %S (known: %s)" file
-                 !lineno k
-                 (String.concat ", " violation_kinds)
-             | None -> fail "%s:%d: violation event missing string \"kind\"" file !lineno);
-             match Option.bind (Obs.Json.member "index" v) Obs.Json.num with
-             | Some _ -> ()
-             | None -> fail "%s:%d: violation event missing numeric \"index\"" file !lineno
-           end;
-           if ev = "harness" then begin
-             let harness_kinds =
-               [ "failure"; "retry"; "deadline"; "checkpoint"; "fallback"; "violation" ]
-             in
-             (match Option.bind (Obs.Json.member "kind" v) Obs.Json.str with
-             | Some k when List.mem k harness_kinds -> ()
-             | Some k ->
-               fail "%s:%d: harness event with unknown kind %S (known: %s)" file
-                 !lineno k
-                 (String.concat ", " harness_kinds)
-             | None -> fail "%s:%d: harness event missing string \"kind\"" file !lineno);
-             match Option.bind (Obs.Json.member "id" v) Obs.Json.str with
-             | Some _ -> ()
-             | None -> fail "%s:%d: harness event missing string \"id\"" file !lineno
-           end;
-           if ev <> "run_start" && ev <> "harness" then
-             (match Hashtbl.find_opt last_t lane with
-             | Some prev when t < prev ->
-               fail "%s:%d: time went backwards in lane %d (%.9g < %.9g)" file
-                 !lineno lane t prev
-             | _ -> ());
-           if ev <> "harness" then Hashtbl.replace last_t lane t;
-           incr events
+         let at = Printf.sprintf "%s:%d" file !lineno in
+         Option.iter (validate ~at) (read ~at line)
        end
      done
    with End_of_file -> ());
   close_in ic;
   if require_manifest && not !first_is_manifest then
     fail "%s: --require-manifest: first line is not a valid manifest header" file;
-  Printf.printf "%s: %d events, %d lane(s), %d manifest(s), timestamps non-decreasing\n"
-    file !events (Hashtbl.length last_t) !manifests
+  Printf.printf "%s: %d events, %d lane(s), %s, timestamps non-decreasing\n" file !events
+    (Hashtbl.length last_t)
+    (if csv then Printf.sprintf "%d columns" width
+     else Printf.sprintf "%d manifest(s)" !manifests)

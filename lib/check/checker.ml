@@ -3,11 +3,10 @@
    A checker compiles a spec list into one small mutable state machine
    per spec and consumes events as they are emitted — installed as a
    [Trace.run ~observer], it runs at simulation speed with no second
-   pass over the trace. Per event the work is a verdict per machine: no
-   allocation on the non-violating path beyond what the conjunction
-   evaluation itself needs (nothing), so the enabled cost stays within
-   noise of tracing alone (the `bench invariant-overhead` lane enforces
-   this).
+   pass over the trace. Per event the work is one field list (the
+   event's [Obs.Event.fields], shared by every machine) and a verdict
+   per machine, so the enabled cost stays within noise of
+   tracing alone (the `bench invariant-overhead` lane measures this).
 
    Clause semantics are three-valued (True / False / Inapplicable): an
    `ev=` mismatch or a missing / non-finite field makes the whole
@@ -145,15 +144,15 @@ let cycle_argmax_verdict ev =
         if chosen_u >= best -. 1e-9 then True else False
   | _ -> NA
 
-let clause_verdict ev clause =
+let clause_verdict ev fields clause =
   match clause with
   | Spec.Ev name -> if Obs.Event.name ev = name then True else NA
   | Spec.Num { field; op; value } -> (
-    match Obs.Event.num_field ev field with
+    match Obs.Event.num_field ev fields field with
     | None -> NA
     | Some v -> num_verdict op v value)
   | Spec.Str { field; negated; value } -> (
-    match Obs.Event.str_field ev field with
+    match Obs.Event.str_field fields field with
     | None -> NA
     | Some s ->
       let eq = String.equal s value in
@@ -162,19 +161,16 @@ let clause_verdict ev clause =
 
 (* Conjunction: inapplicable dominates (the event is outside the spec's
    domain), then any False wins, else True. *)
-let cond_verdict ev cond =
-  let rec go = function
-    | [] -> True
-    | clause :: rest -> (
-      match clause_verdict ev clause with
-      | NA -> NA
-      | False ->
-        (* still NA if a later selector is inapplicable: `ev=enqueue &
-           backlog<0` must not fire on events that aren't enqueues *)
-        if List.exists (fun c -> clause_verdict ev c = NA) rest then NA else False
-      | True -> go rest)
-  in
-  go cond
+let rec cond_verdict ev fields = function
+  | [] -> True
+  | clause :: rest -> (
+    match clause_verdict ev fields clause with
+    | NA -> NA
+    | False ->
+      (* still NA if a later selector is inapplicable: `ev=enqueue &
+         backlog<0` must not fire on events that aren't enqueues *)
+      if List.exists (fun c -> clause_verdict ev fields c = NA) rest then NA else False
+    | True -> cond_verdict ev fields rest)
 
 (* ---- the per-event step ---- *)
 
@@ -203,13 +199,13 @@ let window_expired t m (within : Spec.window) ~index ~time =
   | Spec.Seconds -> time -. m.armed_time > within.n
   | Spec.Rtts -> time -. m.armed_time > within.n *. t.rtt
 
-let step t m ev ~index ~time =
+let step t m ev fields ~index ~time =
   match m.spec.Spec.formula with
   | Spec.Always cond ->
-    if cond_verdict ev cond = False then
+    if cond_verdict ev fields cond = False then
       record t m ~index ~time ~detail:("failed: " ^ Spec.cond_to_string cond)
   | Spec.Never cond ->
-    if cond_verdict ev cond = True then
+    if cond_verdict ev fields cond = True then
       record t m ~index ~time ~detail:("matched: " ^ Spec.cond_to_string cond)
   | Spec.Leads_to { trigger; goal; within } ->
     if m.armed then begin
@@ -222,23 +218,23 @@ let step t m ev ~index ~time =
                m.armed_index);
         m.armed <- false
       end
-      else if cond_verdict ev goal = True then m.armed <- false
+      else if cond_verdict ev fields goal = True then m.armed <- false
     end;
-    if (not m.armed) && cond_verdict ev trigger = True then begin
+    if (not m.armed) && cond_verdict ev fields trigger = True then begin
       m.armed <- true;
       m.armed_index <- index;
       m.armed_time <- time
     end
   | Spec.After_until { trigger; release; expect } ->
     if m.armed then begin
-      if cond_verdict ev release = True then m.armed <- false
-      else if cond_verdict ev expect = False then
+      if cond_verdict ev fields release = True then m.armed <- false
+      else if cond_verdict ev fields expect = False then
         record t m ~index ~time
           ~detail:
             (Printf.sprintf "expected %s since event %d"
                (Spec.cond_to_string expect) m.armed_index)
     end
-    else if cond_verdict ev trigger = True then begin
+    else if cond_verdict ev fields trigger = True then begin
       m.armed <- true;
       m.armed_index <- index;
       m.armed_time <- time
@@ -260,8 +256,9 @@ let eval t ev =
     Array.iter (fun m -> m.armed <- false) t.machines
   | _ ->
     let time = Obs.Event.time ev in
+    let fields = Obs.Event.fields ev in
     for i = 0 to Array.length t.machines - 1 do
-      step t t.machines.(i) ev ~index ~time
+      step t t.machines.(i) ev fields ~index ~time
     done
 
 (* The observer hook for [Obs.Trace.run ~observer]. Span-profiled when

@@ -18,12 +18,17 @@
      cycle_argmax      builtin: a non-skip Libra cycle chose an arm of
                        maximal utility (see checker.ml)
 
-   Semantics are three-valued per clause (true / false / inapplicable):
-   an `ev=` mismatch or a missing/non-finite field makes the clause —
-   and the whole conjunction — inapplicable, so `always ev=enqueue &
-   backlog<=B` quantifies only over enqueue events. Window units:
-   `events` counts checked events, `s` is simulation seconds, `rtt`
-   multiplies the checker's configured base RTT. *)
+   FIELD must be "t" or a payload field of some event (Obs.Event's
+   schema), compared as a number only if some event carries it as one
+   and as a string only if some event carries it as a string; anything
+   else is a parse error naming the known fields. Semantics are
+   three-valued per clause (true / false / inapplicable): an `ev=`
+   mismatch, or a field missing from (or non-finite in) the event at
+   hand, makes the clause — and the whole conjunction — inapplicable,
+   so `always ev=enqueue & backlog<=B` quantifies only over enqueue
+   events. Window units: `events` counts checked events, `s` is
+   simulation seconds, `rtt` multiplies the checker's configured base
+   RTT. *)
 
 type cmp = Lt | Le | Gt | Ge | Eq | Ne
 
@@ -55,6 +60,8 @@ let kind_name = function
   | Never _ -> "never"
   | Leads_to _ -> "leads_to"
   | After_until _ -> "after_until"
+
+let kind_names = [ "always"; "never"; "leads_to"; "after_until" ]
 
 (* ---- printing (canonical form; parse . to_string = id) ---- *)
 
@@ -133,6 +140,21 @@ let split_op s =
     let rhs = String.sub s (i + String.length op) (String.length s - i - String.length op) in
     Some (String.trim lhs, op, String.trim rhs)
 
+(* Every (field, value) pair the event schema declares, plus the
+   timestamp every event carries. *)
+let schema_fields = ("t", Obs.Event.Float 0.0) :: List.concat_map snd Obs.Event.schema
+
+let known_fields = List.sort_uniq compare (List.map fst schema_fields)
+
+let check_field tok field ~numeric =
+  if not (List.mem field known_fields) then
+    fail "clause %S: unknown field %S (known: %s)" tok field
+      (String.concat ", " known_fields);
+  let is_string = function Obs.Event.Str _ -> true | _ -> false in
+  if not (List.exists (fun (k, v) -> k = field && is_string v <> numeric) schema_fields) then
+    fail "clause %S: field %S is never %s" tok field
+      (if numeric then "a number" else "a string")
+
 let parse_clause tok =
   let tok = String.trim tok in
   if tok = "" then fail "empty clause"
@@ -150,7 +172,8 @@ let parse_clause tok =
             (String.concat ", " Obs.Event.all_names);
         Ev value
       end
-      else if is_float value then
+      else if is_float value then begin
+        check_field tok field ~numeric:true;
         let op =
           match op with
           | "<" -> Lt
@@ -162,11 +185,13 @@ let parse_clause tok =
           | _ -> assert false
         in
         Num { field; op; value = float_of_string value }
-      else
-        match op with
-        | "=" -> Str { field; negated = false; value }
-        | "!=" -> Str { field; negated = true; value }
-        | _ -> fail "clause %S: ordered comparison against non-numeric value %S" tok value
+      end
+      else begin
+        if op <> "=" && op <> "!=" then
+          fail "clause %S: ordered comparison against non-numeric value %S" tok value;
+        check_field tok field ~numeric:false;
+        Str { field; negated = op = "!="; value }
+      end
 
 let parse_cond s =
   let s = String.trim s in
@@ -291,30 +316,7 @@ let categories spec =
   if List.exists (fun x -> x = None) per_cond then None
   else
     let names = List.concat_map Option.get per_cond in
-    let cats =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun n ->
-             (* map the event name to its category via a dummy event
-                name lookup: event names and categories are both small
-                closed sets, so a direct table is simplest *)
-             match n with
-             | "enqueue" | "dequeue" | "drop" -> Some Obs.Category.Pkt
-             | "link_rate" -> Some Obs.Category.Link
-             | "ack" -> Some Obs.Category.Ack
-             | "rate" -> Some Obs.Category.Rate
-             | "mi_snapshot" -> Some Obs.Category.Monitor
-             | "stage" -> Some Obs.Category.Stage
-             | "cycle" -> Some Obs.Category.Cycle
-             | "rl_step" -> Some Obs.Category.Rl
-             | "fault" -> Some Obs.Category.Fault
-             | "run_start" -> Some Obs.Category.Run
-             | "harness" -> Some Obs.Category.Harness
-             | "violation" -> Some Obs.Category.Invariant
-             | _ -> None)
-           names)
-    in
-    Some cats
+    Some (List.sort_uniq compare (List.filter_map Obs.Event.category_of_name names))
 
 (* Union of category needs across a spec list: [None] = all. *)
 let categories_of_pack specs =

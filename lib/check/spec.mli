@@ -10,9 +10,12 @@
     v}
     [COND] is a ['&']-separated conjunction of [ev=EVENT],
     [FIELD OP NUMBER] ([OP] in [< <= > >= = !=]), [FIELD=STRING] /
-    [FIELD!=STRING], or the builtin [cycle_argmax]. Clause semantics
-    are three-valued: an [ev=] mismatch or missing/non-finite field
-    makes the conjunction inapplicable for that event. *)
+    [FIELD!=STRING], or the builtin [cycle_argmax]. [FIELD] is ["t"] or
+    a payload field of {!Obs.Event.schema}, compared as a number only
+    if some event carries it as one and as a string only if some event
+    carries it as a string. Clause semantics are three-valued: an [ev=]
+    mismatch or a field missing from (or non-finite in) the event at
+    hand makes the conjunction inapplicable for that event. *)
 
 type cmp = Lt | Le | Gt | Ge | Eq | Ne
 
@@ -39,10 +42,15 @@ type t = { name : string; formula : formula }
     "always", "never", "leads_to" or "after_until". *)
 val kind_name : formula -> string
 
+(** Every string {!kind_name} returns. *)
+val kind_names : string list
+
 exception Parse_error of string
 
 (** Parse one spec line. Raises {!Parse_error} with a description of
-    the offending token. *)
+    the offending token: a malformed clause, an unknown event name, or
+    a field that no event carries with the compared type (the message
+    lists the known fields). *)
 val parse : string -> t
 
 (** Parse spec-file lines: blanks and ['#'] comments are skipped. *)

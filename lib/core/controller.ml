@@ -33,10 +33,8 @@ type t = {
   m_explore : Netsim.Monitor.t;
   m_eval_low : Netsim.Monitor.t;
   m_eval_high : Netsim.Monitor.t;
-  (* Stage boundaries: (first seq of the stage, label). *)
-  boundaries : (int * label) Queue.t;
-  mutable ack_label : label;
-  mutable pending_label : label option;
+  (* Stage boundaries: which stage's window sent each acknowledged packet. *)
+  label : label Netsim.Tagger.t;
   mutable stage : stage;
   mutable stage_end : float;
   mutable x_prev : float;
@@ -93,9 +91,7 @@ let create ?(initial_rate = Netsim.Units.mbps_to_bps 2.0) ~params ~classic ~poli
     m_explore = Netsim.Monitor.create ~now:0.0;
     m_eval_low = Netsim.Monitor.create ~now:0.0;
     m_eval_high = Netsim.Monitor.create ~now:0.0;
-    boundaries = Queue.create ();
-    ack_label = L_explore;
-    pending_label = None;
+    label = Netsim.Tagger.create ~initial:L_explore;
     stage = Exploration;
     stage_end = 0.0;
     x_prev = initial_rate;
@@ -129,7 +125,7 @@ let monitor_of t = function
   | L_exploit -> None
 
 (* Mark that the next packet sent begins a new measurement window. *)
-let mark_boundary t label = t.pending_label <- Some label
+let mark_boundary t label = Netsim.Tagger.mark t.label label
 
 (* A measurement window must contain enough packets to be scored: at low
    rates a 0.5-RTT interval can hold fewer than two packets, which would
@@ -157,7 +153,7 @@ let quarantine t ~now ~detail ~value =
     if Obs.Trace.on Obs.Category.Harness then
       Obs.Trace.emit
         (Obs.Event.Harness
-           { t = now; kind = "fallback"; id = "controller"; detail; attempt = 0; value })
+           { t = now; kind = Fallback; id = "controller"; detail; attempt = 0; value })
   end
 
 let enter_stage t ~now stage =
@@ -488,16 +484,7 @@ let on_ack_impl t (ack : Netsim.Cca.ack_info) =
   end;
   (* Route the ACK to the measurement window of the stage that sent the
      packet. *)
-  let rec catch_up () =
-    match Queue.peek_opt t.boundaries with
-    | Some (first_seq, label) when ack.seq >= first_seq ->
-      ignore (Queue.pop t.boundaries);
-      t.ack_label <- label;
-      catch_up ()
-    | Some _ | None -> ()
-  in
-  catch_up ();
-  (match monitor_of t t.ack_label with
+  (match monitor_of t (Netsim.Tagger.on_ack t.label ~seq:ack.seq) with
   | Some m -> Netsim.Monitor.on_ack m ack
   | None -> ());
   if t.stage = Exploration then begin
@@ -536,11 +523,7 @@ let on_loss t (loss : Netsim.Cca.loss_info) =
 let on_send t (send : Netsim.Cca.send_info) =
   Rlcc.Agent.observe_send t.agent send;
   if t.stage = Exploration then t.explore_sent <- t.explore_sent + 1;
-  (match t.pending_label with
-  | Some label ->
-    Queue.push (send.Netsim.Cca.seq, label) t.boundaries;
-    t.pending_label <- None
-  | None -> ());
+  Netsim.Tagger.on_send t.label ~seq:send.Netsim.Cca.seq;
   if t.started then advance t ~now:send.Netsim.Cca.now
 
 let pacing_rate t ~now =

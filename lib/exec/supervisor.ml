@@ -45,12 +45,14 @@ type failure = {
        the *directory* is host-chosen. *)
 }
 
-let kind_name = function
-  | Crash -> "failure"
-  | Deadline _ -> "deadline"
-  | Wall _ -> "deadline"
-  | Invariant _ -> "violation"
-  | Corrupt _ -> "corrupt"
+(* The harness-event kind a failure is recorded under. *)
+let event_kind = function
+  | Crash -> Obs.Event.Harness_kind.Failure
+  | Deadline _ | Wall _ -> Obs.Event.Harness_kind.Deadline
+  | Invariant _ -> Obs.Event.Harness_kind.Violation
+  | Corrupt _ -> Obs.Event.Harness_kind.Corrupt
+
+let kind_name k = Obs.Event.Harness_kind.name (event_kind k)
 
 (* The raw backtrace string embeds build paths and line numbers that
    shift with unrelated edits; a short digest keeps failure reports
@@ -158,7 +160,7 @@ let protect ?(retries = 0) ?deadline_events ?wall_s ?(seed = 0) ~context f =
       let exn_s = Printexc.to_string e in
       if i <= retries then begin
         let b = backoff_for ~seed ~attempt:i in
-        emit_event ~kind:"retry" ~context ~detail:exn_s ~attempt:i ~value:b;
+        emit_event ~kind:Retry ~context ~detail:exn_s ~attempt:i ~value:b;
         attempt (i + 1) (b :: backoffs)
       end
       else begin
@@ -176,7 +178,7 @@ let protect ?(retries = 0) ?deadline_events ?wall_s ?(seed = 0) ~context f =
             flight;
           }
         in
-        emit_event ~kind:(kind_name fl.kind) ~context ~detail:exn_s ~attempt:i
+        emit_event ~kind:(event_kind fl.kind) ~context ~detail:exn_s ~attempt:i
           ~value:
             (match fl.kind with
             | Deadline d -> float_of_int d.budget

@@ -137,7 +137,7 @@ let emit_checkpoint_event ~id ~detail =
   if Obs.Trace.on Obs.Category.Harness then
     Obs.Trace.emit
       (Obs.Event.Harness
-         { t = 0.0; kind = "checkpoint"; id; detail; attempt = 0; value = 0.0 })
+         { t = 0.0; kind = Checkpoint; id; detail; attempt = 0; value = 0.0 })
 
 (* A failure rendered as a report, in place of the one the entry never
    produced. Lines come from Supervisor.render (deterministic modulo

@@ -23,7 +23,7 @@
    sits at logical index [s - head_seq]: an ACK resolves its packet in
    O(1), and the dup-ACK scan touches only the true gap below it. *)
 
-type cca = Aimd | Rate of float | Generic of Cca.t
+type cca = Aimd | Generic of Cca.t
 
 (* Coded event kinds (b operand in parentheses). *)
 let k_try_send = 1 (* send_version *)
@@ -33,8 +33,7 @@ let k_start = 4 (* unused *)
 
 (* cca_kind codes *)
 let ck_aimd = 0
-let ck_rate = 1
-let ck_generic = 2
+let ck_generic = 1
 
 let min_pacing = 750.0 (* bytes/s: half a packet per second floor *)
 
@@ -55,7 +54,6 @@ type t = {
   mutable lastrtt : float array;
   mutable cwnd : float array;  (* native AIMD state *)
   mutable ssthresh : float array;
-  mutable fixed_rate : float array;  (* Rate flows, bytes/s *)
   mutable completed_at : float array;  (* finite flows; nan = running *)
   mutable rtt_sum : float array;  (* scalar aggregate *)
   (* Per-flow int state. *)
@@ -105,7 +103,6 @@ let[@inline] finished t h = t.flags.(h) land 1 = 1
 let cca_name t h =
   match t.kind.(h) with
   | 0 -> "aimd"
-  | 1 -> "cbr"
   | _ -> t.gen.(h).Cca.name
 
 let stats t h =
@@ -146,12 +143,11 @@ let[@inline] rto_timeout t h =
   if t.samples.(h) = 0 then 1.0
   else Float.max 0.2 (t.srtt.(h) +. (4.0 *. t.rttvar.(h)))
 
-(* ---- CCA dispatch: native AIMD and CBR, closures for Generic ---- *)
+(* ---- CCA dispatch: native AIMD, closures for Generic ---- *)
 
 let[@inline] cwnd_of t h ~now =
   match t.kind.(h) with
   | 0 -> t.cwnd.(h)
-  | 1 -> Cca.no_window
   | _ -> t.gen.(h).Cca.cwnd ~now
 
 let[@inline] pacing_of t h ~now =
@@ -161,7 +157,6 @@ let[@inline] pacing_of t h ~now =
        ACK-clocked (window-limited). *)
     let srtt = if t.samples.(h) = 0 then 0.1 else t.srtt.(h) in
     2.0 *. t.cwnd.(h) *. float_of_int t.pkt_size.(h) /. srtt
-  | 1 -> t.fixed_rate.(h)
   | _ -> t.gen.(h).Cca.pacing_rate ~now
 
 let[@inline] cca_on_ack t h ~now ~seq ~rtt ~newly_lost ~rate_sample =
@@ -170,7 +165,6 @@ let[@inline] cca_on_ack t h ~now ~seq ~rtt ~newly_lost ~rate_sample =
     let cw = t.cwnd.(h) in
     if cw < t.ssthresh.(h) then t.cwnd.(h) <- cw +. 1.0
     else t.cwnd.(h) <- cw +. (1.0 /. cw)
-  | 1 -> ()
   | _ ->
     t.gen.(h).Cca.on_ack
       {
@@ -189,7 +183,6 @@ let[@inline] cca_on_loss t h ~now ~lost ~kind =
   | 0 ->
     t.ssthresh.(h) <- Float.max 2.0 (t.cwnd.(h) /. 2.0);
     t.cwnd.(h) <- (match kind with Cca.Gap_detected -> t.ssthresh.(h) | Cca.Timeout -> 1.0)
-  | 1 -> ()
   | _ -> t.gen.(h).Cca.on_loss { now; lost; kind; inflight = t.inflight.(h) }
 
 (* ---- Outstanding ring ---- *)
@@ -297,7 +290,7 @@ let send_packet t h now =
     t.inflight.(h) <- t.inflight.(h) + 1;
     if not t.lite then Flow_stats.record_send t.stats.(h) ~now ~bytes:size;
     (match t.kind.(h) with
-    | 2 ->
+    | 1 ->
       t.gen.(h).Cca.on_send { now; seq; size; inflight = t.inflight.(h) }
     | _ -> ());
     Link.send link pkt;
@@ -453,7 +446,6 @@ let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
       lastrtt = fz ();
       cwnd = fz ();
       ssthresh = fz ();
-      fixed_rate = fz ();
       completed_at = fz ();
       rtt_sum = fz ();
       samples = iz ();
@@ -512,7 +504,6 @@ let grow_table t =
   t.lastrtt <- gf t.lastrtt;
   t.cwnd <- gf t.cwnd;
   t.ssthresh <- gf t.ssthresh;
-  t.fixed_rate <- gf t.fixed_rate;
   t.completed_at <- gf t.completed_at;
   t.rtt_sum <- gf t.rtt_sum;
   t.samples <- gi t.samples;
@@ -577,15 +568,9 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
   (match cca with
   | Aimd ->
     t.kind.(h) <- ck_aimd;
-    t.fixed_rate.(h) <- 0.0;
-    t.gen.(h) <- dummy_cca
-  | Rate r ->
-    t.kind.(h) <- ck_rate;
-    t.fixed_rate.(h) <- r;
     t.gen.(h) <- dummy_cca
   | Generic c ->
     t.kind.(h) <- ck_generic;
-    t.fixed_rate.(h) <- 0.0;
     t.gen.(h) <- c);
   if not t.lite then
     t.stats.(h) <- Flow_stats.create ~bin:t.stats_bin ();

@@ -15,11 +15,11 @@
 type t
 
 (** Congestion control for an arena flow. [Aimd] (slow start +
-    additive-increase / halve-on-loss) and [Rate] (unresponsive CBR)
-    run natively on the arrays with no per-ACK allocation; [Generic]
-    delegates to closure-based {!Cca.t} callbacks (allocates per ACK;
-    every CCA of {!Network.run} takes this path). *)
-type cca = Aimd | Rate of float | Generic of Cca.t
+    additive-increase / halve-on-loss) runs natively on the arrays with
+    no per-ACK allocation; [Generic] delegates to closure-based
+    {!Cca.t} callbacks (allocates per ACK; every CCA of {!Network.run}
+    takes this path). *)
+type cca = Aimd | Generic of Cca.t
 
 (** [create ?capacity ?stats_bin ?lite ~sim ()] — [capacity] presizes
     the arena (it grows by doubling); [lite] skips per-flow

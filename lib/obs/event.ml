@@ -7,10 +7,34 @@
    monitor-interval snapshots, Libra stage transitions and per-cycle
    utility triples (core), and RL step records (rlcc).
 
+   Each variant's payload is declared once, in [fields]; the writers,
+   the checker's field views and the schema are all read off that list.
    Serialization is deterministic: floats are rendered with %.9g and
    non-finite values become JSON null (empty cell in CSV). *)
 
 type drop_reason = Tail | Codel | Random
+
+(* What a [Harness] record reports. *)
+module Harness_kind = struct
+  type t =
+    | Failure  (* a supervised task crashed *)
+    | Retry  (* ... and is run again after a recorded backoff *)
+    | Deadline  (* its logical (or wall-clock) budget ran out *)
+    | Checkpoint  (* a checkpoint save/resume, or a training nan-rollback *)
+    | Fallback  (* Libra's watchdog quarantined the DRL arm *)
+    | Violation  (* the invariant checker failed a supervised task *)
+    | Corrupt  (* a host fault (torn write, enospc, eio) surfaced *)
+
+  let all = [ Failure; Retry; Deadline; Checkpoint; Fallback; Violation; Corrupt ]
+  let name = function
+    | Failure -> "failure"
+    | Retry -> "retry"
+    | Deadline -> "deadline"
+    | Checkpoint -> "checkpoint"
+    | Fallback -> "fallback"
+    | Violation -> "violation"
+    | Corrupt -> "corrupt"
+end
 
 type t =
   | Enqueue of { t : float; flow : int; seq : int; size : int; backlog : int }
@@ -57,8 +81,7 @@ type t =
        *between* consecutive Run_start markers *)
   | Harness of {
       t : float;
-      kind : string;
-        (* "failure" | "retry" | "deadline" | "checkpoint" | "fallback" *)
+      kind : Harness_kind.t;
       id : string;  (* experiment id / supervision context *)
       detail : string;  (* exn rendering, checkpoint action, ... *)
       attempt : int;  (* 1-based attempt number; 0 when inapplicable *)
@@ -84,20 +107,10 @@ type t =
 let dummy = Link_rate { t = 0.0; rate = 0.0 }
 
 let time = function
-  | Enqueue e -> e.t
-  | Dequeue e -> e.t
-  | Drop e -> e.t
-  | Link_rate e -> e.t
-  | Ack e -> e.t
-  | Rate e -> e.t
-  | Mi_snapshot e -> e.t
-  | Stage e -> e.t
-  | Cycle e -> e.t
-  | Rl_step e -> e.t
-  | Fault e -> e.t
-  | Run_start e -> e.t
-  | Harness e -> e.t
-  | Violation e -> e.t
+  | Enqueue { t; _ } | Dequeue { t; _ } | Drop { t; _ } | Link_rate { t; _ } | Ack { t; _ }
+  | Rate { t; _ } | Mi_snapshot { t; _ } | Stage { t; _ } | Cycle { t; _ } | Rl_step { t; _ }
+  | Fault { t; _ } | Run_start { t; _ } | Harness { t; _ } | Violation { t; _ } ->
+    t
 
 let category = function
   | Enqueue _ | Dequeue _ | Drop _ -> Category.Pkt
@@ -129,288 +142,169 @@ let name = function
   | Harness _ -> "harness"
   | Violation _ -> "violation"
 
-(* Every event name that can appear in an exported trace (trace_check
-   validates the "ev" field against this list). *)
-let all_names =
-  [
-    "enqueue"; "dequeue"; "drop"; "link_rate"; "ack"; "rate"; "mi_snapshot";
-    "stage"; "cycle"; "rl_step"; "fault"; "run_start"; "harness"; "violation";
-  ]
-
 let reason_name = function Tail -> "tail" | Codel -> "codel" | Random -> "random"
 
-(* The flow a data-path event belongs to, or -1 for structural events
-   (link state, stages, cycles, run markers, harness and checker
-   records) — the key [Trace]'s head-based sampling decides on.
-   Structural events are never sampled out. *)
+(* The flow a data-path event belongs to — the key [Trace]'s head-based
+   sampling decides on — or -1 for structural events (link state,
+   stages, cycles, run, harness and checker records): never sampled out. *)
 let flow_id = function
-  | Enqueue e -> e.flow
-  | Dequeue e -> e.flow
-  | Drop e -> e.flow
-  | Ack e -> e.flow
-  | Rate e -> e.flow
-  | Fault e -> e.flow
+  | Enqueue { flow; _ } | Dequeue { flow; _ } | Drop { flow; _ } | Ack { flow; _ }
+  | Rate { flow; _ } | Fault { flow; _ } ->
+    flow
   | Link_rate _ | Mi_snapshot _ | Stage _ | Cycle _ | Rl_step _ | Run_start _
   | Harness _ | Violation _ ->
     -1
 
+(* ---- the payload schema ---- *)
+
+type value = Int of int | Float of float | Str of string
+
+(* Every payload field of an event, in export order (the writers put
+   [t], the lane and the event name first). Adding a field to an event
+   is one entry here, plus a header column for CSV. *)
+let fields = function
+  | Enqueue { flow; seq; size; backlog; _ } | Dequeue { flow; seq; size; backlog; _ } ->
+    [ ("flow", Int flow); ("seq", Int seq); ("size", Int size); ("backlog", Int backlog) ]
+  | Drop { flow; seq; size; reason; _ } ->
+    [ ("flow", Int flow); ("seq", Int seq); ("size", Int size);
+      ("reason", Str (reason_name reason)) ]
+  | Link_rate { rate; _ } -> [ ("rate", Float rate) ]
+  | Ack { flow; seq; rtt; newly_lost; _ } ->
+    [ ("flow", Int flow); ("seq", Int seq); ("rtt", Float rtt);
+      ("newly_lost", Int newly_lost) ]
+  | Rate { flow; pacing; cwnd; _ } ->
+    [ ("flow", Int flow); ("pacing", Float pacing); ("cwnd", Float cwnd) ]
+  | Mi_snapshot { duration; throughput; avg_rtt; loss_rate; rtt_gradient; acked; lost; _ } ->
+    [ ("duration", Float duration); ("throughput", Float throughput);
+      ("avg_rtt", Float avg_rtt); ("loss_rate", Float loss_rate);
+      ("rtt_gradient", Float rtt_gradient); ("acked", Int acked); ("lost", Int lost) ]
+  | Stage { stage; base_rate; _ } -> [ ("stage", Str stage); ("base_rate", Float base_rate) ]
+  | Cycle { chosen; u_prev; u_rl; u_cl; x_next; _ } ->
+    [ ("chosen", Str chosen); ("u_prev", Float u_prev); ("u_rl", Float u_rl);
+      ("u_cl", Float u_cl); ("x_next", Float x_next) ]
+  | Rl_step { episode; step; rate; reward; action; _ } ->
+    [ ("episode", Int episode); ("step", Int step); ("rate", Float rate);
+      ("reward", Float reward); ("action", Float action) ]
+  | Fault { flow; seq; kind; value; _ } ->
+    [ ("flow", Int flow); ("seq", Int seq); ("kind", Str kind); ("value", Float value) ]
+  | Run_start { label; _ } -> [ ("label", Str label) ]
+  | Harness { kind; id; detail; attempt; value; _ } ->
+    [ ("kind", Str (Harness_kind.name kind)); ("id", Str id); ("detail", Str detail);
+      ("attempt", Int attempt); ("value", Float value) ]
+  | Violation { name; kind; index; detail; _ } ->
+    [ ("name", Str name); ("kind", Str kind); ("index", Int index); ("detail", Str detail) ]
+
+(* One event of each variant: the schema below is read off these. *)
+let prototypes =
+  let t = 0.0 and f = 0.0 and i = 0 and s = "" in
+  [
+    Enqueue { t; flow = i; seq = i; size = i; backlog = i };
+    Dequeue { t; flow = i; seq = i; size = i; backlog = i };
+    Drop { t; flow = i; seq = i; size = i; reason = Tail };
+    Link_rate { t; rate = f };
+    Ack { t; flow = i; seq = i; rtt = f; newly_lost = i };
+    Rate { t; flow = i; pacing = f; cwnd = f };
+    Mi_snapshot
+      { t; duration = f; throughput = f; avg_rtt = f; loss_rate = f; rtt_gradient = f;
+        acked = i; lost = i };
+    Stage { t; stage = s; base_rate = f };
+    Cycle { t; chosen = s; u_prev = f; u_rl = f; u_cl = f; x_next = f };
+    Rl_step { t; episode = i; step = i; rate = f; reward = f; action = f };
+    Fault { t; flow = i; seq = i; kind = s; value = f };
+    Run_start { t; label = s };
+    Harness { t; kind = Harness_kind.Failure; id = s; detail = s; attempt = i; value = f };
+    Violation { t; name = s; kind = s; index = i; detail = s };
+  ]
+
+(* Event names with their fields; the placeholder values give the types. *)
+let schema = List.map (fun ev -> (name ev, fields ev)) prototypes
+
+let all_names = List.map fst schema
+
+let category_of_name n =
+  List.find_map (fun ev -> if name ev = n then Some (category ev) else None) prototypes
+
 (* ---- generic field access ----
+   Name-keyed lookups for the invariant checker (lib/check): "t", or a
+   key of [fields] passed in as [fs], computed once per checked event.
+   Missing fields read as [None]; numeric reads return ints as floats. *)
+let rec find fs key =
+  match fs with
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else find rest key
 
-   Name-keyed views of the event payloads for the invariant checker
-   (lib/check): field names are exactly the JSONL keys above, plus "t"
-   on every event. Missing fields return [None]; numeric lookups of
-   int-typed payload fields return the value as a float. *)
-
-let num_field ev field =
-  if field = "t" then Some (time ev)
+let num_field ev fs key =
+  if String.equal key "t" then Some (time ev)
   else
-    let i v = Some (float_of_int v) in
-    let f v = Some v in
-    match ev, field with
-    | Enqueue e, "flow" -> i e.flow
-    | Enqueue e, "seq" -> i e.seq
-    | Enqueue e, "size" -> i e.size
-    | Enqueue e, "backlog" -> i e.backlog
-    | Dequeue e, "flow" -> i e.flow
-    | Dequeue e, "seq" -> i e.seq
-    | Dequeue e, "size" -> i e.size
-    | Dequeue e, "backlog" -> i e.backlog
-    | Drop e, "flow" -> i e.flow
-    | Drop e, "seq" -> i e.seq
-    | Drop e, "size" -> i e.size
-    | Link_rate e, "rate" -> f e.rate
-    | Ack e, "flow" -> i e.flow
-    | Ack e, "seq" -> i e.seq
-    | Ack e, "rtt" -> f e.rtt
-    | Ack e, "newly_lost" -> i e.newly_lost
-    | Rate e, "flow" -> i e.flow
-    | Rate e, "pacing" -> f e.pacing
-    | Rate e, "cwnd" -> f e.cwnd
-    | Mi_snapshot e, "duration" -> f e.duration
-    | Mi_snapshot e, "throughput" -> f e.throughput
-    | Mi_snapshot e, "avg_rtt" -> f e.avg_rtt
-    | Mi_snapshot e, "loss_rate" -> f e.loss_rate
-    | Mi_snapshot e, "rtt_gradient" -> f e.rtt_gradient
-    | Mi_snapshot e, "acked" -> i e.acked
-    | Mi_snapshot e, "lost" -> i e.lost
-    | Stage e, "base_rate" -> f e.base_rate
-    | Cycle e, "u_prev" -> f e.u_prev
-    | Cycle e, "u_rl" -> f e.u_rl
-    | Cycle e, "u_cl" -> f e.u_cl
-    | Cycle e, "x_next" -> f e.x_next
-    | Rl_step e, "episode" -> i e.episode
-    | Rl_step e, "step" -> i e.step
-    | Rl_step e, "rate" -> f e.rate
-    | Rl_step e, "reward" -> f e.reward
-    | Rl_step e, "action" -> f e.action
-    | Fault e, "flow" -> i e.flow
-    | Fault e, "seq" -> i e.seq
-    | Fault e, "value" -> f e.value
-    | Harness e, "attempt" -> i e.attempt
-    | Harness e, "value" -> f e.value
-    | Violation e, "index" -> i e.index
-    | _ -> None
+    match find fs key with
+    | Some (Int v) -> Some (float_of_int v)
+    | Some (Float v) -> Some v
+    | Some (Str _) | None -> None
 
-let str_field ev field =
-  match ev, field with
-  | Drop e, "reason" -> Some (reason_name e.reason)
-  | Stage e, "stage" -> Some e.stage
-  | Cycle e, "chosen" -> Some e.chosen
-  | Fault e, "kind" -> Some e.kind
-  | Run_start e, "label" -> Some e.label
-  | Harness e, "kind" -> Some e.kind
-  | Harness e, "id" -> Some e.id
-  | Harness e, "detail" -> Some e.detail
-  | Violation e, "name" -> Some e.name
-  | Violation e, "kind" -> Some e.kind
-  | Violation e, "detail" -> Some e.detail
-  | _ -> None
+let str_field fs key = match find fs key with Some (Str s) -> Some s | _ -> None
 
-(* ---- JSONL ---- *)
+(* ---- writers ---- *)
 
-let add_float b v =
-  if Float.is_finite v then Buffer.add_string b (Printf.sprintf "%.9g" v)
-  else Buffer.add_string b "null"
+(* The cells of an event's export row: time, lane, name, payload. *)
+let row ~lane ev =
+  ("t", Float (time ev)) :: ("lane", Int lane) :: ("ev", Str (name ev)) :: fields ev
 
-let field_f b key v =
-  Buffer.add_string b ",\"";
-  Buffer.add_string b key;
-  Buffer.add_string b "\":";
-  add_float b v
+let float_cell ~null x = if Float.is_finite x then Printf.sprintf "%.9g" x else null
 
-let field_i b key v =
-  Buffer.add_string b (Printf.sprintf ",%S:%d" key v)
-
-let field_s b key v = Buffer.add_string b (Printf.sprintf ",%S:%S" key v)
-
-(* One JSON object per event; [lane] records which deterministic buffer
-   the event came from (timestamps are non-decreasing within a lane). *)
-let to_json_line ~lane buf ev =
-  let b = buf in
-  Buffer.add_string b "{\"t\":";
-  add_float b (time ev);
-  field_i b "lane" lane;
-  field_s b "ev" (name ev);
-  (match ev with
-  | Enqueue e ->
-    field_i b "flow" e.flow;
-    field_i b "seq" e.seq;
-    field_i b "size" e.size;
-    field_i b "backlog" e.backlog
-  | Dequeue e ->
-    field_i b "flow" e.flow;
-    field_i b "seq" e.seq;
-    field_i b "size" e.size;
-    field_i b "backlog" e.backlog
-  | Drop e ->
-    field_i b "flow" e.flow;
-    field_i b "seq" e.seq;
-    field_i b "size" e.size;
-    field_s b "reason" (reason_name e.reason)
-  | Link_rate e -> field_f b "rate" e.rate
-  | Ack e ->
-    field_i b "flow" e.flow;
-    field_i b "seq" e.seq;
-    field_f b "rtt" e.rtt;
-    field_i b "newly_lost" e.newly_lost
-  | Rate e ->
-    field_i b "flow" e.flow;
-    field_f b "pacing" e.pacing;
-    field_f b "cwnd" e.cwnd
-  | Mi_snapshot e ->
-    field_f b "duration" e.duration;
-    field_f b "throughput" e.throughput;
-    field_f b "avg_rtt" e.avg_rtt;
-    field_f b "loss_rate" e.loss_rate;
-    field_f b "rtt_gradient" e.rtt_gradient;
-    field_i b "acked" e.acked;
-    field_i b "lost" e.lost
-  | Stage e ->
-    field_s b "stage" e.stage;
-    field_f b "base_rate" e.base_rate
-  | Cycle e ->
-    field_s b "chosen" e.chosen;
-    field_f b "u_prev" e.u_prev;
-    field_f b "u_rl" e.u_rl;
-    field_f b "u_cl" e.u_cl;
-    field_f b "x_next" e.x_next
-  | Rl_step e ->
-    field_i b "episode" e.episode;
-    field_i b "step" e.step;
-    field_f b "rate" e.rate;
-    field_f b "reward" e.reward;
-    field_f b "action" e.action
-  | Fault e ->
-    field_i b "flow" e.flow;
-    field_i b "seq" e.seq;
-    field_s b "kind" e.kind;
-    field_f b "value" e.value
-  | Run_start e -> field_s b "label" e.label
-  | Harness e ->
-    field_s b "kind" e.kind;
-    field_s b "id" e.id;
-    field_s b "detail" e.detail;
-    field_i b "attempt" e.attempt;
-    field_f b "value" e.value
-  | Violation e ->
-    field_s b "name" e.name;
-    field_s b "kind" e.kind;
-    field_i b "index" e.index;
-    field_s b "detail" e.detail);
+(* One JSON object on one line, keys in list order. Every JSONL export
+   (trace events, flight dumps, rollup windows) is printed by this. *)
+let add_json_line b kvs =
+  List.iteri
+    (fun i (key, v) ->
+      Buffer.add_string b (if i = 0 then "{\"" else ",\"");
+      Buffer.add_string b key;
+      Buffer.add_string b "\":";
+      match v with
+      | Int n -> Buffer.add_string b (string_of_int n)
+      | Float x -> Buffer.add_string b (float_cell ~null:"null" x)
+      | Str s -> Buffer.add_string b (Printf.sprintf "%S" s))
+    kvs;
   Buffer.add_string b "}\n"
 
-(* ---- CSV ---- *)
+(* [lane] names the deterministic buffer the event came from. *)
+let to_json_line ~lane b ev = add_json_line b (row ~lane ev)
 
 (* One wide row per event: inapplicable columns are left empty, which
    keeps the file trivially loadable for offline plotting. *)
 let csv_header =
   "t,lane,ev,flow,seq,size,backlog,reason,rate,pacing,cwnd,rtt,newly_lost,duration,throughput,avg_rtt,loss_rate,rtt_gradient,acked,lost,stage,chosen,u_prev,u_rl,u_cl,x_next,episode,step,reward,action,label,kind,value,detail,attempt,index"
 
-(* Column count of a header (or any comma-separated row): 1 + commas.
-   Validators must derive the expected width from the emitted header
-   via this, never hardcode it — the header widens when event payloads
-   grow (it has drifted 33 -> 35 -> 36 already). *)
+(* The header column a payload key is written under: three keys share
+   a column with another event's key. *)
+let csv_column = function "base_rate" -> "rate" | "id" | "name" -> "label" | key -> key
+
+(* Column count of a header (or any comma-separated row). Validators
+   derive the width from the file's header through this, never
+   hardcode it: the header has grown 33 -> 35 -> 36 already. *)
 let csv_width_of_header h =
   1 + String.fold_left (fun acc c -> if c = ',' then acc + 1 else acc) 0 h
 
 let csv_columns = csv_width_of_header csv_header
 
-let fcell v = if Float.is_finite v then Printf.sprintf "%.9g" v else ""
+let csv_index =
+  let tbl = Hashtbl.create csv_columns in
+  List.iteri (fun i col -> Hashtbl.replace tbl col i) (String.split_on_char ',' csv_header);
+  fun key -> Hashtbl.find tbl (csv_column key)
 
-(* Free-text cells (exn renderings, invariant clauses) may contain
-   commas; CSV rows must keep a fixed width, so map them to ';'. *)
-let scell s = String.map (fun c -> if c = ',' then ';' else c) s
+(* Non-finite floats leave the cell empty. Free text (exn renderings,
+   invariant clauses) may hold commas, which become ';' so that rows
+   keep a fixed width. *)
+let csv_cell = function
+  | Int n -> string_of_int n
+  | Float x -> float_cell ~null:"" x
+  | Str s -> String.map (fun c -> if c = ',' then ';' else c) s
 
-let to_csv_row ~lane buf ev =
-  let cells = Array.make csv_columns "" in
-  cells.(0) <- fcell (time ev);
-  cells.(1) <- string_of_int lane;
-  cells.(2) <- name ev;
-  (match ev with
-  | Enqueue e ->
-    cells.(3) <- string_of_int e.flow;
-    cells.(4) <- string_of_int e.seq;
-    cells.(5) <- string_of_int e.size;
-    cells.(6) <- string_of_int e.backlog
-  | Dequeue e ->
-    cells.(3) <- string_of_int e.flow;
-    cells.(4) <- string_of_int e.seq;
-    cells.(5) <- string_of_int e.size;
-    cells.(6) <- string_of_int e.backlog
-  | Drop e ->
-    cells.(3) <- string_of_int e.flow;
-    cells.(4) <- string_of_int e.seq;
-    cells.(5) <- string_of_int e.size;
-    cells.(7) <- reason_name e.reason
-  | Link_rate e -> cells.(8) <- fcell e.rate
-  | Ack e ->
-    cells.(3) <- string_of_int e.flow;
-    cells.(4) <- string_of_int e.seq;
-    cells.(11) <- fcell e.rtt;
-    cells.(12) <- string_of_int e.newly_lost
-  | Rate e ->
-    cells.(3) <- string_of_int e.flow;
-    cells.(9) <- fcell e.pacing;
-    cells.(10) <- fcell e.cwnd
-  | Mi_snapshot e ->
-    cells.(13) <- fcell e.duration;
-    cells.(14) <- fcell e.throughput;
-    cells.(15) <- fcell e.avg_rtt;
-    cells.(16) <- fcell e.loss_rate;
-    cells.(17) <- fcell e.rtt_gradient;
-    cells.(18) <- string_of_int e.acked;
-    cells.(19) <- string_of_int e.lost
-  | Stage e ->
-    cells.(20) <- scell e.stage;
-    cells.(8) <- fcell e.base_rate
-  | Cycle e ->
-    cells.(21) <- scell e.chosen;
-    cells.(22) <- fcell e.u_prev;
-    cells.(23) <- fcell e.u_rl;
-    cells.(24) <- fcell e.u_cl;
-    cells.(25) <- fcell e.x_next
-  | Rl_step e ->
-    cells.(26) <- string_of_int e.episode;
-    cells.(27) <- string_of_int e.step;
-    cells.(8) <- fcell e.rate;
-    cells.(28) <- fcell e.reward;
-    cells.(29) <- fcell e.action
-  | Fault e ->
-    cells.(3) <- string_of_int e.flow;
-    cells.(4) <- string_of_int e.seq;
-    cells.(31) <- scell e.kind;
-    cells.(32) <- fcell e.value
-  | Run_start e -> cells.(30) <- scell e.label
-  | Harness e ->
-    cells.(30) <- scell e.id;
-    cells.(31) <- scell e.kind;
-    cells.(32) <- fcell e.value;
-    cells.(33) <- scell e.detail;
-    cells.(34) <- string_of_int e.attempt
-  | Violation e ->
-    cells.(30) <- scell e.name;
-    cells.(31) <- scell e.kind;
-    cells.(33) <- scell e.detail;
-    cells.(35) <- string_of_int e.index);
-  Buffer.add_string buf (String.concat "," (Array.to_list cells));
-  Buffer.add_char buf '\n'
+(* One CSV line of the values of [kvs], in list order. *)
+let add_csv_row b kvs =
+  Buffer.add_string b (String.concat "," (List.map (fun (_, v) -> csv_cell v) kvs));
+  Buffer.add_char b '\n'
+
+let to_csv_row ~lane b ev =
+  let cells = Array.make csv_columns ("", Str "") in
+  List.iter (fun ((key, _) as kv) -> cells.(csv_index key) <- kv) (row ~lane ev);
+  add_csv_row b (Array.to_list cells)

@@ -129,36 +129,37 @@ let reset_accumulators t =
 
 let mean sum n = if n = 0 then Float.nan else sum /. float_of_int n
 
+(* The open window's aggregates as a row. *)
+let current_row t =
+  let w = t.cur in
+  {
+    run = t.run;
+    window = w;
+    t0 = float_of_int w *. t.window;
+    t1 = float_of_int (w + 1) *. t.window;
+    events = t.events;
+    enq = t.enq;
+    deq = t.deq;
+    drops = t.drops;
+    delivered = t.delivered;
+    q_min = (if t.q_n = 0 then 0 else t.q_min);
+    q_mean = mean t.q_sum t.q_n;
+    q_max = (if t.q_n = 0 then 0 else t.q_max);
+    acks = t.acks;
+    lost = t.lost;
+    rate_mean = mean t.rate_sum t.rate_n;
+    rate_max = (if t.rate_n = 0 then Float.nan else t.rate_max);
+    mi_tput_mean = mean t.mi_sum t.mi_n;
+    u_prev_mean = mean t.up_sum t.up_n;
+    u_rl_mean = mean t.url_sum t.url_n;
+    u_cl_mean = mean t.ucl_sum t.ucl_n;
+    cycles = t.cycles;
+  }
+
 let flush t =
   if t.cur >= 0 then begin
     if t.events > 0 then begin
-      let w = t.cur in
-      let row =
-        {
-          run = t.run;
-          window = w;
-          t0 = float_of_int w *. t.window;
-          t1 = float_of_int (w + 1) *. t.window;
-          events = t.events;
-          enq = t.enq;
-          deq = t.deq;
-          drops = t.drops;
-          delivered = t.delivered;
-          q_min = (if t.q_n = 0 then 0 else t.q_min);
-          q_mean = mean t.q_sum t.q_n;
-          q_max = (if t.q_n = 0 then 0 else t.q_max);
-          acks = t.acks;
-          lost = t.lost;
-          rate_mean = mean t.rate_sum t.rate_n;
-          rate_max = (if t.rate_n = 0 then Float.nan else t.rate_max);
-          mi_tput_mean = mean t.mi_sum t.mi_n;
-          u_prev_mean = mean t.up_sum t.up_n;
-          u_rl_mean = mean t.url_sum t.url_n;
-          u_cl_mean = mean t.ucl_sum t.ucl_n;
-          cycles = t.cycles;
-        }
-      in
-      t.rows_rev <- row :: t.rows_rev;
+      t.rows_rev <- current_row t :: t.rows_rev;
       t.nrows <- t.nrows + 1
     end;
     t.cur <- -1;
@@ -241,39 +242,32 @@ let windows t = t.nrows
 
 (* ---- exporters ---- *)
 
+(* A window row's columns in export order. *)
+let row_fields ~lane (r : row) =
+  Event.
+    [
+      ("lane", Int lane); ("run", Int r.run); ("window", Int r.window);
+      ("t0", Float r.t0); ("t1", Float r.t1); ("events", Int r.events);
+      ("enq", Int r.enq); ("deq", Int r.deq);
+      ("drops", Int r.drops); ("delivered", Int r.delivered); ("q_min", Int r.q_min);
+      ("q_mean", Float r.q_mean); ("q_max", Int r.q_max); ("acks", Int r.acks);
+      ("lost", Int r.lost); ("rate_mean", Float r.rate_mean);
+      ("rate_max", Float r.rate_max); ("mi_tput_mean", Float r.mi_tput_mean);
+      ("u_prev_mean", Float r.u_prev_mean); ("u_rl_mean", Float r.u_rl_mean);
+      ("u_cl_mean", Float r.u_cl_mean); ("cycles", Int r.cycles);
+    ]
+
 let csv_header =
-  "lane,run,window,t0,t1,events,enq,deq,drops,delivered,q_min,q_mean,q_max,acks,lost,rate_mean,rate_max,mi_tput_mean,u_prev_mean,u_rl_mean,u_cl_mean,cycles"
+  String.concat "," (List.map fst (row_fields ~lane:0 (current_row (create ()))))
 
-let fcell v = if Float.is_finite v then Printf.sprintf "%.9g" v else ""
-
-let add_csv t ~lane b =
+(* Both formats print through the event writers' printers. *)
+let add_rows t ~lane print =
   flush t;
-  List.iter
-    (fun (r : row) ->
-      Buffer.add_string b
-        (Printf.sprintf "%d,%d,%d,%s,%s,%d,%d,%d,%d,%d,%d,%s,%d,%d,%d,%s,%s,%s,%s,%s,%s,%d\n"
-           lane r.run r.window (fcell r.t0) (fcell r.t1) r.events r.enq r.deq
-           r.drops r.delivered r.q_min (fcell r.q_mean) r.q_max r.acks r.lost
-           (fcell r.rate_mean) (fcell r.rate_max) (fcell r.mi_tput_mean)
-           (fcell r.u_prev_mean) (fcell r.u_rl_mean) (fcell r.u_cl_mean)
-           r.cycles))
-    (rows t)
+  List.iter (fun r -> print (row_fields ~lane r)) (rows t)
 
-let jfloat v = if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
+let add_csv t ~lane b = add_rows t ~lane (Event.add_csv_row b)
 
-let add_jsonl t ~lane b =
-  flush t;
-  List.iter
-    (fun (r : row) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"lane\":%d,\"run\":%d,\"window\":%d,\"t0\":%s,\"t1\":%s,\"events\":%d,\"enq\":%d,\"deq\":%d,\"drops\":%d,\"delivered\":%d,\"q_min\":%d,\"q_mean\":%s,\"q_max\":%d,\"acks\":%d,\"lost\":%d,\"rate_mean\":%s,\"rate_max\":%s,\"mi_tput_mean\":%s,\"u_prev_mean\":%s,\"u_rl_mean\":%s,\"u_cl_mean\":%s,\"cycles\":%d}\n"
-           lane r.run r.window (jfloat r.t0) (jfloat r.t1) r.events r.enq r.deq
-           r.drops r.delivered r.q_min (jfloat r.q_mean) r.q_max r.acks r.lost
-           (jfloat r.rate_mean) (jfloat r.rate_max) (jfloat r.mi_tput_mean)
-           (jfloat r.u_prev_mean) (jfloat r.u_rl_mean) (jfloat r.u_cl_mean)
-           r.cycles))
-    (rows t)
+let add_jsonl t ~lane b = add_rows t ~lane (Event.add_json_line b)
 
 let write ?manifest ~lanes path =
   let lanes = List.stable_sort (fun (a, _) (b, _) -> compare a b) lanes in

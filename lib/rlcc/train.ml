@@ -215,7 +215,7 @@ let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
           (Obs.Event.Harness
              {
                t = Env.time env;
-               kind = "checkpoint";
+               kind = Checkpoint;
                id = "train";
                detail = "nan-rollback";
                attempt = ep;

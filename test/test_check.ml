@@ -99,7 +99,30 @@ let test_parse_errors () =
   rejects "x: after ev=fault eventually ev=ack";
   rejects "x: after ev=fault eventually ev=ack within 5 parsecs";
   rejects "x: after ev=fault eventually ev=ack within -3 events";
-  rejects "x: always "
+  rejects "x: always ";
+  (* a field no event carries, or one compared as the wrong type: these
+     would otherwise never apply and pass silently *)
+  rejects "x: always backlg<0";
+  rejects "x: always ev=ack & rtt_s>100";
+  rejects "x: after ev=fault & knd=link_up eventually ev=ack within 2 rtt";
+  rejects "x: always kind=3";
+  rejects "x: never chosen<1";
+  rejects "x: always backlog=abc";
+  rejects "x: never rtt!=fast"
+
+(* Every field of the event schema parses when compared as its own
+   type, and so does "t". *)
+let test_parse_schema_fields () =
+  List.iter
+    (fun (_, fields) ->
+      List.iter
+        (fun (key, v) ->
+          let clause =
+            match v with Obs.Event.Str _ -> key ^ "=x" | _ -> key ^ ">=0"
+          in
+          ignore (parses ("x: always " ^ clause)))
+        (("t", Obs.Event.Float 0.0) :: fields))
+    Obs.Event.schema
 
 let test_parse_lines_skips_comments () =
   let specs =
@@ -432,6 +455,7 @@ let () =
           Alcotest.test_case "after-until" `Quick test_parse_after_until;
           Alcotest.test_case "cycle_argmax" `Quick test_parse_cycle_argmax_builtin;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "schema fields" `Quick test_parse_schema_fields;
           Alcotest.test_case "spec files" `Quick test_parse_lines_skips_comments;
         ] );
       ("spec round-trip", qsuite [ prop_roundtrip ]);

@@ -188,6 +188,128 @@ let test_jsonl_lines_parse_and_roundtrip () =
         (List.length (String.split_on_char ',' row)))
     rows
 
+(* One event of every variant must keep its exact export bytes in both
+   formats: nan and infinite floats, negative ints, and free text holding
+   ',' and '"'. The harness records come from the supervisor (a crash
+   retried once), the way the program writes them. *)
+let pinned_events () =
+  let tr = Obs.Trace.create () in
+  Obs.Trace.run tr (fun () ->
+      List.iter Obs.Trace.emit
+        Obs.Event.
+          [
+            Enqueue { t = 0.125; flow = 3; seq = -1; size = 1500; backlog = 0 };
+            Dequeue { t = 1.0 /. 3.0; flow = 0; seq = 12; size = 1500; backlog = 3000 };
+            Drop { t = 2.5; flow = -1; seq = 7; size = 40; reason = Codel };
+            Link_rate { t = 3.0; rate = nan };
+            Ack { t = 3.25; flow = 2; seq = 9; rtt = 0.0301; newly_lost = -2 };
+            Rate { t = 3.5; flow = 1; pacing = Float.infinity; cwnd = 12.5 };
+            Mi_snapshot
+              {
+                t = 4.0;
+                duration = 0.05;
+                throughput = 1.25e6;
+                avg_rtt = nan;
+                loss_rate = 0.0;
+                rtt_gradient = -0.001;
+                acked = 10;
+                lost = -3;
+              };
+            Stage { t = 4.5; stage = "eval,low \"x\""; base_rate = 2e6 };
+            Cycle { t = 5.0; chosen = "rl"; u_prev = nan; u_rl = 1.5; u_cl = -2.25; x_next = 3e6 };
+            Rl_step { t = 5.5; episode = -1; step = 4; rate = 1e5; reward = nan; action = -0.5 };
+            Fault { t = 6.0; flow = -1; seq = -1; kind = "link,down"; value = 1.0 };
+            Run_start { t = 0.0; label = "a,b \"c\"" };
+          ];
+      ignore
+        (Exec.Supervisor.protect ~retries:1 ~context:"pin,\"ctx\"" (fun ~attempt:_ ->
+             failwith "x,y \"z\""));
+      Obs.Trace.emit
+        (Obs.Event.Violation
+           { t = 7.0; name = "q,b"; kind = "always"; index = -1; detail = "failed: \"x\",y" }));
+  Obs.Trace.events tr
+
+let pinned_exports =
+  [
+    ( "{\"t\":0.125,\"lane\":0,\"ev\":\"enqueue\",\"flow\":3,\"seq\":-1,\"size\":1500,\"backlog\":0}\n",
+      "0.125,0,enqueue,3,-1,1500,0,,,,,,,,,,,,,,,,,,,,,,,,,,,,,\n" );
+    ( "{\"t\":0.333333333,\"lane\":0,\"ev\":\"dequeue\",\"flow\":0,\"seq\":12,\"size\":1500,\"backlog\":3000}\n",
+      "0.333333333,0,dequeue,0,12,1500,3000,,,,,,,,,,,,,,,,,,,,,,,,,,,,,\n" );
+    ( "{\"t\":2.5,\"lane\":0,\"ev\":\"drop\",\"flow\":-1,\"seq\":7,\"size\":40,\"reason\":\"codel\"}\n",
+      "2.5,0,drop,-1,7,40,,codel,,,,,,,,,,,,,,,,,,,,,,,,,,,,\n" );
+    ( "{\"t\":3,\"lane\":0,\"ev\":\"link_rate\",\"rate\":null}\n",
+      "3,0,link_rate,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,,\n" );
+    ( "{\"t\":3.25,\"lane\":0,\"ev\":\"ack\",\"flow\":2,\"seq\":9,\"rtt\":0.0301,\"newly_lost\":-2}\n",
+      "3.25,0,ack,2,9,,,,,,,0.0301,-2,,,,,,,,,,,,,,,,,,,,,,,\n" );
+    ( "{\"t\":3.5,\"lane\":0,\"ev\":\"rate\",\"flow\":1,\"pacing\":null,\"cwnd\":12.5}\n",
+      "3.5,0,rate,1,,,,,,,12.5,,,,,,,,,,,,,,,,,,,,,,,,,\n" );
+    ( "{\"t\":4,\"lane\":0,\"ev\":\"mi_snapshot\",\"duration\":0.05,\"throughput\":1250000,\"avg_rtt\":null,\"loss_rate\":0,\"rtt_gradient\":-0.001,\"acked\":10,\"lost\":-3}\n",
+      "4,0,mi_snapshot,,,,,,,,,,,0.05,1250000,,0,-0.001,10,-3,,,,,,,,,,,,,,,,\n" );
+    ( "{\"t\":4.5,\"lane\":0,\"ev\":\"stage\",\"stage\":\"eval,low \\\"x\\\"\",\"base_rate\":2000000}\n",
+      "4.5,0,stage,,,,,,2000000,,,,,,,,,,,,eval;low \"x\",,,,,,,,,,,,,,,\n" );
+    ( "{\"t\":5,\"lane\":0,\"ev\":\"cycle\",\"chosen\":\"rl\",\"u_prev\":null,\"u_rl\":1.5,\"u_cl\":-2.25,\"x_next\":3000000}\n",
+      "5,0,cycle,,,,,,,,,,,,,,,,,,,rl,,1.5,-2.25,3000000,,,,,,,,,,\n" );
+    ( "{\"t\":5.5,\"lane\":0,\"ev\":\"rl_step\",\"episode\":-1,\"step\":4,\"rate\":100000,\"reward\":null,\"action\":-0.5}\n",
+      "5.5,0,rl_step,,,,,,100000,,,,,,,,,,,,,,,,,,-1,4,,-0.5,,,,,,\n" );
+    ( "{\"t\":6,\"lane\":0,\"ev\":\"fault\",\"flow\":-1,\"seq\":-1,\"kind\":\"link,down\",\"value\":1}\n",
+      "6,0,fault,-1,-1,,,,,,,,,,,,,,,,,,,,,,,,,,,link;down,1,,,\n" );
+    ( "{\"t\":0,\"lane\":0,\"ev\":\"run_start\",\"label\":\"a,b \\\"c\\\"\"}\n",
+      "0,0,run_start,,,,,,,,,,,,,,,,,,,,,,,,,,,,a;b \"c\",,,,,\n" );
+    ( "{\"t\":0,\"lane\":0,\"ev\":\"harness\",\"kind\":\"retry\",\"id\":\"pin,\\\"ctx\\\"\",\"detail\":\"Failure(\\\"x,y \\\\\\\"z\\\\\\\"\\\")\",\"attempt\":1,\"value\":0.0905064185}\n",
+      "0,0,harness,,,,,,,,,,,,,,,,,,,,,,,,,,,,pin;\"ctx\",retry,0.0905064185,Failure(\"x;y \\\"z\\\"\"),1,\n" );
+    ( "{\"t\":0,\"lane\":0,\"ev\":\"harness\",\"kind\":\"failure\",\"id\":\"pin,\\\"ctx\\\"\",\"detail\":\"Failure(\\\"x,y \\\\\\\"z\\\\\\\"\\\")\",\"attempt\":2,\"value\":0}\n",
+      "0,0,harness,,,,,,,,,,,,,,,,,,,,,,,,,,,,pin;\"ctx\",failure,0,Failure(\"x;y \\\"z\\\"\"),2,\n" );
+    ( "{\"t\":7,\"lane\":0,\"ev\":\"violation\",\"name\":\"q,b\",\"kind\":\"always\",\"index\":-1,\"detail\":\"failed: \\\"x\\\",y\"}\n",
+      "7,0,violation,,,,,,,,,,,,,,,,,,,,,,,,,,,,q;b,always,,failed: \"x\";y,,-1\n" );
+  ]
+
+let test_export_bytes_pinned () =
+  let events = pinned_events () in
+  check_int "one export pair per event" (List.length pinned_exports) (List.length events);
+  check_int "every event name covered" (List.length Obs.Event.all_names)
+    (List.length (List.sort_uniq compare (List.map Obs.Event.name events)));
+  List.iter2
+    (fun ev (json, csv) ->
+      let render f =
+        let b = Buffer.create 128 in
+        f ~lane:0 b ev;
+        Buffer.contents b
+      in
+      check_string "jsonl bytes" json (render Obs.Event.to_json_line);
+      check_string "csv bytes" csv (render Obs.Event.to_csv_row))
+    events pinned_exports;
+  let r = Obs.Rollup.create ~window:1.0 () in
+  List.iter (Obs.Rollup.observe r)
+    Obs.Event.
+      [
+        Enqueue { t = 0.1; flow = 0; seq = 0; size = 1500; backlog = 1500 };
+        Dequeue { t = 0.2; flow = 0; seq = 0; size = 1500; backlog = 0 };
+        Ack { t = 0.3; flow = 0; seq = 0; rtt = 0.03; newly_lost = 1 };
+        Cycle { t = 0.4; chosen = "cl"; u_prev = nan; u_rl = 2.0; u_cl = 3.0; x_next = 1e6 };
+        Mi_snapshot
+          {
+            t = 0.5;
+            duration = 0.1;
+            throughput = 1.0 /. 3.0;
+            avg_rtt = 0.03;
+            loss_rate = 0.0;
+            rtt_gradient = 0.0;
+            acked = 1;
+            lost = 0;
+          };
+      ];
+  let render f =
+    let b = Buffer.create 256 in
+    f r ~lane:2 b;
+    Buffer.contents b
+  in
+  check_string "rollup jsonl bytes"
+    "{\"lane\":2,\"run\":0,\"window\":0,\"t0\":0,\"t1\":1,\"events\":5,\"enq\":1,\"deq\":1,\"drops\":0,\"delivered\":1500,\"q_min\":0,\"q_mean\":750,\"q_max\":1500,\"acks\":1,\"lost\":1,\"rate_mean\":null,\"rate_max\":null,\"mi_tput_mean\":0.333333333,\"u_prev_mean\":null,\"u_rl_mean\":2,\"u_cl_mean\":3,\"cycles\":1}\n"
+    (render Obs.Rollup.add_jsonl);
+  check_string "rollup csv bytes"
+    "2,0,0,0,1,5,1,1,0,1500,0,750,1500,1,1,,,0.333333333,,2,3,1\n"
+    (render Obs.Rollup.add_csv)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics *)
 
@@ -890,7 +1012,10 @@ let () =
             test_trace_parallel_lanes_deterministic;
         ] );
       ( "export",
-        [ Alcotest.test_case "jsonl + csv" `Quick test_jsonl_lines_parse_and_roundtrip ] );
+        [
+          Alcotest.test_case "jsonl + csv" `Quick test_jsonl_lines_parse_and_roundtrip;
+          Alcotest.test_case "bytes pinned" `Quick test_export_bytes_pinned;
+        ] );
       ( "sample",
         [
           Alcotest.test_case "parse + render" `Quick test_sample_parse_and_render;
