@@ -41,8 +41,10 @@ search:
 	dune build @search
 
 # Observability smoke alone: sampled trace + rollup byte-identical at
-# --domains 1 vs 4, injected invariant violation produces a flight
-# dump, trace_view emits valid Chrome trace-event JSON.
+# --domains 1 vs 4; robust-mini and fig2b traces, rollups, metrics and
+# invariant verdicts byte-identical at --domains 1, 2 and 4; injected
+# invariant violation produces a flight dump; trace_view emits valid
+# Chrome trace-event JSON.
 observe:
 	dune build @observe
 

@@ -52,14 +52,8 @@ let run_cmd full tiny stress domains impair chaos checkpoint_dir resume
   let session =
     Run_opts.session ?profile:profile_out ~invariants:invariant_specs ~manifest obs
   in
-  (* Lanes are entry indices, deterministic at any pool size. A lane's
-     checker is also the ambient one, so a violation fails its entry
-     through the supervisor. *)
-  let wrap lane run =
-    Run_opts.run session ~lane (function
-      | Some c -> Check.Runtime.with_checker c run
-      | None -> run ())
-  in
+  (* Lanes are entry indices, deterministic at any pool size. *)
+  let wrap lane run = Run_opts.run session ~lane run in
   let run_all_groups = all || ids = [] in
   let missing =
     if run_all_groups then []

@@ -59,7 +59,7 @@ let run_cmd cca trace rtt_ms buffer_kb loss duration flows seed impair chaos
     let outcome =
       try
         Netsim.Budget.with_budget ?events:deadline_events (fun () ->
-            Run_opts.run session ~lane:0 (fun _ ->
+            Run_opts.run session ~lane:0 (fun () ->
                 Harness.Scenario.run_uniform ~seed ~n_flows:flows ~factory ~duration
                   spec))
       with Netsim.Budget.Exceeded { spent; budget } ->

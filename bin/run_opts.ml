@@ -328,15 +328,18 @@ let new_lane s lane =
   Mutex.protect s.lock (fun () -> Hashtbl.replace s.lanes lane l);
   l
 
-(* Run [f] as lane [lane] of the session; [f] receives the lane's
-   checker, if any. *)
+(* Run [f] as lane [lane] of the session. The lane's checker, if any,
+   is also the ambient one ([Check.Runtime]), so a violation fails a
+   supervised entry. *)
 let run s ~lane f =
   let inner () =
     match s.tracer with
-    | None -> f None
+    | None -> f ()
     | Some tracer ->
       let l = new_lane s lane in
-      let body () = f l.checker in
+      let body () =
+        match l.checker with Some c -> Check.Runtime.with_checker c f | None -> f ()
+      in
       let body =
         match l.rollup with
         | Some r -> fun () -> Obs.Rollup.with_ambient r body

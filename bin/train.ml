@@ -94,7 +94,7 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos
     (* Training is one serial loop: lane 0 of the session. *)
     let session = Run_opts.session ~manifest obs in
     let outcome =
-      Run_opts.run session ~lane:0 (fun _ ->
+      Run_opts.run session ~lane:0 (fun () ->
           Rlcc.Train.run ?on_snapshot ~snapshot_every ?resume_from cfg)
     in
     Run_opts.export session;

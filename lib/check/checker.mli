@@ -42,7 +42,7 @@ val first : t -> violation option
 
 (** The flight-recorder dump captured at the first violation —
     [(path, event count)]; [None] when the checker is clean or no
-    [Obs.Flight] ring was live on this domain. *)
+    [Obs.Flight] ring was installed. *)
 val flight : t -> (string * int) option
 
 (** The [Obs.Trace.run ~observer] hook: consume one event. Profiled

@@ -1,24 +1,14 @@
-(* The ambient per-domain checker.
+(* The ambient checker. [with_checker] installs one for the duration of
+   a callback; [assert_clean] — called by [Harness.Registry] from inside
+   the supervisor's protected thunk — raises [Checker.Violation_error]
+   if it recorded any violation, turning it into a structured
+   supervised failure. Unchecked runs pay one DLS read per supervised
+   entry and nothing per event. Pool tasks inherit the checker
+   read-only: it sees a fanned-out task's events at the join, so check
+   after the fan-out returns. *)
 
-   Mirrors [Obs.Trace]'s sink discipline: [with_checker] installs a
-   checker for the duration of a callback (saved/restored, so nested
-   scopes and pool domains that help with other tasks stay correct),
-   and [assert_clean] — called by [Harness.Registry] from *inside* the
-   supervisor's protected thunk — raises [Checker.Violation_error] if
-   the ambient checker recorded any violation, turning it into a
-   structured supervised failure. With no ambient checker both are
-   no-ops, so unchecked runs pay one DLS read at the end of each
-   supervised entry and nothing per event. *)
-
-let key : Checker.t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let with_checker c f =
-  let cell = Domain.DLS.get key in
-  let saved = !cell in
-  cell := Some c;
-  Fun.protect ~finally:(fun () -> cell := saved) f
-
-let current () = !(Domain.DLS.get key)
+let slot = Obs.Ambient.slot Obs.Ambient.Inherit
+let with_checker c f = Obs.Ambient.with_ slot (Some c) f
 
 let assert_clean () =
-  match current () with None -> () | Some c -> Checker.raise_if_violated c
+  Option.iter Checker.raise_if_violated (Obs.Ambient.get slot)

@@ -150,46 +150,43 @@ let rec help_until_done t batch =
       done;
       Mutex.unlock batch.b_lock
 
-(* Every task runs with the caller's ambient [Netsim.Budget] masked:
-   which tasks a waiting caller "helps" with is scheduling-dependent,
-   so letting them tick a supervisor's deadline budget would break the
-   pool-size determinism contract. A budget therefore charges only the
-   work its own thunk performs directly — same in the inline and
-   parallel branches. *)
-let run_task f x = Netsim.Budget.unobserved (fun () -> f x)
-
 (* Kill fates are decided at task *start*, before the body runs, so a
    resurrected task cannot have half-emitted traces or half-charged
    budgets: every attempt is all-or-nothing and the surviving attempt's
    output is identical to an unkilled run's. Sequence numbers are
    assigned at fan-out time in submission order, so which tasks die is
-   a function of the chaos seed alone — not of domain scheduling. *)
+   a function of the chaos seed alone — not of domain scheduling.
+
+   Ambient state ([Obs.Ambient]): an inline task runs in its caller's
+   frame; a parallel one under a child frame forked at submission, on
+   whichever domain pops it. The children are joined in submission
+   order up to and including the first task that raised (the inline
+   branch never runs the rest), leaving the caller's state as inline. *)
 let map_impl t f arr =
   let n = Array.length arr in
   let kills = Chaos.Plane.kills_scheduled () in
   if t.size <= 1 || n <= 1 then
-    if not kills then Array.map (run_task f) arr
-    else
-      (* Inline branch: no domain to kill, but the same fates are drawn
-         and the same resurrections counted, so a --domains 1 run
-         exercises (and reports) the identical schedule. *)
-      Array.map
-        (fun x ->
+    (* Inline branch: no domain to kill, but the same fates are drawn
+       and the same resurrections counted, so a --domains 1 run
+       exercises (and reports) the identical schedule. *)
+    Array.map
+      (fun x ->
+        if kills then begin
           let seq = Chaos.Plane.task_seq () in
-          let rec go attempt =
-            if Chaos.Plane.kill_task ~seq ~attempt then begin
-              Chaos.Plane.note_resurrection ();
-              go (attempt + 1)
-            end
-            else run_task f x
-          in
-          go 1)
-        arr
+          let attempt = ref 1 in
+          while Chaos.Plane.kill_task ~seq ~attempt:!attempt do
+            Chaos.Plane.note_resurrection ();
+            incr attempt
+          done
+        end;
+        Obs.Ambient.inline (fun () -> f x))
+      arr
   else begin
     let results : ('b, exn) result option array = Array.make n None in
     let batch =
       { b_lock = Mutex.create (); b_done = Condition.create (); left = n }
     in
+    let frames = Array.init n (fun _ -> Obs.Ambient.fork ()) in
     for i = 0 to n - 1 do
       let seq = if kills then Chaos.Plane.task_seq () else 0 in
       let rec task attempt () =
@@ -204,7 +201,9 @@ let map_impl t f arr =
             raise (Chaos.Plane.Domain_killed { seq; attempt })
         end
         else begin
-          let r = try Ok (run_task f arr.(i)) with e -> Error e in
+          let r =
+            try Ok (Obs.Ambient.run frames.(i) (fun () -> f arr.(i))) with e -> Error e
+          in
           results.(i) <- Some r;
           batch_task_finished batch
         end
@@ -212,21 +211,19 @@ let map_impl t f arr =
       push_task t (task 1)
     done;
     help_until_done t batch;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error e) -> raise e
-        | None -> assert false)
+    Array.mapi
+      (fun i r ->
+        Obs.Ambient.join frames.(i);
+        match r with Some (Ok v) -> v | Some (Error e) -> raise e | None -> assert false)
       results
   end
 
 let span_map = Obs.Span.probe "pool.map"
 
 (* The span wraps the whole fan-out on the *caller's* context — one
-   span per [map] call in both the inline and parallel branches, so
-   span structure stays pool-size independent. (Tasks executed by
-   worker domains have no ambient recorder unless they install one;
-   tasks the caller helps with land under this span.) *)
+   span per [map] call in both the inline and parallel branches — and
+   every task's spans nest under it: inline directly, parallel through
+   the join. *)
 let map t f arr = Obs.Span.timed span_map (fun () -> map_impl t f arr)
 
 let map_list t f l = Array.to_list (map t f (Array.of_list l))

@@ -36,7 +36,9 @@ val shutdown : t -> unit
 
 (** [map pool f arr] is [Array.map f arr] with the applications spread
     over the pool's domains; the result keeps input order. The first
-    task exception (by input index) is re-raised in the caller. *)
+    task exception (by input index) is re-raised in the caller. Tasks
+    see and leave the caller's ambient state ([Obs.Ambient]) as if they
+    had run inline, in input order, up to the raising task. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** [map_list] is [map] over lists, preserving order. *)

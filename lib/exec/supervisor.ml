@@ -164,8 +164,8 @@ let protect ?(retries = 0) ?deadline_events ?wall_s ?(seed = 0) ~context f =
         attempt (i + 1) (b :: backoffs)
       end
       else begin
-        (* Final failure: dump the flight ring (if one is live on this
-           domain) so the report points at the surrounding events. *)
+        (* Final failure: dump the flight ring (if one is installed) so
+           the report points at the surrounding events. *)
         let flight = Obs.Flight.dump ~reason:context () in
         let fl =
           {

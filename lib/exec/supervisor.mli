@@ -32,7 +32,7 @@ type failure = {
   flight : (string * int) option;
       (** flight-recorder dump written on the final failed attempt —
           [(path, event count)]; [None] when no [Obs.Flight] ring was
-          live on this domain. Byte-stable across pool sizes, but
+          installed for the task. Byte-stable across pool sizes, but
           excluded from {!digest} (the dump directory is
           host-chosen). *)
 }

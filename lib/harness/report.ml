@@ -3,17 +3,16 @@
    Experiments used to print straight to stdout, which ties output order
    to execution order; with the harness fanned out over a domain pool,
    execution order is scheduling-dependent. Instead each experiment runs
-   under [capture], which installs a per-domain report sink: everything
+   under [capture], which installs an ambient report sink: everything
    the body emits through [printf]/[text] (and hence through [Table])
    lands in the report's buffer, and the registry renders the finished
    reports in registry order — so the rendered output is byte-identical
    no matter how many domains ran the experiments.
 
-   The sink is domain-local and save/restored around [capture], so a
-   domain that helps the pool drain other experiments' tasks while its
-   own batch is pending still attributes every line to the experiment
-   that produced it. Alongside the text, a report carries key/value
-   results for machine-readable consumers (bench JSON, tests). *)
+   A pool task without a capture of its own writes into a fresh report
+   that the pool appends to its caller's at the join, in submission
+   order. Alongside the text, a report carries key/value results for
+   machine-readable consumers (bench JSON, tests). *)
 
 type t = {
   buf : Buffer.t;
@@ -28,7 +27,6 @@ let line t s =
 
 let linef t fmt = Printf.ksprintf (line t) fmt
 let kv t key value = t.kvs <- (key, value) :: t.kvs
-let kvf t key fmt = Printf.ksprintf (kv t key) fmt
 let results t = List.rev t.kvs
 let render t = Buffer.contents t.buf
 let print t = print_string (render t)
@@ -74,17 +72,22 @@ let of_json j =
       (build [] kvs)
   | _ -> None
 
-(* ---- the per-domain sink ---- *)
+(* ---- the ambient sink ---- *)
 
-let sink_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-let current () = !(Domain.DLS.get sink_key)
+let slot =
+  Obs.Ambient.slot
+    (Obs.Ambient.Split
+       {
+         fork = (fun _ -> create ());
+         join =
+           (fun r child ->
+             Buffer.add_buffer r.buf child.buf;
+             r.kvs <- child.kvs @ r.kvs);
+       })
 
 let capture f =
   let r = create () in
-  let cell = Domain.DLS.get sink_key in
-  let saved = !cell in
-  cell := Some r;
-  Fun.protect ~finally:(fun () -> cell := saved) f;
+  Obs.Ambient.with_ slot (Some r) f;
   r
 
 (* Emit into the current sink; outside any [capture] (direct CLI use,
@@ -93,7 +96,7 @@ let capture f =
 let printf fmt =
   Printf.ksprintf
     (fun s ->
-      match current () with
+      match Obs.Ambient.get slot with
       | Some r -> Buffer.add_string r.buf s
       | None -> print_string s)
     fmt
@@ -101,5 +104,5 @@ let printf fmt =
 let text s = printf "%s\n" s
 
 (* Record a result on the current sink, if any. *)
-let result key value = match current () with Some r -> kv r key value | None -> ()
+let result key value = Option.iter (fun r -> kv r key value) (Obs.Ambient.get slot)
 let resultf key fmt = Printf.ksprintf (result key) fmt

@@ -1,12 +1,12 @@
 (** Buffered experiment reports: lines plus key/value results.
 
-    Experiments run under {!capture}, which installs a domain-local sink;
+    Experiments run under {!capture}, which installs an ambient sink;
     everything emitted via {!printf}/{!text} (including all of [Table])
     is buffered into the report. The registry renders finished reports in
     registry order, making output byte-identical regardless of how many
-    domains ran the experiments. The sink is saved and restored around
-    nested captures, so pool domains helping with other experiments'
-    tasks attribute output correctly. *)
+    domains ran the experiments. Pool tasks without a capture of their
+    own write into a child report appended to the caller's at the join,
+    in submission order. *)
 
 type t
 
@@ -20,8 +20,6 @@ val linef : t -> ('a, unit, string, unit) format4 -> 'a
 (** Record a key/value result (machine-readable side channel; not part
     of the rendered text). *)
 val kv : t -> string -> string -> unit
-
-val kvf : t -> string -> ('a, unit, string, unit) format4 -> 'a
 
 (** Key/value results in insertion order. *)
 val results : t -> (string * string) list
@@ -40,8 +38,8 @@ val to_json : t -> Obs.Json.t
     absent, not an error). *)
 val of_json : Obs.Json.t -> t option
 
-(** Run [f] with a fresh report installed as this domain's sink; returns
-    the report. Nested captures save and restore the outer sink. *)
+(** Run [f] with a fresh report installed as the sink; returns the
+    report. Nested captures save and restore the outer sink. *)
 val capture : (unit -> unit) -> t
 
 (** Emit into the current sink, or stdout when no capture is active. *)

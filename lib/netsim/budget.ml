@@ -4,10 +4,10 @@
    from the event heap, RL training steps — never wall clock, so a
    deadline expires at exactly the same point of a run on any machine
    and at any `Exec.Pool` size. [with_budget ?events f] installs a
-   countdown cell in domain-local storage for the duration of [f];
-   ticking sites (the sim event loop, the trainer's step loop) call
-   [tick ()], which is one atomic load + branch when no budget is
-   installed anywhere (the same discipline as [Obs.Trace.on]).
+   countdown cell as an ambient slot for the duration of [f]; ticking
+   sites (the sim event loop, the trainer's step loop) call [tick ()],
+   which is one atomic load + branch when no budget is installed
+   anywhere (the same discipline as [Obs.Trace.on]).
 
    An optional wall-clock ceiling ([?wall_s]) exists as a CI backstop
    against genuinely hung runs. It is checked coarsely (every 4096
@@ -15,11 +15,10 @@
    must keep it out of any determinism digest (see
    lib/exec/supervisor.ml).
 
-   `Exec.Pool` masks the ambient budget around every task it runs, so a
-   budget charges only the work its own thunk performs directly — a
-   caller that fans out over the pool is not charged for tasks its
-   domain happens to "help" with while waiting, which would be
-   scheduling-dependent. *)
+   Pool tasks start with the budget masked (inline or not), so a budget
+   charges only the work its own thunk performs directly — a caller that
+   fans out over the pool is not charged for tasks its domain happens to
+   "help" with while waiting, which would be scheduling-dependent. *)
 
 exception Exceeded of { spent : int; budget : int }
 exception Wall_exceeded of { budget_s : float }
@@ -31,11 +30,11 @@ type cell = {
   wall_s : float;
 }
 
-let cell_key : cell option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-(* Budgets installed across all domains; the disabled fast path of
-   [tick] tests only this. *)
+(* Domains holding a budget; the disabled fast path of [tick] tests
+   only this. *)
 let n_active = Atomic.make 0
+
+let slot = Obs.Ambient.slot ~live:n_active Obs.Ambient.Mask
 
 let charge c =
   c.spent <- c.spent + 1;
@@ -46,46 +45,20 @@ let charge c =
 
 let[@inline] tick () =
   if Atomic.get n_active > 0 then
-    match !(Domain.DLS.get cell_key) with None -> () | Some c -> charge c
+    match Obs.Ambient.get slot with None -> () | Some c -> charge c
 
-let spent () =
-  match !(Domain.DLS.get cell_key) with None -> None | Some c -> Some c.spent
+let spent () = Option.map (fun c -> c.spent) (Obs.Ambient.get slot)
 
 let with_budget ?events ?wall_s f =
-  match (events, wall_s) with
-  | None, None -> f ()
-  | _ ->
-    let c =
-      {
-        spent = 0;
-        budget = (match events with Some e -> e | None -> max_int);
-        wall_deadline =
-          (match wall_s with Some s -> Unix.gettimeofday () +. s | None -> infinity);
-        wall_s = (match wall_s with Some s -> s | None -> infinity);
-      }
-    in
-    let cell = Domain.DLS.get cell_key in
-    let saved = !cell in
-    cell := Some c;
-    Atomic.incr n_active;
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.decr n_active;
-        cell := saved)
-      f
-
-(* Mask the ambient budget for the duration of [f]: pool tasks, and any
-   work whose cost is cache- or scheduling-dependent and must not count
-   against the caller's deterministic budget. *)
-let unobserved f =
-  let cell = Domain.DLS.get cell_key in
-  match !cell with
-  | None -> f ()
-  | Some _ as saved ->
-    cell := None;
-    Atomic.decr n_active;
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.incr n_active;
-        cell := saved)
+  if events = None && wall_s = None then f ()
+  else
+    let wall_s = Option.value wall_s ~default:infinity in
+    Obs.Ambient.with_ slot
+      (Some
+         {
+           spent = 0;
+           budget = Option.value events ~default:max_int;
+           wall_deadline = Unix.gettimeofday () +. wall_s;
+           wall_s;
+         })
       f

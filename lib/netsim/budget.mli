@@ -15,10 +15,11 @@ exception Exceeded of { spent : int; budget : int }
 exception Wall_exceeded of { budget_s : float }
 
 (** [with_budget ?events ?wall_s f] runs [f] with a fresh countdown
-    budget installed in this domain: [events] logical ticks and/or a
+    budget installed: [events] logical ticks and/or a
     [wall_s]-second wall ceiling (checked every 4096 ticks). With
     neither argument this is just [f ()]. Nested budgets shadow the
-    outer one; the outer budget is not charged for inner ticks. *)
+    outer one; the outer budget is not charged for inner ticks, nor for
+    [Exec.Pool] tasks, which start with the budget masked. *)
 val with_budget : ?events:int -> ?wall_s:float -> (unit -> 'a) -> 'a
 
 (** Charge one logical unit against the ambient budget, if any. One
@@ -28,9 +29,3 @@ val tick : unit -> unit
 (** Ticks charged to the ambient budget so far ([None] outside
     {!with_budget}). *)
 val spent : unit -> int option
-
-(** [unobserved f] runs [f] with the ambient budget masked. [Exec.Pool]
-    wraps every task in this so a budget charges only work its own
-    thunk performs directly — "helped" tasks are scheduling-dependent
-    and must not count. *)
-val unobserved : (unit -> 'a) -> 'a

@@ -93,7 +93,10 @@ let m_rtt =
     ~bounds:[| 0.01; 0.025; 0.05; 0.1; 0.2; 0.4; 0.8; 1.6 |]
 
 let dummy_cca = Cca.constant_rate 0.0
-let dummy_stats = lazy (Flow_stats.create ~bin:1.0 ~initial_bins:1 ())
+(* Built eagerly: forcing a shared [lazy] from two domains at once
+   raises [Lazy.Undefined], and pool tasks create flow tables
+   concurrently. *)
+let dummy_stats = Flow_stats.create ~bin:1.0 ~initial_bins:1 ()
 
 let sim t = t.sim
 let flow_count t = t.n
@@ -469,7 +472,7 @@ let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
       out_dup = Array.make capacity [||];
       out_res = Array.make capacity [||];
       gen = Array.make capacity dummy_cca;
-      stats = Array.make capacity (Lazy.force dummy_stats);
+      stats = Array.make capacity dummy_stats;
     }
   in
   Sim.set_handler sim (fun k a b -> dispatch t k a b);
@@ -527,7 +530,7 @@ let grow_table t =
   t.out_dup <- go t.out_dup [||];
   t.out_res <- go t.out_res [||];
   t.gen <- go t.gen dummy_cca;
-  t.stats <- go t.stats (Lazy.force dummy_stats)
+  t.stats <- go t.stats dummy_stats
 
 let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
     ?(dup_thresh = 1) ?size_bytes () =

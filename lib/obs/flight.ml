@@ -1,137 +1,4 @@
-(* Always-on crash flight recorder: a bounded per-lane event ring that
-   rides the same probe sites as the tracer.
+(* The always-on crash flight recorder; it shares the event sink with the
+   tracer, in [Trace]. *)
 
-   This module sits *below* Trace in the dependency order so that
-   [Trace.on]/[Trace.emit] can consult it: the shared [sessions]
-   counter keeps the everything-off fast path at one atomic load, and
-   [Trace.emit] forwards every event (pre-mask, pre-sampling — the
-   flight ring is crash evidence, so it keeps what the export drops)
-   into this domain's ring via [push]. *)
-
-type lane_buf = {
-  lane : int;
-  arr : Event.t array;
-  mutable len : int;
-  mutable start : int;
-  mutable dropped : int;
-}
-
-type t = {
-  capacity : int;
-  lock : Mutex.t;
-  mutable lanes : lane_buf list;  (* newest first *)
-}
-
-(* Live [Trace.run] + [Flight.run] scopes across all domains — the one
-   load probe sites test when everything is off. Trace increments it
-   too (it depends on this module). *)
-let sessions = Atomic.make 0
-
-type ctx = { buf : lane_buf }
-
-let ctx_key : ctx option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let create ?(capacity = 2048) () =
-  if capacity < 1 then invalid_arg "Obs.Flight.create: capacity < 1";
-  { capacity; lock = Mutex.create (); lanes = [] }
-
-let active () = !(Domain.DLS.get ctx_key) <> None
-
-let push ev =
-  match !(Domain.DLS.get ctx_key) with
-  | None -> ()
-  | Some { buf } ->
-    let cap = Array.length buf.arr in
-    if buf.len < cap then begin
-      buf.arr.((buf.start + buf.len) mod cap) <- ev;
-      buf.len <- buf.len + 1
-    end
-    else begin
-      buf.arr.(buf.start) <- ev;
-      buf.start <- (buf.start + 1) mod cap;
-      buf.dropped <- buf.dropped + 1
-    end
-
-let run t ?(lane = 0) f =
-  let buf =
-    { lane; arr = Array.make t.capacity Event.dummy; len = 0; start = 0; dropped = 0 }
-  in
-  Mutex.lock t.lock;
-  t.lanes <- buf :: t.lanes;
-  Mutex.unlock t.lock;
-  let cell = Domain.DLS.get ctx_key in
-  let saved = !cell in
-  cell := Some { buf };
-  Atomic.incr sessions;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr sessions;
-      cell := saved)
-    f
-
-let unobserved f =
-  let cell = Domain.DLS.get ctx_key in
-  match !cell with
-  | None -> f ()
-  | Some _ as saved ->
-    cell := None;
-    Atomic.decr sessions;
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.incr sessions;
-        cell := saved)
-      f
-
-let iter_lane f buf =
-  let cap = Array.length buf.arr in
-  for i = 0 to buf.len - 1 do
-    f buf.arr.((buf.start + i) mod cap)
-  done
-
-let sorted_lanes t =
-  Mutex.lock t.lock;
-  let lanes = List.rev t.lanes in
-  Mutex.unlock t.lock;
-  List.stable_sort (fun a b -> compare a.lane b.lane) lanes
-
-let events t =
-  List.map
-    (fun buf ->
-      let acc = ref [] in
-      iter_lane (fun ev -> acc := ev :: !acc) buf;
-      (buf.lane, List.rev !acc))
-    (sorted_lanes t)
-
-let dropped t = List.fold_left (fun a b -> a + b.dropped) 0 (sorted_lanes t)
-
-(* ---- crash dumps ---- *)
-
-let dir = ref (Filename.get_temp_dir_name ())
-let set_dump_dir d = dir := d
-let dump_dir () = !dir
-
-(* Dump paths must be deterministic across pool sizes, so the file name
-   is derived from the supervision context alone (no pids, no clocks). *)
-let sanitize reason =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-      | _ -> '-')
-    reason
-
-let dump ~reason () =
-  match !(Domain.DLS.get ctx_key) with
-  | None -> None
-  | Some { buf } -> (
-    let path = Filename.concat !dir ("flight-" ^ sanitize reason ^ ".jsonl") in
-    let b = Buffer.create 4096 in
-    iter_lane (fun ev -> Event.to_json_line ~lane:buf.lane b ev) buf;
-    (* Through the chaos I/O plane. A dump is best-effort evidence
-       gathered while already failing: an injected fault on the dump
-       itself must not mask the original failure, so both real and
-       injected write errors degrade to [None]. *)
-    try
-      Chaos.Io.write_file path (Buffer.contents b);
-      Some (path, buf.len)
-    with Sys_error _ | Chaos.Io.Fault _ -> None)
+include Trace.Flight

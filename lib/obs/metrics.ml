@@ -2,10 +2,11 @@
 
    Probes are registered once, at module-initialisation time, and are
    plain integer handles into a global probe table. Updates go to the
-   *ambient registry* — a per-domain sink installed by [run], mirroring
-   [Trace.run]'s discipline — so the same probe can feed different
-   registries in different pool tasks and the caller merges them in a
-   deterministic order.
+   *ambient registry* installed by [run] (an [Ambient] slot), so the
+   same probe can feed different registries in different pool tasks and
+   the caller merges them in a deterministic order. A pool task without
+   a registry of its own writes into a fresh one that the pool merges
+   into its caller's at the join, in submission order.
 
    When no registry is attached anywhere, every update is a single
    atomic load + compare + branch (the same no-op budget as trace
@@ -76,18 +77,23 @@ type cell =
                               one extra overflow bucket at the end *)
       mutable sum : float;
       mutable n : int;
+      mutable seen : float list;
+          (* in a pool task's registry, every observation (newest
+             first), so the join adds them one by one and the caller's
+             float sum rounds as it does inline *)
     }
 
-type registry = { mutable cells : cell option array }
+type registry = { mutable cells : cell option array; forked : bool }
 
-let create_registry () = { cells = [||] }
+let create_registry () = { cells = [||]; forked = false }
 
 let fresh_cell id =
   match !kinds.(id) with
   | Counter -> Ccell { n = 0 }
   | Gauge -> Gcell { v = 0.0; set = false }
   | Histogram bounds ->
-    Hcell { bounds; counts = Array.make (Array.length bounds + 1) 0; sum = 0.0; n = 0 }
+    let counts = Array.make (Array.length bounds + 1) 0 in
+    Hcell { bounds; counts; sum = 0.0; n = 0; seen = [] }
 
 let cell_of reg id =
   if id >= Array.length reg.cells then begin
@@ -102,41 +108,49 @@ let cell_of reg id =
     reg.cells.(id) <- Some c;
     c
 
-(* ---- the ambient per-domain registry ---- *)
+(* Merge [src] into [dst]: counters and histogram buckets add, a gauge
+   that was written in [src] overwrites. Merge in deterministic (lane)
+   order when combining pool-task registries, since the gauge rule is
+   order-sensitive. *)
+let merge ~into src =
+  Array.iteri
+    (fun id cell ->
+      match cell with
+      | None -> ()
+      | Some c -> (
+        match (c, cell_of into id) with
+        | Ccell s, Ccell d -> d.n <- d.n + s.n
+        | Gcell s, Gcell d ->
+          if s.set then begin
+            d.v <- s.v;
+            d.set <- true
+          end
+        | Hcell s, Hcell d ->
+          Array.iteri (fun i n -> d.counts.(i) <- d.counts.(i) + n) s.counts;
+          if src.forked then
+            List.iter
+              (fun v ->
+                d.sum <- d.sum +. v;
+                if into.forked then d.seen <- v :: d.seen)
+              (List.rev s.seen)
+          else d.sum <- d.sum +. s.sum;
+          d.n <- d.n + s.n
+        | _ -> assert false))
+    src.cells
 
-let reg_key : registry option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+(* ---- the ambient registry ---- *)
+
 let n_active = Atomic.make 0
 
-let run reg f =
-  let cell = Domain.DLS.get reg_key in
-  let saved = !cell in
-  cell := Some reg;
-  Atomic.incr n_active;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr n_active;
-      cell := saved)
-    f
+let slot =
+  Ambient.slot ~live:n_active ~observing:true
+    (Ambient.Split
+       { fork = (fun _ -> { cells = [||]; forked = true }); join = (fun into -> merge ~into) })
 
-let current () = !(Domain.DLS.get reg_key)
-
-(* Mirror of [Trace.unobserved]: mask the ambient registry around
-   cache-dependent work so exports stay pool-size deterministic. *)
-let unobserved f =
-  let cell = Domain.DLS.get reg_key in
-  match !cell with
-  | None -> f ()
-  | Some _ as saved ->
-    cell := None;
-    Atomic.decr n_active;
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.incr n_active;
-        cell := saved)
-      f
+let run reg f = Ambient.with_ slot (Some reg) f
 
 let add_slow p by =
-  match current () with
+  match Ambient.get slot with
   | None -> ()
   | Some reg -> (
     match cell_of reg p with
@@ -147,7 +161,7 @@ let[@inline] add p by = if Atomic.get n_active > 0 then add_slow p by
 let[@inline] incr p = add p 1
 
 let set_slow p v =
-  match current () with
+  match Ambient.get slot with
   | None -> ()
   | Some reg -> (
     match cell_of reg p with
@@ -159,7 +173,7 @@ let set_slow p v =
 let[@inline] set p v = if Atomic.get n_active > 0 then set_slow p v
 
 let observe_slow p v =
-  match current () with
+  match Ambient.get slot with
   | None -> ()
   | Some reg -> (
     match cell_of reg p with
@@ -171,7 +185,8 @@ let observe_slow p v =
       done;
       h.counts.(!i) <- h.counts.(!i) + 1;
       h.sum <- h.sum +. v;
-      h.n <- h.n + 1
+      h.n <- h.n + 1;
+      if reg.forked then h.seen <- v :: h.seen
     | Ccell _ | Gcell _ -> ())
 
 let[@inline] observe p v = if Atomic.get n_active > 0 then observe_slow p v
@@ -224,31 +239,7 @@ let quantile reg p q =
       find 0 0
     | _ -> None
 
-(* ---- merging and export ---- *)
-
-(* Merge [src] into [dst]: counters and histogram buckets add, a gauge
-   that was written in [src] overwrites. Merge in deterministic (lane)
-   order when combining pool-task registries, since the gauge rule is
-   order-sensitive. *)
-let merge ~into src =
-  Array.iteri
-    (fun id cell ->
-      match cell with
-      | None -> ()
-      | Some c -> (
-        match (c, cell_of into id) with
-        | Ccell s, Ccell d -> d.n <- d.n + s.n
-        | Gcell s, Gcell d ->
-          if s.set then begin
-            d.v <- s.v;
-            d.set <- true
-          end
-        | Hcell s, Hcell d ->
-          Array.iteri (fun i n -> d.counts.(i) <- d.counts.(i) + n) s.counts;
-          d.sum <- d.sum +. s.sum;
-          d.n <- d.n + s.n
-        | _ -> assert false))
-    src.cells
+(* ---- export ---- *)
 
 let fcell v = Printf.sprintf "%.9g" v
 

@@ -1,7 +1,7 @@
 (** Metrics registry: named counters, gauges and fixed-bucket
     histograms, updated through integer probe handles.
 
-    Updates go to the ambient per-domain registry installed by {!run};
+    Updates go to the ambient registry installed by {!run};
     with no registry attached anywhere, an update is a single atomic
     load + compare + branch and allocates nothing. *)
 
@@ -28,13 +28,11 @@ type registry
 
 val create_registry : unit -> registry
 
-(** [run reg f] runs [f] with [reg] as this domain's ambient registry;
-    nested runs save and restore the outer one. *)
+(** [run reg f] runs [f] with [reg] as the ambient registry; nested
+    runs save and restore the outer one. A pool task without a registry
+    of its own writes into a fresh one, merged into its caller's at the
+    join in submission order. *)
 val run : registry -> (unit -> 'a) -> 'a
-
-(** [unobserved f] runs [f] with the ambient registry masked (see
-    {!Trace.unobserved}). *)
-val unobserved : (unit -> 'a) -> 'a
 
 (** [quantile reg p q] is the interpolated q-th quantile of histogram
     probe [p] in [reg] (Prometheus-style: linear inside the winning

@@ -291,12 +291,8 @@ let write ?manifest ~lanes path =
 
 (* ---- ambient rollup ---- *)
 
-let ambient_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let with_ambient t f =
-  let cell = Domain.DLS.get ambient_key in
-  let saved = !cell in
-  cell := Some t;
-  Fun.protect ~finally:(fun () -> cell := saved) f
-
-let ambient () = !(Domain.DLS.get ambient_key)
+(* Read-only for pool tasks: the rollup folds the lane's event stream
+   through the tracer's observer, which pool tasks reach at the join. *)
+let slot = Ambient.slot Ambient.Inherit
+let with_ambient t f = Ambient.with_ slot (Some t) f
+let ambient () = Ambient.get slot

@@ -84,8 +84,9 @@ val write : ?manifest:Json.t -> lanes:(int * t) list -> string -> unit
 
 (** Ambient rollup for the current task, so experiments can report
     windowed aggregates without plumbing: [with_ambient t f] installs
-    [t] for the duration of [f] (saved/restored like the tracer sink);
-    [ambient ()] reads it. *)
+    [t] for the duration of [f]; [ambient ()] reads it. Pool tasks
+    inherit it read-only: it has not yet folded their own events,
+    which reach it at the join. *)
 val with_ambient : t -> (unit -> 'a) -> 'a
 
 val ambient : unit -> t option

@@ -82,11 +82,8 @@ type t = { lock : Mutex.t; mutable lanes : lane_ctx list (* newest first *) }
 
 let create () = { lock = Mutex.create (); lanes = [] }
 
-(* ---- the ambient per-domain recorder ---- *)
+(* ---- the ambient recorder ---- *)
 
-type ctx = { ctx_lane : lane_ctx }
-
-let ctx_key : ctx option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 let n_active = Atomic.make 0
 
 let[@inline] enabled () = Atomic.get n_active > 0
@@ -108,8 +105,10 @@ let grow_stack c =
   c.minor0 <- bigger_mi;
   c.major0 <- bigger_ma
 
+let open_frame c = if c.depth = 0 then c.root else c.frames.(c.depth - 1)
+
 let enter c p =
-  let parent = if c.depth = 0 then c.root else c.frames.(c.depth - 1) in
+  let parent = open_frame c in
   let node =
     match List.find_opt (fun n -> n.nprobe = p) parent.kids with
     | Some n -> n
@@ -139,52 +138,8 @@ let leave c =
   node.minor_w <- node.minor_w +. (minor -. c.minor0.(c.depth));
   node.major_w <- node.major_w +. (major -. c.major0.(c.depth))
 
-let timed p f =
-  if Atomic.get n_active = 0 then f ()
-  else
-    match !(Domain.DLS.get ctx_key) with
-    | None -> f ()
-    | Some c ->
-      enter c.ctx_lane p;
-      Fun.protect ~finally:(fun () -> leave c.ctx_lane) f
-
-let run t ?(lane = 0) f =
-  let lc = fresh_lane lane in
-  Mutex.lock t.lock;
-  t.lanes <- lc :: t.lanes;
-  Mutex.unlock t.lock;
-  let cell = Domain.DLS.get ctx_key in
-  let saved = !cell in
-  cell := Some { ctx_lane = lc };
-  Atomic.incr n_active;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr n_active;
-      cell := saved)
-    f
-
-(* Mirror of [Trace.unobserved]: new spans under [f] are dropped; the
-   already-open spans keep accumulating time (durations are outside the
-   determinism digest, structure stays fixed). *)
-let unobserved f =
-  let cell = Domain.DLS.get ctx_key in
-  match !cell with
-  | None -> f ()
-  | Some _ as saved ->
-    cell := None;
-    Atomic.decr n_active;
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.incr n_active;
-        cell := saved)
-      f
-
-(* ---- export ---- *)
-
-(* Lanes in ascending lane order; contexts sharing a lane id (several
-   [run]s with the same lane) are merged by probe along matching call
-   paths, preserving the first context's child order. *)
-
+(* Add [src]'s tree into [into] by probe along matching call paths,
+   keeping [into]'s child order; [src] is never mutated. *)
 let rec merge_node ~into src =
   into.count <- into.count + src.count;
   into.total_ns <- into.total_ns + src.total_ns;
@@ -192,34 +147,63 @@ let rec merge_node ~into src =
   into.major_w <- into.major_w +. src.major_w;
   List.iter
     (fun skid ->
-      match List.find_opt (fun k -> k.nprobe = skid.nprobe) into.kids with
-      | Some dkid -> merge_node ~into:dkid skid
-      | None -> into.kids <- skid :: into.kids)
+      let dkid =
+        match List.find_opt (fun k -> k.nprobe = skid.nprobe) into.kids with
+        | Some dkid -> dkid
+        | None ->
+          let dkid = fresh_node skid.nprobe in
+          into.kids <- dkid :: into.kids;
+          dkid
+      in
+      merge_node ~into:dkid skid)
     (List.rev src.kids)
 
+(* A pool task without a recorder of its own records into a fresh
+   context; the join grafts its tree under the caller's open span (the
+   [pool.map] frame), where the task's spans nest when it runs inline. *)
+let slot =
+  Ambient.slot ~live:n_active ~observing:true
+    (Ambient.Split
+       {
+         fork = (fun c -> fresh_lane c.lane);
+         join = (fun c child -> merge_node ~into:(open_frame c) child.root);
+       })
+
+let timed p f =
+  if Atomic.get n_active = 0 then f ()
+  else
+    match Ambient.get slot with
+    | None -> f ()
+    | Some c ->
+      enter c p;
+      Fun.protect ~finally:(fun () -> leave c) f
+
+let run t ?(lane = 0) f =
+  let lc = fresh_lane lane in
+  Mutex.protect t.lock (fun () -> t.lanes <- lc :: t.lanes);
+  Ambient.with_ slot (Some lc) f
+
+(* ---- export ---- *)
+
+(* Lanes in ascending lane order; contexts sharing a lane id (several
+   [run]s with the same lane) are merged by probe along matching call
+   paths, preserving the first context's child order. *)
+
 let merged_lanes t =
-  Mutex.lock t.lock;
-  let lanes = List.rev t.lanes in
-  Mutex.unlock t.lock;
+  let lanes = Mutex.protect t.lock (fun () -> List.rev t.lanes) in
   let sorted = List.stable_sort (fun a b -> compare a.lane b.lane) lanes in
   let out = ref [] in
   List.iter
     (fun lc ->
-      match List.find_opt (fun (id, _) -> id = lc.lane) !out with
-      | Some (_, root) -> merge_node ~into:root lc.root
-      | None ->
-        (* Copy so merging never mutates live recorder state. *)
-        let rec copy n =
-          {
-            nprobe = n.nprobe;
-            count = n.count;
-            total_ns = n.total_ns;
-            minor_w = n.minor_w;
-            major_w = n.major_w;
-            kids = List.map copy n.kids;
-          }
-        in
-        out := !out @ [ (lc.lane, copy lc.root) ])
+      let root =
+        match List.assoc_opt lc.lane !out with
+        | Some root -> root
+        | None ->
+          let root = fresh_node (-1) in
+          out := !out @ [ (lc.lane, root) ];
+          root
+      in
+      merge_node ~into:root lc.root)
     sorted;
   !out
 
@@ -242,17 +226,6 @@ let rec node_json n =
 
 let lanes_json t =
   List.map (fun (lane, root) -> (lane, Json.List (List.map node_json (List.rev root.kids)))) (merged_lanes t)
-
-let to_json t =
-  Json.Obj
-    [
-      ( "lanes",
-        Json.List
-          (List.map
-             (fun (lane, spans) ->
-               Json.Obj [ ("lane", Json.Num (float_of_int lane)); ("spans", spans) ])
-             (lanes_json t)) );
-    ]
 
 let structure t =
   let b = Buffer.create 512 in

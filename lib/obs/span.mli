@@ -8,8 +8,10 @@
 
     Discipline mirrors {!Metrics} and {!Trace}:
     - probes are integer handles registered once at module init;
-    - recording goes to the ambient per-domain recorder installed by
-      {!run}; with no recorder active anywhere, {!timed} is a single
+    - recording goes to the ambient recorder installed by {!run} (a
+      pool task without one of its own records into a child context
+      that the join grafts under the caller's [pool.map] span); with
+      no recorder active anywhere, {!timed} is a single
       atomic load + compare + branch around calling [f] (the
       [obs/span-off] micro-bench enforces this);
     - lanes are keyed by caller-chosen logical ids and exported in
@@ -30,8 +32,8 @@ type t
 
 val create : unit -> t
 
-(** [run t ~lane f] runs [f] with [t] installed as this domain's
-    ambient recorder, recording into a fresh context for [lane].
+(** [run t ~lane f] runs [f] with [t] installed as the ambient
+    recorder, recording into a fresh context for [lane].
     Nested runs save and restore the outer recorder. Lane ids must be
     chosen deterministically (e.g. the task index of a pool fan-out);
     contexts sharing a lane id are merged at export. *)
@@ -46,22 +48,12 @@ val enabled : unit -> bool
     (no-op without one). Exception-safe: the span closes on raise. *)
 val timed : probe -> (unit -> 'a) -> 'a
 
-(** Mask the ambient recorder around cache-dependent work (lazy policy
-    pretraining): spans under it would attribute host cost to whichever
-    lane missed the cache first, breaking structural determinism. The
-    *enclosing* open spans keep timing — only durations move, and
-    durations are outside the determinism digest. *)
-val unobserved : (unit -> 'a) -> 'a
-
 (** Lanes in ascending lane order, one JSON span-tree list per lane.
     Node shape: [{"name","count","total_s","self_s","minor_words",
     "major_words","children"}]; children in first-entry order. *)
 val lanes_json : t -> (int * Json.t) list
 
-(** All lanes as [{"lanes":[{"lane":N,"spans":[...]},...]}]. *)
-val to_json : t -> Json.t
-
 (** Deterministic structure digest: lane ids, span names, nesting and
     counts — no durations, no GC words. Byte-identical at any pool
-    size for workloads that do not fan sub-tasks across lanes. *)
+    size. *)
 val structure : t -> string

@@ -1,12 +1,14 @@
 (** Deterministic sim-time tracing.
 
     A tracer is a session: a category mask plus lane buffers. {!run}
-    installs the tracer as this domain's ambient sink for the duration
-    of a callback; probe sites all over the stack test {!on} (one
-    atomic load + branch when tracing is off) and {!emit} into the
-    current lane. Lanes are keyed by caller-chosen logical ids (task
-    indices under [Exec.Pool]), and exports merge lanes in ascending
-    (lane, within-lane order) — byte-identical at any pool size. *)
+    installs the tracer as the ambient sink for the duration of a
+    callback; probe sites all over the stack test {!on} (one atomic
+    load + branch when tracing is off) and {!emit} into the current
+    lane. Lanes are keyed by caller-chosen logical ids (task indices
+    under [Exec.Pool]); pool tasks without a lane of their own reach
+    their caller's lane at the join, in submission order. Exports merge
+    lanes in ascending (lane, within-lane order) — byte-identical at
+    any pool size. *)
 
 type t
 
@@ -27,19 +29,8 @@ val create :
   unit ->
   t
 
-(** The subscription bitmask (see {!Category.bit}). *)
-val mask : t -> int
-
-(** The head-based sampling spec, if any. *)
-val sample : t -> Sample.t option
-
-(** The provenance manifest emitted as the JSONL header line. *)
-val manifest : t -> Json.t
-
-val set_manifest : t -> Json.t -> unit
-
-(** [run t ~lane ?observer f] runs [f] with [t] installed as this
-    domain's sink, recording into a fresh buffer for [lane]. Nested
+(** [run t ~lane ?observer f] runs [f] with [t] installed as the
+    ambient sink, recording into a fresh buffer for [lane]. Nested
     runs save and restore the outer sink. Lane ids must be chosen
     deterministically by the caller (e.g. the task index of a pool
     fan-out). [observer] is called synchronously on every event the
@@ -48,9 +39,9 @@ val set_manifest : t -> Json.t -> unit
 val run : t -> ?lane:int -> ?observer:(Event.t -> unit) -> (unit -> 'a) -> 'a
 
 (** Probe guard: true iff a tracer subscribing to [cat] — or a flight
-    recorder ({!Flight}) — is installed on this domain. When nothing is
-    active anywhere this is a single atomic load + compare. Guard event
-    construction behind it. *)
+    recorder ({!Flight}) — is installed for the current task. When
+    nothing is active anywhere this is a single atomic load + compare.
+    Guard event construction behind it. *)
 val on : Category.t -> bool
 
 (** Probe guard for flow-scoped events: like {!on}, but also false when
@@ -60,16 +51,9 @@ val on : Category.t -> bool
     guarded by plain {!on} still export the identical kept set. *)
 val on_flow : Category.t -> flow:int -> bool
 
-(** Record an event into the current domain's tracer, if any (and if
-    the tracer subscribes to the event's category). *)
+(** Record an event into the current tracer, if any (and if it
+    subscribes to the event's category), and into the flight ring. *)
 val emit : Event.t -> unit
-
-(** [unobserved f] runs [f] with the ambient tracer *and* flight
-    recorder masked. Wrap work whose execution depends on a cross-run
-    cache (lazy pretraining): recording it would attribute events to
-    whichever lane missed the cache first, breaking pool-size
-    determinism. *)
-val unobserved : (unit -> 'a) -> 'a
 
 (** All recorded events, merged in (lane, order-within-lane) order. *)
 val events : t -> Event.t list
@@ -82,9 +66,55 @@ val dropped : t -> int
 
 val to_jsonl : t -> string
 val to_csv : t -> string
-val write_jsonl : t -> string -> unit
-val write_csv : t -> string -> unit
 
 (** Write choosing the format by extension ([.csv] gets CSV, anything
     else JSONL). *)
 val write : t -> string -> unit
+
+(** Always-on crash flight recorder ([Obs.Flight]): a bounded per-lane
+    ring of the most recent events, fed by every probe whether or not a
+    tracer exports anything — cheap enough (one ring store per event)
+    to leave on for every run. When a supervised task fails
+    ([Exec.Supervisor]) or an invariant records its first violation
+    ([Check.Checker]), the current ring is dumped to JSONL. Lanes are
+    logical ids and dump paths derive from the supervision context, so
+    dumps are byte-identical at any pool size; pool tasks without a
+    ring of their own reach their caller's at the join.
+    [Ambient.unobserved] masks the ring along with the tracer; with
+    nothing installed anywhere, probes pay [on]'s one load + branch. *)
+module Flight : sig
+  type t
+
+  (** [create ?capacity ()] makes a recorder whose lanes each keep the
+      most recent [capacity] events (default 2048). *)
+  val create : ?capacity:int -> unit -> t
+
+  (** [run t ~lane f] runs [f] with [t] recording its events into a
+      fresh ring for [lane]. Nests with [Trace.run] in either order. *)
+  val run : t -> ?lane:int -> (unit -> 'a) -> 'a
+
+  (** True iff a flight recorder is installed for the current task. *)
+  val active : unit -> bool
+
+  (** Events currently held by each lane, ascending lane id, oldest
+      first within a lane. *)
+  val events : t -> (int * Event.t list) list
+
+  (** Total events overwritten by full rings, across lanes. *)
+  val dropped : t -> int
+
+  (** Directory that [dump] writes into (default: the system temp
+      directory; CLIs expose it as [--flight-dir]). *)
+  val set_dump_dir : string -> unit
+
+  val dump_dir : unit -> string
+
+  (** [dump ~reason ()] writes the current task's ring to
+      [dump_dir()/flight-<sanitized reason>.jsonl] (one event per line,
+      same schema as trace exports, no manifest header) and returns the
+      path and event count — or [None] when no flight recorder is
+      installed. Never raises: write errors return [None]. In a pool task
+      without a ring of its own the write happens at the join, where the
+      caller's ring holds what it holds inline. *)
+  val dump : reason:string -> unit -> (string * int) option
+end

@@ -34,7 +34,12 @@ type cache = {
 }
 
 (* Domain-local so overhead ledgers on one domain are not polluted by
-   simulations running concurrently on others (and increments race-free). *)
+   simulations running concurrently on others (and increments race-free).
+   A plain per-domain counter, not an [Obs.Ambient] slot: every reader
+   brackets work that runs on one domain ([Metrics.Overhead.timed] wraps
+   one CCA callback, bench/e2e one sequential pass). A pool fan-out
+   inside such a bracket would lose the forwards its tasks run on other
+   domains. *)
 let forward_count_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let forward_count () = !(Domain.DLS.get forward_count_key)

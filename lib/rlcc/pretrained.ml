@@ -46,11 +46,7 @@ let get cfg =
        events to whichever caller missed the cache first, which is
        scheduling-dependent under the pool. `train --trace` sees RL
        steps because it calls Train.run directly. *)
-    (match
-       Obs.Trace.unobserved (fun () ->
-           Obs.Metrics.unobserved (fun () ->
-               Obs.Span.unobserved (fun () -> Train.run cfg)))
-     with
+    (match Obs.Ambient.unobserved (fun () -> Train.run cfg) with
     | outcome ->
       cell.outcome <- Some outcome;
       Mutex.unlock cell.lock;

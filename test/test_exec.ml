@@ -231,6 +231,20 @@ let test_exp_trace_artifacts_byte_identical () =
            (fun (name, contents) -> name = "exp_trace.jsonl" && contents <> "")
            seq))
 
+(* A lane's body: one run, or a nested fan-out over three seeds (the
+   tasks have no lane of their own, so their spans, metrics and events
+   reach the lane through the pool's join). *)
+let lane_body ~pool ~nested lane =
+  let spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in
+  if nested then
+    ignore
+      (Harness.Scenario.averaged ~pool ~base_seed:(7 + lane) ~runs:3
+         ~factory:Harness.Ccas.cubic ~duration:2.0 spec)
+  else
+    ignore
+      (Harness.Scenario.run_uniform ~seed:(7 + lane) ~factory:Harness.Ccas.cubic
+         ~duration:2.0 spec)
+
 (* Span *structure* (lane ids, span names, nesting, counts) is part of
    the determinism contract: a profile recorded over a pool fan-out is
    byte-identical at any pool size. Durations and GC words are host
@@ -241,26 +255,103 @@ let test_span_structure_pool_independent () =
     let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
     go 0
   in
-  let structure_with size =
+  let structure_with ~nested size =
     with_pool size (fun pool ->
         let t = Obs.Span.create () in
-        let spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in
         ignore
           (Exec.Pool.map pool
-             (fun lane ->
-               Obs.Span.run t ~lane (fun () ->
-                   Harness.Scenario.run_uniform ~seed:(7 + lane)
-                     ~factory:Harness.Ccas.cubic ~duration:2.0 spec))
+             (fun lane -> Obs.Span.run t ~lane (fun () -> lane_body ~pool ~nested lane))
              (Array.init 3 Fun.id));
         Obs.Span.structure t)
   in
-  let seq = structure_with 1 in
-  let par = structure_with 4 in
-  Alcotest.(check string) "span structure bytes" seq par;
-  check_bool "profiles the simulator" true
-    (contains "netsim.run" seq && contains "heap.push" seq);
-  check_bool "all three lanes exported" true
-    (List.for_all (fun l -> contains l seq) [ "lane 0"; "lane 1"; "lane 2" ])
+  List.iter
+    (fun nested ->
+      let seq = structure_with ~nested 1 in
+      let par = structure_with ~nested 4 in
+      let what = if nested then " (nested fan-out)" else "" in
+      Alcotest.(check string) ("span structure bytes" ^ what) seq par;
+      check_bool ("profiles the simulator" ^ what) true
+        (contains "netsim.run" seq && contains "heap.push" seq);
+      check_bool ("all three lanes exported" ^ what) true
+        (List.for_all (fun l -> contains l seq) [ "lane 0"; "lane 1"; "lane 2" ]))
+    [ false; true ];
+  check_bool "nested runs nest under pool.map" true
+    (contains "lane 1\n  pool.map x1\n    netsim.run x3\n" (structure_with ~nested:true 2))
+
+(* Per-lane metrics registries export the same CSV at any pool size
+   when each lane fans out again, float histogram sums included. *)
+let test_metrics_pool_independent () =
+  let csvs_with size =
+    with_pool size (fun pool ->
+        Exec.Pool.map pool
+          (fun lane ->
+            let reg = Obs.Metrics.create_registry () in
+            Obs.Metrics.run reg (fun () -> lane_body ~pool ~nested:true lane);
+            Obs.Metrics.to_csv reg)
+          (Array.init 3 Fun.id))
+  in
+  let seq = csvs_with 1 in
+  Array.iteri
+    (fun lane csv ->
+      Alcotest.(check string) (Printf.sprintf "lane %d metrics csv" lane) seq.(lane) csv)
+    (csvs_with 4);
+  check_bool "acks counted" true
+    (String.length seq.(0) > 0
+    && List.exists
+         (fun l -> String.length l > 16 && String.sub l 0 16 = "netsim.flow.acks")
+         (String.split_on_char '\n' seq.(0)));
+  (* Histogram sums add in inline order: ((1 + 1e17) - 1e17) is 0,
+     while adding the second task's own sum (1e17 - 1e17 = 0) to 1
+     would give 1. *)
+  let p = Obs.Metrics.histogram "test.exec.sum_order" ~bounds:[| 1.0 |] in
+  let sum_csv_with size =
+    with_pool size (fun pool ->
+        let reg = Obs.Metrics.create_registry () in
+        Obs.Metrics.run reg (fun () ->
+            ignore
+              (Exec.Pool.map pool
+                 (fun vs -> List.iter (Obs.Metrics.observe p) vs)
+                 [| [ 1.0 ]; [ 1e17; -1e17 ] |]));
+        Obs.Metrics.to_csv reg)
+  in
+  let sums = sum_csv_with 1 in
+  check_bool "inline sum is 0" true
+    (List.mem "test.exec.sum_order,histogram,sum,0" (String.split_on_char '\n' sums));
+  Alcotest.(check string) "sum at pool 2" sums (sum_csv_with 2);
+  Alcotest.(check string) "sum at pool 4" sums (sum_csv_with 4)
+
+(* A nested task that raises: the lane's trace is the inline one up to
+   and including the raising task (later tasks are dropped, as the
+   inline branch never runs them), and the exception propagates. *)
+let test_raising_nested_task_pool_independent () =
+  let trace_with size =
+    with_pool size (fun pool ->
+        let tr = Obs.Trace.create () in
+        let raised =
+          Obs.Trace.run tr ~lane:0 (fun () ->
+              match
+                Exec.Pool.map pool
+                  (fun i ->
+                    for k = 0 to 9 do
+                      Obs.Trace.emit
+                        (Obs.Event.Enqueue
+                           { t = float_of_int k; flow = i; seq = k; size = 1500; backlog = k })
+                    done;
+                    if i = 2 then raise (Boom i))
+                  (Array.init 6 Fun.id)
+              with
+              | _ -> None
+              | exception Boom i -> Some i)
+        in
+        (raised, Obs.Trace.to_jsonl tr))
+  in
+  let raised1, seq = trace_with 1 in
+  let raised4, par = trace_with 4 in
+  check_bool "raised inline" true (raised1 = Some 2);
+  check_bool "raised in parallel" true (raised4 = Some 2);
+  Alcotest.(check string) "spliced trace equals inline" seq par;
+  (* manifest line + ten events from each of tasks 0..2 + final newline *)
+  check_int "tasks 0..2 recorded" 32 (List.length (String.split_on_char '\n' seq))
 
 (* The online invariant checker joins the determinism contract:
    per-lane checkers over a pool fan-out (the wiring `experiments
@@ -275,7 +366,7 @@ let test_checker_pool_independent () =
              v.detail)
          (Check.Checker.violations c))
   in
-  let violations_with size =
+  let violations_with ~nested size =
     with_pool size (fun pool ->
         let spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in
         (* One spec that fires on every ACK, one that stays clean:
@@ -289,26 +380,27 @@ let test_checker_pool_independent () =
           (fun lane ->
             let c = Check.Checker.create ~rtt:spec.Harness.Scenario.rtt pack in
             Obs.Trace.run tracer ~lane ~observer:(Check.Checker.on_event c)
-              (fun () ->
-                ignore
-                  (Harness.Scenario.run_uniform ~seed:(7 + lane)
-                     ~factory:Harness.Ccas.cubic ~duration:2.0 spec));
+              (fun () -> lane_body ~pool ~nested lane);
             (Check.Checker.events_seen c, Check.Checker.total c, render c))
           (Array.init 3 Fun.id))
   in
-  let seq = violations_with 1 in
-  let par = violations_with 4 in
-  check_int "lane count" (Array.length seq) (Array.length par);
-  Array.iteri
-    (fun lane (ev_s, tot_s, render_s) ->
-      let ev_p, tot_p, render_p = par.(lane) in
-      check_int (Printf.sprintf "lane %d events" lane) ev_s ev_p;
-      check_int (Printf.sprintf "lane %d total" lane) tot_s tot_p;
-      check_bool (Printf.sprintf "lane %d violations fired" lane) true (tot_s > 0);
-      Alcotest.(check string)
-        (Printf.sprintf "lane %d violation bytes" lane)
-        render_s render_p)
-    seq
+  List.iter
+    (fun nested ->
+      let seq = violations_with ~nested 1 in
+      let par = violations_with ~nested 4 in
+      let what = if nested then " (nested)" else "" in
+      check_int ("lane count" ^ what) (Array.length seq) (Array.length par);
+      Array.iteri
+        (fun lane (ev_s, tot_s, render_s) ->
+          let ev_p, tot_p, render_p = par.(lane) in
+          check_int (Printf.sprintf "lane %d events%s" lane what) ev_s ev_p;
+          check_int (Printf.sprintf "lane %d total%s" lane what) tot_s tot_p;
+          check_bool (Printf.sprintf "lane %d violations fired%s" lane what) true (tot_s > 0);
+          Alcotest.(check string)
+            (Printf.sprintf "lane %d violation bytes%s" lane what)
+            render_s render_p)
+        seq)
+    [ false; true ]
 
 (* ------------------------------------------------------------------ *)
 (* Supervised registry runs: crash isolation and checkpoint/resume *)
@@ -480,6 +572,9 @@ let () =
             test_checker_pool_independent;
           Alcotest.test_case "span structure" `Slow
             test_span_structure_pool_independent;
+          Alcotest.test_case "metrics registries" `Slow test_metrics_pool_independent;
+          Alcotest.test_case "raising nested task" `Quick
+            test_raising_nested_task_pool_independent;
         ] );
       ( "supervised",
         [

@@ -109,7 +109,7 @@ let test_trace_unobserved_masks () =
   let tr = Obs.Trace.create () in
   Obs.Trace.run tr (fun () ->
       Obs.Trace.emit (ev ~t:0.0 ~seq:0);
-      Obs.Trace.unobserved (fun () ->
+      Obs.Ambient.unobserved (fun () ->
           check_bool "off inside unobserved" false (Obs.Trace.on Obs.Category.Pkt);
           Obs.Trace.emit (ev ~t:1.0 ~seq:1));
       Obs.Trace.emit (ev ~t:2.0 ~seq:2));
@@ -439,7 +439,7 @@ let test_span_unobserved_masks () =
   let t = Obs.Span.create () in
   Obs.Span.run t ~lane:0 (fun () ->
       Obs.Span.timed a (fun () ->
-          Obs.Span.unobserved (fun () ->
+          Obs.Ambient.unobserved (fun () ->
               check_bool "disabled inside unobserved" false (Obs.Span.enabled ());
               Obs.Span.timed b Fun.id)));
   check_string "masked span dropped, outer kept"
@@ -932,7 +932,7 @@ let test_flight_ring_bounds () =
       for i = 0 to 9 do
         Obs.Trace.emit (ev ~t:(float_of_int i) ~seq:i)
       done;
-      Obs.Trace.unobserved (fun () ->
+      Obs.Ambient.unobserved (fun () ->
           check_bool "unobserved masks the ring" false (Obs.Flight.active ());
           Obs.Trace.emit (ev ~t:99.0 ~seq:99)));
   check_bool "inactive again after run" false (Obs.Flight.active ());
@@ -993,6 +993,53 @@ let test_flight_dump_deterministic () =
                 (Option.bind (Obs.Json.member "lane" v) Obs.Json.num = Some 1.0))
           lines)
 
+(* A supervised failure inside a pool task that has no ring of its own:
+   the dump is written at the join, where the caller's ring holds what it
+   holds inline, so the file is the same at any pool size. The caller's
+   ring is full before the fan-out, which makes the reported count exact
+   too (it cannot see earlier siblings' events otherwise). *)
+let test_flight_dump_from_pool_task () =
+  let run size =
+    with_flight_dump_dir (Printf.sprintf "flight-pool-%d" size) (fun dir ->
+        let pool = Exec.Pool.create ~size () in
+        Fun.protect
+          ~finally:(fun () -> Exec.Pool.shutdown pool)
+          (fun () ->
+            let fl = Obs.Flight.create ~capacity:16 () in
+            let reported =
+              Obs.Flight.run fl (fun () ->
+                  for i = 0 to 19 do
+                    Obs.Trace.emit (ev ~t:(float_of_int i) ~seq:i)
+                  done;
+                  Exec.Pool.map pool
+                    (fun task ->
+                      (* more than twice the ring: the task's log is cut
+                         back to the ring's worth, counted as overwrites *)
+                      for k = 0 to 39 do
+                        Obs.Trace.emit (ev ~t:(float_of_int k) ~seq:((100 * task) + k))
+                      done;
+                      if task <> 2 then None
+                      else
+                        match
+                          Exec.Supervisor.protect ~context:"nested" (fun ~attempt:_ ->
+                              failwith "boom")
+                        with
+                        | Ok () -> None
+                        | Error f -> Option.map snd f.Exec.Supervisor.flight)
+                    (Array.init 5 Fun.id))
+            in
+            (reported.(2), read_file (Filename.concat dir "flight-nested.jsonl"),
+             Obs.Flight.events fl, Obs.Flight.dropped fl)))
+  in
+  let n1, dump1, events1, dropped1 = run 1 in
+  let n4, dump4, events4, dropped4 = run 4 in
+  check_bool "count reported" true (n1 = Some 16 && n4 = n1);
+  check_string "dump bytes identical at pool 1 vs 4" dump1 dump4;
+  check_int "dump holds the full ring" 16
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' dump1)));
+  check_bool "final ring identical" true (events1 = events4);
+  check_int "overwrites identical" dropped1 dropped4
+
 let () =
   Alcotest.run "obs"
     [
@@ -1036,6 +1083,7 @@ let () =
         [
           Alcotest.test_case "ring bounds" `Quick test_flight_ring_bounds;
           Alcotest.test_case "dump deterministic" `Quick test_flight_dump_deterministic;
+          Alcotest.test_case "dump from pool task" `Quick test_flight_dump_from_pool_task;
         ] );
       ( "span",
         [

@@ -1,6 +1,8 @@
 (* Report sink discipline under the domain pool: captures nest (the
    outer sink is restored), a helping domain never leaks lines across
-   experiments, and [printf] outside any capture still reaches stdout. *)
+   experiments, uncaptured pool tasks write into the enclosing capture in
+   submission order, and [printf] outside any capture still reaches
+   stdout. *)
 
 let check_string = Alcotest.(check string)
 
@@ -63,6 +65,45 @@ let test_capture_survives_helping_the_pool () =
             (Harness.Report.render r))
         !inners)
 
+(* Pool tasks without a capture of their own — nested fan-outs too —
+   write into the enclosing capture, in submission order, whichever
+   domain runs them. *)
+let test_uncaptured_tasks_land_in_enclosing_capture () =
+  let expected =
+    "start\n"
+    ^ String.concat ""
+        (List.init 6 (fun i ->
+             Printf.sprintf "task %d\n" i
+             ^ String.concat "" (List.init 3 (Printf.sprintf "  sub %d.%d\n" i))))
+    ^ "end\n"
+  in
+  List.iter
+    (fun size ->
+      with_pool size (fun pool ->
+          let r =
+            Harness.Report.capture (fun () ->
+                Harness.Report.text "start";
+                ignore
+                  (Exec.Pool.map pool
+                     (fun i ->
+                       Harness.Report.printf "task %d\n" i;
+                       Harness.Report.resultf "task" "%d" i;
+                       ignore
+                         (Exec.Pool.map pool
+                            (fun j -> Harness.Report.printf "  sub %d.%d\n" i j)
+                            (Array.init 3 Fun.id)))
+                     (Array.init 6 Fun.id));
+                Harness.Report.text "end")
+          in
+          check_string
+            (Printf.sprintf "lines in submission order at pool %d" size)
+            expected (Harness.Report.render r);
+          Alcotest.(check (list string))
+            (Printf.sprintf "results in submission order at pool %d" size)
+            (List.init 6 string_of_int)
+            (List.map snd (Harness.Report.results r))))
+    [ 1; 2; 4 ]
+
 (* Outside any capture, printf falls back to stdout (the seed
    behaviour for direct CLI use). Checked by swapping stdout's fd. *)
 let test_printf_outside_capture_reaches_stdout () =
@@ -99,6 +140,8 @@ let () =
             test_nested_capture_in_pool_task_restores_outer;
           Alcotest.test_case "capture survives helping" `Quick
             test_capture_survives_helping_the_pool;
+          Alcotest.test_case "uncaptured tasks in capture" `Quick
+            test_uncaptured_tasks_land_in_enclosing_capture;
           Alcotest.test_case "printf outside capture" `Quick
             test_printf_outside_capture_reaches_stdout;
         ] );

@@ -40,19 +40,29 @@ let test_budget_off_is_noop () =
   check_bool "no ambient cell" true (Netsim.Budget.spent () = None)
 
 let test_budget_unobserved_masks () =
-  let spent =
-    Netsim.Budget.with_budget ~events:5 (fun () ->
-        Netsim.Budget.tick ();
-        (* Masked work can tick arbitrarily without charging the
-           caller's budget — the pool uses this around every task. *)
-        Netsim.Budget.unobserved (fun () ->
-            for _ = 1 to 1000 do
-              Netsim.Budget.tick ()
-            done);
-        Netsim.Budget.tick ();
-        Option.get (Netsim.Budget.spent ()))
-  in
-  check_int "only direct ticks charged" 2 spent
+  (* Pool tasks start with the budget masked, inline or on a worker:
+     they can tick arbitrarily without charging the caller's budget. *)
+  List.iter
+    (fun size ->
+      let pool = Exec.Pool.create ~size () in
+      let spent =
+        Fun.protect
+          ~finally:(fun () -> Exec.Pool.shutdown pool)
+          (fun () ->
+            Netsim.Budget.with_budget ~events:5 (fun () ->
+                Netsim.Budget.tick ();
+                ignore
+                  (Exec.Pool.map pool
+                     (fun _ ->
+                       for _ = 1 to 1000 do
+                         Netsim.Budget.tick ()
+                       done)
+                     [| 0; 1; 2 |]);
+                Netsim.Budget.tick ();
+                Option.get (Netsim.Budget.spent ())))
+      in
+      check_int (Printf.sprintf "only direct ticks charged (pool %d)" size) 2 spent)
+    [ 1; 2 ]
 
 let test_budget_bounds_simulation () =
   (* The simulator's event loop ticks per popped event, so a scenario
