@@ -71,8 +71,9 @@ let micro_tests () =
        let i = ref 0 in
        Staged.stage (fun () ->
            incr i;
-           Netsim.Event_heap.push heap ~time:(float_of_int (!i mod 1000)) (fun () -> ());
-           if !i mod 2 = 0 then ignore (Netsim.Event_heap.pop heap)));
+           Netsim.Event_heap.push heap ~time:(float_of_int (!i mod 1000)) ~kind:0
+             ~a:!i ~b:0;
+           if !i mod 2 = 0 then Netsim.Event_heap.pop_into heap));
     (* The observability no-op paths: with no tracer/registry installed
        a probe site must cost one branch, so the simulator's hot loops
        pay nothing when tracing is off. *)

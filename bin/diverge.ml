@@ -79,9 +79,8 @@ let parse_variant ~defaults spec =
    captured stream is the lane-merged JSONL export minus the manifest
    header (the manifest legitimately differs between variants — it
    records the pool size). *)
-let capture ~cca ~trace_spec ~rtt_ms ~buffer_kb ~loss ~duration ~flows ~runs
-    ~impair v =
-  let factory = Harness.Ccas.find cca in
+let capture (sc : Run_opts.scenario) ~runs ~impair v =
+  let factory = Harness.Ccas.find sc.cca in
   let pool = Exec.Pool.create ~size:v.domains () in
   let tracer = Obs.Trace.create () in
   Fun.protect
@@ -93,13 +92,10 @@ let capture ~cca ~trace_spec ~rtt_ms ~buffer_kb ~loss ~duration ~flows ~runs
              let seed =
                v.seed + (7919 * i) + (if v.bump_seed = Some i then 1 else 0)
              in
-             let spec =
-               Harness.Scenario.spec_of_cli ~rtt:(rtt_ms /. 1000.0) ~buffer_kb
-                 ~loss_p:loss ~impair ~duration ~seed trace_spec
-             in
+             let spec = Run_opts.scenario_spec sc ~impair ~seed in
              Obs.Trace.run tracer ~lane:i (fun () ->
-                 Harness.Scenario.run_uniform ~seed ~n_flows:flows ~factory
-                   ~duration spec))
+                 Harness.Scenario.run_uniform ~seed ~n_flows:sc.flows ~factory
+                   ~duration:sc.duration spec))
            (Array.init runs Fun.id)));
   let lines =
     match String.split_on_char '\n' (Obs.Trace.to_jsonl tracer) with
@@ -116,49 +112,25 @@ let capture ~cca ~trace_spec ~rtt_ms ~buffer_kb ~loss ~duration ~flows ~runs
   | None -> ());
   lines
 
-let run_cmd cca trace_spec rtt_ms buffer_kb loss duration flows seed impair runs
-    window a_spec b_spec =
-  if runs < 1 then begin
-    Printf.eprintf "bad --runs %d (want >= 1)\n" runs;
-    exit 2
-  end;
+let run_cmd (sc : Run_opts.scenario) impair runs window a_spec b_spec =
   let base tag domains =
-    { tag; seed; domains; bump_seed = None; perturb = None }
+    { tag; seed = sc.seed; domains; bump_seed = None; perturb = None }
   in
   let a = parse_variant ~defaults:(base "A" 1) a_spec in
   let b = parse_variant ~defaults:(base "B" 4) b_spec in
-  let cap v =
-    capture ~cca ~trace_spec ~rtt_ms ~buffer_kb ~loss ~duration ~flows ~runs
-      ~impair v
-  in
-  let ea = cap a in
-  let eb = cap b in
-  Printf.printf "scenario: cca=%s trace=%s duration=%gs runs=%d flows=%d\n" cca
-    (Harness.Scenario.trace_to_string trace_spec) duration runs flows;
+  let ea = capture sc ~runs ~impair a in
+  let eb = capture sc ~runs ~impair b in
+  Printf.printf "scenario: cca=%s trace=%s duration=%gs runs=%d flows=%d\n" sc.cca
+    (Harness.Scenario.trace_to_string sc.trace) sc.duration runs sc.flows;
   let result = Check.Bisect.first_divergence ea eb in
   print_string
     (Check.Bisect.report ~radius:window ~label_a:(variant_label a)
        ~label_b:(variant_label b) ea eb result);
   match result with Check.Bisect.Identical _ -> 0 | Check.Bisect.Diverged _ -> 1
 
-let cca =
-  Arg.(value & opt Run_opts.cca_conv "c-libra" & info [ "cca" ] ~doc:"CCA to run")
-
-let trace =
-  Arg.(
-    value
-    & opt Run_opts.trace_conv (Harness.Scenario.Wired 24.0)
-    & info [ "trace" ] ~doc:"trace spec")
-let rtt = Arg.(value & opt float 30.0 & info [ "rtt" ] ~doc:"min RTT in ms")
-let buffer = Arg.(value & opt int 150 & info [ "buffer" ] ~doc:"buffer in KB")
-let loss = Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"stochastic loss prob")
-let duration = Arg.(value & opt float 5.0 & info [ "duration" ] ~doc:"seconds")
-let flows = Arg.(value & opt int 1 & info [ "flows" ] ~doc:"number of flows")
-let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"base random seed")
-
 let runs =
   Arg.(
-    value & opt int 2
+    value & opt Run_opts.positive_int 2
     & info [ "runs" ] ~docv:"N"
         ~doc:"seed repetitions per variant, captured as trace lanes")
 
@@ -188,5 +160,6 @@ let () =
       "re-run two supposedly identical simulations and binary-search to the \
        first diverging event"
     Term.(
-      const run_cmd $ cca $ trace $ rtt $ buffer $ loss $ duration $ flows $ seed
+      const run_cmd
+      $ Run_opts.scenario ~trace:(Harness.Scenario.Wired 24.0) ~duration:5.0
       $ Run_opts.impair $ runs $ window $ a_spec $ b_spec)

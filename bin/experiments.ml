@@ -6,7 +6,7 @@
 
 open Cmdliner
 
-let run_cmd full tiny stress domains impair chaos checkpoint_dir resume
+let run_cmd full tiny stress domains impair chaos (ckpt : Run_opts.checkpoint)
     inject_crash retries deadline_events wall_deadline invariants obs profile_out ids
     all =
   if (if full then 1 else 0) + (if tiny then 1 else 0) + (if stress then 1 else 0) > 1
@@ -16,10 +16,6 @@ let run_cmd full tiny stress domains impair chaos checkpoint_dir resume
   end;
   if retries < 0 then begin
     Printf.eprintf "invalid --retries %d (want >= 0)\n" retries;
-    exit 2
-  end;
-  if resume && checkpoint_dir = None then begin
-    prerr_endline "--resume requires --checkpoint DIR";
     exit 2
   end;
   Option.iter Exec.Pool.set_default_size domains;
@@ -101,8 +97,8 @@ let run_cmd full tiny stress domains impair chaos checkpoint_dir resume
                   Printf.eprintf "[checkpoint] swept %d orphaned tmp file(s)\n%!"
                     (Exec.Checkpoint.swept store);
                 store)
-              checkpoint_dir;
-          resume;
+              ckpt.dir;
+          resume = ckpt.resume;
         }
       in
       let summary = Harness.Registry.run_all ~wrap ~supervision ~entries () in
@@ -174,23 +170,15 @@ let stress =
           "many-flow stress durations (long single runs for the population / \
            scale-out experiments)")
 
-let checkpoint_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"DIR"
-        ~doc:
-          "save each finished experiment's report to a content-addressed \
-           store under $(docv), keyed by (experiment, scale, impair, git \
-           sha); combine with --resume to skip completed cells")
-
-let resume =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "serve experiments already present in the --checkpoint store from \
-           their saved reports (byte-identical) instead of re-running them")
+let checkpoint =
+  Run_opts.checkpoint
+    ~store:
+      "save each finished experiment's report to a content-addressed store \
+       under $(docv), keyed by (experiment, scale, impair, git sha); combine \
+       with --resume to skip completed cells"
+    ~serve:
+      "serve experiments already present in the --checkpoint store from \
+       their saved reports (byte-identical) instead of re-running them"
 
 let inject_crash =
   Arg.(
@@ -243,6 +231,6 @@ let () =
   Run_opts.eval ~name:"experiments" ~doc:"reproduce the paper's tables and figures"
     Term.(
       const run_cmd $ full $ tiny $ stress $ Run_opts.domains $ Run_opts.impair
-      $ Run_opts.chaos $ checkpoint_dir $ resume $ inject_crash $ retries
+      $ Run_opts.chaos $ checkpoint $ inject_crash $ retries
       $ deadline_events $ wall_deadline $ Run_opts.invariants
       $ Run_opts.obs ~trace:"trace" $ profile_out $ ids $ all)

@@ -10,8 +10,8 @@
 
 open Cmdliner
 
-let run_cmd cca trace rtt_ms buffer_kb loss duration flows seed impair chaos
-    deadline_events invariants series obs list_all =
+let run_cmd (sc : Run_opts.scenario) impair chaos deadline_events invariants series
+    obs list_all =
   if list_all then begin
     print_endline "CCAs:";
     List.iter (fun (name, _) -> Printf.printf "  %s\n" name) Harness.Ccas.all;
@@ -22,12 +22,10 @@ let run_cmd cca trace rtt_ms buffer_kb loss duration flows seed impair chaos
     0
   end
   else begin
+    let { Run_opts.cca; trace; duration; flows; seed; _ } = sc in
     let factory = Harness.Ccas.find cca in
     Run_opts.install_chaos chaos;
-    let spec =
-      Harness.Scenario.spec_of_cli ~rtt:(rtt_ms /. 1000.0) ~buffer_kb ~loss_p:loss
-        ~impair ~duration ~seed trace
-    in
+    let spec = Run_opts.scenario_spec sc ~impair ~seed in
     (* The sampled flow set follows this run's --seed. *)
     let obs =
       {
@@ -110,22 +108,6 @@ let run_cmd cca trace rtt_ms buffer_kb loss duration flows seed impair chaos
     Run_opts.exit_code 0
   end
 
-let cca =
-  Arg.(value & opt Run_opts.cca_conv "c-libra" & info [ "cca" ] ~doc:"CCA to run")
-
-let trace =
-  Arg.(
-    value
-    & opt Run_opts.trace_conv (Harness.Scenario.Wired 48.0)
-    & info [ "trace" ] ~doc:"trace spec")
-
-let rtt = Arg.(value & opt float 30.0 & info [ "rtt" ] ~doc:"min RTT in ms")
-let buffer = Arg.(value & opt int 150 & info [ "buffer" ] ~doc:"buffer in KB")
-let loss = Arg.(value & opt float 0.0 & info [ "loss" ] ~doc:"stochastic loss prob")
-let duration = Arg.(value & opt float 20.0 & info [ "duration" ] ~doc:"seconds")
-let flows = Arg.(value & opt int 1 & info [ "flows" ] ~doc:"number of flows")
-let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"random seed")
-
 let deadline_events =
   Arg.(
     value
@@ -141,6 +123,7 @@ let list_all = Arg.(value & flag & info [ "list" ] ~doc:"list CCAs and traces")
 let () =
   Run_opts.eval ~name:"libra_sim" ~doc:"packet-level congestion-control simulator"
     Term.(
-      const run_cmd $ cca $ trace $ rtt $ buffer $ loss $ duration $ flows $ seed
+      const run_cmd
+      $ Run_opts.scenario ~trace:(Harness.Scenario.Wired 48.0) ~duration:20.0
       $ Run_opts.impair $ Run_opts.chaos $ deadline_events $ Run_opts.invariants
       $ series $ Run_opts.obs ~trace:"trace-out" $ list_all)

@@ -1,8 +1,11 @@
 (* Run options shared by the simulator CLIs (libra_sim, experiments,
    train, libra_search, diverge).
 
-   - cmdliner terms for the shared flags; spec-valued flags parse through
-     converters, so bad input is a usage error (exit 2) naming the flag;
+   - cmdliner terms for the shared flags; spec-valued and numeric flags
+     parse through converters that check their range, so bad input is a
+     usage error (exit 2) naming the flag;
+   - the scenario flags of libra_sim and diverge, and the
+     --checkpoint/--resume pair of experiments and train;
    - the lane-keyed observability session behind the export flags:
      one tracer whose lanes are run indices, and per lane a metrics
      registry, an invariant checker and a rollup, all merged in lane
@@ -21,16 +24,23 @@ open Cmdliner
 let conv parse print =
   Arg.conv' (parse, fun ppf v -> Format.pp_print_string ppf (print v))
 
-let positive kind of_string zero base =
+(* A number [of_string] reads and [ok] accepts; [want] names the range
+   in the error. *)
+let ranged want of_string ok base =
   Arg.conv'
     ( (fun s ->
         match of_string s with
-        | Some v when v > zero -> Ok v
-        | _ -> Error (Printf.sprintf "invalid value %S (want a positive %s)" s kind)),
+        | Some v when ok v -> Ok v
+        | _ -> Error (Printf.sprintf "invalid value %S (want %s)" s want)),
       Arg.conv_printer base )
 
-let positive_int = positive "integer" int_of_string_opt 0 Arg.int
-let positive_float = positive "number" float_of_string_opt 0.0 Arg.float
+let finite_float want ok =
+  ranged want float_of_string_opt (fun v -> Float.is_finite v && ok v) Arg.float
+
+let positive_int = ranged "a positive integer" int_of_string_opt (fun v -> v > 0) Arg.int
+let positive_float = finite_float "a positive number" (fun v -> v > 0.0)
+let non_negative_float = finite_float "a number >= 0" (fun v -> v >= 0.0)
+let probability = finite_float "a probability in [0, 1]" (fun v -> v >= 0.0 && v <= 1.0)
 let impair_conv = conv Faults.Spec.of_string Faults.Spec.to_string
 let chaos_conv = conv Chaos.Spec.of_string Chaos.Spec.to_string
 let trace_conv = conv Harness.Scenario.parse_trace Harness.Scenario.trace_to_string
@@ -61,6 +71,61 @@ let domains =
     & opt (some positive_int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:"size of the domain pool (default: \\$LIBRA_DOMAINS or core count)")
+
+(* ---- scenario flags (libra_sim, diverge) ---- *)
+
+type scenario = {
+  cca : string;
+  trace : Harness.Scenario.trace_spec;
+  rtt_ms : float;
+  buffer_kb : int;
+  loss : float;
+  duration : float;
+  flows : int;
+  seed : int;
+}
+
+(* [trace] and [duration] are the caller's defaults. *)
+let scenario ~trace ~duration =
+  let cca = Arg.(value & opt cca_conv "c-libra" & info [ "cca" ] ~doc:"CCA to run") in
+  let trace = Arg.(value & opt trace_conv trace & info [ "trace" ] ~doc:"trace spec") in
+  let num c name default ~docv ~doc =
+    Arg.(value & opt c default & info [ name ] ~docv ~doc)
+  in
+  Term.(
+    const (fun cca trace rtt_ms buffer_kb loss duration flows seed ->
+        { cca; trace; rtt_ms; buffer_kb; loss; duration; flows; seed })
+    $ cca $ trace
+    $ num non_negative_float "rtt" 30.0 ~docv:"MS" ~doc:"min RTT in ms"
+    $ num positive_int "buffer" 150 ~docv:"KB" ~doc:"buffer in KB"
+    $ num probability "loss" 0.0 ~docv:"P" ~doc:"stochastic loss prob"
+    $ num positive_float "duration" duration ~docv:"SECONDS" ~doc:"seconds"
+    $ num positive_int "flows" 1 ~docv:"N" ~doc:"number of flows"
+    $ num Arg.int "seed" 1 ~docv:"N" ~doc:"random seed")
+
+(* The scenario's spec for a run seeded [seed] (LTE traces draw from
+   it). *)
+let scenario_spec s ~impair ~seed =
+  Harness.Scenario.spec_of_cli ~rtt:(s.rtt_ms /. 1000.0) ~buffer_kb:s.buffer_kb
+    ~loss_p:s.loss ~impair ~duration:s.duration ~seed s.trace
+
+(* ---- --checkpoint DIR / --resume (experiments, train) ---- *)
+
+type checkpoint = { dir : string option; resume : bool }
+
+(* [store] says what the store under DIR keeps, [serve] what --resume
+   serves from it. --resume without --checkpoint is a usage error. *)
+let checkpoint ~store ~serve =
+  let dir =
+    Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"DIR" ~doc:store)
+  in
+  let resume = Arg.(value & flag & info [ "resume" ] ~doc:serve) in
+  Term.(
+    ret
+      (const (fun dir resume ->
+           if resume && dir = None then `Error (false, "--resume requires --checkpoint DIR")
+           else `Ok { dir; resume })
+      $ dir $ resume))
 
 type chaos = { spec : Chaos.Spec.t; seed : int }
 

@@ -9,11 +9,7 @@ let sets =
     Rlcc.Features.fig5_sets
 
 let run_cmd set_name episodes steps seed randomized delta no_loss chaos
-    checkpoint_dir resume snapshot_every obs =
-  if resume && checkpoint_dir = None then begin
-    prerr_endline "--resume requires --checkpoint DIR";
-    exit 2
-  end;
+    (ckpt : Run_opts.checkpoint) snapshot_every obs =
   Run_opts.install_chaos chaos;
   match List.assoc_opt set_name sets with
   | None ->
@@ -41,13 +37,13 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos
        checkpoints, keyed by the full training configuration: resuming
        under different flags reads a different cell, never a stale
        snapshot. *)
-    let store = Option.map (fun dir -> Exec.Checkpoint.create ~dir) checkpoint_dir in
+    let store = Option.map (fun dir -> Exec.Checkpoint.create ~dir) ckpt.dir in
     let ckpt_key =
       Exec.Checkpoint.key ~parts:[ "train"; Rlcc.Train.config_key cfg ]
     in
     let resume_from =
       match store with
-      | Some st when resume ->
+      | Some st when ckpt.resume ->
         (* A snapshot that fails verification is quarantined and
            training restarts fresh — a torn or bit-flipped cell is
            detected and named, never resumed from. *)
@@ -117,33 +113,29 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos
     Run_opts.exit_code 0
 
 let set_name = Arg.(value & opt string "libra" & info [ "set" ] ~doc:"state set")
-let episodes = Arg.(value & opt int 150 & info [ "episodes" ] ~doc:"episodes")
-let steps = Arg.(value & opt int 160 & info [ "steps" ] ~doc:"steps per episode")
+let episodes =
+  Arg.(value & opt Run_opts.positive_int 150 & info [ "episodes" ] ~doc:"episodes")
+
+let steps =
+  Arg.(value & opt Run_opts.positive_int 160 & info [ "steps" ] ~doc:"steps per episode")
+
 let seed = Arg.(value & opt int 23 & info [ "seed" ] ~doc:"seed")
 let randomized = Arg.(value & flag & info [ "randomized" ] ~doc:"randomized envs")
 let delta = Arg.(value & flag & info [ "delta" ] ~doc:"train on delta-r")
 let no_loss = Arg.(value & flag & info [ "no-loss" ] ~doc:"drop the loss term")
 
-let checkpoint_dir =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "checkpoint" ] ~docv:"DIR"
-        ~doc:
-          "save periodic training snapshots (policy, optimiser, rng and env \
-           state) to a store under $(docv), keyed by the full configuration")
-
-let resume =
-  Arg.(
-    value & flag
-    & info [ "resume" ]
-        ~doc:
-          "continue from the latest snapshot in the --checkpoint store \
-           (bit-identical to the uninterrupted run)")
+let checkpoint =
+  Run_opts.checkpoint
+    ~store:
+      "save periodic training snapshots (policy, optimiser, rng and env \
+       state) to a store under $(docv), keyed by the full configuration"
+    ~serve:
+      "continue from the latest snapshot in the --checkpoint store \
+       (bit-identical to the uninterrupted run)"
 
 let snapshot_every =
   Arg.(
-    value & opt int 25
+    value & opt Run_opts.positive_int 25
     & info [ "snapshot-every" ] ~docv:"N"
         ~doc:"episodes between snapshots (with --checkpoint)")
 
@@ -151,5 +143,5 @@ let () =
   Run_opts.eval ~name:"train" ~doc:"PPO training for the DRL-based CCA"
     Term.(
       const run_cmd $ set_name $ episodes $ steps $ seed $ randomized $ delta
-      $ no_loss $ Run_opts.chaos $ checkpoint_dir $ resume $ snapshot_every
+      $ no_loss $ Run_opts.chaos $ checkpoint $ snapshot_every
       $ Run_opts.exports ~trace:"trace")

@@ -3,15 +3,14 @@
    Events firing at equal times are delivered in insertion order, which a
    sequence number enforces; this keeps simulations deterministic.
 
-   This is the simulator's hottest structure (every packet send, ACK and
-   timer is one push/pop), so it is laid out struct-of-arrays: the
-   timestamps live in a flat [float array] (unboxed loads and stores),
-   the tie-break sequence numbers and the int-coded event payloads in
-   plain int arrays, and the closure slot in its own array. An entry is
-   either a *closure* event (kind 0, the historical API) or a *coded*
-   event (kind > 0) carrying two int operands -- typically a flow handle
-   and a version or sequence number -- dispatched by [Sim.run] through a
-   single match, so the many-flow hot path schedules no closures at all.
+   This is the simulator's hottest structure (every packet send, ACK,
+   service completion and timer is one push/pop), so it is laid out
+   struct-of-arrays: the timestamps live in a flat [float array]
+   (unboxed loads and stores), the tie-break sequence numbers and the
+   events in plain int arrays. An event is an int kind -- an index into
+   the simulator's handler table -- plus two int operands, typically a
+   flow handle and a version or sequence number; no event carries a
+   closure, and no store needs the write barrier.
 
    Pushes go through a one-slot staging cell filled by [@inline]
    wrappers, so the timestamp never crosses a function boundary as a
@@ -19,18 +18,13 @@
    [@inline] accessors. With spans disabled, neither operation touches
    the minor heap. *)
 
-type entry = { time : float; seq : int; action : unit -> unit }
-
-let no_action = ignore
-
 type t = {
   (* parallel slots 0 .. size-1 *)
   mutable times : float array;
   mutable seqs : int array;
   mutable kinds : int array;
-  mutable pa : int array;  (* coded operand a *)
-  mutable pb : int array;  (* coded operand b *)
-  mutable actions : (unit -> unit) array;
+  mutable pa : int array;  (* operand a *)
+  mutable pb : int array;  (* operand b *)
   mutable size : int;
   mutable next_seq : int;
   (* staging cell for the entry being pushed (or sifted down) *)
@@ -38,14 +32,12 @@ type t = {
   mutable st_kind : int;
   mutable st_a : int;
   mutable st_b : int;
-  mutable st_action : unit -> unit;
   (* scratch slot holding the most recently popped entry *)
   sc_time : float array;
   mutable sc_seq : int;
   mutable sc_kind : int;
   mutable sc_a : int;
   mutable sc_b : int;
-  mutable sc_action : unit -> unit;
 }
 
 let create () =
@@ -55,20 +47,17 @@ let create () =
     kinds = Array.make 256 0;
     pa = Array.make 256 0;
     pb = Array.make 256 0;
-    actions = Array.make 256 no_action;
     size = 0;
     next_seq = 0;
     st_time = [| 0.0 |];
     st_kind = 0;
     st_a = 0;
     st_b = 0;
-    st_action = no_action;
     sc_time = [| 0.0 |];
     sc_seq = 0;
     sc_kind = 0;
     sc_a = 0;
     sc_b = 0;
-    sc_action = no_action;
   }
 
 let size t = t.size
@@ -95,14 +84,11 @@ let reserve t n =
       Array.blit a 0 b 0 t.size;
       b
     in
-    let b = Array.make ncap no_action in
-    Array.blit t.actions 0 b 0 t.size;
     t.times <- blit_f t.times;
     t.seqs <- blit_i t.seqs;
     t.kinds <- blit_i t.kinds;
     t.pa <- blit_i t.pa;
-    t.pb <- blit_i t.pb;
-    t.actions <- b
+    t.pb <- blit_i t.pb
   end
 
 let grow t = reserve t (2 * Array.length t.times)
@@ -113,8 +99,7 @@ let[@inline] copy_slot t src dst =
   t.seqs.(dst) <- t.seqs.(src);
   t.kinds.(dst) <- t.kinds.(src);
   t.pa.(dst) <- t.pa.(src);
-  t.pb.(dst) <- t.pb.(src);
-  t.actions.(dst) <- t.actions.(src)
+  t.pb.(dst) <- t.pb.(src)
 
 (* Write the staged entry (sequence number [seq]) into slot [i]. *)
 let[@inline] write_staged t i seq =
@@ -122,8 +107,7 @@ let[@inline] write_staged t i seq =
   t.seqs.(i) <- seq;
   t.kinds.(i) <- t.st_kind;
   t.pa.(i) <- t.st_a;
-  t.pb.(i) <- t.st_b;
-  t.actions.(i) <- t.st_action
+  t.pb.(i) <- t.st_b
 
 (* Move the staged entry up from hole [i] until its parent is not later. *)
 let rec sift_up t seq i =
@@ -155,23 +139,12 @@ let push_staged t =
   if Obs.Span.enabled () then Obs.Span.timed span_push (fun () -> push_staged_impl t)
   else push_staged_impl t
 
-let[@inline] push t ~time action =
-  t.st_time.(0) <- time;
-  t.st_kind <- 0;
-  t.st_a <- 0;
-  t.st_b <- 0;
-  t.st_action <- action;
-  push_staged t
-
-let[@inline] push_coded t ~time ~kind ~a ~b =
+let[@inline] push t ~time ~kind ~a ~b =
   t.st_time.(0) <- time;
   t.st_kind <- kind;
   t.st_a <- a;
   t.st_b <- b;
-  t.st_action <- no_action;
   push_staged t
-
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
 
 (* Move the staged entry down from hole [i], pulling the earlier child
    up. *)
@@ -207,7 +180,6 @@ let pop_into_impl t =
   t.sc_kind <- t.kinds.(0);
   t.sc_a <- t.pa.(0);
   t.sc_b <- t.pb.(0);
-  t.sc_action <- t.actions.(0);
   t.size <- t.size - 1;
   let n = t.size in
   if n > 0 then begin
@@ -216,12 +188,8 @@ let pop_into_impl t =
     t.st_kind <- t.kinds.(n);
     t.st_a <- t.pa.(n);
     t.st_b <- t.pb.(n);
-    t.st_action <- t.actions.(n);
-    let seq = t.seqs.(n) in
-    t.actions.(n) <- no_action;
-    sift_down t seq 0
+    sift_down t t.seqs.(n) 0
   end
-  else t.actions.(0) <- no_action
 
 let span_pop = Obs.Span.probe "heap.pop"
 
@@ -234,17 +202,3 @@ let[@inline] scratch_seq t = t.sc_seq
 let[@inline] scratch_kind t = t.sc_kind
 let[@inline] scratch_a t = t.sc_a
 let[@inline] scratch_b t = t.sc_b
-let[@inline] scratch_action t = t.sc_action
-
-(* Compatibility pop for cold callers and tests: materialise the scratch
-   slot as a record (this path allocates; the event loop uses
-   [pop_into] + the scratch accessors instead). *)
-let pop_entry_exn t =
-  pop_into t;
-  { time = t.sc_time.(0); seq = t.sc_seq; action = t.sc_action }
-
-let pop t =
-  if t.size = 0 then None
-  else
-    let e = pop_entry_exn t in
-    Some (e.time, e.action)

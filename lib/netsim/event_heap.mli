@@ -3,14 +3,10 @@
     Events scheduled for the same instant fire in insertion order, which
     keeps simulations deterministic.
 
-    The heap is struct-of-arrays and supports two entry shapes: closure
-    events (the historical API, kind 0) and {e coded} events — an int
-    [kind > 0] plus two int operands — which the simulator dispatches
-    through a single match without scheduling any closure. The hot
-    push/pop paths ([push], [push_coded], [pop_into]) allocate nothing
-    when span profiling is disabled. *)
-
-type entry = private { time : float; seq : int; action : unit -> unit }
+    An event is an int [kind] plus two int operands; the simulator
+    dispatches it through its handler table ({!Sim.register}). The heap
+    is struct-of-arrays, and [push]/[pop_into] allocate nothing when
+    span profiling is disabled. *)
 
 type t
 
@@ -25,16 +21,9 @@ val is_empty : t -> bool
     this to keep growth out of measured windows). *)
 val reserve : t -> int -> unit
 
-(** [push t ~time action] schedules closure [action] at [time]. *)
-val push : t -> time:float -> (unit -> unit) -> unit
-
-(** [push_coded t ~time ~kind ~a ~b] schedules a coded event; [kind]
-    must be positive (0 is reserved for closure entries). Allocation-
-    free. *)
-val push_coded : t -> time:float -> kind:int -> a:int -> b:int -> unit
-
-(** Earliest scheduled time, if any. *)
-val peek_time : t -> float option
+(** [push t ~time ~kind ~a ~b] schedules event [kind] with operands
+    [a] and [b] at [time]. Allocation-free. *)
+val push : t -> time:float -> kind:int -> a:int -> b:int -> unit
 
 exception Empty
 
@@ -48,11 +37,3 @@ val scratch_seq : t -> int
 val scratch_kind : t -> int
 val scratch_a : t -> int
 val scratch_b : t -> int
-val scratch_action : t -> unit -> unit
-
-(** Remove and return the earliest event's entry; raises [Empty] on an
-    empty heap. Compatibility path: allocates the returned record. *)
-val pop_entry_exn : t -> entry
-
-(** Remove and return the earliest event. *)
-val pop : t -> (float * (unit -> unit)) option

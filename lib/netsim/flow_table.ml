@@ -2,11 +2,13 @@
    preallocated struct-of-arrays state.
 
    Float state lives in flat float arrays (loads/stores stay unboxed),
-   int state in int arrays, and all scheduling goes through coded events
-   ([Sim.at_coded]), so a flow costs a few array slots rather than
-   records and closures, and the steady-state ACK path allocates nothing
-   on the minor heap when tracing is off. The events-per-sec bench
-   asserts that contract with [Gc.counters].
+   int state in int arrays, and all scheduling goes through the four
+   event kinds each table registers on its simulation (send, RTO, ACK,
+   start; operands: flow handle and a version or sequence number), so a
+   flow costs a few array slots rather than records and closures, and
+   the steady-state ACK path allocates nothing on the minor heap when
+   tracing is off. The events-per-sec bench asserts that contract with
+   [Gc.counters].
 
    A sender paces packets at its CCA's pacing rate, capped by its
    window. Loss is detected by dup-ACK counting: an outstanding packet
@@ -24,12 +26,6 @@
    O(1), and the dup-ACK scan touches only the true gap below it. *)
 
 type cca = Aimd | Generic of Cca.t
-
-(* Coded event kinds (b operand in parentheses). *)
-let k_try_send = 1 (* send_version *)
-let k_rto = 2 (* rto_version *)
-let k_ack = 3 (* seq *)
-let k_start = 4 (* unused *)
 
 (* cca_kind codes *)
 let ck_aimd = 0
@@ -83,6 +79,12 @@ type t = {
   (* Cold per-flow objects. *)
   mutable gen : Cca.t array;  (* Generic flows only *)
   mutable stats : Flow_stats.t array;  (* full mode only *)
+  (* Event kinds registered at [create]; operand a is the flow handle,
+     b the operand in parentheses. *)
+  mutable ev_send : Sim.kind;  (* send_ver *)
+  mutable ev_rto : Sim.kind;  (* rto_ver *)
+  mutable ev_ack : Sim.kind;  (* seq *)
+  mutable ev_start : Sim.kind;  (* unused *)
 }
 
 (* Observability probes (no-ops unless a registry is attached). *)
@@ -264,13 +266,11 @@ let[@inline] record_loss t h ~now ~pkts =
 let[@inline] schedule_send t h at =
   t.send_ver.(h) <- t.send_ver.(h) + 1;
   let at = Float.max at (Sim.now t.sim) in
-  Sim.at_coded t.sim at ~kind:k_try_send ~a:h ~b:t.send_ver.(h)
+  Sim.at t.sim at ~kind:t.ev_send ~a:h ~b:t.send_ver.(h)
 
 let[@inline] arm_rto t h =
   t.rto_ver.(h) <- t.rto_ver.(h) + 1;
-  Sim.at_coded t.sim
-    (Sim.now t.sim +. rto_timeout t h)
-    ~kind:k_rto ~a:h ~b:t.rto_ver.(h)
+  Sim.after t.sim (rto_timeout t h) ~kind:t.ev_rto ~a:h ~b:t.rto_ver.(h)
 
 let send_packet t h now =
   match t.link with
@@ -279,16 +279,7 @@ let send_packet t h now =
     let seq = t.next_seq.(h) in
     t.next_seq.(h) <- seq + 1;
     let size = t.pkt_size.(h) in
-    let pkt =
-      {
-        Packet.flow = h;
-        seq;
-        size;
-        sent_at = now;
-        delivered_at_send = t.delivered.(h);
-        corrupt = false;
-      }
-    in
+    let pkt = { Packet.flow = h; seq; size; corrupt = false } in
     ring_push t h ~now ~das:t.delivered.(h);
     t.inflight.(h) <- t.inflight.(h) + 1;
     if not t.lite then Flow_stats.record_send t.stats.(h) ~now ~bytes:size;
@@ -412,21 +403,13 @@ let deliver_ack t h seq =
     end
   end
 
-let dispatch t k a b =
-  if k = k_try_send then try_send t a b
-  else if k = k_ack then deliver_ack t a b
-  else if k = k_rto then fire_rto t a b
-  else if k = k_start then schedule_send t a t.start_at.(a)
-  else invalid_arg "Flow_table: unknown coded event kind"
-
 (* Link egress -> receiver -> ACK back at the sender after the flow's
    return delay. A corrupted payload fails the receiver's checksum: no
    ACK; the sender recovers via dup-ACKs or its RTO. *)
 let on_pkt_delivered t (pkt : Packet.t) =
   if not pkt.Packet.corrupt then
-    Sim.at_coded t.sim
-      (Sim.now t.sim +. t.rdelay.(pkt.Packet.flow))
-      ~kind:k_ack ~a:pkt.Packet.flow ~b:pkt.Packet.seq
+    Sim.after t.sim t.rdelay.(pkt.Packet.flow) ~kind:t.ev_ack ~a:pkt.Packet.flow
+      ~b:pkt.Packet.seq
 
 let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
   assert (capacity > 0);
@@ -473,9 +456,17 @@ let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
       out_res = Array.make capacity [||];
       gen = Array.make capacity dummy_cca;
       stats = Array.make capacity dummy_stats;
+      ev_send = -1;
+      ev_rto = -1;
+      ev_ack = -1;
+      ev_start = -1;
     }
   in
-  Sim.set_handler sim (fun k a b -> dispatch t k a b);
+  (* The handlers close over [t], so the kinds are filled in last. *)
+  t.ev_send <- Sim.register sim (try_send t);
+  t.ev_rto <- Sim.register sim (fire_rto t);
+  t.ev_ack <- Sim.register sim (deliver_ack t);
+  t.ev_start <- Sim.register sim (fun h _ -> schedule_send t h t.start_at.(h));
   t
 
 let attach t link = t.link <- Some link
@@ -582,7 +573,7 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
 (* One event at [start_at] that enters the versioned send chain. The
    intermediate event fixes the heap order of the first send, which
    seeded runs (and their golden pins in test_population) depend on. *)
-let start t h = Sim.at_coded t.sim t.start_at.(h) ~kind:k_start ~a:h ~b:0
+let start t h = Sim.at t.sim t.start_at.(h) ~kind:t.ev_start ~a:h ~b:0
 
 let finish t h = t.flags.(h) <- t.flags.(h) lor 1
 

@@ -1,5 +1,5 @@
 (** The flow engine: flows as int handles into struct-of-arrays state,
-    scheduled entirely through coded events.
+    scheduled entirely through int-coded simulator events.
 
     Senders pace at their CCA's rate, capped by its window; loss is
     detected by dup-ACK counting (threshold [dup_thresh]) with an RTO
@@ -9,8 +9,8 @@
     configured CCAs on a table; many-flow workloads (the population
     traffic model) build one directly.
 
-    A table installs the simulation's coded-event handler at {!create};
-    run at most one table per {!Sim.t}. *)
+    A table registers its four event kinds (send, RTO, ACK, start) on
+    the simulation at {!create}. *)
 
 type t
 
@@ -55,7 +55,7 @@ val flow_count : t -> int
 val sim : t -> Sim.t
 
 (** Link-delivery callback: pass as the link's [deliver] to route
-    egress packets back as coded ACK events after each flow's return
+    egress packets back as ACK events after each flow's return
     delay (corrupt packets are discarded — no ACK). *)
 val on_pkt_delivered : t -> Packet.t -> unit
 
@@ -88,7 +88,7 @@ val completion_time : t -> int -> float
 (** {2 Bench/test hooks} *)
 
 (** Process the ACK for [(flow, seq)] at the current sim time — exactly
-    the coded-ACK event body. The allocation-contract bench drives the
+    the ACK event's handler. The allocation-contract bench drives the
     ACK path through this without spinning the event loop. *)
 val deliver_ack : t -> int -> int -> unit
 

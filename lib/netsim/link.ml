@@ -14,7 +14,11 @@
    before they reach the loss/queue stages, and a rate shaper that
    rewrites the instantaneous service rate (outages, clamps, flaps).
    Both are plain closures so the substrate stays decoupled from the
-   impairment library (lib/faults) that builds them. *)
+   impairment library (lib/faults) that builds them.
+
+   The link schedules three kinds of event, registered at [create]:
+   service completion, the outage retry, and the admission of a packet
+   the ingress hook deferred (operand a keys the packet in [held]). *)
 
 type qdisc = Fifo of Droptail.t | Codel_q of Codel.t
 
@@ -37,8 +41,11 @@ type t = {
   hooks : hooks option;
   deliver : Packet.t -> unit;  (* invoked when a packet finishes service *)
   fast_rate : float;  (* constant unshaped service rate, or nan *)
-  mutable finish_thunk : unit -> unit;  (* preallocated service events: *)
-  mutable retry_thunk : unit -> unit;  (* no per-packet closures *)
+  held : (int, Packet.t) Hashtbl.t;  (* deferred admissions, by key *)
+  mutable next_held : int;  (* next key *)
+  mutable ev_finish : Sim.kind;
+  mutable ev_retry : Sim.kind;
+  mutable ev_admit : Sim.kind;
   mutable busy : bool;
   mutable delivered_bytes : int;
   mutable delivered_pkts : int;
@@ -82,9 +89,9 @@ let mean_queue_delay t =
   else t.queue_delay_sum /. float_of_int t.queue_delay_samples
 
 (* The egress path (start_service / finish_service) is a zero-allocation
-   contract when tracing is off: service events reuse the link's two
-   preallocated thunks, the droptail branch pops without options, and a
-   constant-rate unshaped link skips the (boxing) rate-closure call.
+   contract when tracing is off: service events carry no payload, the
+   droptail branch pops without options, and a constant-rate unshaped
+   link skips the (boxing) rate-closure call.
    The events-per-sec bench asserts the contract with Gc.counters. *)
 let rec start_service t =
   if queue_is_empty t then t.busy <- false
@@ -100,7 +107,7 @@ let rec start_service t =
     end;
     if rate < min_rate then
       (* Outage: look again one grain later. *)
-      Sim.after t.sim t.grain t.retry_thunk
+      Sim.after t.sim t.grain ~kind:t.ev_retry ~a:0 ~b:0
     else begin
       let size =
         match t.queue with
@@ -109,7 +116,7 @@ let rec start_service t =
           match Codel.peek q with Some p -> p.Packet.size | None -> 0)
       in
       let tx_time = float_of_int size /. rate in
-      Sim.after t.sim tx_time t.finish_thunk
+      Sim.after t.sim tx_time ~kind:t.ev_finish ~a:0 ~b:0
     end
   end
 
@@ -144,43 +151,6 @@ and deliver_finished t pkt =
    event the link schedules for itself); the allocation-contract bench
    drives egress through this without spinning the event loop. *)
 let drain_one t = finish_service t
-
-let create ?(aqm = `Fifo) ?hooks ?const_rate ~sim ~rate_fn ~grain ~buffer_bytes
-    ~loss_p ~rng ~deliver () =
-  (* The fast service path reads a stored constant instead of calling
-     the (boxing) rate closure — valid only when no shaper can rewrite
-     the rate. *)
-  let fast_rate =
-    match (hooks, const_rate) with None, Some r -> r | _ -> nan
-  in
-  let t =
-    {
-      sim;
-      rate_fn;
-      grain;
-      hooks;
-      queue =
-        (match aqm with
-        | `Fifo -> Fifo (Droptail.create ~capacity:buffer_bytes)
-        | `Codel -> Codel_q (Codel.create ~capacity:buffer_bytes ()));
-      loss_p;
-      rng;
-      deliver;
-      fast_rate;
-      finish_thunk = ignore;
-      retry_thunk = ignore;
-      busy = false;
-      delivered_bytes = 0;
-      delivered_pkts = 0;
-      random_drops = 0;
-      queue_delay_sum = 0.0;
-      queue_delay_samples = 0;
-      traced_rate = nan;
-    }
-  in
-  t.finish_thunk <- (fun () -> finish_service t);
-  t.retry_thunk <- (fun () -> start_service t);
-  t
 
 (* Admit a packet: Bernoulli stochastic loss first, then droptail. *)
 let admit t pkt =
@@ -227,6 +197,52 @@ let admit t pkt =
     end
   end
 
+let create ?(aqm = `Fifo) ?hooks ?const_rate ~sim ~rate_fn ~grain ~buffer_bytes
+    ~loss_p ~rng ~deliver () =
+  (* The fast service path reads a stored constant instead of calling
+     the (boxing) rate closure — valid only when no shaper can rewrite
+     the rate. *)
+  let fast_rate =
+    match (hooks, const_rate) with None, Some r -> r | _ -> nan
+  in
+  let t =
+    {
+      sim;
+      rate_fn;
+      grain;
+      hooks;
+      queue =
+        (match aqm with
+        | `Fifo -> Fifo (Droptail.create ~capacity:buffer_bytes)
+        | `Codel -> Codel_q (Codel.create ~capacity:buffer_bytes ()));
+      loss_p;
+      rng;
+      deliver;
+      fast_rate;
+      held = Hashtbl.create 16;
+      next_held = 0;
+      ev_finish = -1;
+      ev_retry = -1;
+      ev_admit = -1;
+      busy = false;
+      delivered_bytes = 0;
+      delivered_pkts = 0;
+      random_drops = 0;
+      queue_delay_sum = 0.0;
+      queue_delay_samples = 0;
+      traced_rate = nan;
+    }
+  in
+  (* The handlers close over [t], so the kinds are filled in last. *)
+  t.ev_finish <- Sim.register sim (fun _ _ -> finish_service t);
+  t.ev_retry <- Sim.register sim (fun _ _ -> start_service t);
+  t.ev_admit <-
+    Sim.register sim (fun key _ ->
+        let pkt = Hashtbl.find t.held key in
+        Hashtbl.remove t.held key;
+        admit t pkt);
+  t
+
 (* Link ingress: run the impairment pipeline (if any), then admit each
    surviving copy -- immediately, or after its extra delay (jitter /
    held-for-reordering). *)
@@ -238,5 +254,10 @@ let send t pkt =
     List.iter
       (fun (pkt, delay) ->
         if delay <= 0.0 then admit t pkt
-        else Sim.after t.sim delay (fun () -> admit t pkt))
+        else begin
+          let key = t.next_held in
+          t.next_held <- key + 1;
+          Hashtbl.replace t.held key pkt;
+          Sim.after t.sim delay ~kind:t.ev_admit ~a:key ~b:0
+        end)
       (h.ingress ~now pkt)

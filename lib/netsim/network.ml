@@ -50,9 +50,7 @@ let full_steps ~grain duration =
   done;
   !k
 
-(* One query from a cold start: full steps in order, then the partial
-   tail. The incremental integrator reproduces exactly these partial
-   sums, so all query paths agree bit for bit. *)
+(* Full steps in order, then the partial tail. *)
 let walk ~rate_fn ~grain duration =
   let full = full_steps ~grain duration in
   let acc = ref 0.0 in
@@ -62,36 +60,6 @@ let walk ~rate_fn ~grain duration =
   done;
   let t0 = float_of_int full *. grain in
   if t0 < duration then !acc +. (rate_fn t0 *. (duration -. t0)) else !acc
-
-(* [capacity_integrator ?const_rate ~rate_fn ~grain ()] returns
-   [query : duration -> bytes]. Monotonically increasing queries are
-   incremental: completed full steps are cached, so a sequence of m
-   queries over n steps costs O(n + m) rate_fn samples instead of
-   O(n * m). A backward query falls back to a cold walk (the cache
-   keeps the forward frontier). *)
-let capacity_integrator ?const_rate ~rate_fn ~grain () =
-  match const_rate with
-  | Some rate -> fun duration -> rate *. duration
-  | None ->
-    let steps_done = ref 0 in
-    (* sum over full steps [0, steps_done) *)
-    let acc = ref 0.0 in
-    fun duration ->
-      if duration <= 0.0 then 0.0
-      else begin
-        let full = full_steps ~grain duration in
-        if full < !steps_done then walk ~rate_fn ~grain duration
-        else begin
-          for i = !steps_done to full - 1 do
-            let t0 = float_of_int i *. grain in
-            acc := !acc +. (rate_fn t0 *. ((t0 +. grain) -. t0))
-          done;
-          steps_done := full;
-          let t0 = float_of_int full *. grain in
-          if t0 < duration then !acc +. (rate_fn t0 *. (duration -. t0))
-          else !acc
-        end
-      end
 
 let capacity_integral ?const_rate ~rate_fn ~grain ~duration () =
   match const_rate with

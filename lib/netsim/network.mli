@@ -41,19 +41,6 @@ val capacity_integral :
   unit ->
   float
 
-(** Incremental form: the returned [query : duration -> bytes] agrees
-    with {!capacity_integral} bit for bit, and caches completed trace
-    steps so monotonically increasing queries cost O(steps + queries)
-    rate samples in total instead of O(steps * queries). Backward
-    queries recompute from zero. *)
-val capacity_integrator :
-  ?const_rate:float ->
-  rate_fn:(float -> float) ->
-  grain:float ->
-  unit ->
-  float ->
-  float
-
 (** Run the scenario to completion and return per-flow and link
     aggregates. [seed] drives the stochastic loss process.
     [dup_thresh] (default 1) is the senders' dup-ACK loss threshold;

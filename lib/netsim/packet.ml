@@ -1,19 +1,10 @@
-(* A data packet traversing the network.
-
-   [delivered_at_send] snapshots the sender's cumulative delivered byte
-   count when the packet left, which yields per-ACK delivery-rate samples
-   in the style of BBR's rate estimator.
+(* A data packet traversing the network. The sender's per-packet
+   bookkeeping (send time, delivered bytes at send) lives in the flow
+   table's outstanding ring, keyed by [seq].
 
    [corrupt] marks a payload damaged in transit (set by the fault
    injector): the packet still consumes link capacity, but the receiver's
    checksum discards it, so no ACK comes back and the sender sees it as
    a loss. *)
 
-type t = {
-  flow : int;
-  seq : int;
-  size : int;
-  sent_at : float;
-  delivered_at_send : int;
-  corrupt : bool;
-}
+type t = { flow : int; seq : int; size : int; corrupt : bool }

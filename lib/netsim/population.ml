@@ -83,15 +83,14 @@ let sample_size rng sizes =
 (* Schedule the arrival process on the table's simulation. Flows spawn
    as bounded transfers starting at their arrival instant; handles are
    [flow_count table] before the call up to [flow_count table] after
-   the run. The arrival chain itself is a cold path (one closure per
-   arrival) -- per-flow work still runs on the allocation-free coded
-   paths. *)
+   the run. Each arrival is one event of a kind registered per call. *)
 let spawn ~table ~rng ~cfg ~until =
   let arr_rng = Rng.split_key rng ~key:0xA11 in
   let size_rng = Rng.split_key rng ~key:0x512E in
   let sim = Flow_table.sim table in
   let spawned = ref 0 in
-  let rec arrive () =
+  let kind = ref (-1) in
+  let arrive _ _ =
     if !spawned < cfg.max_flows then begin
       let now = Sim.now sim in
       let size = sample_size size_rng cfg.sizes in
@@ -103,8 +102,9 @@ let spawn ~table ~rng ~cfg ~until =
       Flow_table.start table h;
       incr spawned;
       let gap = sample_iat arr_rng cfg.arrivals cfg.diurnal ~now in
-      if now +. gap < until then Sim.at sim (now +. gap) arrive
+      if now +. gap < until then Sim.at sim (now +. gap) ~kind:!kind ~a:0 ~b:0
     end
   in
+  kind := Sim.register sim arrive;
   let first = sample_iat arr_rng cfg.arrivals cfg.diurnal ~now:0.0 in
-  if first < until then Sim.at sim first arrive
+  if first < until then Sim.at sim first ~kind:!kind ~a:0 ~b:0

@@ -1,49 +1,43 @@
 (* Simulation clock and event loop.
 
-   Events come in two shapes (see Event_heap): closure events, the
-   historical cold-path API, and coded events -- an int kind plus two
-   int operands -- dispatched through the single match in [run] to the
-   handler installed with [set_handler] (the flow engine, Flow_table,
-   installs one per simulation). The clock lives in a one-cell float
-   array so reads and writes stay unboxed; with spans disabled the loop
-   allocates nothing per event. *)
+   Every event is an int kind plus two int operands (see Event_heap).
+   The kind indexes the handler table that components fill with
+   [register] -- Flow_table's send/RTO/ACK/start chain, Link's service
+   completion, outage retry and deferred admission, Population's
+   arrivals -- and [run] calls the handler with the operands. The clock
+   lives in a one-cell float array so reads and writes stay unboxed;
+   with spans disabled the loop allocates nothing per event. *)
 
-type handler = int -> int -> int -> unit
+type kind = int
 
 type t = {
   heap : Event_heap.t;
   clock : float array;  (* one cell; flat store keeps [now] unboxed *)
   mutable stopped : bool;
-  mutable handler : handler;
+  mutable handlers : (int -> int -> unit) array;  (* indexed by kind *)
   mutable events : int;  (* events executed across all [run] calls *)
 }
-
-let no_handler kind _ _ =
-  invalid_arg
-    (Printf.sprintf "Sim: coded event (kind %d) but no handler installed" kind)
 
 let create () =
   {
     heap = Event_heap.create ();
     clock = [| 0.0 |];
     stopped = false;
-    handler = no_handler;
+    handlers = [||];
     events = 0;
   }
 
 let[@inline] now t = t.clock.(0)
 
-let[@inline] at t time action =
+let register t h =
+  t.handlers <- Array.append t.handlers [| h |];
+  Array.length t.handlers - 1
+
+let[@inline] at t time ~kind ~a ~b =
   assert (time >= t.clock.(0));
-  Event_heap.push t.heap ~time action
+  Event_heap.push t.heap ~time ~kind ~a ~b
 
-let[@inline] after t delay action = at t (t.clock.(0) +. delay) action
-
-let[@inline] at_coded t time ~kind ~a ~b =
-  assert (time >= t.clock.(0));
-  Event_heap.push_coded t.heap ~time ~kind ~a ~b
-
-let set_handler t h = t.handler <- h
+let[@inline] after t delay ~kind ~a ~b = at t (t.clock.(0) +. delay) ~kind ~a ~b
 
 let events t = t.events
 
@@ -68,11 +62,12 @@ let run t ~until =
         t.events <- t.events + 1;
         t.clock.(0) <- time;
         let kind = Event_heap.scratch_kind t.heap in
-        if kind = 0 then (Event_heap.scratch_action t.heap) ()
-        else
-          t.handler kind
-            (Event_heap.scratch_a t.heap)
-            (Event_heap.scratch_b t.heap);
+        if kind < 0 || kind >= Array.length t.handlers then
+          invalid_arg
+            (Printf.sprintf "Sim: event of kind %d but no handler registered" kind);
+        t.handlers.(kind)
+          (Event_heap.scratch_a t.heap)
+          (Event_heap.scratch_b t.heap);
         loop ()
       end
     end

@@ -1,36 +1,35 @@
 (** Discrete-event simulation clock and scheduler.
 
-    Two event shapes share one time-ordered heap: closure events (the
-    historical API, for cold paths) and {e coded} events — an int kind
-    plus two int operands, dispatched through a single match in {!run}
-    to the handler installed with {!set_handler}. Scheduling and
-    executing coded events allocates nothing, which is what lets one
-    simulation carry thousands of flows (see {!Flow_table}). *)
+    Every event has one shape: a {!kind} plus two int operands, held in
+    one time-ordered heap. A component registers a handler per kind of
+    event it schedules ({!register}); {!run} dispatches each event to
+    its kind's handler with the two operands. Any number of components
+    (flow tables, links, arrival processes) register on one simulation.
+    Scheduling and dispatching an event allocates nothing, which is what
+    lets one simulation carry thousands of flows (see {!Flow_table}). *)
 
 type t
 
-(** [kind -> a -> b -> unit]: the coded-event dispatcher. *)
-type handler = int -> int -> int -> unit
+(** An index into a simulation's handler table, as {!register} hands
+    them out (0, 1, 2, ...). *)
+type kind = int
 
 val create : unit -> t
 
 (** Current simulation time in seconds. *)
 val now : t -> float
 
-(** [at t time action] schedules [action] at absolute [time]. Requires
-    [time >= now t]. *)
-val at : t -> float -> (unit -> unit) -> unit
+(** [register t handler] appends [handler] to the table and returns its
+    kind; an event of that kind runs [handler a b]. *)
+val register : t -> (int -> int -> unit) -> kind
 
-(** [after t delay action] schedules [action] at [now t +. delay]. *)
-val after : t -> float -> (unit -> unit) -> unit
+(** [at t time ~kind ~a ~b] schedules an event of [kind] with operands
+    [a] and [b] at absolute [time]. Requires [time >= now t].
+    Allocation-free. *)
+val at : t -> float -> kind:kind -> a:int -> b:int -> unit
 
-(** [at_coded t time ~kind ~a ~b] schedules a coded event ([kind > 0])
-    at absolute [time]. Requires [time >= now t]. Allocation-free. *)
-val at_coded : t -> float -> kind:int -> a:int -> b:int -> unit
-
-(** Install the coded-event dispatcher. At most one is active; a coded
-    event fired with no handler installed raises. *)
-val set_handler : t -> handler -> unit
+(** [after t delay ~kind ~a ~b] schedules it at [now t +. delay]. *)
+val after : t -> float -> kind:kind -> a:int -> b:int -> unit
 
 (** Events executed so far across all {!run} calls — the logical
     work metric the events-per-sec bench lane reports. *)
@@ -43,5 +42,7 @@ val reserve : t -> int -> unit
 val stop : t -> unit
 
 (** [run t ~until] processes events in time order until the queue is
-    empty or the horizon is reached; the clock finishes at [until]. *)
+    empty or the horizon is reached; the clock finishes at [until]. An
+    event whose kind has no handler in this table raises
+    [Invalid_argument]. *)
 val run : t -> until:float -> unit

@@ -7,15 +7,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let mk_pkt seq =
-  {
-    Netsim.Packet.flow = 0;
-    seq;
-    size = 1500;
-    sent_at = 0.0;
-    delivered_at_send = 0;
-    corrupt = false;
-  }
+let mk_pkt seq = { Netsim.Packet.flow = 0; seq; size = 1500; corrupt = false }
 
 let channel ?from_ ?until ~seed kind =
   Faults.Channel.create ~rng:(Netsim.Rng.create seed) ?from_ ?until kind

@@ -240,20 +240,13 @@ let test_five_g_switches_regimes () =
 
 let test_codel_keeps_capacity_bound () =
   let q = Netsim.Codel.create ~capacity:4500 () in
+  let pkt seq = { Netsim.Packet.flow = 0; seq; size = 1500; corrupt = false } in
   check_bool "admit 3" true
-    (Netsim.Codel.enqueue q { Netsim.Packet.flow = 0; seq = 0; size = 1500;
-                              sent_at = 0.0; delivered_at_send = 0;
-                              corrupt = false } ~now:0.0
-    && Netsim.Codel.enqueue q { Netsim.Packet.flow = 0; seq = 1; size = 1500;
-                                sent_at = 0.0; delivered_at_send = 0;
-                              corrupt = false } ~now:0.0
-    && Netsim.Codel.enqueue q { Netsim.Packet.flow = 0; seq = 2; size = 1500;
-                                sent_at = 0.0; delivered_at_send = 0;
-                              corrupt = false } ~now:0.0);
+    (Netsim.Codel.enqueue q (pkt 0) ~now:0.0
+    && Netsim.Codel.enqueue q (pkt 1) ~now:0.0
+    && Netsim.Codel.enqueue q (pkt 2) ~now:0.0);
   check_bool "tail drop at capacity" true
-    (not (Netsim.Codel.enqueue q { Netsim.Packet.flow = 0; seq = 3; size = 1500;
-                                   sent_at = 0.0; delivered_at_send = 0;
-                              corrupt = false } ~now:0.0))
+    (not (Netsim.Codel.enqueue q (pkt 3) ~now:0.0))
 
 (* ------------------------------------------------------------------ *)
 (* Libra over other classics builds and runs *)

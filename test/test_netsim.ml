@@ -71,63 +71,70 @@ let prop_rng_uniform_bounds =
 (* ------------------------------------------------------------------ *)
 (* Event heap *)
 
+(* Pop every pending event, returning (time, seq, kind, a, b) tuples in
+   pop order. *)
+let drain_heap h =
+  let rec go acc =
+    if Netsim.Event_heap.is_empty h then List.rev acc
+    else begin
+      Netsim.Event_heap.pop_into h;
+      let e =
+        ( Netsim.Event_heap.scratch_time h,
+          Netsim.Event_heap.scratch_seq h,
+          Netsim.Event_heap.scratch_kind h,
+          Netsim.Event_heap.scratch_a h,
+          Netsim.Event_heap.scratch_b h )
+      in
+      go (e :: acc)
+    end
+  in
+  go []
+
 let test_heap_orders_events () =
   let h = Netsim.Event_heap.create () in
-  let order = ref [] in
-  Netsim.Event_heap.push h ~time:3.0 (fun () -> order := 3 :: !order);
-  Netsim.Event_heap.push h ~time:1.0 (fun () -> order := 1 :: !order);
-  Netsim.Event_heap.push h ~time:2.0 (fun () -> order := 2 :: !order);
-  let rec drain () =
-    match Netsim.Event_heap.pop h with
-    | Some (_, action) ->
-      action ();
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "time order" [ 3; 2; 1 ] !order
+  Netsim.Event_heap.push h ~time:3.0 ~kind:0 ~a:3 ~b:30;
+  Netsim.Event_heap.push h ~time:1.0 ~kind:1 ~a:1 ~b:10;
+  Netsim.Event_heap.push h ~time:2.0 ~kind:2 ~a:2 ~b:20;
+  Alcotest.(check (list (pair int (pair int int))))
+    "time order, operands intact"
+    [ (1, (1, 10)); (2, (2, 20)); (0, (3, 30)) ]
+    (List.map (fun (_, _, k, a, b) -> (k, (a, b))) (drain_heap h))
 
 let test_heap_fifo_ties () =
   let h = Netsim.Event_heap.create () in
-  let order = ref [] in
   for i = 0 to 9 do
-    Netsim.Event_heap.push h ~time:1.0 (fun () -> order := i :: !order)
+    Netsim.Event_heap.push h ~time:1.0 ~kind:0 ~a:i ~b:0
   done;
-  let rec drain () =
-    match Netsim.Event_heap.pop h with
-    | Some (_, action) ->
-      action ();
-      drain ()
-    | None -> ()
-  in
-  drain ();
   Alcotest.(check (list int)) "insertion order on ties"
-    [ 9; 8; 7; 6; 5; 4; 3; 2; 1; 0 ]
-    !order
+    [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
+    (List.map (fun (_, _, _, a, _) -> a) (drain_heap h))
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:100
     QCheck.(list (float_bound_inclusive 1000.0))
     (fun times ->
       let h = Netsim.Event_heap.create () in
-      List.iter (fun time -> Netsim.Event_heap.push h ~time (fun () -> ())) times;
-      let rec drain last =
-        match Netsim.Event_heap.pop h with
-        | None -> true
-        | Some (time, _) -> time >= last && drain time
+      List.iter (fun time -> Netsim.Event_heap.push h ~time ~kind:0 ~a:0 ~b:0) times;
+      let rec sorted last = function
+        | [] -> true
+        | (time, _, _, _, _) :: rest -> time >= last && sorted time rest
       in
-      drain neg_infinity)
+      sorted neg_infinity (drain_heap h))
 
 let test_heap_grows () =
   let h = Netsim.Event_heap.create () in
   for i = 0 to 9999 do
-    Netsim.Event_heap.push h ~time:(float_of_int (i mod 97)) (fun () -> ())
+    Netsim.Event_heap.push h ~time:(float_of_int (i mod 97)) ~kind:0 ~a:i ~b:0
   done;
-  check_int "all retained" 10000 (Netsim.Event_heap.size h)
+  check_int "all retained" 10000 (Netsim.Event_heap.size h);
+  let popped = List.map (fun (_, _, _, a, _) -> a) (drain_heap h) in
+  check_int "every operand pops once" 10000
+    (List.length (List.sort_uniq compare popped))
 
 (* Randomly-timed pushes (few distinct times, so ties abound, and well
    past the initial 256-entry capacity): pop order must be time
-   ascending with ties in insertion order. *)
+   ascending with ties in insertion order, and each event's operands
+   travel with it. *)
 let test_heap_random_pop_order () =
   let rng = Netsim.Rng.create 7 in
   let n = 2000 in
@@ -135,26 +142,25 @@ let test_heap_random_pop_order () =
   let pushed =
     Array.init n (fun i ->
         let time = float_of_int (Netsim.Rng.int rng 17) /. 4.0 in
-        Netsim.Event_heap.push h ~time (fun () -> ());
+        Netsim.Event_heap.push h ~time ~kind:(i mod 3) ~a:i ~b:(-i);
         (time, i))
   in
   check_int "all retained" n (Netsim.Event_heap.size h);
   let expected = Array.copy pushed in
   (* Stable sort by time = time asc, ties in insertion order. *)
   Array.stable_sort (fun (t1, _) (t2, _) -> compare t1 t2) expected;
-  let popped =
-    Array.init n (fun _ ->
-        let e = Netsim.Event_heap.pop_entry_exn h in
-        (e.Netsim.Event_heap.time, e.Netsim.Event_heap.seq))
-  in
+  let popped = Array.of_list (drain_heap h) in
   check_bool "empty after draining" true (Netsim.Event_heap.is_empty h);
+  check_int "popped all" n (Array.length popped);
   Array.iteri
     (fun i (time, seq) ->
-      let ptime, pseq = popped.(i) in
+      let ptime, pseq, pkind, pa, pb = popped.(i) in
       if ptime <> time || pseq <> seq then
         Alcotest.fail
           (Printf.sprintf "pop %d: got (%g, #%d), want (%g, #%d)" i ptime pseq time
-             seq))
+             seq);
+      if pkind <> seq mod 3 || pa <> seq || pb <> -seq then
+        Alcotest.fail (Printf.sprintf "pop %d: operands of #%d moved" i seq))
     expected
 
 (* ------------------------------------------------------------------ *)
@@ -163,10 +169,15 @@ let test_heap_random_pop_order () =
 let test_sim_runs_in_order () =
   let sim = Netsim.Sim.create () in
   let log = ref [] in
-  Netsim.Sim.at sim 0.5 (fun () -> log := ("b", Netsim.Sim.now sim) :: !log);
-  Netsim.Sim.at sim 0.1 (fun () ->
-      log := ("a", Netsim.Sim.now sim) :: !log;
-      Netsim.Sim.after sim 0.2 (fun () -> log := ("c", Netsim.Sim.now sim) :: !log));
+  let k_log = ref (-1) in
+  (* a = 0 logs "a" and schedules "c" 0.2 s later; 1 and 2 log "b" and
+     "c". *)
+  k_log :=
+    Netsim.Sim.register sim (fun a _ ->
+        log := ([| "a"; "b"; "c" |].(a), Netsim.Sim.now sim) :: !log;
+        if a = 0 then Netsim.Sim.after sim 0.2 ~kind:!k_log ~a:2 ~b:0);
+  Netsim.Sim.at sim 0.5 ~kind:!k_log ~a:1 ~b:0;
+  Netsim.Sim.at sim 0.1 ~kind:!k_log ~a:0 ~b:0;
   Netsim.Sim.run sim ~until:1.0;
   (match List.rev !log with
   | [ ("a", t1); ("c", t2); ("b", t3) ] ->
@@ -179,57 +190,62 @@ let test_sim_runs_in_order () =
 let test_sim_horizon_stops_events () =
   let sim = Netsim.Sim.create () in
   let fired = ref false in
-  Netsim.Sim.at sim 5.0 (fun () -> fired := true);
+  let k = Netsim.Sim.register sim (fun _ _ -> fired := true) in
+  Netsim.Sim.at sim 5.0 ~kind:k ~a:0 ~b:0;
   Netsim.Sim.run sim ~until:1.0;
   check_bool "event beyond horizon suppressed" false !fired
 
-(* Coded events interleave with closure events in timestamp order and
-   reach the installed handler with kind and both operands intact. *)
+(* Events of two registered handlers interleave in timestamp order, and
+   each reaches its own handler with both operands intact. *)
 let test_sim_coded_events_dispatch () =
   let sim = Netsim.Sim.create () in
   let log = ref [] in
-  Netsim.Sim.set_handler sim (fun kind a b ->
-      log := (Printf.sprintf "k%d:%d:%d" kind a b, Netsim.Sim.now sim) :: !log);
-  Netsim.Sim.at_coded sim 0.5 ~kind:3 ~a:7 ~b:9;
-  Netsim.Sim.at sim 0.2 (fun () -> log := ("closure", Netsim.Sim.now sim) :: !log);
-  Netsim.Sim.at_coded sim 0.8 ~kind:1 ~a:0 ~b:42;
+  let handler name a b =
+    log := (Printf.sprintf "%s:%d:%d" name a b, Netsim.Sim.now sim) :: !log
+  in
+  let k_x = Netsim.Sim.register sim (handler "x") in
+  let k_y = Netsim.Sim.register sim (handler "y") in
+  check_bool "distinct kinds" true (k_x <> k_y);
+  Netsim.Sim.at sim 0.5 ~kind:k_x ~a:7 ~b:9;
+  Netsim.Sim.at sim 0.2 ~kind:k_y ~a:1 ~b:2;
+  Netsim.Sim.at sim 0.8 ~kind:k_y ~a:0 ~b:42;
+  Netsim.Sim.at sim 0.5 ~kind:k_y ~a:3 ~b:4;
   Netsim.Sim.run sim ~until:1.0;
-  let got = List.rev !log in
   Alcotest.(check (list (pair string (float 1e-9))))
     "order and payloads"
-    [ ("closure", 0.2); ("k3:7:9", 0.5); ("k1:0:42", 0.8) ]
-    got
+    [ ("y:1:2", 0.2); ("x:7:9", 0.5); ("y:3:4", 0.5); ("y:0:42", 0.8) ]
+    (List.rev !log)
 
-(* [Sim.events] counts every executed event, closure or coded; an event
-   popped past the horizon is suppressed and never counts. The counter
-   accumulates across [run] calls. *)
+(* [Sim.events] counts every executed event, whatever its handler; an
+   event popped past the horizon is suppressed and never counts. The
+   counter accumulates across [run] calls. *)
 let test_sim_event_counter () =
   let sim = Netsim.Sim.create () in
-  Netsim.Sim.set_handler sim (fun _ _ _ -> ());
-  Netsim.Sim.at sim 0.1 ignore;
-  Netsim.Sim.at_coded sim 0.2 ~kind:1 ~a:0 ~b:0;
-  Netsim.Sim.at sim 5.0 ignore;
+  let k1 = Netsim.Sim.register sim (fun _ _ -> ()) in
+  let k2 = Netsim.Sim.register sim (fun _ _ -> ()) in
+  Netsim.Sim.at sim 0.1 ~kind:k1 ~a:0 ~b:0;
+  Netsim.Sim.at sim 0.2 ~kind:k2 ~a:0 ~b:0;
+  Netsim.Sim.at sim 5.0 ~kind:k1 ~a:0 ~b:0;
   Netsim.Sim.run sim ~until:1.0;
   check_int "two events inside the horizon" 2 (Netsim.Sim.events sim);
-  Netsim.Sim.at_coded sim 2.0 ~kind:1 ~a:0 ~b:0;
+  Netsim.Sim.at sim 2.0 ~kind:k2 ~a:0 ~b:0;
   Netsim.Sim.run sim ~until:10.0;
   check_int "counter accumulates across runs" 3 (Netsim.Sim.events sim)
 
-(* A coded event with no handler installed is a programming error, not
-   a silent no-op. *)
+(* An event whose kind has no registered handler is a programming error,
+   not a silent no-op. *)
 let test_sim_coded_event_needs_handler () =
   let sim = Netsim.Sim.create () in
-  Netsim.Sim.at_coded sim 0.1 ~kind:2 ~a:1 ~b:1;
-  Alcotest.check_raises "no handler"
-    (Invalid_argument "Sim: coded event (kind 2) but no handler installed")
+  let k = Netsim.Sim.register sim (fun _ _ -> ()) in
+  Netsim.Sim.at sim 0.1 ~kind:(k + 1) ~a:1 ~b:1;
+  Alcotest.check_raises "unregistered kind"
+    (Invalid_argument "Sim: event of kind 1 but no handler registered")
     (fun () -> Netsim.Sim.run sim ~until:1.0)
 
 (* ------------------------------------------------------------------ *)
 (* Droptail *)
 
-let mk_pkt ?(size = 1500) seq =
-  { Netsim.Packet.flow = 0; seq; size; sent_at = 0.0; delivered_at_send = 0;
-    corrupt = false }
+let mk_pkt ?(size = 1500) seq = { Netsim.Packet.flow = 0; seq; size; corrupt = false }
 
 let test_droptail_admits_until_capacity () =
   let q = Netsim.Droptail.create ~capacity:4500 in

@@ -126,6 +126,21 @@ let test_spawn_produces_flows () =
     (List.exists (fun (_, _, c) -> not (Float.is_nan c)) flows);
   check_int "fingerprint covers all flows" n (List.length flows)
 
+(* The fingerprint pinned bit for bit: flow count, logical event count
+   and a digest of every flow's (start, delivered, completion) triple,
+   hex floats. Arrivals, link service and the flow chains all share one
+   heap, so any change to their event order moves these. *)
+let test_spawn_pinned () =
+  let n, events, flows = population_fingerprint ~predraws:0 () in
+  check_int "flow count" 93 n;
+  check_int "logical event count" 22491 events;
+  let triples =
+    List.map (fun (s, d, c) -> Printf.sprintf "%h,%d,%h" s d c) flows
+  in
+  Alcotest.(check string)
+    "per-flow digest" "479cdb01b92e6fab6558564e8aa46dab"
+    (Digest.to_hex (Digest.string (String.concat ";" triples)))
+
 (* ------------------------------------------------------------------ *)
 (* Golden pins for Network.run *)
 
@@ -224,6 +239,13 @@ let test_golden_mixed_reorder () =
   check_mixed "reorder" ~util:0x1.8fc962fc962fdp-1 ~acked:[ 1932; 3584; 3748 ]
     ~lost:[ 32; 63; 60 ] ~delivered:14055000 ~queue_drops:109 ~events:63193
 
+(* Jitter is the one robustness profile whose ingress hook defers
+   admission (a positive extra delay), so this pin holds the link's
+   deferred-admission events in heap order. *)
+let test_golden_mixed_jitter () =
+  check_mixed "jitter" ~util:0x1.422d0e5604189p-1 ~acked:[ 1757; 2036; 2546 ]
+    ~lost:[ 36; 144; 987 ] ~delivered:11326500 ~queue_drops:0 ~events:55541
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -241,6 +263,7 @@ let () =
           Alcotest.test_case "insensitive to parent draws" `Quick
             test_spawn_insensitive_to_parent_draws;
           Alcotest.test_case "produces flows" `Quick test_spawn_produces_flows;
+          Alcotest.test_case "pinned" `Quick test_spawn_pinned;
         ] );
       ( "network-run-golden",
         [
@@ -248,5 +271,6 @@ let () =
           Alcotest.test_case "lte" `Quick test_golden_lte;
           Alcotest.test_case "mixed flap" `Quick test_golden_mixed_flap;
           Alcotest.test_case "mixed reorder" `Quick test_golden_mixed_reorder;
+          Alcotest.test_case "mixed jitter" `Quick test_golden_mixed_jitter;
         ] );
     ]

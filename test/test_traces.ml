@@ -110,34 +110,6 @@ let test_capacity_integral_short_circuit_agrees () =
   Alcotest.(check bool) "one-level step is constant" true
     (Traces.Rate.const_bps flat = Some (Netsim.Units.mbps_to_bps 10.0))
 
-(* The incremental integrator must agree with the from-scratch walk bit
-   for bit, across monotone queries (the cached-steps fast path),
-   repeated queries, and a backward query (which recomputes). *)
-let test_capacity_integrator_incremental_agrees () =
-  let step = Traces.Rate.step ~period:0.5 [ 10.0; 30.0; 20.0 ] in
-  let grain = Traces.Rate.grain step in
-  let query =
-    Netsim.Network.capacity_integrator ~rate_fn:(Traces.Rate.fn step) ~grain ()
-  in
-  List.iter
-    (fun d ->
-      let direct =
-        Netsim.Network.capacity_integral ~rate_fn:(Traces.Rate.fn step) ~grain
-          ~duration:d ()
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "duration %gs bit-identical" d)
-        true
-        (query d = direct))
-    [ 0.0; 0.3; 0.75; 0.75; 1.2; 3.7; 2.0; 5.0; 4.99 ];
-  (* The constant-rate short circuit holds for the incremental form. *)
-  let const_q =
-    Netsim.Network.capacity_integrator ~const_rate:1000.0
-      ~rate_fn:(fun _ -> 1000.0)
-      ~grain:0.01 ()
-  in
-  Alcotest.(check bool) "const short-circuit" true (const_q 7.0 = 7000.0)
-
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -152,8 +124,6 @@ let () =
             test_capacity_integral_matches_constant;
           Alcotest.test_case "capacity short-circuit" `Quick
             test_capacity_integral_short_circuit_agrees;
-          Alcotest.test_case "capacity integrator incremental" `Quick
-            test_capacity_integrator_incremental_agrees;
         ] );
       ( "lte",
         [
