@@ -469,14 +469,15 @@ let scaleout_flows = 64
 let scaleout_duration = 5.0
 let scaleout_mbps = 800.0
 
-(* A lite arena on one constant-rate lossless link; [add ~stop_at] adds
-   a native-AIMD flow with a 40 ms return path. *)
-let arena ~capacity ~mbps ~buffer_bytes =
+(* A lite arena on one constant-rate lossless link ([aqm] picks its
+   queue discipline); [add ~stop_at] adds a native-AIMD flow with a
+   40 ms return path. *)
+let arena ?aqm ~capacity ~mbps ~buffer_bytes () =
   let sim = Netsim.Sim.create () in
   let table = Netsim.Flow_table.create ~capacity ~lite:true ~sim () in
   let rate = Netsim.Units.mbps_to_bps mbps in
   let link =
-    Netsim.Link.create ~const_rate:rate ~sim ~rate_fn:(fun _ -> rate) ~grain:0.01
+    Netsim.Link.create ?aqm ~const_rate:rate ~sim ~rate_fn:(fun _ -> rate) ~grain:0.01
       ~buffer_bytes ~loss_p:0.0 ~rng:(Netsim.Rng.create 7)
       ~deliver:(Netsim.Flow_table.on_pkt_delivered table) ()
   in
@@ -490,7 +491,7 @@ let arena ~capacity ~mbps ~buffer_bytes =
 let scaleout_arena () =
   let sim, table, _, add =
     arena ~capacity:scaleout_flows ~mbps:scaleout_mbps
-      ~buffer_bytes:(Netsim.Units.mb 384)
+      ~buffer_bytes:(Netsim.Units.mb 384) ()
   in
   for _ = 1 to scaleout_flows do
     Netsim.Flow_table.start table (add ~stop_at:scaleout_duration)
@@ -500,28 +501,34 @@ let scaleout_arena () =
 
 (* The arena's allocation contract, asserted: with tracing off, the
    steady-state ACK path (Flow_table.deliver_ack) and the link egress
-   path (Link.drain_one) allocate zero minor-heap words. Preloads
-   inflight packets via bench_send, pre-reserves the event heap, warms
-   both paths, calibrates the cost of the Gc.counters probe itself with
-   an empty loop, then fails the bench if either path exceeds the
-   calibration. *)
+   path (Link.drain_one) of a FIFO and of a CoDel link allocate zero
+   minor-heap words. Preloads inflight packets via bench_send,
+   pre-reserves the event heap, warms every path, calibrates the cost
+   of the Gc.counters probe itself with an empty loop, then fails the
+   bench if any path exceeds the calibration. *)
 let run_alloc_contract () =
   Harness.Table.heading "Allocation contract: arena ACK / link egress paths";
-  let sim, table, link, add =
-    arena ~capacity:8 ~mbps:1000.0 ~buffer_bytes:(Netsim.Units.mb 256)
-  in
-  let h = add ~stop_at:infinity in
   let k = 20_000 in
-  Netsim.Sim.reserve sim (8 * k);
-  for _ = 1 to 2 * k do
-    Netsim.Flow_table.bench_send table h
-  done;
-  let drain n = for _ = 1 to n do Netsim.Link.drain_one link done in
+  let preloaded aqm =
+    let sim, table, link, add =
+      arena ~aqm ~capacity:8 ~mbps:1000.0 ~buffer_bytes:(Netsim.Units.mb 256) ()
+    in
+    let h = add ~stop_at:infinity in
+    Netsim.Sim.reserve sim (8 * k);
+    for _ = 1 to 2 * k do
+      Netsim.Flow_table.bench_send table h
+    done;
+    (sim, table, link, h)
+  in
+  let sim, table, link, h = preloaded `Fifo in
+  let _, _, codel_link, _ = preloaded `Codel in
+  let drain link n = for _ = 1 to n do Netsim.Link.drain_one link done in
   let ack ~from n =
     for s = from to from + n - 1 do Netsim.Flow_table.deliver_ack table h s done
   in
-  (* Warm both paths past any growth/laziness before measuring. *)
-  drain 100;
+  (* Warm every path past any growth/laziness before measuring. *)
+  drain link 100;
+  drain codel_link 100;
   ack ~from:0 100;
   let minor_words f =
     let m0, _, _ = Gc.counters () in
@@ -546,9 +553,14 @@ let run_alloc_contract () =
   in
   let inlined = (canary -. baseline) /. float_of_int k < 0.5 in
   let per v = (v -. baseline) /. float_of_int k in
-  let egress = per (minor_words (fun () -> drain k)) in
-  let acks = per (minor_words (fun () -> ack ~from:100 k)) in
-  let paths = [ ("link egress (drain_one)", egress); ("ACK (deliver_ack)", acks) ] in
+  let paths =
+    [
+      ("link egress (drain_one)", per (minor_words (fun () -> drain link k)));
+      ( "link egress, CoDel (drain_one)",
+        per (minor_words (fun () -> drain codel_link k)) );
+      ("ACK (deliver_ack)", per (minor_words (fun () -> ack ~from:100 k)));
+    ]
+  in
   Harness.Table.print
     ~header:[ "path"; "ops"; "minor words/op" ]
     (List.map (fun (p, w) -> [ p; string_of_int k; Printf.sprintf "%.4f" w ]) paths);
@@ -564,7 +576,7 @@ let run_alloc_contract () =
             (Printf.sprintf "alloc contract violated: %s allocates %.4f minor words/op"
                path w))
       paths;
-    print_endline "\nboth hot paths allocate 0 minor-heap words per operation"
+    print_endline "\nevery hot path allocates 0 minor-heap words per operation"
   end
 
 let run_events_per_sec () =

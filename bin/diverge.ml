@@ -136,7 +136,7 @@ let runs =
 
 let window =
   Arg.(
-    value & opt int 3
+    value & opt Run_opts.non_negative_int 3
     & info [ "window" ] ~docv:"N"
         ~doc:"events of context to print around a divergence")
 

@@ -14,10 +14,6 @@ let run_cmd full tiny stress domains impair chaos (ckpt : Run_opts.checkpoint)
     prerr_endline "--full, --tiny and --stress are mutually exclusive";
     exit 2
   end;
-  if retries < 0 then begin
-    Printf.eprintf "invalid --retries %d (want >= 0)\n" retries;
-    exit 2
-  end;
   Option.iter Exec.Pool.set_default_size domains;
   Harness.Scenario.set_default_impair impair;
   (* --chaos installs the host-fault schedule over every persistence
@@ -190,26 +186,26 @@ let inject_crash =
 
 let retries =
   Arg.(
-    value & opt int 0
+    value & opt Run_opts.non_negative_int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
           "extra attempts per experiment after a failure, with a \
            deterministic recorded backoff schedule")
 
 let deadline_events =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "deadline-events" ] ~docv:"N"
-        ~doc:
-          "deterministic per-attempt budget: at most $(docv) logical events \
-           (simulator pops / training steps) before the experiment is \
-           failed as 'deadline'")
+  Run_opts.deadline_events
+    ~doc:
+      "deterministic per-attempt budget: at most $(docv) logical events \
+       (simulator pops / training steps) before the experiment is failed \
+       as 'deadline'. It counts only the events an experiment runs outside \
+       its pool fan-out: pool tasks run unbudgeted, so the many experiments \
+       that fan their simulations out (over seeds, through the scenario \
+       averaging) never reach it"
 
 let wall_deadline =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some Run_opts.positive_float) None
     & info [ "wall-deadline" ] ~docv:"SECONDS"
         ~doc:
           "nondeterministic wall-clock backstop per attempt (recorded in \

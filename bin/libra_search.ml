@@ -20,7 +20,7 @@ type cca_result = {
   shrink_steps : int;
 }
 
-let run_cmd seed domains ccas generations population elites threshold duration
+let run_cmd seed domains ccas generations (population, elites) threshold duration
     plants out mini =
   Option.iter Exec.Pool.set_default_size domains;
   let plants =
@@ -143,25 +143,41 @@ let ccas =
         ~doc:"CCA to attack (repeatable; default cubic, bbr, c-libra)")
 
 let generations =
-  Arg.(value & opt int 6 & info [ "generations" ] ~docv:"N" ~doc:"search generations")
-
-let population =
-  Arg.(value & opt int 12 & info [ "population" ] ~docv:"N" ~doc:"candidates per generation")
-
-let elites =
   Arg.(
-    value & opt int 3
-    & info [ "elites" ] ~docv:"N" ~doc:"survivors copied into the next generation")
+    value & opt Run_opts.positive_int 6
+    & info [ "generations" ] ~docv:"N" ~doc:"search generations")
+
+(* --population N and --elites N, as a pair: elites never outnumber
+   the population they survive into. *)
+let population_elites =
+  let population =
+    Arg.(
+      value & opt Run_opts.positive_int 12
+      & info [ "population" ] ~docv:"N" ~doc:"candidates per generation")
+  in
+  let elites =
+    Arg.(
+      value & opt Run_opts.non_negative_int 3
+      & info [ "elites" ] ~docv:"N" ~doc:"survivors copied into the next generation")
+  in
+  Term.(
+    ret
+      (const (fun population elites ->
+           if elites > population then
+             `Error
+               (false, Printf.sprintf "--elites %d exceeds --population %d" elites population)
+           else `Ok (population, elites))
+      $ population $ elites))
 
 let threshold =
   Arg.(
-    value & opt float 0.25
+    value & opt Run_opts.positive_float 0.25
     & info [ "threshold" ] ~docv:"FRAC"
         ~doc:"counterexample threshold: relative utility degradation vs clean")
 
 let duration =
   Arg.(
-    value & opt float 6.0
+    value & opt Run_opts.positive_float 6.0
     & info [ "duration" ] ~docv:"SECONDS" ~doc:"scenario duration per evaluation leg")
 
 let plants =
@@ -196,5 +212,5 @@ let () =
       "adversarial scenario search: find and shrink impairment specs that \
        degrade a CCA's utility vs a clean baseline"
     Term.(
-      const run_cmd $ seed $ Run_opts.domains $ ccas $ generations $ population
-      $ elites $ threshold $ duration $ plants $ out $ mini)
+      const run_cmd $ seed $ Run_opts.domains $ ccas $ generations $ population_elites
+      $ threshold $ duration $ plants $ out $ mini)

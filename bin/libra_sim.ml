@@ -109,13 +109,10 @@ let run_cmd (sc : Run_opts.scenario) impair chaos deadline_events invariants ser
   end
 
 let deadline_events =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "deadline-events" ] ~docv:"N"
-        ~doc:
-          "fail the run (exit 4) after $(docv) logical simulator events — a \
-           deterministic deadline, reproducible across hosts")
+  Run_opts.deadline_events
+    ~doc:
+      "fail the run (exit 4) after $(docv) logical simulator events — a \
+       deterministic deadline, reproducible across hosts"
 
 let series = Arg.(value & flag & info [ "series" ] ~doc:"print per-second series")
 let list_all = Arg.(value & flag & info [ "list" ] ~doc:"list CCAs and traces")

@@ -4,8 +4,9 @@
    - cmdliner terms for the shared flags; spec-valued and numeric flags
      parse through converters that check their range, so bad input is a
      usage error (exit 2) naming the flag;
-   - the scenario flags of libra_sim and diverge, and the
-     --checkpoint/--resume pair of experiments and train;
+   - the scenario flags of libra_sim and diverge, the
+     --checkpoint/--resume pair of experiments and train, and the
+     --deadline-events of libra_sim and experiments;
    - the lane-keyed observability session behind the export flags:
      one tracer whose lanes are run indices, and per lane a metrics
      registry, an invariant checker and a rollup, all merged in lane
@@ -38,6 +39,7 @@ let finite_float want ok =
   ranged want float_of_string_opt (fun v -> Float.is_finite v && ok v) Arg.float
 
 let positive_int = ranged "a positive integer" int_of_string_opt (fun v -> v > 0) Arg.int
+let non_negative_int = ranged "an integer >= 0" int_of_string_opt (fun v -> v >= 0) Arg.int
 let positive_float = finite_float "a positive number" (fun v -> v > 0.0)
 let non_negative_float = finite_float "a number >= 0" (fun v -> v >= 0.0)
 let probability = finite_float "a probability in [0, 1]" (fun v -> v >= 0.0 && v <= 1.0)
@@ -71,6 +73,11 @@ let domains =
     & opt (some positive_int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:"size of the domain pool (default: \\$LIBRA_DOMAINS or core count)")
+
+(* [doc] says what the budget bounds for the caller and what expiry
+   does. *)
+let deadline_events ~doc =
+  Arg.(value & opt (some positive_int) None & info [ "deadline-events" ] ~docv:"N" ~doc)
 
 (* ---- scenario flags (libra_sim, diverge) ---- *)
 
@@ -288,7 +295,7 @@ let obs ~trace =
   in
   let flight =
     Arg.(
-      value & opt int 2048
+      value & opt non_negative_int 2048
       & info [ "flight" ] ~docv:"N"
           ~doc:
             "keep a per-lane flight recorder of the last $(docv) events \

@@ -1,124 +1,59 @@
-(* CoDel AQM (Nichols & Jacobson 2012).
+(* CoDel AQM (Nichols & Jacobson 2012), reduced to its control law.
 
    The paper's flexibility discussion notes that keeping CUBIC's
    queueing delay low classically requires AQM support (CoDel) in the
-   network; Libra achieves it end-to-end. This queue implements the
-   CoDel control law so the ablation bench can put numbers on that
-   comparison: drop from the head when packet sojourn time has
-   exceeded [target] for at least [interval], with the drop rate
-   accelerating as 1/sqrt(count) while the condition persists. *)
+   network; Libra achieves it end-to-end. The link keeps the packets
+   (one ring for both disciplines) and consults this law on each head
+   it pops: drop from the head when packet sojourn time has exceeded
+   [target] for at least [interval], with the drop rate accelerating as
+   1/sqrt(count) while the condition persists. *)
 
-type entry = { pkt : Packet.t; enq_at : float }
+let target = 0.005 (* sojourn-time target, seconds *)
+let interval = 0.1 (* sliding window, seconds *)
 
 type t = {
-  target : float;  (* sojourn-time target, default 5 ms *)
-  interval : float;  (* sliding window, default 100 ms *)
-  capacity : int;  (* bytes, hard tail-drop bound *)
-  items : entry Queue.t;
-  mutable bytes : int;
   mutable first_above_at : float;  (* nan = sojourn below target *)
   mutable dropping : bool;
   mutable drop_next : float;
   mutable drop_count : int;
-  mutable drops : int;
-  mutable enqueued : int;
 }
 
-let create ?(target = 0.005) ?(interval = 0.1) ~capacity () =
-  assert (capacity > 0);
-  {
-    target;
-    interval;
-    capacity;
-    items = Queue.create ();
-    bytes = 0;
-    first_above_at = nan;
-    dropping = false;
-    drop_next = 0.0;
-    drop_count = 0;
-    drops = 0;
-    enqueued = 0;
-  }
+let create () =
+  { first_above_at = nan; dropping = false; drop_next = 0.0; drop_count = 0 }
 
-let bytes t = t.bytes
-let drops t = t.drops
-let enqueued t = t.enqueued
-let length t = Queue.length t.items
-let is_empty t = Queue.is_empty t.items
+let reset t =
+  t.first_above_at <- nan;
+  t.dropping <- false
 
-let enqueue t pkt ~now =
-  if t.bytes + pkt.Packet.size > t.capacity then begin
-    t.drops <- t.drops + 1;
+let[@inline] control_interval count = interval /. sqrt (float_of_int (max 1 count))
+
+(* Marked [@inline] so the link's call site keeps [now] and [sojourn]
+   unboxed: a cross-module call with float arguments boxes them. *)
+let[@inline] drop t ~now ~sojourn ~backlog =
+  if sojourn < target || backlog <= 2 * Units.mtu then begin
+    (* Below target: leave the dropping state. *)
+    reset t;
     false
   end
-  else begin
-    Queue.push { pkt; enq_at = now } t.items;
-    t.bytes <- t.bytes + pkt.Packet.size;
-    t.enqueued <- t.enqueued + 1;
+  else if Float.is_nan t.first_above_at then begin
+    (* Above target: arm the interval clock. *)
+    t.first_above_at <- now;
+    false
+  end
+  else if t.dropping then begin
+    if now >= t.drop_next then begin
+      t.drop_count <- t.drop_count + 1;
+      t.drop_next <- now +. control_interval t.drop_count;
+      true
+    end
+    else false
+  end
+  else if now -. t.first_above_at >= interval then begin
+    (* Sojourn stayed above target for a full interval: enter the
+       dropping state with this packet. *)
+    t.dropping <- true;
+    t.drop_count <- (if t.drop_count > 2 then t.drop_count - 2 else 1);
+    t.drop_next <- now +. control_interval t.drop_count;
     true
   end
-
-let control_interval t count =
-  t.interval /. sqrt (float_of_int (max 1 count))
-
-let trace_head_drop ~now (pkt : Packet.t) =
-  if Obs.Trace.on_flow Obs.Category.Pkt ~flow:pkt.flow then
-    Obs.Trace.emit
-      (Obs.Event.Drop
-         { t = now; flow = pkt.flow; seq = pkt.seq; size = pkt.size;
-           reason = Obs.Event.Codel })
-
-(* Pop the head, updating byte accounting. *)
-let pop t =
-  match Queue.take_opt t.items with
-  | None -> None
-  | Some entry ->
-    t.bytes <- t.bytes - entry.pkt.Packet.size;
-    Some entry
-
-(* CoDel's dequeue: drop heads while the control law says so, then
-   deliver the surviving head. *)
-let rec dequeue t ~now =
-  match pop t with
-  | None ->
-    t.first_above_at <- nan;
-    t.dropping <- false;
-    None
-  | Some entry ->
-    let sojourn = now -. entry.enq_at in
-    if sojourn < t.target || t.bytes <= 2 * Units.mtu then begin
-      (* Below target: leave the dropping state. *)
-      t.first_above_at <- nan;
-      t.dropping <- false;
-      Some entry.pkt
-    end
-    else begin
-      (* Above target: arm / consult the interval clock. *)
-      if Float.is_nan t.first_above_at then begin
-        t.first_above_at <- now;
-        Some entry.pkt
-      end
-      else if t.dropping then begin
-        if now >= t.drop_next then begin
-          t.drop_count <- t.drop_count + 1;
-          t.drops <- t.drops + 1;
-          trace_head_drop ~now entry.pkt;
-          t.drop_next <- now +. control_interval t t.drop_count;
-          dequeue t ~now
-        end
-        else Some entry.pkt
-      end
-      else if now -. t.first_above_at >= t.interval then begin
-        (* Sojourn stayed above target for a full interval: enter the
-           dropping state with this packet. *)
-        t.dropping <- true;
-        t.drop_count <- (if t.drop_count > 2 then t.drop_count - 2 else 1);
-        t.drops <- t.drops + 1;
-        trace_head_drop ~now entry.pkt;
-        t.drop_next <- now +. control_interval t t.drop_count;
-        dequeue t ~now
-      end
-      else Some entry.pkt
-    end
-
-let peek t = Option.map (fun e -> e.pkt) (Queue.peek_opt t.items)
+  else false

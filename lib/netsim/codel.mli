@@ -1,27 +1,20 @@
-(** CoDel AQM (Nichols & Jacobson 2012): head-drop when packet sojourn
-    time has exceeded [target] for at least [interval], accelerating as
-    1/sqrt(count). Used by the extension bench to compare CUBIC+CoDel
-    against Libra's end-to-end delay control. *)
+(** CoDel AQM's control law (Nichols & Jacobson 2012): head-drop when
+    packet sojourn time has exceeded a 5 ms target for at least a
+    100 ms interval, accelerating as 1/sqrt(count). The law holds no
+    packets: the link keeps both disciplines' packets in one ring and
+    asks [drop] about each head it pops. Used by the extension bench to
+    compare CUBIC+CoDel against Libra's end-to-end delay control. *)
 
 type t
 
-(** Defaults: target 5 ms, interval 100 ms. [capacity] is a hard
-    tail-drop byte bound. *)
-val create : ?target:float -> ?interval:float -> capacity:int -> unit -> t
+val create : unit -> t
 
-val bytes : t -> int
+(** [drop t ~now ~sojourn ~backlog] decides the head just popped:
+    [true] drops it (the link then pops the next head and asks again).
+    [sojourn] is [now] minus its admission time, [backlog] the bytes
+    still queued after the pop. Inlined, so the float arguments stay
+    unboxed. *)
+val drop : t -> now:float -> sojourn:float -> backlog:int -> bool
 
-(** Packets dropped (CoDel head drops plus capacity tail drops). *)
-val drops : t -> int
-
-val enqueued : t -> int
-val length : t -> int
-val is_empty : t -> bool
-
-(** [false] when tail-dropped at the byte capacity. *)
-val enqueue : t -> Packet.t -> now:float -> bool
-
-(** Apply the CoDel control law and return the surviving head. *)
-val dequeue : t -> now:float -> Packet.t option
-
-val peek : t -> Packet.t option
+(** The queue ran empty at dequeue: leave the dropping state. *)
+val reset : t -> unit

@@ -7,19 +7,11 @@
    RTT moments are kept exactly.
 
    The record sits on the simulator's ACK path, which carries a
-   zero-allocation contract (see Flow_table): all float scalars live in
-   one flat accumulator array — a mutable float field in this mixed
-   record would box on every write — and a bin update is a constant
-   number of unboxed array stores once the grid has grown to cover the
-   current time. *)
-
-(* Slots of the float accumulator array. *)
-let a_rtt_sum = 0
-let a_rtt_min = 1
-let a_rtt_max = 2
-let a_first_delivery = 3
-let a_last_delivery = 4
-let acc_slots = 5
+   zero-allocation contract (see Flow_table): the RTT sum lives in a
+   one-cell float array — a mutable float field in this mixed record
+   would box on every write — and a bin update is a constant number of
+   unboxed array stores once the grid has grown to cover the current
+   time. *)
 
 type t = {
   bin : float;
@@ -33,15 +25,11 @@ type t = {
   mutable total_sent : int;  (* bytes *)
   mutable total_lost : int;  (* packets *)
   mutable total_acked_pkts : int;
-  acc : float array;  (* see the a_* slots above *)
+  rtt_sum : float array;  (* one cell *)
 }
 
 let create ?(bin = 0.01) ?(initial_bins = 1024) () =
   assert (bin > 0.0 && initial_bins > 0);
-  let acc = Array.make acc_slots 0.0 in
-  acc.(a_rtt_min) <- infinity;
-  acc.(a_first_delivery) <- nan;
-  acc.(a_last_delivery) <- nan;
   {
     bin;
     delivered_bins = Array.make initial_bins 0.0;
@@ -54,7 +42,7 @@ let create ?(bin = 0.01) ?(initial_bins = 1024) () =
     total_sent = 0;
     total_lost = 0;
     total_acked_pkts = 0;
-    acc;
+    rtt_sum = [| 0.0 |];
   }
 
 let bin_width t = t.bin
@@ -88,11 +76,7 @@ let[@inline] record_delivery t ~now ~bytes ~rtt =
   t.rtt_cnt_bins.(idx) <- t.rtt_cnt_bins.(idx) + 1;
   t.total_delivered <- t.total_delivered + bytes;
   t.total_acked_pkts <- t.total_acked_pkts + 1;
-  t.acc.(a_rtt_sum) <- t.acc.(a_rtt_sum) +. rtt;
-  if rtt < t.acc.(a_rtt_min) then t.acc.(a_rtt_min) <- rtt;
-  if rtt > t.acc.(a_rtt_max) then t.acc.(a_rtt_max) <- rtt;
-  if Float.is_nan t.acc.(a_first_delivery) then t.acc.(a_first_delivery) <- now;
-  t.acc.(a_last_delivery) <- now
+  t.rtt_sum.(0) <- t.rtt_sum.(0) +. rtt
 
 let[@inline] record_loss t ~now ~pkts =
   let idx = index t now in
@@ -111,14 +95,7 @@ let total_acked_pkts t = t.total_acked_pkts
 
 let mean_rtt t =
   if t.total_acked_pkts = 0 then nan
-  else t.acc.(a_rtt_sum) /. float_of_int t.total_acked_pkts
-
-let min_rtt t = t.acc.(a_rtt_min)
-let max_rtt t = t.acc.(a_rtt_max)
-
-(* First/last delivery instants; [nan] before any delivery. *)
-let first_delivery t = t.acc.(a_first_delivery)
-let last_delivery t = t.acc.(a_last_delivery)
+  else t.rtt_sum.(0) /. float_of_int t.total_acked_pkts
 
 (* Loss rate = lost / (lost + delivered packets). *)
 let loss_rate t =

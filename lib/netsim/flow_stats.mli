@@ -21,14 +21,6 @@ val total_acked_pkts : t -> int
 (** Mean RTT over all acknowledged packets; [nan] when none. *)
 val mean_rtt : t -> float
 
-val min_rtt : t -> float
-val max_rtt : t -> float
-
-(** First/last delivery instants; [nan] before any delivery. *)
-val first_delivery : t -> float
-
-val last_delivery : t -> float
-
 (** lost / (lost + acked) packets. *)
 val loss_rate : t -> float
 

@@ -1,6 +1,12 @@
-(* The shared bottleneck link: a droptail buffer drained by a server
-   whose rate may vary over time (trace-driven), plus optional Bernoulli
-   stochastic loss at ingress.
+(* The shared bottleneck link: a byte-bounded FIFO buffer, optionally
+   under CoDel, drained by a server whose rate may vary over time
+   (trace-driven), plus optional Bernoulli stochastic loss at ingress.
+
+   Both disciplines keep their packets in one queue: a power-of-two
+   ring with two columns, the packet and its admission time. Admission
+   tail-drops when the packet would take the queued bytes past
+   [buffer_bytes]; under CoDel the link asks the control law (Codel)
+   about each head it pops, and a head drop pops again.
 
    The serialization time of the packet at the head of the queue is
    computed from the instantaneous rate when its transmission starts;
@@ -20,8 +26,6 @@
    service completion, the outage retry, and the admission of a packet
    the ingress hook deferred (operand a keys the packet in [held]). *)
 
-type qdisc = Fifo of Droptail.t | Codel_q of Codel.t
-
 type hooks = {
   ingress : now:float -> Packet.t -> (Packet.t * float) list;
       (* arriving packet -> (packet, extra delay) to admit; an empty
@@ -35,7 +39,16 @@ type t = {
   sim : Sim.t;
   rate_fn : float -> float;  (* time -> bytes/s *)
   grain : float;  (* retry interval when the rate is zero *)
-  queue : qdisc;
+  (* The queue: a ring of [len] packets from [head], with each packet's
+     admission time in the same slot of [admitted_at]. *)
+  mutable pkts : Packet.t array;  (* power-of-two length *)
+  mutable admitted_at : float array;
+  mutable head : int;
+  mutable len : int;
+  buffer_bytes : int;
+  mutable bytes : int;  (* queued bytes *)
+  mutable drops : int;  (* tail drops plus CoDel head drops *)
+  codel : Codel.t option;
   loss_p : float;
   rng : Rng.t;
   hooks : hooks option;
@@ -48,7 +61,6 @@ type t = {
   mutable ev_admit : Sim.kind;
   mutable busy : bool;
   mutable delivered_bytes : int;
-  mutable delivered_pkts : int;
   mutable random_drops : int;
   mutable queue_delay_sum : float;
   mutable queue_delay_samples : int;
@@ -64,17 +76,8 @@ let m_tail_drops = Obs.Metrics.counter "netsim.link.tail_drops"
 let m_random_drops = Obs.Metrics.counter "netsim.link.random_drops"
 let m_queue_bytes = Obs.Metrics.gauge "netsim.link.queue_bytes"
 
-let queue_bytes t =
-  match t.queue with Fifo q -> Droptail.bytes q | Codel_q q -> Codel.bytes q
-
-let queue_drops t =
-  match t.queue with Fifo q -> Droptail.drops q | Codel_q q -> Codel.drops q
-
-let queue_is_empty t =
-  match t.queue with Fifo q -> Droptail.is_empty q | Codel_q q -> Codel.is_empty q
-
+let queue_drops t = t.drops
 let delivered_bytes t = t.delivered_bytes
-let delivered_pkts t = t.delivered_pkts
 let random_drops t = t.random_drops
 
 (* Effective service rate: the trace rate, rewritten by the fault
@@ -88,13 +91,36 @@ let mean_queue_delay t =
   if t.queue_delay_samples = 0 then 0.0
   else t.queue_delay_sum /. float_of_int t.queue_delay_samples
 
+let no_pkt = { Packet.flow = -1; seq = -1; size = 0; corrupt = false }
+
+(* Double the ring, unrolling it to start at slot 0. *)
+let grow t =
+  let n = Array.length t.pkts in
+  let pkts = Array.make (2 * n) no_pkt and admitted_at = Array.make (2 * n) 0.0 in
+  for i = 0 to n - 1 do
+    let j = (t.head + i) land (n - 1) in
+    pkts.(i) <- t.pkts.(j);
+    admitted_at.(i) <- t.admitted_at.(j)
+  done;
+  t.pkts <- pkts;
+  t.admitted_at <- admitted_at;
+  t.head <- 0
+
+let trace_drop t (pkt : Packet.t) reason =
+  if Obs.Trace.on_flow Obs.Category.Pkt ~flow:pkt.flow then
+    Obs.Trace.emit
+      (Obs.Event.Drop
+         { t = Sim.now t.sim; flow = pkt.flow; seq = pkt.seq; size = pkt.size;
+           reason })
+
 (* The egress path (start_service / finish_service) is a zero-allocation
-   contract when tracing is off: service events carry no payload, the
-   droptail branch pops without options, and a constant-rate unshaped
-   link skips the (boxing) rate-closure call.
+   contract when tracing is off: service events carry no payload, a pop
+   returns the stored packet, the CoDel law is inlined (its float
+   arguments stay unboxed), and a constant-rate unshaped link skips the
+   (boxing) rate-closure call.
    The events-per-sec bench asserts the contract with Gc.counters. *)
 let rec start_service t =
-  if queue_is_empty t then t.busy <- false
+  if t.len = 0 then t.busy <- false
   else begin
     t.busy <- true;
     let now = Sim.now t.sim in
@@ -109,41 +135,50 @@ let rec start_service t =
       (* Outage: look again one grain later. *)
       Sim.after t.sim t.grain ~kind:t.ev_retry ~a:0 ~b:0
     else begin
-      let size =
-        match t.queue with
-        | Fifo q -> (Droptail.peek_exn q).Packet.size
-        | Codel_q q -> (
-          match Codel.peek q with Some p -> p.Packet.size | None -> 0)
-      in
-      let tx_time = float_of_int size /. rate in
+      let tx_time = float_of_int t.pkts.(t.head).Packet.size /. rate in
       Sim.after t.sim tx_time ~kind:t.ev_finish ~a:0 ~b:0
     end
   end
 
+(* Pop the head. Under CoDel the law judges it first: a head drop pops
+   again, possibly down to an empty queue, and a pop that finds the
+   queue empty resets the law. *)
 and finish_service t =
-  match t.queue with
-  | Fifo q ->
-    if Droptail.is_empty q then t.busy <- false
-    else deliver_finished t (Droptail.dequeue_exn q)
-  | Codel_q q -> (
-    (* CoDel may drop its way to an empty queue at dequeue time. *)
-    match Codel.dequeue q ~now:(Sim.now t.sim) with
-    | None -> t.busy <- false
-    | Some pkt -> deliver_finished t pkt)
+  if t.len = 0 then begin
+    (match t.codel with Some c -> Codel.reset c | None -> ());
+    t.busy <- false
+  end
+  else begin
+    let h = t.head in
+    let pkt = t.pkts.(h) in
+    t.head <- (h + 1) land (Array.length t.pkts - 1);
+    t.len <- t.len - 1;
+    t.bytes <- t.bytes - pkt.Packet.size;
+    match t.codel with
+    | Some c ->
+      let now = Sim.now t.sim in
+      if Codel.drop c ~now ~sojourn:(now -. t.admitted_at.(h)) ~backlog:t.bytes
+      then begin
+        t.drops <- t.drops + 1;
+        trace_drop t pkt Obs.Event.Codel;
+        finish_service t
+      end
+      else deliver_finished t pkt
+    | None -> deliver_finished t pkt
+  end
 
 (* [now] is re-read from the clock inside the gated branch rather than
    passed in: a float argument to a call within this recursive group
    cannot be inlined away and would box on every delivery. *)
 and deliver_finished t pkt =
   t.delivered_bytes <- t.delivered_bytes + pkt.Packet.size;
-  t.delivered_pkts <- t.delivered_pkts + 1;
   Obs.Metrics.incr m_delivered;
-  Obs.Metrics.set m_queue_bytes (float_of_int (queue_bytes t));
+  Obs.Metrics.set m_queue_bytes (float_of_int t.bytes);
   if Obs.Trace.on_flow Obs.Category.Pkt ~flow:pkt.Packet.flow then
     Obs.Trace.emit
       (Obs.Event.Dequeue
          { t = Sim.now t.sim; flow = pkt.Packet.flow; seq = pkt.Packet.seq;
-           size = pkt.Packet.size; backlog = queue_bytes t });
+           size = pkt.Packet.size; backlog = t.bytes });
   t.deliver pkt;
   start_service t
 
@@ -152,53 +187,44 @@ and deliver_finished t pkt =
    drives egress through this without spinning the event loop. *)
 let drain_one t = finish_service t
 
-(* Admit a packet: Bernoulli stochastic loss first, then droptail. *)
+(* Admit a packet: Bernoulli stochastic loss first, then the tail-drop
+   bound on queued bytes. *)
 let admit t pkt =
   if t.loss_p > 0.0 && Rng.bool t.rng ~p:t.loss_p then begin
     t.random_drops <- t.random_drops + 1;
     Obs.Metrics.incr m_random_drops;
-    if Obs.Trace.on_flow Obs.Category.Pkt ~flow:pkt.Packet.flow then
-      Obs.Trace.emit
-        (Obs.Event.Drop
-           { t = Sim.now t.sim; flow = pkt.Packet.flow; seq = pkt.Packet.seq;
-             size = pkt.Packet.size; reason = Obs.Event.Random })
+    trace_drop t pkt Obs.Event.Random
+  end
+  else if t.bytes + pkt.Packet.size > t.buffer_bytes then begin
+    t.drops <- t.drops + 1;
+    Obs.Metrics.incr m_tail_drops;
+    trace_drop t pkt Obs.Event.Tail
   end
   else begin
+    if t.len = Array.length t.pkts then grow t;
     let now = Sim.now t.sim in
-    let admitted =
-      match t.queue with
-      | Fifo q -> Droptail.enqueue q pkt
-      | Codel_q q -> Codel.enqueue q pkt ~now
-    in
-    if admitted then begin
-      Obs.Metrics.incr m_enqueued;
-      Obs.Metrics.set m_queue_bytes (float_of_int (queue_bytes t));
-      if Obs.Trace.on_flow Obs.Category.Pkt ~flow:pkt.Packet.flow then
-        Obs.Trace.emit
-          (Obs.Event.Enqueue
-             { t = now; flow = pkt.Packet.flow; seq = pkt.Packet.seq;
-               size = pkt.Packet.size; backlog = queue_bytes t })
-    end
-    else begin
-      Obs.Metrics.incr m_tail_drops;
-      if Obs.Trace.on_flow Obs.Category.Pkt ~flow:pkt.Packet.flow then
-        Obs.Trace.emit
-          (Obs.Event.Drop
-             { t = now; flow = pkt.Packet.flow; seq = pkt.Packet.seq;
-               size = pkt.Packet.size; reason = Obs.Event.Tail })
-    end;
-    if admitted then begin
-      (* Track queueing delay via the backlog at admission. *)
-      let rate = Float.max min_rate (rate_at t now) in
-      t.queue_delay_sum <-
-        t.queue_delay_sum +. (float_of_int (queue_bytes t) /. rate);
-      t.queue_delay_samples <- t.queue_delay_samples + 1;
-      if not t.busy then start_service t
-    end
+    let slot = (t.head + t.len) land (Array.length t.pkts - 1) in
+    t.pkts.(slot) <- pkt;
+    t.admitted_at.(slot) <- now;
+    t.len <- t.len + 1;
+    t.bytes <- t.bytes + pkt.Packet.size;
+    Obs.Metrics.incr m_enqueued;
+    Obs.Metrics.set m_queue_bytes (float_of_int t.bytes);
+    if Obs.Trace.on_flow Obs.Category.Pkt ~flow:pkt.Packet.flow then
+      Obs.Trace.emit
+        (Obs.Event.Enqueue
+           { t = now; flow = pkt.Packet.flow; seq = pkt.Packet.seq;
+             size = pkt.Packet.size; backlog = t.bytes });
+    (* Track queueing delay via the backlog at admission. *)
+    let rate = Float.max min_rate (rate_at t now) in
+    t.queue_delay_sum <- t.queue_delay_sum +. (float_of_int t.bytes /. rate);
+    t.queue_delay_samples <- t.queue_delay_samples + 1;
+    if not t.busy then start_service t
   end
 
 let create ?(aqm = `Fifo) ?hooks ?const_rate ~sim ~rate_fn ~grain ~buffer_bytes
     ~loss_p ~rng ~deliver () =
+  assert (buffer_bytes > 0);
   (* The fast service path reads a stored constant instead of calling
      the (boxing) rate closure — valid only when no shaper can rewrite
      the rate. *)
@@ -210,11 +236,15 @@ let create ?(aqm = `Fifo) ?hooks ?const_rate ~sim ~rate_fn ~grain ~buffer_bytes
       sim;
       rate_fn;
       grain;
+      pkts = Array.make 64 no_pkt;
+      admitted_at = Array.make 64 0.0;
+      head = 0;
+      len = 0;
+      buffer_bytes;
+      bytes = 0;
+      drops = 0;
+      codel = (match aqm with `Fifo -> None | `Codel -> Some (Codel.create ()));
       hooks;
-      queue =
-        (match aqm with
-        | `Fifo -> Fifo (Droptail.create ~capacity:buffer_bytes)
-        | `Codel -> Codel_q (Codel.create ~capacity:buffer_bytes ()));
       loss_p;
       rng;
       deliver;
@@ -226,7 +256,6 @@ let create ?(aqm = `Fifo) ?hooks ?const_rate ~sim ~rate_fn ~grain ~buffer_bytes
       ev_admit = -1;
       busy = false;
       delivered_bytes = 0;
-      delivered_pkts = 0;
       random_drops = 0;
       queue_delay_sum = 0.0;
       queue_delay_samples = 0;

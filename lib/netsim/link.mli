@@ -1,7 +1,9 @@
-(** Shared bottleneck link: droptail buffer + time-varying-rate server +
-    optional Bernoulli stochastic loss at ingress, with optional fault
-    hooks (lib/faults builds them) for impairment pipelines and
-    scheduled outages / rate clamps. *)
+(** Shared bottleneck link: a byte-bounded FIFO buffer (tail drop at
+    [buffer_bytes], optionally under CoDel's head drops) + time-varying-
+    rate server + optional Bernoulli stochastic loss at ingress, with
+    optional fault hooks (lib/faults builds them) for impairment
+    pipelines and scheduled outages / rate clamps. Both disciplines keep
+    their packets in one ring of (packet, admission time) slots. *)
 
 type t
 
@@ -18,7 +20,10 @@ type hooks = {
 (** [create ~sim ~rate_fn ~grain ~buffer_bytes ~loss_p ~rng ~deliver]
     builds a link whose service rate at time [now] is [rate_fn now]
     (bytes/s). When the rate is (near) zero the server retries every
-    [grain] seconds. [deliver] fires when a packet finishes service. *)
+    [grain] seconds. [deliver] fires when a packet finishes service.
+    [aqm] picks the discipline: [`Fifo] (default) or [`Codel], whose
+    control law may drop the head at dequeue. Requires
+    [buffer_bytes > 0]. *)
 val create :
   ?aqm:[ `Fifo | `Codel ] ->
   ?hooks:hooks ->
@@ -36,25 +41,14 @@ val create :
 (** Inject a packet at the link ingress. *)
 val send : t -> Packet.t -> unit
 
-(** Bytes currently queued at the bottleneck. *)
-val queue_bytes : t -> int
-
 (** Packets dropped by the queue (tail drop or CoDel). *)
 val queue_drops : t -> int
-
-val queue_is_empty : t -> bool
 
 (** Total bytes that completed service. *)
 val delivered_bytes : t -> int
 
-val delivered_pkts : t -> int
-
-(** Packets dropped by the stochastic-loss process (not droptail). *)
+(** Packets dropped by the stochastic-loss process (not the queue). *)
 val random_drops : t -> int
-
-(** Instantaneous effective service rate at [time], bytes/s (after the
-    fault shaper, when hooks are attached). *)
-val rate_at : t -> float -> float
 
 (** Mean queueing delay experienced at admission, seconds. *)
 val mean_queue_delay : t -> float

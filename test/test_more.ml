@@ -238,15 +238,22 @@ let test_five_g_switches_regimes () =
   done;
   check_bool "visits both regimes" true (!fast > 20 && !slow > 20)
 
+(* CoDel's queue keeps the same byte bound as FIFO: a burst past it
+   tail-drops at admission. *)
 let test_codel_keeps_capacity_bound () =
-  let q = Netsim.Codel.create ~capacity:4500 () in
-  let pkt seq = { Netsim.Packet.flow = 0; seq; size = 1500; corrupt = false } in
-  check_bool "admit 3" true
-    (Netsim.Codel.enqueue q (pkt 0) ~now:0.0
-    && Netsim.Codel.enqueue q (pkt 1) ~now:0.0
-    && Netsim.Codel.enqueue q (pkt 2) ~now:0.0);
-  check_bool "tail drop at capacity" true
-    (not (Netsim.Codel.enqueue q (pkt 3) ~now:0.0))
+  let sim = Netsim.Sim.create () in
+  let served = ref 0 in
+  let link =
+    Netsim.Link.create ~aqm:`Codel ~sim ~rate_fn:(fun _ -> 125_000.0) ~grain:0.01
+      ~buffer_bytes:4500 ~loss_p:0.0 ~rng:(Netsim.Rng.create 1)
+      ~deliver:(fun _ -> incr served) ()
+  in
+  for seq = 0 to 3 do
+    Netsim.Link.send link { Netsim.Packet.flow = 0; seq; size = 1500; corrupt = false }
+  done;
+  check_int "tail drop at capacity" 1 (Netsim.Link.queue_drops link);
+  Netsim.Sim.run sim ~until:1.0;
+  check_int "admitted 3 served" 3 !served
 
 (* ------------------------------------------------------------------ *)
 (* Libra over other classics builds and runs *)

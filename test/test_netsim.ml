@@ -243,81 +243,90 @@ let test_sim_coded_event_needs_handler () =
     (fun () -> Netsim.Sim.run sim ~until:1.0)
 
 (* ------------------------------------------------------------------ *)
-(* Droptail *)
+(* Link queue. Both disciplines keep their packets in the link's one
+   ring; these tests drive it through a small Sim and a 1 Mbit/s link
+   whose [deliver] collects sequence numbers. *)
 
 let mk_pkt ?(size = 1500) seq = { Netsim.Packet.flow = 0; seq; size; corrupt = false }
 
+let queue_link ?aqm ~buffer_bytes () =
+  let sim = Netsim.Sim.create () in
+  let delivered = ref [] in
+  let rate = 125_000.0 in
+  let link =
+    Netsim.Link.create ?aqm ~const_rate:rate ~sim ~rate_fn:(fun _ -> rate)
+      ~grain:0.01 ~buffer_bytes ~loss_p:0.0 ~rng:(Netsim.Rng.create 1)
+      ~deliver:(fun p -> delivered := p.Netsim.Packet.seq :: !delivered)
+      ()
+  in
+  (sim, link, fun () -> List.rev !delivered)
+
 let test_droptail_admits_until_capacity () =
-  let q = Netsim.Droptail.create ~capacity:4500 in
-  check_bool "p0" true (Netsim.Droptail.enqueue q (mk_pkt 0));
-  check_bool "p1" true (Netsim.Droptail.enqueue q (mk_pkt 1));
-  check_bool "p2" true (Netsim.Droptail.enqueue q (mk_pkt 2));
-  check_bool "p3 dropped" false (Netsim.Droptail.enqueue q (mk_pkt 3));
-  check_int "bytes" 4500 (Netsim.Droptail.bytes q);
-  check_int "drops" 1 (Netsim.Droptail.drops q)
+  let sim, link, delivered = queue_link ~buffer_bytes:4500 () in
+  for i = 0 to 3 do
+    Netsim.Link.send link (mk_pkt i)
+  done;
+  check_int "p3 tail-dropped" 1 (Netsim.Link.queue_drops link);
+  Netsim.Sim.run sim ~until:1.0;
+  Alcotest.(check (list int)) "p0-p2 served" [ 0; 1; 2 ] (delivered ());
+  check_int "bytes" 4500 (Netsim.Link.delivered_bytes link)
 
 let test_droptail_fifo () =
-  let q = Netsim.Droptail.create ~capacity:100000 in
+  let sim, link, delivered = queue_link ~buffer_bytes:100000 () in
   for i = 0 to 5 do
-    ignore (Netsim.Droptail.enqueue q (mk_pkt i))
+    Netsim.Link.send link (mk_pkt i)
   done;
-  let rec drain acc =
-    match Netsim.Droptail.dequeue q with
-    | Some pkt -> drain (pkt.Netsim.Packet.seq :: acc)
-    | None -> List.rev acc
-  in
-  Alcotest.(check (list int)) "fifo order" [ 0; 1; 2; 3; 4; 5 ] (drain [])
+  Netsim.Sim.run sim ~until:1.0;
+  Alcotest.(check (list int)) "fifo order" [ 0; 1; 2; 3; 4; 5 ] (delivered ())
 
+(* A burst into an idle link: packet i is admitted exactly when the
+   bytes admitted before it plus its size fit the buffer, and every
+   admitted packet is served, in order. *)
 let prop_droptail_conservation =
   QCheck.Test.make ~name:"droptail: admitted = dequeued + queued" ~count:100
     QCheck.(list (int_range 100 3000))
     (fun sizes ->
-      let q = Netsim.Droptail.create ~capacity:10000 in
-      let admitted = ref 0 in
+      let sim, link, delivered = queue_link ~buffer_bytes:10000 () in
+      List.iteri (fun i size -> Netsim.Link.send link (mk_pkt ~size i)) sizes;
+      let bytes = ref 0 and admitted = ref [] in
       List.iteri
         (fun i size ->
-          if Netsim.Droptail.enqueue q (mk_pkt ~size i) then incr admitted)
+          if !bytes + size <= 10000 then begin
+            bytes := !bytes + size;
+            admitted := i :: !admitted
+          end)
         sizes;
-      let dequeued = ref 0 in
-      let rec drain () =
-        match Netsim.Droptail.dequeue q with
-        | Some _ ->
-          incr dequeued;
-          drain ()
-        | None -> ()
-      in
-      let queued_before = Netsim.Droptail.length q in
-      drain ();
-      !admitted = !dequeued && queued_before = !dequeued)
+      Netsim.Sim.run sim ~until:10.0;
+      delivered () = List.rev !admitted
+      && Netsim.Link.queue_drops link = List.length sizes - List.length !admitted)
 
 (* ------------------------------------------------------------------ *)
 (* CoDel *)
 
+(* Sojourn under the 5 ms target never drops, however long the queue. *)
 let test_codel_passes_short_sojourn () =
-  let q = Netsim.Codel.create ~capacity:1_000_000 () in
-  ignore (Netsim.Codel.enqueue q (mk_pkt 0) ~now:0.0);
-  (match Netsim.Codel.dequeue q ~now:0.001 with
-  | Some pkt -> check_int "same packet" 0 pkt.Netsim.Packet.seq
-  | None -> Alcotest.fail "packet expected");
-  check_int "no drops" 0 (Netsim.Codel.drops q)
+  let law = Netsim.Codel.create () in
+  for i = 0 to 1000 do
+    check_bool "kept" false
+      (Netsim.Codel.drop law ~now:(0.001 *. float_of_int i) ~sojourn:0.004
+         ~backlog:1_000_000)
+  done
 
+(* One packet every 5 ms into a link that serves one every 12 ms: the
+   standing queue's sojourn stays far above target for well over one
+   interval, so CoDel must start dropping heads (the 1 MB buffer never
+   tail-drops), and the survivors still leave in FIFO order. *)
 let test_codel_drops_persistent_queue () =
-  let q = Netsim.Codel.create ~capacity:1_000_000 () in
-  (* Keep a standing queue whose sojourn stays way above target for
-     well over one interval: CoDel must start dropping. *)
-  let now = ref 0.0 in
-  let seq = ref 0 in
-  for _ = 1 to 400 do
-    now := !now +. 0.005;
-    incr seq;
-    ignore (Netsim.Codel.enqueue q (mk_pkt !seq) ~now:!now);
-    (* Service lags: dequeue every other step, so sojourn grows. *)
-    if !seq mod 2 = 0 then ignore (Netsim.Codel.dequeue q ~now:!now)
+  let sim, link, delivered = queue_link ~aqm:`Codel ~buffer_bytes:1_000_000 () in
+  let arrive = Netsim.Sim.register sim (fun seq _ -> Netsim.Link.send link (mk_pkt seq)) in
+  for i = 0 to 399 do
+    Netsim.Sim.at sim (0.005 *. float_of_int i) ~kind:arrive ~a:i ~b:0
   done;
-  check_bool
-    (Printf.sprintf "codel dropped (%d)" (Netsim.Codel.drops q))
-    true
-    (Netsim.Codel.drops q > 0)
+  Netsim.Sim.run sim ~until:2.0;
+  let drops = Netsim.Link.queue_drops link in
+  check_bool (Printf.sprintf "codel dropped (%d)" drops) true (drops > 0);
+  let served = delivered () in
+  check_bool "survivors in order" true (List.sort compare served = served)
 
 let test_codel_in_network_beats_droptail_delay () =
   let run aqm =

@@ -246,6 +246,50 @@ let test_golden_mixed_jitter () =
   check_mixed "jitter" ~util:0x1.422d0e5604189p-1 ~acked:[ 1757; 2036; 2546 ]
     ~lost:[ 36; 144; 987 ] ~delivered:11326500 ~queue_drops:0 ~events:55541
 
+(* Two cubic flows into a 600 KB CoDel buffer on wired:24 for 6 s:
+   long enough for the standing queue to push CoDel into its dropping
+   state. [queue_drops] counts CoDel's head drops with the tail drops.
+   The jitter+dup case sends deferred admissions and duplicates into
+   the CoDel queue; its jitter is held to 2 ms because the default
+   12 ms leaves cubic too little window for CoDel ever to drop. *)
+let check_codel label ?impair ~quad:(util, delay, loss, thr) ~acked ~queue_drops
+    ~events () =
+  let spec =
+    Harness.Scenario.make_spec ~buffer_kb:600 ~aqm:`Codel
+      ?impair:(Option.map Faults.Spec.of_string_exn impair)
+      (Traces.Rate.constant 24.0)
+  in
+  let o =
+    Harness.Scenario.run_uniform ~seed:5 ~n_flows:2 ~factory:Harness.Ccas.cubic
+      ~duration:6.0 spec
+  in
+  check_float (label ^ ": utilization") util o.Harness.Scenario.utilization;
+  check_float (label ^ ": mean delay") delay o.Harness.Scenario.mean_delay;
+  check_float (label ^ ": loss rate") loss o.Harness.Scenario.loss_rate;
+  check_float (label ^ ": throughput") thr o.Harness.Scenario.throughput;
+  let s = o.Harness.Scenario.summary in
+  Alcotest.(check (list int)) (label ^ ": per-flow acked pkts") acked (acked_pkts s);
+  check_int (label ^ ": queue drops") queue_drops s.Netsim.Network.queue_drops;
+  check_int (label ^ ": logical event count") events s.Netsim.Network.events
+
+let test_golden_codel () =
+  check_codel "codel"
+    ~quad:
+      ( 0x1.f15d867c3ece3p-1,
+        0x1.7180c4578382p-5,
+        0x1.c2890d70f6bd1p-9,
+        0x1.61e99p+21 )
+    ~acked:[ 6496; 5101 ] ~queue_drops:40 ~events:73951 ()
+
+let test_golden_codel_jitter_dup () =
+  check_codel "codel jitter+dup" ~impair:"jitter:max=0.002+dup"
+    ~quad:
+      ( 0x1.ef9db22d0e56p-1,
+        0x1.3e12cc65a6edp-5,
+        0x1.1e22283ccda89p-9,
+        0x1.5cb97p+21 )
+    ~acked:[ 5541; 5886 ] ~queue_drops:23 ~events:87169 ()
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -272,5 +316,7 @@ let () =
           Alcotest.test_case "mixed flap" `Quick test_golden_mixed_flap;
           Alcotest.test_case "mixed reorder" `Quick test_golden_mixed_reorder;
           Alcotest.test_case "mixed jitter" `Quick test_golden_mixed_jitter;
+          Alcotest.test_case "codel" `Quick test_golden_codel;
+          Alcotest.test_case "codel jitter+dup" `Quick test_golden_codel_jitter_dup;
         ] );
     ]
