@@ -1,16 +1,20 @@
 (* Binary min-heap of timed events.
 
-   Events firing at equal times are delivered in insertion order, which a
-   sequence number enforces; this keeps simulations deterministic.
+   Every entry carries a ticket, a sequence number taken from the
+   heap's counter, and events firing at equal times pop in ticket
+   order; this keeps simulations deterministic. [push] takes the next
+   ticket; [ticket] takes one without pushing and [push_ticket] pushes
+   under it later, ordered among the queued entries like any other (a
+   lazily moved timer relies on this: see Sim's ticket contract).
 
    This is the simulator's hottest structure (every packet send, ACK,
    service completion and timer is one push/pop), so it is laid out
    struct-of-arrays: the timestamps live in a flat [float array]
-   (unboxed loads and stores), the tie-break sequence numbers and the
-   events in plain int arrays. An event is an int kind -- an index into
-   the simulator's handler table -- plus two int operands, typically a
-   flow handle and a version or sequence number; no event carries a
-   closure, and no store needs the write barrier.
+   (unboxed loads and stores), the tickets and the events in plain int
+   arrays. An event is an int kind -- an index into the simulator's
+   handler table -- plus two int operands, typically a flow handle and
+   a version or sequence number; no event carries a closure, and no
+   store needs the write barrier.
 
    Pushes go through a one-slot staging cell filled by [@inline]
    wrappers, so the timestamp never crosses a function boundary as a
@@ -21,12 +25,12 @@
 type t = {
   (* parallel slots 0 .. size-1 *)
   mutable times : float array;
-  mutable seqs : int array;
+  mutable seqs : int array;  (* tickets *)
   mutable kinds : int array;
   mutable pa : int array;  (* operand a *)
   mutable pb : int array;  (* operand b *)
   mutable size : int;
-  mutable next_seq : int;
+  mutable next_seq : int;  (* next ticket *)
   (* staging cell for the entry being pushed (or sifted down) *)
   st_time : float array;  (* one cell; flat store keeps the time unboxed *)
   mutable st_kind : int;
@@ -63,6 +67,15 @@ let create () =
 let size t = t.size
 
 let is_empty t = t.size = 0
+
+exception Empty
+
+let[@inline] top_time t = if t.size = 0 then raise Empty else t.times.(0)
+
+let[@inline] ticket t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
 
 let reserve t n =
   let cap = Array.length t.times in
@@ -123,10 +136,8 @@ let rec sift_up t seq i =
     else write_staged t i seq
   end
 
-let push_staged_impl t =
+let push_staged_impl t seq =
   if t.size = Array.length t.times then grow t;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   sift_up t seq t.size;
   t.size <- t.size + 1
 
@@ -135,16 +146,19 @@ let span_push = Obs.Span.probe "heap.push"
 (* Span probes on the hottest structure are gated on [Span.enabled] so
    the disabled path keeps PR 1's no-closure discipline: one atomic
    load + branch, no allocation. *)
-let push_staged t =
-  if Obs.Span.enabled () then Obs.Span.timed span_push (fun () -> push_staged_impl t)
-  else push_staged_impl t
+let push_staged t seq =
+  if Obs.Span.enabled () then
+    Obs.Span.timed span_push (fun () -> push_staged_impl t seq)
+  else push_staged_impl t seq
 
-let[@inline] push t ~time ~kind ~a ~b =
+let[@inline] push_ticket t ~time ~ticket ~kind ~a ~b =
   t.st_time.(0) <- time;
   t.st_kind <- kind;
   t.st_a <- a;
   t.st_b <- b;
-  push_staged t
+  push_staged t ticket
+
+let[@inline] push t ~time ~kind ~a ~b = push_ticket t ~time ~ticket:(ticket t) ~kind ~a ~b
 
 (* Move the staged entry down from hole [i], pulling the earlier child
    up. *)
@@ -169,8 +183,6 @@ let rec sift_down t seq i =
     end
     else write_staged t i seq
   end
-
-exception Empty
 
 (* Pop the root into the scratch slot; no allocation. *)
 let pop_into_impl t =

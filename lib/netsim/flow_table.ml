@@ -4,21 +4,23 @@
    Float state lives in flat float arrays (loads/stores stay unboxed),
    int state in int arrays, and all scheduling goes through the four
    event kinds each table registers on its simulation (send, RTO, ACK,
-   start; operands: flow handle and a version or sequence number), so a
-   flow costs a few array slots rather than records and closures, and
-   the steady-state ACK path allocates nothing on the minor heap when
-   tracing is off. The events-per-sec bench asserts that contract with
-   [Gc.counters].
+   start; operands: flow handle and a version, ticket or sequence
+   number), so a flow costs a few array slots rather than records and
+   closures, and the steady-state ACK path allocates nothing on the
+   minor heap when tracing is off. The events-per-sec bench asserts
+   that contract with [Gc.counters].
 
    A sender paces packets at its CCA's pacing rate, capped by its
    window. Loss is detected by dup-ACK counting: an outstanding packet
    is declared lost once [dup_thresh] ACKs for higher sequences have
    arrived. On an unimpaired FIFO bottleneck ACKs arrive in order, so
    [dup_thresh = 1] is exact gap detection; fault-injected paths
-   reorder ACKs, and there a TCP-style 3 absorbs bounded reordering. A
-   versioned RTO covers tail losses. Lost data is not retransmitted:
-   flows model sources whose delivered goodput is what is measured, as
-   in the paper's emulation.
+   reorder ACKs, and there a TCP-style 3 absorbs bounded reordering. An
+   RTO covers tail losses: every send and ACK re-arms it, and each flow
+   keeps one pending RTO event in the heap, moved lazily (see
+   [arm_rto]). Lost data is not retransmitted: flows model sources
+   whose delivered goodput is what is measured, as in the paper's
+   emulation.
 
    Outstanding packets per flow form a ring over parallel arrays.
    Because sequence numbers are consecutive, the entry for sequence [s]
@@ -60,7 +62,12 @@ type t = {
   mutable inflight : int array;
   mutable delivered : int array;  (* bytes *)
   mutable send_ver : int array;
-  mutable rto_ver : int array;
+  (* RTO: the latest arm's deadline and ticket, and the pending RTO
+     event's time and ticket (-1: none pending). *)
+  mutable rto_at : float array;
+  mutable rto_tk : int array;
+  mutable rto_pend_at : float array;
+  mutable rto_pend : int array;
   mutable size_bytes : int array;  (* flow size; max_int = unbounded *)
   mutable flags : int array;  (* bit0: finished *)
   mutable kind : int array;  (* ck_* code *)
@@ -82,7 +89,7 @@ type t = {
   (* Event kinds registered at [create]; operand a is the flow handle,
      b the operand in parentheses. *)
   mutable ev_send : Sim.kind;  (* send_ver *)
-  mutable ev_rto : Sim.kind;  (* rto_ver *)
+  mutable ev_rto : Sim.kind;  (* the event's own ticket *)
   mutable ev_ack : Sim.kind;  (* seq *)
   mutable ev_start : Sim.kind;  (* unused *)
 }
@@ -261,16 +268,30 @@ let[@inline] record_loss t h ~now ~pkts =
   t.lost.(h) <- t.lost.(h) + pkts;
   if not t.lite then Flow_stats.record_loss t.stats.(h) ~now ~pkts
 
-(* ---- Engine: the versioned send / RTO / ACK event chain ---- *)
+(* ---- Engine: the send / RTO / ACK event chain ---- *)
 
 let[@inline] schedule_send t h at =
   t.send_ver.(h) <- t.send_ver.(h) + 1;
   let at = Float.max at (Sim.now t.sim) in
   Sim.at t.sim at ~kind:t.ev_send ~a:h ~b:t.send_ver.(h)
 
+(* Every send and ACK re-arms the RTO, and almost no arm fires, so the
+   deadline moves lazily. An arm records the deadline and takes the
+   ticket that pushing an event would take (Sim's ticket contract), but
+   pushes only when the deadline is earlier than the pending event's.
+   A pending event that pops before the latest deadline re-pushes
+   itself there ([fire_rto]), so the timeout still runs at the exact
+   (time, ticket) key of the latest arm. *)
 let[@inline] arm_rto t h =
-  t.rto_ver.(h) <- t.rto_ver.(h) + 1;
-  Sim.after t.sim (rto_timeout t h) ~kind:t.ev_rto ~a:h ~b:t.rto_ver.(h)
+  let at = Sim.now t.sim +. rto_timeout t h in
+  let tk = Sim.ticket t.sim in
+  t.rto_at.(h) <- at;
+  t.rto_tk.(h) <- tk;
+  if t.rto_pend.(h) < 0 || at < t.rto_pend_at.(h) then begin
+    t.rto_pend_at.(h) <- at;
+    t.rto_pend.(h) <- tk;
+    Sim.at_ticket t.sim at ~ticket:tk ~kind:t.ev_rto ~a:h ~b:tk
+  end
 
 let send_packet t h now =
   match t.link with
@@ -308,8 +329,9 @@ let try_send t h v =
     end
   end
 
-let fire_rto t h v =
-  if v = t.rto_ver.(h) && t.inflight.(h) > 0 && not (finished t h) then begin
+(* The RTO expired: write off every outstanding packet. *)
+let timeout t h =
+  if t.inflight.(h) > 0 && not (finished t h) then begin
     let now = Sim.now t.sim in
     (* Only unresolved ring entries are still outstanding. *)
     let res = t.out_res.(h) in
@@ -327,6 +349,23 @@ let fire_rto t h v =
     cca_on_loss t h ~now ~lost ~kind:Cca.Timeout;
     schedule_send t h now
   end
+
+(* A popped RTO event carries its ticket. One that an earlier deadline
+   superseded is no longer pending: ignore it. The pending one is
+   either the latest arm's (expire) or was moved out by later arms
+   (re-push at the latest deadline and ticket). *)
+let fire_rto t h tk =
+  if tk = t.rto_pend.(h) then
+    if tk = t.rto_tk.(h) then begin
+      t.rto_pend.(h) <- -1;
+      timeout t h
+    end
+    else begin
+      let latest = t.rto_tk.(h) in
+      t.rto_pend_at.(h) <- t.rto_at.(h);
+      t.rto_pend.(h) <- latest;
+      Sim.at_ticket t.sim t.rto_at.(h) ~ticket:latest ~kind:t.ev_rto ~a:h ~b:latest
+    end
 
 (* ACK arrival at the sender, in three passes: [dup_scan] over the gap
    below [seq] (empty for in-order ACKs), the O(1) ring lookup of the
@@ -441,7 +480,10 @@ let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
       inflight = iz ();
       delivered = iz ();
       send_ver = iz ();
-      rto_ver = iz ();
+      rto_at = fz ();
+      rto_tk = iz ();
+      rto_pend_at = fz ();
+      rto_pend = iz ();
       size_bytes = iz ();
       flags = iz ();
       kind = iz ();
@@ -507,7 +549,10 @@ let grow_table t =
   t.inflight <- gi t.inflight;
   t.delivered <- gi t.delivered;
   t.send_ver <- gi t.send_ver;
-  t.rto_ver <- gi t.rto_ver;
+  t.rto_at <- gf t.rto_at;
+  t.rto_tk <- gi t.rto_tk;
+  t.rto_pend_at <- gf t.rto_pend_at;
+  t.rto_pend <- gi t.rto_pend;
   t.size_bytes <- gi t.size_bytes;
   t.flags <- gi t.flags;
   t.kind <- gi t.kind;
@@ -547,7 +592,10 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
   t.inflight.(h) <- 0;
   t.delivered.(h) <- 0;
   t.send_ver.(h) <- 0;
-  t.rto_ver.(h) <- 0;
+  t.rto_at.(h) <- 0.0;
+  t.rto_tk.(h) <- -1;
+  t.rto_pend_at.(h) <- 0.0;
+  t.rto_pend.(h) <- -1;
   t.size_bytes.(h) <- (match size_bytes with Some b -> b | None -> max_int);
   t.flags.(h) <- 0;
   t.acked.(h) <- 0;

@@ -3,11 +3,15 @@
 
     Senders pace at their CCA's rate, capped by its window; loss is
     detected by dup-ACK counting (threshold [dup_thresh]) with an RTO
-    for tail losses, and lost data is not retransmitted. ACK handling
-    resolves packets in O(1), and the steady-state ACK path allocates
-    nothing on the minor heap when tracing is off. {!Network.run} runs
-    configured CCAs on a table; many-flow workloads (the population
-    traffic model) build one directly.
+    for tail losses, and lost data is not retransmitted. Every send and
+    ACK re-arms the RTO; each flow keeps one pending RTO event, moved
+    lazily through {!Sim.ticket} and {!Sim.at_ticket}, so re-arms cost
+    no heap events while the timeout fires exactly when an event per
+    arm would. ACK handling resolves packets in O(1), and the
+    steady-state ACK path allocates nothing on the minor heap when
+    tracing is off. {!Network.run} runs configured CCAs on a table;
+    many-flow workloads (the population traffic model) build one
+    directly.
 
     A table registers its four event kinds (send, RTO, ACK, start) on
     the simulation at {!create}. *)

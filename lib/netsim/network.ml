@@ -30,6 +30,7 @@ type summary = {
   random_drops : int;
   duration : float;
   events : int;  (* simulator events executed during the run *)
+  dispatched : int array;  (* [events] by Sim kind *)
 }
 
 (* Integral of the (piecewise-constant) rate function over [0, duration],
@@ -127,6 +128,7 @@ let run ?(seed = 42) ?(stats_bin = 0.01) ?(dup_thresh = 1) ?faults ~link ~flows
     random_drops = Link.random_drops the_link;
     duration;
     events = Sim.events sim;
+    dispatched = Array.init (Sim.kinds sim) (Sim.dispatched sim);
   }
 
 (* Overall link utilization: bytes that crossed the bottleneck divided by

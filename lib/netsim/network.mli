@@ -29,6 +29,10 @@ type summary = {
   random_drops : int;
   duration : float;
   events : int;  (** simulator events executed during the run *)
+  dispatched : int array;
+      (** [events] by {!Sim.kind}: the flow table's send, RTO, ACK and
+          start (kinds 0-3), then the link's service completion, outage
+          retry and deferred admission (4-6) *)
 }
 
 (** Integral of the rate function over [0, duration] (bytes).

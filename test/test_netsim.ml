@@ -109,6 +109,22 @@ let test_heap_fifo_ties () =
     [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
     (List.map (fun (_, _, _, a, _) -> a) (drain_heap h))
 
+(* A ticket reserved before other pushes orders its event ahead of
+   theirs at an equal time, and behind them at a later one. *)
+let test_heap_reserved_ticket () =
+  let h = Netsim.Event_heap.create () in
+  let early = Netsim.Event_heap.ticket h in
+  Netsim.Event_heap.push h ~time:1.0 ~kind:0 ~a:1 ~b:0;
+  Netsim.Event_heap.push h ~time:1.0 ~kind:0 ~a:2 ~b:0;
+  let late = Netsim.Event_heap.ticket h in
+  Netsim.Event_heap.push_ticket h ~time:2.0 ~ticket:late ~kind:0 ~a:4 ~b:0;
+  Netsim.Event_heap.push h ~time:2.0 ~kind:0 ~a:5 ~b:0;
+  Netsim.Event_heap.push_ticket h ~time:1.0 ~ticket:early ~kind:0 ~a:0 ~b:0;
+  Netsim.Event_heap.push h ~time:1.5 ~kind:0 ~a:3 ~b:0;
+  check_float "top time" 1.0 (Netsim.Event_heap.top_time h);
+  Alcotest.(check (list int)) "(time, ticket) order" [ 0; 1; 2; 3; 4; 5 ]
+    (List.map (fun (_, _, _, a, _) -> a) (drain_heap h))
+
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in nondecreasing time order" ~count:100
     QCheck.(list (float_bound_inclusive 1000.0))
@@ -216,9 +232,9 @@ let test_sim_coded_events_dispatch () =
     [ ("y:1:2", 0.2); ("x:7:9", 0.5); ("y:3:4", 0.5); ("y:0:42", 0.8) ]
     (List.rev !log)
 
-(* [Sim.events] counts every executed event, whatever its handler; an
-   event popped past the horizon is suppressed and never counts. The
-   counter accumulates across [run] calls. *)
+(* [Sim.events] counts every executed event, whatever its handler, and
+   [Sim.dispatched] splits the count by kind. An event past the horizon
+   stays queued: the 5.0 s event runs in the second [run]. *)
 let test_sim_event_counter () =
   let sim = Netsim.Sim.create () in
   let k1 = Netsim.Sim.register sim (fun _ _ -> ()) in
@@ -230,7 +246,41 @@ let test_sim_event_counter () =
   check_int "two events inside the horizon" 2 (Netsim.Sim.events sim);
   Netsim.Sim.at sim 2.0 ~kind:k2 ~a:0 ~b:0;
   Netsim.Sim.run sim ~until:10.0;
-  check_int "counter accumulates across runs" 3 (Netsim.Sim.events sim)
+  check_int "counter accumulates across runs" 4 (Netsim.Sim.events sim);
+  check_int "kinds registered" 2 (Netsim.Sim.kinds sim);
+  check_int "first kind" 2 (Netsim.Sim.dispatched sim k1);
+  check_int "second kind" 2 (Netsim.Sim.dispatched sim k2)
+
+(* Splitting a run at a horizon changes nothing: [run ~until:t1] then
+   [run ~until:t2] dispatches the same (time, kind, a, b) sequence as
+   one [run ~until:t2]. Times sit on a 0.5 s grid so that events tie
+   with each other and with the horizons. *)
+let prop_sim_split_run =
+  let half_steps = QCheck.int_range 0 20 in
+  QCheck.Test.make ~name:"run to t1 then t2 = run to t2" ~count:200
+    QCheck.(
+      triple
+        (list_of_size Gen.(0 -- 30) (triple half_steps (int_range 0 2) small_nat))
+        half_steps half_steps)
+    (fun (evs, s1, s2) ->
+      let t1 = 0.5 *. float_of_int (min s1 s2) in
+      let t2 = 0.5 *. float_of_int (max s1 s2) in
+      let dispatch horizons =
+        let sim = Netsim.Sim.create () in
+        let log = ref [] in
+        let kinds =
+          Array.init 3 (fun k ->
+              Netsim.Sim.register sim (fun a b ->
+                  log := (Netsim.Sim.now sim, k, a, b) :: !log))
+        in
+        List.iteri
+          (fun i (step, k, a) ->
+            Netsim.Sim.at sim (0.5 *. float_of_int step) ~kind:kinds.(k) ~a ~b:i)
+          evs;
+        List.iter (fun until -> Netsim.Sim.run sim ~until) horizons;
+        List.rev !log
+      in
+      dispatch [ t1; t2 ] = dispatch [ t2 ])
 
 (* An event whose kind has no registered handler is a programming error,
    not a silent no-op. *)
@@ -597,6 +647,112 @@ let test_two_flows_share_link () =
     check_bool "link saturated" true (Netsim.Network.utilization summary > 0.95)
   | _ -> Alcotest.fail "two flows expected"
 
+(* ------------------------------------------------------------------ *)
+(* RTO timing. One Generic flow on a flow table, over a 12 Mbit/s link
+   whose rate drops to 0 at [dark_at]. The CCA keeps an 8-packet window
+   at half the link rate and records every callback, so the records
+   replay every RTO arm: each send and each new ACK re-arms it. *)
+
+type rto_record =
+  | Send of float  (* now *)
+  | Ack of float * float  (* now, rtt *)
+  | Loss of float * Netsim.Cca.loss_kind  (* now, kind *)
+
+let rto_run ~dark_at ~return_delay ~until =
+  let sim = Netsim.Sim.create () in
+  let table = Netsim.Flow_table.create ~sim () in
+  let rate = Netsim.Units.mbps_to_bps 12.0 in
+  let link =
+    Netsim.Link.create ~sim
+      ~rate_fn:(fun now -> if now < dark_at then rate else 0.0)
+      ~grain:0.01 ~buffer_bytes:(Netsim.Units.kb 150) ~loss_p:0.0
+      ~rng:(Netsim.Rng.create 1)
+      ~deliver:(Netsim.Flow_table.on_pkt_delivered table)
+      ()
+  in
+  Netsim.Flow_table.attach table link;
+  let log = ref [] in
+  let record r = log := r :: !log in
+  let cca =
+    {
+      Netsim.Cca.name = "recorder";
+      on_send = (fun (i : Netsim.Cca.send_info) -> record (Send i.now));
+      on_ack = (fun (i : Netsim.Cca.ack_info) -> record (Ack (i.now, i.rtt)));
+      on_loss = (fun (i : Netsim.Cca.loss_info) -> record (Loss (i.now, i.kind)));
+      pacing_rate = (fun ~now:_ -> rate /. 2.0);
+      cwnd = (fun ~now:_ -> 8.0);
+    }
+  in
+  let h =
+    Netsim.Flow_table.add_flow table ~cca:(Netsim.Flow_table.Generic cca)
+      ~return_delay ~start_at:0.0 ~stop_at:until ()
+  in
+  Netsim.Flow_table.start table h;
+  Netsim.Sim.run sim ~until;
+  List.rev !log
+
+(* Each Timeout paired with the deadline it must fire at, both as hex
+   floats: the last send or ACK before it plus the RTO of that moment,
+   max(0.2, srtt + 4 rttvar) over the RTT samples so far, or 1 s before
+   the first sample. *)
+let timeouts_vs_deadlines log =
+  let tr = Netsim.Cca.Rtt_tracker.create () in
+  let deadline = ref nan in
+  let arm now =
+    let rto =
+      if Netsim.Cca.Rtt_tracker.samples tr = 0 then 1.0
+      else
+        Float.max 0.2
+          (Netsim.Cca.Rtt_tracker.srtt tr +. (4.0 *. Netsim.Cca.Rtt_tracker.rttvar tr))
+    in
+    deadline := now +. rto
+  in
+  List.filter_map
+    (function
+      | Send now ->
+        arm now;
+        None
+      | Ack (now, rtt) ->
+        Netsim.Cca.Rtt_tracker.observe tr rtt;
+        arm now;
+        None
+      | Loss (now, Netsim.Cca.Timeout) ->
+        Some (Printf.sprintf "%h" !deadline, Printf.sprintf "%h" now)
+      | Loss (_, Netsim.Cca.Gap_detected) -> None)
+    log
+
+let check_timeouts label pairs =
+  check_bool (label ^ ": timed out") true (pairs <> []);
+  Alcotest.(check (list string))
+    (label ^ ": each Timeout at the last arm's deadline")
+    (List.map fst pairs) (List.map snd pairs)
+
+(* A 250 ms path keeps srtt + 4 rttvar above the 0.2 s floor; the flow
+   runs 1.5 s, through many arms that each move the deadline out, then
+   times out repeatedly in the dark. *)
+let test_rto_fires_at_last_deadline () =
+  let pairs =
+    timeouts_vs_deadlines (rto_run ~dark_at:1.5 ~return_delay:0.25 ~until:3.0)
+  in
+  check_timeouts "dark at 1.5 s" pairs;
+  check_bool "first Timeout after dark" true
+    (float_of_string (snd (List.hd pairs)) > 1.5)
+
+(* Sends before the first ACK arm 1 s timeouts; the first ACK's arm
+   (RTT 31 ms, so the 0.2 s floor) lands earlier and must move the
+   pending deadline in. The link goes dark once the first packet is
+   through, so that ACK is the only one. A link dark from the start
+   never yields a sample: the last send plus 1 s. *)
+let test_rto_first_sample_moves_deadline_in () =
+  let pairs =
+    timeouts_vs_deadlines (rto_run ~dark_at:0.0015 ~return_delay:0.03 ~until:2.0)
+  in
+  check_timeouts "dark after the first packet" pairs;
+  check_bool "first Timeout at the 0.2 s deadline" true
+    (float_of_string (snd (List.hd pairs)) < 0.5);
+  check_timeouts "dark from the start"
+    (timeouts_vs_deadlines (rto_run ~dark_at:0.0 ~return_delay:0.03 ~until:2.0))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -614,6 +770,7 @@ let () =
         [
           Alcotest.test_case "orders events" `Quick test_heap_orders_events;
           Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_ties;
+          Alcotest.test_case "reserved ticket" `Quick test_heap_reserved_ticket;
           Alcotest.test_case "grows" `Quick test_heap_grows;
           Alcotest.test_case "random pop order" `Quick test_heap_random_pop_order;
         ]
@@ -627,7 +784,8 @@ let () =
           Alcotest.test_case "event counter" `Quick test_sim_event_counter;
           Alcotest.test_case "coded event needs handler" `Quick
             test_sim_coded_event_needs_handler;
-        ] );
+        ]
+        @ qsuite [ prop_sim_split_run ] );
       ( "droptail",
         [
           Alcotest.test_case "capacity" `Quick test_droptail_admits_until_capacity;
@@ -664,4 +822,11 @@ let () =
           Alcotest.test_case "two flows share" `Quick test_two_flows_share_link;
         ]
         @ qsuite [ prop_packet_conservation ] );
+      ( "rto",
+        [
+          Alcotest.test_case "fires at the last arm's deadline" `Quick
+            test_rto_fires_at_last_deadline;
+          Alcotest.test_case "first sample moves the deadline in" `Quick
+            test_rto_first_sample_moves_deadline_in;
+        ] );
     ]

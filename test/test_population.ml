@@ -133,7 +133,7 @@ let test_spawn_produces_flows () =
 let test_spawn_pinned () =
   let n, events, flows = population_fingerprint ~predraws:0 () in
   check_int "flow count" 93 n;
-  check_int "logical event count" 22491 events;
+  check_int "logical event count" 16274 events;
   let triples =
     List.map (fun (s, d, c) -> Printf.sprintf "%h,%d,%h" s d c) flows
   in
@@ -148,8 +148,10 @@ let test_spawn_pinned () =
    floats), per-flow acked packets and the logical event count. The
    values were recorded when a second, closure-based engine still
    produced them identically, so they hold the flow engine's pacing,
-   dup-ACK, RTO and event-order semantics in place. A deliberate
-   behaviour change updates them; an accidental one fails here. *)
+   dup-ACK, RTO and event-order semantics in place. The event counts
+   were re-recorded, alone, when each flow's RTO became one lazily
+   moved event. A deliberate behaviour change updates them; an
+   accidental one fails here. *)
 let acked_pkts (s : Netsim.Network.summary) =
   List.map
     (fun f -> Netsim.Flow_stats.total_acked_pkts f.Netsim.Network.stats)
@@ -163,8 +165,8 @@ let lost_pkts (s : Netsim.Network.summary) =
 let check_float label want got =
   Alcotest.(check string) label (Printf.sprintf "%h" want) (Printf.sprintf "%h" got)
 
-let check_uniform label spec ~n_flows ~quad:(util, delay, loss, thr) ~acked
-    ~events =
+let check_uniform label spec ?dispatched ~n_flows ~quad:(util, delay, loss, thr)
+    ~acked ~events () =
   let o =
     Harness.Scenario.run_uniform ~seed:5 ~n_flows ~factory:Harness.Ccas.cubic
       ~duration:4.0 spec
@@ -175,8 +177,17 @@ let check_uniform label spec ~n_flows ~quad:(util, delay, loss, thr) ~acked
   check_float (label ^ ": throughput") thr o.Harness.Scenario.throughput;
   let s = o.Harness.Scenario.summary in
   Alcotest.(check (list int)) (label ^ ": per-flow acked pkts") acked (acked_pkts s);
-  check_int (label ^ ": logical event count") events s.Netsim.Network.events
+  check_int (label ^ ": logical event count") events s.Netsim.Network.events;
+  Option.iter
+    (fun want ->
+      Alcotest.(check (list int))
+        (label ^ ": events per kind") want
+        (Array.to_list s.Netsim.Network.dispatched))
+    dispatched
 
+(* [dispatched] lists the events per kind: flow send, RTO, ACK and
+   start, then link service completion, outage retry and deferred
+   admission. *)
 let test_golden_wired () =
   check_uniform "wired"
     (Harness.Scenario.make_spec (Traces.Rate.constant 24.0))
@@ -186,7 +197,8 @@ let test_golden_wired () =
         0x1.2b93d02dcb6a5p-4,
         0x1.8877b914cfccap-6,
         0x1.67fc4p+21 )
-    ~acked:[ 2201; 2388; 3275 ] ~events:50620
+    ~acked:[ 2201; 2388; 3275 ] ~events:35403
+    ~dispatched:[ 19552; 60; 7864; 3; 7924; 0; 0 ] ()
 
 let test_golden_lte () =
   let trace = Traces.Lte.generate ~seed:11 ~duration:4.0 Traces.Lte.Walking in
@@ -198,7 +210,7 @@ let test_golden_lte () =
         0x1.090f996ec5fb4p-5,
         0x1.5711b08319f5cp-7,
         0x1.2edb4p+20 )
-    ~acked:[ 1782; 1526 ] ~events:21217
+    ~acked:[ 1782; 1526 ] ~events:14912 ()
 
 (* Staggered heterogeneous flows (cubic at 0 s, C-Libra at 1 s, BBR at
    2 s) under a robustness profile with dup_thresh 3: the run_mixed
@@ -233,18 +245,18 @@ let check_mixed profile ~util ~acked ~lost ~delivered ~queue_drops ~events =
 
 let test_golden_mixed_flap () =
   check_mixed "flap" ~util:0x1.ac756b2dbd194p-1 ~acked:[ 4674; 772; 4596 ]
-    ~lost:[ 273; 94; 988 ] ~delivered:15063000 ~queue_drops:1492 ~events:69235
+    ~lost:[ 273; 94; 988 ] ~delivered:15063000 ~queue_drops:1492 ~events:47848
 
 let test_golden_mixed_reorder () =
   check_mixed "reorder" ~util:0x1.8fc962fc962fdp-1 ~acked:[ 1932; 3584; 3748 ]
-    ~lost:[ 32; 63; 60 ] ~delivered:14055000 ~queue_drops:109 ~events:63193
+    ~lost:[ 32; 63; 60 ] ~delivered:14055000 ~queue_drops:109 ~events:45249
 
 (* Jitter is the one robustness profile whose ingress hook defers
    admission (a positive extra delay), so this pin holds the link's
    deferred-admission events in heap order. *)
 let test_golden_mixed_jitter () =
   check_mixed "jitter" ~util:0x1.422d0e5604189p-1 ~acked:[ 1757; 2036; 2546 ]
-    ~lost:[ 36; 144; 987 ] ~delivered:11326500 ~queue_drops:0 ~events:55541
+    ~lost:[ 36; 144; 987 ] ~delivered:11326500 ~queue_drops:0 ~events:42339
 
 (* Two cubic flows into a 600 KB CoDel buffer on wired:24 for 6 s:
    long enough for the standing queue to push CoDel into its dropping
@@ -279,7 +291,7 @@ let test_golden_codel () =
         0x1.7180c4578382p-5,
         0x1.c2890d70f6bd1p-9,
         0x1.61e99p+21 )
-    ~acked:[ 6496; 5101 ] ~queue_drops:40 ~events:73951 ()
+    ~acked:[ 6496; 5101 ] ~queue_drops:40 ~events:51510 ()
 
 let test_golden_codel_jitter_dup () =
   check_codel "codel jitter+dup" ~impair:"jitter:max=0.002+dup"
@@ -288,7 +300,7 @@ let test_golden_codel_jitter_dup () =
         0x1.3e12cc65a6edp-5,
         0x1.1e22283ccda89p-9,
         0x1.5cb97p+21 )
-    ~acked:[ 5541; 5886 ] ~queue_drops:23 ~events:87169 ()
+    ~acked:[ 5541; 5886 ] ~queue_drops:23 ~events:65068 ()
 
 (* ------------------------------------------------------------------ *)
 
