@@ -19,7 +19,6 @@ let probe_rtt_interval = 10.0
 let probe_rtt_duration = 0.2
 
 type t = {
-  mss : int;
   bw_filter : Netsim.Cca.Windowed_max.wmax;
   rtt_filter : Netsim.Cca.Windowed_max.wmax;  (* stores -rtt: min filter *)
   mutable mode : mode;
@@ -34,9 +33,8 @@ type t = {
   rtt : Netsim.Cca.Rtt_tracker.tracker;
 }
 
-let create ?(mss = Netsim.Units.mtu) () =
+let create () =
   {
-    mss;
     bw_filter = Netsim.Cca.Windowed_max.create ~window:bw_window;
     rtt_filter = Netsim.Cca.Windowed_max.create ~window:rtprop_window;
     mode = Startup;
@@ -59,7 +57,7 @@ let rtprop t ~now =
 
 let bdp_pkts t ~now =
   let bw = btl_bw t ~now and rt = rtprop t ~now in
-  Float.max 4.0 (bw *. rt /. float_of_int t.mss)
+  Float.max 4.0 (bw *. rt /. Window.mss)
 
 let mode t = t.mode
 
@@ -139,7 +137,7 @@ let pacing t ~now =
   let bw =
     if bw <= 0.0 then
       (* No samples yet: initial window over the first RTT estimate. *)
-      10.0 *. float_of_int t.mss /. 0.1
+      10.0 *. Window.mss /. 0.1
     else bw
   in
   pacing_gain t ~now *. bw
@@ -149,9 +147,9 @@ let cwnd t ~now =
   | Probe_rtt -> 4.0
   | Startup | Drain | Probe_bw -> cwnd_gain *. bdp_pkts t ~now
 
-let as_cca ?(name = "bbr") t =
+let as_cca t =
   {
-    Netsim.Cca.name;
+    Netsim.Cca.name = "bbr";
     on_ack = on_ack t;
     on_loss = on_loss t;
     on_send = (fun _ -> ());

@@ -6,7 +6,7 @@ type mode = Startup | Drain | Probe_bw | Probe_rtt
 
 type t
 
-val create : ?mss:int -> unit -> t
+val create : unit -> t
 
 val mode : t -> mode
 
@@ -25,7 +25,7 @@ val cwnd : t -> now:float -> float
 val on_ack : t -> Netsim.Cca.ack_info -> unit
 val on_loss : t -> Netsim.Cca.loss_info -> unit
 
-val as_cca : ?name:string -> t -> Netsim.Cca.t
+val as_cca : t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t
 
 (** BBR as a Libra subroutine: 3-RTT exploration stage (the first

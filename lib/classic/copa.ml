@@ -1,56 +1,39 @@
 (* Copa (Arun & Balakrishnan 2018): steers the sending rate towards
    lambda* = 1 / (delta * d_q), where d_q is the measured queueing delay.
    The window moves by v / (delta * cwnd) per ACK towards the target,
-   with velocity doubling while the direction persists. *)
+   with velocity doubling while the direction persists. Copa has no
+   recovery gate: its loss response is its own, and only the window,
+   the RTT estimate, pacing and the embedding come from [Window]. *)
+
+let delta = 0.5
 
 type t = {
-  delta : float;
-  mss : int;
-  mutable cwnd : float;
+  w : Window.t;
   mutable velocity : float;
   mutable direction : int;  (* +1 up, -1 down, 0 undecided *)
   mutable same_direction_rounds : int;
   mutable round_start : float;
-  rtt : Netsim.Cca.Rtt_tracker.tracker;
   mutable standing_rtt : float;  (* short-window min RTT *)
   mutable standing_reset : float;
 }
 
-let create ?(delta = 0.5) ?(initial_cwnd = 10.0) ?(mss = Netsim.Units.mtu) () =
-  {
-    delta;
-    mss;
-    cwnd = initial_cwnd;
-    velocity = 1.0;
-    direction = 0;
-    same_direction_rounds = 0;
-    round_start = 0.0;
-    rtt = Netsim.Cca.Rtt_tracker.create ();
-    standing_rtt = infinity;
-    standing_reset = 0.0;
-  }
-
-let cwnd t = t.cwnd
-let srtt t = Netsim.Cca.Rtt_tracker.srtt t.rtt
-
 let on_ack t (ack : Netsim.Cca.ack_info) =
-  Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
+  let w = t.w in
   (* Standing RTT: min over the last srtt/2. *)
-  if ack.now -. t.standing_reset > Netsim.Cca.Rtt_tracker.srtt t.rtt /. 2.0 then begin
+  if ack.now -. t.standing_reset > Window.srtt w /. 2.0 then begin
     t.standing_rtt <- ack.rtt;
     t.standing_reset <- ack.now
   end
   else if ack.rtt < t.standing_rtt then t.standing_rtt <- ack.rtt;
-  let min_rtt = Netsim.Cca.Rtt_tracker.min_rtt t.rtt in
-  let dq = Float.max 1e-4 (t.standing_rtt -. min_rtt) in
-  let target_rate = 1.0 /. (t.delta *. dq) in
+  let dq = Float.max 1e-4 (t.standing_rtt -. Window.min_rtt w) in
+  let target_rate = 1.0 /. (delta *. dq) in
   (* packets/s *)
-  let current_rate = t.cwnd /. Float.max 1e-3 (Netsim.Cca.Rtt_tracker.srtt t.rtt) in
-  let step = t.velocity /. (t.delta *. t.cwnd) in
+  let current_rate = w.cwnd /. Float.max 1e-3 (Window.srtt w) in
+  let step = t.velocity /. (delta *. w.cwnd) in
   let dir = if current_rate <= target_rate then 1 else -1 in
-  t.cwnd <- Float.max 2.0 (t.cwnd +. (float_of_int dir *. step));
+  w.cwnd <- Float.max 2.0 (w.cwnd +. (float_of_int dir *. step));
   (* Velocity update once per RTT. *)
-  if ack.now -. t.round_start >= Netsim.Cca.Rtt_tracker.srtt t.rtt then begin
+  if ack.now -. t.round_start >= Window.srtt w then begin
     t.round_start <- ack.now;
     if dir = t.direction then begin
       t.same_direction_rounds <- t.same_direction_rounds + 1;
@@ -63,31 +46,29 @@ let on_ack t (ack : Netsim.Cca.ack_info) =
     end
   end
 
-let on_loss t (loss : Netsim.Cca.loss_info) =
+let on_loss (w : Window.t) (loss : Netsim.Cca.loss_info) =
   match loss.kind with
   | Netsim.Cca.Gap_detected ->
     (* Copa mostly reacts through delay; large loss runs halve. *)
-    if loss.lost > 3 then t.cwnd <- Float.max 2.0 (t.cwnd /. 2.0)
-  | Netsim.Cca.Timeout -> t.cwnd <- 2.0
+    if loss.lost > 3 then w.cwnd <- Float.max 2.0 (w.cwnd /. 2.0)
+  | Netsim.Cca.Timeout -> w.cwnd <- 2.0
 
-let pacing t = 1.2 *. t.cwnd *. float_of_int t.mss /. Float.max 1e-3 (srtt t)
+let as_cca w =
+  let t =
+    {
+      w;
+      velocity = 1.0;
+      direction = 0;
+      same_direction_rounds = 0;
+      round_start = 0.0;
+      standing_rtt = infinity;
+      standing_reset = 0.0;
+    }
+  in
+  Window.cca ~name:"copa" w ~on_ack:(on_ack t) ~on_loss:(on_loss w)
 
-let as_cca ?(name = "copa") t =
-  {
-    Netsim.Cca.name;
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_send = (fun _ -> ());
-    pacing_rate = (fun ~now:_ -> pacing t);
-    cwnd = (fun ~now:_ -> t.cwnd);
-  }
-
-let make () = as_cca (create ())
+let make () = as_cca (Window.create ())
 
 let embedded () =
-  let t = create () in
-  Embedded.of_window ~cca:(as_cca t)
-    ~get_cwnd_pkts:(fun () -> t.cwnd)
-    ~set_cwnd_pkts:(fun w -> t.cwnd <- w)
-    ~srtt:(fun () -> srtt t)
-    ~mss:t.mss ()
+  let w = Window.create () in
+  Window.embedded w (as_cca w)

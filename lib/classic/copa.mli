@@ -1,17 +1,8 @@
 (** Copa (Arun & Balakrishnan 2018): steers towards the target rate
-    1 / (delta * queueing delay) with velocity doubling while the
-    direction persists. *)
+    1 / (delta * queueing delay), delta = 0.5, with velocity doubling
+    while the direction persists. *)
 
-type t
-
-val create : ?delta:float -> ?initial_cwnd:float -> ?mss:int -> unit -> t
-
-val cwnd : t -> float
-val srtt : t -> float
-
-val on_ack : t -> Netsim.Cca.ack_info -> unit
-val on_loss : t -> Netsim.Cca.loss_info -> unit
-
-val as_cca : ?name:string -> t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t
+
+(** Copa as a Libra subroutine (1-RTT exploration stage). *)
 val embedded : unit -> Embedded.t

@@ -5,50 +5,26 @@
    events, where K = cbrt(W_max (1 - beta) / C), so that the window
    plateaus near the last saturation point and then probes beyond it.
    A TCP-friendly lower envelope keeps it no slower than AIMD at small
-   BDPs. *)
+   BDPs. The epoch state sits over a [Window.t], which keeps the window
+   itself, the RTT estimate, the recovery gate and pacing. *)
 
-let default_c = 0.4
-let default_beta = 0.7
+let c = 0.4
+let beta = 0.7
 
 type t = {
-  c : float;
-  beta : float;
-  mss : int;
-  mutable cwnd : float;  (* packets *)
-  mutable ssthresh : float;
+  w : Window.t;
   mutable w_max : float;
   mutable epoch_start : float;  (* nan when no epoch is active *)
   mutable k : float;
   mutable origin : float;
-  mutable ack_cnt : float;  (* ACKs since epoch start, for W_est *)
-  mutable recovery_until : float;
-  rtt : Netsim.Cca.Rtt_tracker.tracker;
 }
 
-let create ?(c = default_c) ?(beta = default_beta) ?(initial_cwnd = 10.0)
-    ?(mss = Netsim.Units.mtu) () =
-  {
-    c;
-    beta;
-    mss;
-    cwnd = initial_cwnd;
-    ssthresh = infinity;
-    w_max = 0.0;
-    epoch_start = nan;
-    k = 0.0;
-    origin = 0.0;
-    ack_cnt = 0.0;
-    recovery_until = 0.0;
-    rtt = Netsim.Cca.Rtt_tracker.create ();
-  }
+let create w = { w; w_max = 0.0; epoch_start = nan; k = 0.0; origin = 0.0 }
 
-let cwnd t = t.cwnd
-let srtt t = Netsim.Cca.Rtt_tracker.srtt t.rtt
-
-(* Impose a window from outside (Orca's agent, Libra's base rate) and
-   restart the cubic epoch from the new operating point. *)
-let set_cwnd t w =
-  t.cwnd <- Float.max 2.0 w;
+(* Impose a window from outside (Orca's agent) and restart the cubic
+   epoch from the new operating point. *)
+let set_cwnd t cwnd =
+  t.w.cwnd <- Float.max 2.0 cwnd;
   t.epoch_start <- nan
 
 (* The cubic curve itself; exposed for unit tests. *)
@@ -56,78 +32,63 @@ let w_cubic ~c ~k ~origin elapsed = (c *. ((elapsed -. k) ** 3.0)) +. origin
 
 let start_epoch t ~now =
   t.epoch_start <- now;
-  t.ack_cnt <- 0.0;
-  if t.cwnd < t.w_max then begin
-    t.k <- Float.cbrt ((t.w_max -. t.cwnd) /. t.c);
+  if t.w.cwnd < t.w_max then begin
+    t.k <- Float.cbrt ((t.w_max -. t.w.cwnd) /. c);
     t.origin <- t.w_max
   end
   else begin
     t.k <- 0.0;
-    t.origin <- t.cwnd
+    t.origin <- t.w.cwnd
   end
 
 let on_ack t (ack : Netsim.Cca.ack_info) =
-  Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
-  if ack.now >= t.recovery_until then begin
-    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.0
+  let w = t.w in
+  if Window.recovered w ~now:ack.now then begin
+    if w.cwnd < w.ssthresh then w.cwnd <- w.cwnd +. 1.0
     else begin
       if Float.is_nan t.epoch_start then start_epoch t ~now:ack.now;
-      t.ack_cnt <- t.ack_cnt +. 1.0;
-      let rtt = Netsim.Cca.Rtt_tracker.srtt t.rtt in
+      let rtt = Window.srtt w in
       let elapsed = ack.now -. t.epoch_start +. rtt in
-      let target = w_cubic ~c:t.c ~k:t.k ~origin:t.origin elapsed in
-      if target > t.cwnd then t.cwnd <- t.cwnd +. ((target -. t.cwnd) /. t.cwnd)
-      else t.cwnd <- t.cwnd +. (0.01 /. t.cwnd);
+      let target = w_cubic ~c ~k:t.k ~origin:t.origin elapsed in
+      if target > w.cwnd then w.cwnd <- w.cwnd +. ((target -. w.cwnd) /. w.cwnd)
+      else w.cwnd <- w.cwnd +. (0.01 /. w.cwnd);
       (* TCP-friendly region (standard W_est envelope). *)
-      let friendliness = 3.0 *. (1.0 -. t.beta) /. (1.0 +. t.beta) in
+      let friendliness = 3.0 *. (1.0 -. beta) /. (1.0 +. beta) in
       let w_est =
-        (t.origin *. t.beta)
+        (t.origin *. beta)
         +. (friendliness *. (ack.now -. t.epoch_start) /. Float.max 1e-3 rtt)
       in
-      if w_est > t.cwnd then t.cwnd <- w_est
+      if w_est > w.cwnd then w.cwnd <- w_est
     end
   end
 
 let on_loss t (loss : Netsim.Cca.loss_info) =
-  if loss.now >= t.recovery_until then begin
+  let w = t.w in
+  if Window.recovered w ~now:loss.now then begin
+    t.w_max <- w.cwnd;
     (match loss.kind with
     | Netsim.Cca.Gap_detected ->
-      t.w_max <- t.cwnd;
-      t.cwnd <- Float.max 2.0 (t.cwnd *. t.beta);
-      t.ssthresh <- t.cwnd
+      w.cwnd <- Float.max 2.0 (w.cwnd *. beta);
+      w.ssthresh <- w.cwnd
     | Netsim.Cca.Timeout ->
-      t.w_max <- t.cwnd;
-      t.ssthresh <- Float.max 2.0 (t.cwnd *. t.beta);
-      t.cwnd <- 2.0);
+      w.ssthresh <- Float.max 2.0 (w.cwnd *. beta);
+      w.cwnd <- 2.0);
     t.epoch_start <- nan;
-    t.recovery_until <- loss.now +. Netsim.Cca.Rtt_tracker.srtt t.rtt
+    Window.enter_recovery w ~now:loss.now
   end
 
-let pacing t = 1.2 *. t.cwnd *. float_of_int t.mss /. Float.max 1e-3 (srtt t)
-
-let as_cca ?(name = "cubic") t =
-  {
-    Netsim.Cca.name;
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_send = (fun _ -> ());
-    pacing_rate = (fun ~now:_ -> pacing t);
-    cwnd = (fun ~now:_ -> t.cwnd);
-  }
-
-let make () = as_cca (create ())
+let as_cca t = Window.cca ~name:"cubic" t.w ~on_ack:(on_ack t) ~on_loss:(on_loss t)
+let make () = as_cca (create (Window.create ()))
 
 let embedded () =
-  let t = create () in
-  Embedded.of_window ~cca:(as_cca t)
-    ~get_cwnd_pkts:(fun () -> t.cwnd)
-    ~set_cwnd_pkts:(fun w ->
-      (* Restart the cubic epoch only when the imposed operating point
-         actually moved: when Libra adopts CUBIC's own decision cycle
-         after cycle, the epoch keeps accumulating and the window curve
-         accelerates past its plateau, preserving CUBIC's multi-second
-         aggressiveness inside 100ms control cycles. *)
-      if Float.abs (w -. t.cwnd) > 0.05 *. t.cwnd then t.epoch_start <- nan;
-      t.cwnd <- w)
-    ~srtt:(fun () -> srtt t)
-    ~mss:t.mss ()
+  let t = create (Window.create ()) in
+  (* Restart the cubic epoch only when the imposed operating point
+     actually moved: when Libra adopts CUBIC's own decision cycle after
+     cycle, the epoch keeps accumulating and the window curve
+     accelerates past its plateau, preserving CUBIC's multi-second
+     aggressiveness inside 100ms control cycles. *)
+  let set_cwnd cwnd =
+    if Float.abs (cwnd -. t.w.cwnd) > 0.05 *. t.w.cwnd then t.epoch_start <- nan;
+    t.w.cwnd <- cwnd
+  in
+  Window.embedded ~set_cwnd t.w (as_cca t)

@@ -3,28 +3,19 @@
     W(t) = C (t - K)^3 + W_max between loss events, with a
     TCP-friendly lower envelope. *)
 
+(** The cubic epoch over a window. *)
 type t
 
-val create :
-  ?c:float -> ?beta:float -> ?initial_cwnd:float -> ?mss:int -> unit -> t
+val create : Window.t -> t
 
-(** Current congestion window, packets. *)
-val cwnd : t -> float
-
-(** Smoothed RTT estimate, seconds. *)
-val srtt : t -> float
-
-(** Impose a window from outside (Orca's agent, Libra's base rate);
-    restarts the cubic epoch. *)
+(** Impose a window from outside (Orca's agent); restarts the cubic
+    epoch. *)
 val set_cwnd : t -> float -> unit
 
 (** The cubic curve itself, exposed for tests. *)
 val w_cubic : c:float -> k:float -> origin:float -> float -> float
 
-val on_ack : t -> Netsim.Cca.ack_info -> unit
-val on_loss : t -> Netsim.Cca.loss_info -> unit
-
-val as_cca : ?name:string -> t -> Netsim.Cca.t
+val as_cca : t -> Netsim.Cca.t
 
 (** A fresh standalone CUBIC flow controller. *)
 val make : unit -> Netsim.Cca.t

@@ -4,8 +4,9 @@
    CCA a base sending rate to continue from, lets it evolve per-ACK, and
    reads its decision back. An [t] therefore augments the plain
    {!Netsim.Cca.t} callback bundle with rate get/set and the
-   CCA-specific exploration-stage length (1 RTT for CUBIC-like schemes,
-   3 RTTs for BBR whose probing cycle needs them). *)
+   CCA-specific exploration-stage length (1 RTT for the window CCAs,
+   built by [Window.embedded]; 3 RTTs for BBR, whose probing cycle needs
+   them). *)
 
 type t = {
   cca : Netsim.Cca.t;
@@ -13,18 +14,3 @@ type t = {
   set_rate : now:float -> float -> unit;  (* reset the operating point *)
   exploration_rtts : float;
 }
-
-(* A window-based CCA embeds naturally: rate = cwnd / srtt, and setting a
-   rate rewrites the window. *)
-let of_window ~cca ~get_cwnd_pkts ~set_cwnd_pkts ~srtt ?(exploration_rtts = 1.0)
-    ~mss () =
-  let mss_f = float_of_int mss in
-  {
-    cca;
-    get_rate = (fun ~now:_ -> get_cwnd_pkts () *. mss_f /. Float.max 1e-3 (srtt ()));
-    set_rate =
-      (fun ~now:_ rate ->
-        let cwnd = rate *. Float.max 1e-3 (srtt ()) /. mss_f in
-        set_cwnd_pkts (Float.max 2.0 cwnd));
-    exploration_rtts;
-  }

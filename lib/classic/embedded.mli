@@ -1,7 +1,7 @@
 (** Classic CCAs as Libra subroutines (paper Sec. 4.3): the plain CCA
     callback bundle plus rate get/set and the CCA's preferred
-    exploration-stage length (1 RTT for CUBIC-like schemes, 3 for
-    BBR's probing cycle). *)
+    exploration-stage length (1 RTT for window CCAs, which
+    {!Window.embedded} builds; 3 for BBR's probing cycle). *)
 
 type t = {
   cca : Netsim.Cca.t;
@@ -9,15 +9,3 @@ type t = {
   set_rate : now:float -> float -> unit;  (** reset the operating point *)
   exploration_rtts : float;
 }
-
-(** Embed a window-based CCA: rate = cwnd * mss / srtt, and setting a
-    rate rewrites the window (floored at 2 packets). *)
-val of_window :
-  cca:Netsim.Cca.t ->
-  get_cwnd_pkts:(unit -> float) ->
-  set_cwnd_pkts:(float -> unit) ->
-  srtt:(unit -> float) ->
-  ?exploration_rtts:float ->
-  mss:int ->
-  unit ->
-  t

@@ -2,96 +2,56 @@
    factor beta are modulated by the measured queueing delay -- large
    steps when the queue is empty, cautious ones as delay approaches its
    observed maximum. Named in the paper's Sec. 7 alongside Westwood as
-   a classic CCA Libra's guidelines extend to. *)
+   a classic CCA Libra's guidelines extend to. The delay tracking sits
+   over a [Window.t]. *)
 
-type t = {
-  mss : int;
-  alpha_max : float;
-  alpha_min : float;
-  beta_min : float;
-  beta_max : float;
-  mutable cwnd : float;
-  mutable ssthresh : float;
-  mutable max_delay : float;  (* largest queueing delay seen *)
-  mutable recovery_until : float;
-  rtt : Netsim.Cca.Rtt_tracker.tracker;
-}
+let alpha_max = 10.0
+let alpha_min = 0.3
+let beta_min = 0.125
+let beta_max = 0.5
 
-let create ?(alpha_max = 10.0) ?(alpha_min = 0.3) ?(beta_min = 0.125)
-    ?(beta_max = 0.5) ?(initial_cwnd = 10.0) ?(mss = Netsim.Units.mtu) () =
-  {
-    mss;
-    alpha_max;
-    alpha_min;
-    beta_min;
-    beta_max;
-    cwnd = initial_cwnd;
-    ssthresh = infinity;
-    max_delay = 0.0;
-    recovery_until = 0.0;
-    rtt = Netsim.Cca.Rtt_tracker.create ();
-  }
+type t = { w : Window.t; mutable max_delay : float (* largest queueing delay seen *) }
 
-let cwnd t = t.cwnd
-let srtt t = Netsim.Cca.Rtt_tracker.srtt t.rtt
+let create w = { w; max_delay = 0.0 }
 
-(* Queueing delay as a fraction of the worst seen; exposed for tests. *)
+(* Queueing delay as a fraction of the worst seen. *)
 let delay_fraction t =
   if t.max_delay <= 1e-6 then 0.0
   else
-    let qd =
-      Netsim.Cca.Rtt_tracker.srtt t.rtt -. Netsim.Cca.Rtt_tracker.min_rtt t.rtt
-    in
+    let qd = Window.srtt t.w -. Window.min_rtt t.w in
     Float.min 1.0 (Float.max 0.0 (qd /. t.max_delay))
 
 let alpha t =
   (* High step near zero delay, decaying towards alpha_min. *)
   let f = delay_fraction t in
-  if f <= 0.1 then t.alpha_max
-  else t.alpha_max /. (1.0 +. (((t.alpha_max /. t.alpha_min) -. 1.0) *. f))
+  if f <= 0.1 then alpha_max
+  else alpha_max /. (1.0 +. (((alpha_max /. alpha_min) -. 1.0) *. f))
 
 let beta t =
   let f = delay_fraction t in
-  t.beta_min +. ((t.beta_max -. t.beta_min) *. f)
+  beta_min +. ((beta_max -. beta_min) *. f)
 
 let on_ack t (ack : Netsim.Cca.ack_info) =
-  Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
-  let qd = ack.rtt -. Netsim.Cca.Rtt_tracker.min_rtt t.rtt in
+  let qd = ack.rtt -. Window.min_rtt t.w in
   if qd > t.max_delay then t.max_delay <- qd;
-  if ack.now >= t.recovery_until then
-    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.0
-    else t.cwnd <- t.cwnd +. (alpha t /. t.cwnd)
+  if Window.recovered t.w ~now:ack.now then Window.grow t.w (alpha t)
 
 let on_loss t (loss : Netsim.Cca.loss_info) =
-  if loss.now >= t.recovery_until then begin
+  let w = t.w in
+  if Window.recovered w ~now:loss.now then begin
     (match loss.kind with
     | Netsim.Cca.Gap_detected ->
-      t.cwnd <- Float.max 2.0 (t.cwnd *. (1.0 -. beta t));
-      t.ssthresh <- t.cwnd
+      w.cwnd <- Float.max 2.0 (w.cwnd *. (1.0 -. beta t));
+      w.ssthresh <- w.cwnd
     | Netsim.Cca.Timeout ->
-      t.ssthresh <- Float.max 2.0 (t.cwnd /. 2.0);
-      t.cwnd <- 2.0);
-    t.recovery_until <- loss.now +. Netsim.Cca.Rtt_tracker.srtt t.rtt
+      w.ssthresh <- Float.max 2.0 (w.cwnd /. 2.0);
+      w.cwnd <- 2.0);
+    Window.enter_recovery w ~now:loss.now
   end
 
-let pacing t = 1.2 *. t.cwnd *. float_of_int t.mss /. Float.max 1e-3 (srtt t)
-
-let as_cca ?(name = "illinois") t =
-  {
-    Netsim.Cca.name;
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_send = (fun _ -> ());
-    pacing_rate = (fun ~now:_ -> pacing t);
-    cwnd = (fun ~now:_ -> t.cwnd);
-  }
-
-let make () = as_cca (create ())
+let as_cca t = Window.cca ~name:"illinois" t.w ~on_ack:(on_ack t) ~on_loss:(on_loss t)
+let make () = as_cca (create (Window.create ()))
 
 let embedded () =
-  let t = create () in
-  Embedded.of_window ~cca:(as_cca t)
-    ~get_cwnd_pkts:(fun () -> t.cwnd)
-    ~set_cwnd_pkts:(fun w -> t.cwnd <- w)
-    ~srtt:(fun () -> srtt t)
-    ~mss:t.mss ()
+  let t = create (Window.create ()) in
+  Window.embedded t.w (as_cca t)

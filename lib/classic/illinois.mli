@@ -1,34 +1,17 @@
-(** TCP Illinois: AIMD whose increase step [alpha] and decrease factor
-    [beta] are modulated by the measured queueing delay. Named by the
+(** TCP Illinois: AIMD whose increase step alpha and decrease factor
+    beta are modulated by the measured queueing delay. Named by the
     paper's Sec. 7 alongside Westwood. *)
 
+(** The delay tracking over a window. *)
 type t
 
-val create :
-  ?alpha_max:float ->
-  ?alpha_min:float ->
-  ?beta_min:float ->
-  ?beta_max:float ->
-  ?initial_cwnd:float ->
-  ?mss:int ->
-  unit ->
-  t
-
-val cwnd : t -> float
-val srtt : t -> float
-
-(** Queueing delay as a fraction of the worst observed, in [0, 1]. *)
-val delay_fraction : t -> float
+val create : Window.t -> t
 
 (** Current additive-increase step (packets per RTT). *)
 val alpha : t -> float
 
-(** Current multiplicative-decrease factor. *)
-val beta : t -> float
-
-val on_ack : t -> Netsim.Cca.ack_info -> unit
-val on_loss : t -> Netsim.Cca.loss_info -> unit
-
-val as_cca : ?name:string -> t -> Netsim.Cca.t
+val as_cca : t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t
+
+(** Illinois as a Libra subroutine (1-RTT exploration stage). *)
 val embedded : unit -> Embedded.t

@@ -1,63 +1,24 @@
 (* TCP NewReno-style AIMD: the canonical loss-based scheme and the
    simplest "classic" baseline. Slow start doubles per RTT, congestion
-   avoidance adds one packet per RTT, a loss halves the window. *)
+   avoidance adds one packet per RTT, a loss halves the window. Only
+   the control law lives here; [Window] keeps the window, the RTT
+   estimate, the recovery gate, pacing and the Libra embedding. *)
 
-type t = {
-  mutable cwnd : float;  (* packets *)
-  mutable ssthresh : float;
-  mutable recovery_until : float;
-  rtt : Netsim.Cca.Rtt_tracker.tracker;
-  mss : int;
-}
+let on_ack w (ack : Netsim.Cca.ack_info) =
+  if Window.recovered w ~now:ack.now then Window.grow w 1.0
 
-let create ?(initial_cwnd = 10.0) ?(mss = Netsim.Units.mtu) () =
-  {
-    cwnd = initial_cwnd;
-    ssthresh = infinity;
-    recovery_until = 0.0;
-    rtt = Netsim.Cca.Rtt_tracker.create ();
-    mss;
-  }
-
-let cwnd t = t.cwnd
-let srtt t = Netsim.Cca.Rtt_tracker.srtt t.rtt
-
-let on_ack t (ack : Netsim.Cca.ack_info) =
-  Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
-  if ack.now >= t.recovery_until then
-    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.0
-    else t.cwnd <- t.cwnd +. (1.0 /. t.cwnd)
-
-let on_loss t (loss : Netsim.Cca.loss_info) =
-  if loss.now >= t.recovery_until then begin
+let on_loss (w : Window.t) (loss : Netsim.Cca.loss_info) =
+  if Window.recovered w ~now:loss.now then begin
+    w.ssthresh <- Float.max 2.0 (w.cwnd /. 2.0);
     (match loss.kind with
-    | Netsim.Cca.Gap_detected ->
-      t.ssthresh <- Float.max 2.0 (t.cwnd /. 2.0);
-      t.cwnd <- t.ssthresh
-    | Netsim.Cca.Timeout ->
-      t.ssthresh <- Float.max 2.0 (t.cwnd /. 2.0);
-      t.cwnd <- 2.0);
-    t.recovery_until <- loss.now +. Netsim.Cca.Rtt_tracker.srtt t.rtt
+    | Netsim.Cca.Gap_detected -> w.cwnd <- w.ssthresh
+    | Netsim.Cca.Timeout -> w.cwnd <- 2.0);
+    Window.enter_recovery w ~now:loss.now
   end
 
-let pacing t = 1.2 *. t.cwnd *. float_of_int t.mss /. Float.max 1e-3 (srtt t)
-
-let as_cca ?(name = "reno") t =
-  {
-    Netsim.Cca.name;
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_send = (fun _ -> ());
-    pacing_rate = (fun ~now:_ -> pacing t);
-    cwnd = (fun ~now:_ -> t.cwnd);
-  }
-
-let make () = as_cca (create ())
+let as_cca w = Window.cca ~name:"reno" w ~on_ack:(on_ack w) ~on_loss:(on_loss w)
+let make () = as_cca (Window.create ())
 
 let embedded () =
-  let t = create () in
-  Embedded.of_window ~cca:(as_cca t)
-    ~get_cwnd_pkts:(fun () -> t.cwnd)
-    ~set_cwnd_pkts:(fun w -> t.cwnd <- w)
-    ~srtt:(fun () -> srtt t)
-    ~mss:t.mss ()
+  let w = Window.create () in
+  Window.embedded w (as_cca w)

@@ -1,17 +1,10 @@
 (** TCP NewReno-style AIMD: slow start, one-packet-per-RTT congestion
-    avoidance, multiplicative decrease on loss. *)
+    avoidance, multiplicative decrease on loss. The pattern for a
+    window CCA: a control law over a {!Window.t}. *)
 
-type t
+(** Reno over the given window. *)
+val as_cca : Window.t -> Netsim.Cca.t
 
-val create : ?initial_cwnd:float -> ?mss:int -> unit -> t
-
-val cwnd : t -> float
-val srtt : t -> float
-
-val on_ack : t -> Netsim.Cca.ack_info -> unit
-val on_loss : t -> Netsim.Cca.loss_info -> unit
-
-val as_cca : ?name:string -> t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t
 
 (** Reno as a Libra subroutine (1-RTT exploration stage). *)

@@ -5,20 +5,17 @@
    the cellular link; the EWMA forecast is the standard stand-in and is
    what the Sprout paper itself compares against.) *)
 
+let tau = 0.25 (* EWMA time constant, seconds *)
+let target_delay = 0.06 (* queueing-delay budget, seconds *)
+
 type t = {
-  tau : float;  (* EWMA time constant, seconds *)
-  target_delay : float;  (* queueing-delay budget, seconds *)
-  mss : int;
   mutable rate_ewma : float;  (* bytes/s *)
   mutable last_ack_at : float;
   rtt : Netsim.Cca.Rtt_tracker.tracker;
 }
 
-let create ?(tau = 0.25) ?(target_delay = 0.06) ?(mss = Netsim.Units.mtu) () =
+let create () =
   {
-    tau;
-    target_delay;
-    mss;
     rate_ewma = 0.0;
     last_ack_at = 0.0;
     rtt = Netsim.Cca.Rtt_tracker.create ();
@@ -31,7 +28,7 @@ let on_ack t (ack : Netsim.Cca.ack_info) =
   if t.rate_ewma <= 0.0 then t.rate_ewma <- ack.rate_sample
   else begin
     let dt = Float.max 1e-6 (ack.now -. t.last_ack_at) in
-    let w = exp (-.dt /. t.tau) in
+    let w = exp (-.dt /. tau) in
     t.rate_ewma <- (w *. t.rate_ewma) +. ((1.0 -. w) *. ack.rate_sample)
   end;
   t.last_ack_at <- ack.now
@@ -46,15 +43,15 @@ let cwnd t =
   else
     let min_rtt = Netsim.Cca.Rtt_tracker.min_rtt t.rtt in
     Float.max 2.0
-      (0.9 *. t.rate_ewma *. (min_rtt +. t.target_delay) /. float_of_int t.mss)
+      (0.9 *. t.rate_ewma *. (min_rtt +. target_delay) /. Window.mss)
 
 let pacing t =
-  if t.rate_ewma <= 0.0 then 10.0 *. float_of_int t.mss /. 0.1
+  if t.rate_ewma <= 0.0 then 10.0 *. Window.mss /. 0.1
   else 1.1 *. t.rate_ewma
 
-let as_cca ?(name = "sprout") t =
+let as_cca t =
   {
-    Netsim.Cca.name;
+    Netsim.Cca.name = "sprout";
     on_ack = on_ack t;
     on_loss = on_loss t;
     on_send = (fun _ -> ());

@@ -4,7 +4,7 @@
 
 type t
 
-val create : ?tau:float -> ?target_delay:float -> ?mss:int -> unit -> t
+val create : unit -> t
 
 (** Current delivery-rate forecast, bytes/s. *)
 val rate_ewma : t -> float
@@ -14,5 +14,5 @@ val cwnd : t -> float
 val on_ack : t -> Netsim.Cca.ack_info -> unit
 val on_loss : t -> Netsim.Cca.loss_info -> unit
 
-val as_cca : ?name:string -> t -> Netsim.Cca.t
+val as_cca : t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t

@@ -1,75 +1,40 @@
 (* TCP Vegas (Brakmo & Peterson 1995): delay-based. Once per RTT the
    expected rate (cwnd / base RTT) is compared with the actual rate
    (cwnd / observed RTT); the window steps up when fewer than [alpha]
-   packets sit in the queue and down when more than [beta] do. *)
+   packets sit in the queue and down when more than [beta] do. A law
+   over [Window]; slow start ends at 64 packets. *)
 
-type t = {
-  alpha : float;
-  beta : float;
-  mss : int;
-  mutable cwnd : float;
-  mutable ssthresh : float;
-  mutable next_update : float;
-  mutable recovery_until : float;
-  rtt : Netsim.Cca.Rtt_tracker.tracker;
-}
+let alpha = 2.0
+let beta = 4.0
 
-let create ?(alpha = 2.0) ?(beta = 4.0) ?(initial_cwnd = 10.0)
-    ?(mss = Netsim.Units.mtu) () =
-  {
-    alpha;
-    beta;
-    mss;
-    cwnd = initial_cwnd;
-    ssthresh = 64.0;
-    next_update = 0.0;
-    recovery_until = 0.0;
-    rtt = Netsim.Cca.Rtt_tracker.create ();
-  }
+let as_cca (w : Window.t) =
+  let next_update = ref 0.0 in
+  let on_ack (ack : Netsim.Cca.ack_info) =
+    if ack.now >= !next_update && Window.recovered w ~now:ack.now then begin
+      next_update := ack.now +. Window.srtt w;
+      let base = Window.min_rtt w in
+      let cur = Window.srtt w in
+      (* Queued packets = cwnd * (1 - base/cur). *)
+      let diff = w.cwnd *. (1.0 -. (base /. Float.max base cur)) in
+      if w.cwnd < w.ssthresh then w.cwnd <- w.cwnd +. 1.0
+      else if diff < alpha then w.cwnd <- w.cwnd +. 1.0
+      else if diff > beta then w.cwnd <- Float.max 2.0 (w.cwnd -. 1.0)
+    end
+  in
+  let on_loss (loss : Netsim.Cca.loss_info) =
+    if Window.recovered w ~now:loss.now then begin
+      (match loss.kind with
+      | Netsim.Cca.Gap_detected -> w.cwnd <- Float.max 2.0 (w.cwnd *. 0.75)
+      | Netsim.Cca.Timeout -> w.cwnd <- 2.0);
+      w.ssthresh <- Float.max 2.0 w.cwnd;
+      Window.enter_recovery w ~now:loss.now
+    end
+  in
+  Window.cca ~name:"vegas" w ~on_ack ~on_loss
 
-let cwnd t = t.cwnd
-let srtt t = Netsim.Cca.Rtt_tracker.srtt t.rtt
-
-let on_ack t (ack : Netsim.Cca.ack_info) =
-  Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
-  if ack.now >= t.next_update && ack.now >= t.recovery_until then begin
-    t.next_update <- ack.now +. Netsim.Cca.Rtt_tracker.srtt t.rtt;
-    let base = Netsim.Cca.Rtt_tracker.min_rtt t.rtt in
-    let cur = Netsim.Cca.Rtt_tracker.srtt t.rtt in
-    (* Queued packets = cwnd * (1 - base/cur). *)
-    let diff = t.cwnd *. (1.0 -. (base /. Float.max base cur)) in
-    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.0
-    else if diff < t.alpha then t.cwnd <- t.cwnd +. 1.0
-    else if diff > t.beta then t.cwnd <- Float.max 2.0 (t.cwnd -. 1.0)
-  end
-
-let on_loss t (loss : Netsim.Cca.loss_info) =
-  if loss.now >= t.recovery_until then begin
-    (match loss.kind with
-    | Netsim.Cca.Gap_detected -> t.cwnd <- Float.max 2.0 (t.cwnd *. 0.75)
-    | Netsim.Cca.Timeout -> t.cwnd <- 2.0);
-    t.ssthresh <- Float.max 2.0 t.cwnd;
-    t.recovery_until <- loss.now +. Netsim.Cca.Rtt_tracker.srtt t.rtt
-  end
-
-let pacing t = 1.2 *. t.cwnd *. float_of_int t.mss /. Float.max 1e-3 (srtt t)
-
-let as_cca ?(name = "vegas") t =
-  {
-    Netsim.Cca.name;
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_send = (fun _ -> ());
-    pacing_rate = (fun ~now:_ -> pacing t);
-    cwnd = (fun ~now:_ -> t.cwnd);
-  }
-
-let make () = as_cca (create ())
+let window () = Window.create ~ssthresh:64.0 ()
+let make () = as_cca (window ())
 
 let embedded () =
-  let t = create () in
-  Embedded.of_window ~cca:(as_cca t)
-    ~get_cwnd_pkts:(fun () -> t.cwnd)
-    ~set_cwnd_pkts:(fun w -> t.cwnd <- w)
-    ~srtt:(fun () -> srtt t)
-    ~mss:t.mss ()
+  let w = window () in
+  Window.embedded w (as_cca w)

@@ -1,18 +1,8 @@
 (** TCP Vegas (Brakmo & Peterson 1995): delay-based; once per RTT the
-    estimated queue occupancy steers the window between the [alpha] and
-    [beta] packet thresholds. *)
+    estimated queue occupancy steers the window between 2 and 4
+    queued packets. Slow start ends at 64 packets. *)
 
-type t
-
-val create :
-  ?alpha:float -> ?beta:float -> ?initial_cwnd:float -> ?mss:int -> unit -> t
-
-val cwnd : t -> float
-val srtt : t -> float
-
-val on_ack : t -> Netsim.Cca.ack_info -> unit
-val on_loss : t -> Netsim.Cca.loss_info -> unit
-
-val as_cca : ?name:string -> t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t
+
+(** Vegas as a Libra subroutine (1-RTT exploration stage). *)
 val embedded : unit -> Embedded.t

@@ -2,75 +2,32 @@
    estimate -- on loss the window is set to the estimated BDP instead
    of half, which makes it robust to random (non-congestion) loss.
    The paper's Sec. 7 names Westwood as a classic CCA its parameter
-   guidelines extend to; Libra embeds it like CUBIC (1-RTT
-   exploration). *)
+   guidelines extend to; Libra embeds it like every window law
+   ([Window.embedded], 1-RTT exploration). *)
 
-type t = {
-  mss : int;
-  mutable cwnd : float;  (* packets *)
-  mutable ssthresh : float;
-  mutable bw_est : float;  (* bytes/s, EWMA of delivery-rate samples *)
-  mutable recovery_until : float;
-  rtt : Netsim.Cca.Rtt_tracker.tracker;
-}
+let as_cca (w : Window.t) =
+  let bw_est = ref 0.0 (* bytes/s, EWMA of delivery-rate samples *) in
+  let on_ack (ack : Netsim.Cca.ack_info) =
+    (* Westwood+'s low-pass bandwidth filter. *)
+    if !bw_est <= 0.0 then bw_est := ack.rate_sample
+    else bw_est := (0.9 *. !bw_est) +. (0.1 *. ack.rate_sample);
+    if Window.recovered w ~now:ack.now then Window.grow w 1.0
+  in
+  (* On loss: cwnd <- BWE * RTT_min (the estimated BDP), the "faster
+     recovery" that distinguishes Westwood from Reno. *)
+  let on_loss (loss : Netsim.Cca.loss_info) =
+    if Window.recovered w ~now:loss.now then begin
+      w.ssthresh <- Float.max 2.0 (!bw_est *. Window.min_rtt w /. Window.mss);
+      (match loss.kind with
+      | Netsim.Cca.Gap_detected -> w.cwnd <- w.ssthresh
+      | Netsim.Cca.Timeout -> w.cwnd <- 2.0);
+      Window.enter_recovery w ~now:loss.now
+    end
+  in
+  Window.cca ~name:"westwood" w ~on_ack ~on_loss
 
-let create ?(initial_cwnd = 10.0) ?(mss = Netsim.Units.mtu) () =
-  {
-    mss;
-    cwnd = initial_cwnd;
-    ssthresh = infinity;
-    bw_est = 0.0;
-    recovery_until = 0.0;
-    rtt = Netsim.Cca.Rtt_tracker.create ();
-  }
-
-let cwnd t = t.cwnd
-let srtt t = Netsim.Cca.Rtt_tracker.srtt t.rtt
-let bandwidth_estimate t = t.bw_est
-
-let on_ack t (ack : Netsim.Cca.ack_info) =
-  Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
-  (* Westwood+'s low-pass bandwidth filter. *)
-  if t.bw_est <= 0.0 then t.bw_est <- ack.rate_sample
-  else t.bw_est <- (0.9 *. t.bw_est) +. (0.1 *. ack.rate_sample);
-  if ack.now >= t.recovery_until then
-    if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. 1.0
-    else t.cwnd <- t.cwnd +. (1.0 /. t.cwnd)
-
-(* On loss: cwnd <- BWE * RTT_min (the estimated BDP), the "faster
-   recovery" that distinguishes Westwood from Reno. *)
-let on_loss t (loss : Netsim.Cca.loss_info) =
-  if loss.now >= t.recovery_until then begin
-    let min_rtt = Netsim.Cca.Rtt_tracker.min_rtt t.rtt in
-    let bdp = t.bw_est *. min_rtt /. float_of_int t.mss in
-    (match loss.kind with
-    | Netsim.Cca.Gap_detected ->
-      t.ssthresh <- Float.max 2.0 bdp;
-      t.cwnd <- t.ssthresh
-    | Netsim.Cca.Timeout ->
-      t.ssthresh <- Float.max 2.0 bdp;
-      t.cwnd <- 2.0);
-    t.recovery_until <- loss.now +. Netsim.Cca.Rtt_tracker.srtt t.rtt
-  end
-
-let pacing t = 1.2 *. t.cwnd *. float_of_int t.mss /. Float.max 1e-3 (srtt t)
-
-let as_cca ?(name = "westwood") t =
-  {
-    Netsim.Cca.name;
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_send = (fun _ -> ());
-    pacing_rate = (fun ~now:_ -> pacing t);
-    cwnd = (fun ~now:_ -> t.cwnd);
-  }
-
-let make () = as_cca (create ())
+let make () = as_cca (Window.create ())
 
 let embedded () =
-  let t = create () in
-  Embedded.of_window ~cca:(as_cca t)
-    ~get_cwnd_pkts:(fun () -> t.cwnd)
-    ~set_cwnd_pkts:(fun w -> t.cwnd <- w)
-    ~srtt:(fun () -> srtt t)
-    ~mss:t.mss ()
+  let w = Window.create () in
+  Window.embedded w (as_cca w)

@@ -3,19 +3,10 @@
     robustness to non-congestion loss. Named by the paper's Sec. 7 as a
     classic CCA Libra's guidelines extend to. *)
 
-type t
+(** Westwood+ over the given window. *)
+val as_cca : Window.t -> Netsim.Cca.t
 
-val create : ?initial_cwnd:float -> ?mss:int -> unit -> t
-
-val cwnd : t -> float
-val srtt : t -> float
-
-(** Low-pass delivery-rate estimate, bytes/s. *)
-val bandwidth_estimate : t -> float
-
-val on_ack : t -> Netsim.Cca.ack_info -> unit
-val on_loss : t -> Netsim.Cca.loss_info -> unit
-
-val as_cca : ?name:string -> t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t
+
+(** Westwood+ as a Libra subroutine (1-RTT exploration stage). *)
 val embedded : unit -> Embedded.t

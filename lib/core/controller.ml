@@ -310,7 +310,7 @@ let excess_grad ~common (s : Netsim.Monitor.snapshot) =
   else detrended
 
 let utility_of t ~common_grad ~rate_bps (s : Netsim.Monitor.snapshot) =
-  Utility.eval_signed t.params.Params.utility
+  Rlcc.Utility.eval_signed t.params.Params.utility
     ~rate_mbps:(Netsim.Units.bps_to_mbps rate_bps)
     ~rtt_gradient:(excess_grad ~common:common_grad s)
     ~loss_rate:(excess_loss t s)
@@ -532,8 +532,7 @@ let pacing_rate t ~now =
 
 let cwnd t ~now =
   ignore now;
-  let min_rtt = Netsim.Cca.Rtt_tracker.min_rtt t.rtt in
-  Float.max 4.0 (t.applied *. (min_rtt +. 0.25) /. float_of_int Netsim.Units.mtu)
+  Netsim.Cca.rate_cwnd ~rate:t.applied ~min_rtt:(Netsim.Cca.Rtt_tracker.min_rtt t.rtt)
 
 let as_cca ~name t =
   {

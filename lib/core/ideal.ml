@@ -34,7 +34,7 @@ let utility_of_stats ?(window = 0.5) params (stats : Netsim.Flow_stats.t) ~durat
       in
       let time = (float_of_int w +. 0.5) *. window in
       let u =
-        Utility.eval_raw params
+        Rlcc.Utility.eval_raw params
           ~rate_mbps:(Netsim.Units.bps_to_mbps mean_thr)
           ~rtt_gradient:grad ~loss_rate:0.0
       in

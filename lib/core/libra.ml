@@ -11,7 +11,7 @@
    exposes the controller for telemetry (Fig. 17 / Fig. 18). *)
 
 (* This module is the library's root: re-export the submodules. *)
-module Utility = Utility
+module Utility = Rlcc.Utility
 module Params = Params
 module Controller = Controller
 module Telemetry = Telemetry

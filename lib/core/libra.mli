@@ -14,7 +14,7 @@
     The first call pretrains the shared PPO policy in-process (a few
     seconds) and caches it for the rest of the program. *)
 
-module Utility = Utility
+module Utility = Rlcc.Utility
 module Params = Params
 module Controller = Controller
 module Telemetry = Telemetry

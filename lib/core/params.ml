@@ -13,7 +13,7 @@ type t = {
   th1_frac : float;  (* early-exit threshold as a fraction of x_prev *)
   eval_lower_first : bool;  (* Fig. 4's "lower rate first" rule; the
                                ablation bench flips it *)
-  utility : Utility.params;
+  utility : Rlcc.Utility.params;
   history : int;  (* RL state history length h *)
   mi_of_rtt : float;  (* RL decision interval within exploration *)
   rl_stochastic : bool;
@@ -28,7 +28,7 @@ let default =
     exploitation_rtts = None;
     th1_frac = 0.3;
     eval_lower_first = true;
-    utility = Utility.default;
+    utility = Rlcc.Utility.default;
     history = 5;
     mi_of_rtt = 1.0;
     rl_stochastic = true;

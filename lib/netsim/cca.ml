@@ -43,6 +43,12 @@ type t = {
 
 let no_window = 1e9
 
+(* Inflight cap for rate-based schemes: one BDP plus a bounded slack of
+   queueing, so an overshooting rate cannot build an unbounded queue
+   before losses feed back. *)
+let rate_cwnd ~rate ~min_rtt =
+  Float.max 4.0 (rate *. (min_rtt +. 0.25) /. float_of_int Units.mtu)
+
 (* An unresponsive constant-bit-rate source; models UDP cross traffic. *)
 let constant_rate ?(name = "cbr") rate_bps =
   {

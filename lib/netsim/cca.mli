@@ -37,6 +37,10 @@ type t = {
 (** An effectively unlimited window, for rate-based senders. *)
 val no_window : float
 
+(** Inflight cap for rate-based senders, packets: one BDP at [rate]
+    (bytes/s) over [min_rtt] plus 250 ms of slack, at least 4. *)
+val rate_cwnd : rate:float -> min_rtt:float -> float
+
 (** Unresponsive constant-bit-rate source (UDP cross traffic). *)
 val constant_rate : ?name:string -> float -> t
 

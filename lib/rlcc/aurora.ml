@@ -4,12 +4,6 @@
 
 let default_initial_rate = Netsim.Units.mbps_to_bps 2.0
 
-(* Inflight cap for rate-based schemes: one BDP plus a bounded slack of
-   queueing, so an overshooting rate cannot build an unbounded queue
-   before losses feed back. *)
-let rate_cwnd ~rate ~min_rtt =
-  Float.max 4.0 (rate *. (min_rtt +. 0.25) /. float_of_int Netsim.Units.mtu)
-
 let make_from_agent ~name ~(agent : Agent.t) () =
   {
     Netsim.Cca.name;
@@ -24,7 +18,9 @@ let make_from_agent ~name ~(agent : Agent.t) () =
         | Netsim.Cca.Gap_detected -> ());
     on_send = (fun send -> Agent.observe_send agent send);
     pacing_rate = (fun ~now:_ -> Agent.rate agent);
-    cwnd = (fun ~now:_ -> rate_cwnd ~rate:(Agent.rate agent) ~min_rtt:(Agent.min_rtt agent));
+    cwnd =
+      (fun ~now:_ ->
+        Netsim.Cca.rate_cwnd ~rate:(Agent.rate agent) ~min_rtt:(Agent.min_rtt agent));
   }
 
 let make ?(seed = 97) ?(stochastic = true) () =

@@ -3,9 +3,6 @@
 
 val default_initial_rate : float
 
-(** Inflight cap for rate-based schemes: one BDP plus bounded slack. *)
-val rate_cwnd : rate:float -> min_rtt:float -> float
-
 (** Wrap any {!Agent.t} as a rate-based CCA (shared by Aurora and
     Modified-RL). *)
 val make_from_agent : name:string -> agent:Agent.t -> unit -> Netsim.Cca.t

@@ -6,63 +6,36 @@
    conservatively: window towards a filtered BDP estimate with a small
    safety margin, backing off when delay inflates. The conservatism
    reproduces the under-utilised equilibrium the paper measures for
-   Indigo (Tab. 5: 8.2 Mbit/s of a 16 Mbit/s fair share). *)
+   Indigo (Tab. 5: 8.2 Mbit/s of a 16 Mbit/s fair share). Like the
+   classic window CCAs, it is a control law over [Classic_cc.Window],
+   starting at 8 packets. *)
 
-type t = {
-  bw_filter : Netsim.Cca.Windowed_max.wmax;
-  rtt : Netsim.Cca.Rtt_tracker.tracker;
-  mutable cwnd : float;
-  mutable next_update : float;
-  mss : int;
-  margin : float;  (* fraction of the BDP estimate actually used *)
-}
+let margin = 0.85 (* fraction of the BDP estimate actually used *)
 
-let create ?(margin = 0.85) ?(mss = Netsim.Units.mtu) () =
-  {
-    bw_filter = Netsim.Cca.Windowed_max.create ~window:2.0;
-    rtt = Netsim.Cca.Rtt_tracker.create ();
-    cwnd = 8.0;
-    next_update = 0.0;
-    mss;
-    margin;
-  }
-
-let cwnd t = t.cwnd
-
-let on_ack t (ack : Netsim.Cca.ack_info) =
-  Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
-  Netsim.Cca.Windowed_max.observe t.bw_filter ~now:ack.now ack.rate_sample;
-  if ack.now >= t.next_update then begin
-    let srtt = Netsim.Cca.Rtt_tracker.srtt t.rtt in
-    t.next_update <- ack.now +. srtt;
-    let min_rtt = Netsim.Cca.Rtt_tracker.min_rtt t.rtt in
-    let bw = Netsim.Cca.Windowed_max.get t.bw_filter ~now:ack.now in
-    let est_bdp = bw *. min_rtt /. float_of_int t.mss in
-    let target =
-      if srtt > 1.5 *. min_rtt then 0.75 *. est_bdp
-      else (t.margin *. est_bdp) +. (0.1 *. est_bdp) +. 2.0
-    in
-    (* Move 30% of the way toward the target each RTT (smoothed, as the
-       learned policy's small per-step actions do). *)
-    t.cwnd <- Float.max 2.0 (t.cwnd +. (0.3 *. (target -. t.cwnd)))
-  end
-
-let on_loss t (loss : Netsim.Cca.loss_info) =
-  match loss.Netsim.Cca.kind with
-  | Netsim.Cca.Timeout -> t.cwnd <- 2.0
-  | Netsim.Cca.Gap_detected -> ()
-
-let as_cca ?(name = "indigo") t =
-  {
-    Netsim.Cca.name;
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_send = (fun _ -> ());
-    pacing_rate =
-      (fun ~now:_ ->
-        1.2 *. t.cwnd *. float_of_int t.mss
-        /. Float.max 1e-3 (Netsim.Cca.Rtt_tracker.srtt t.rtt));
-    cwnd = (fun ~now:_ -> t.cwnd);
-  }
-
-let make () = as_cca (create ())
+let make () =
+  let w = Classic_cc.Window.create ~cwnd:8.0 () in
+  let bw_filter = Netsim.Cca.Windowed_max.create ~window:2.0 in
+  let next_update = ref 0.0 in
+  let on_ack (ack : Netsim.Cca.ack_info) =
+    Netsim.Cca.Windowed_max.observe bw_filter ~now:ack.now ack.rate_sample;
+    if ack.now >= !next_update then begin
+      let srtt = Classic_cc.Window.srtt w in
+      next_update := ack.now +. srtt;
+      let min_rtt = Classic_cc.Window.min_rtt w in
+      let bw = Netsim.Cca.Windowed_max.get bw_filter ~now:ack.now in
+      let est_bdp = bw *. min_rtt /. Classic_cc.Window.mss in
+      let target =
+        if srtt > 1.5 *. min_rtt then 0.75 *. est_bdp
+        else (margin *. est_bdp) +. (0.1 *. est_bdp) +. 2.0
+      in
+      (* Move 30% of the way toward the target each RTT (smoothed, as the
+         learned policy's small per-step actions do). *)
+      w.cwnd <- Float.max 2.0 (w.cwnd +. (0.3 *. (target -. w.cwnd)))
+    end
+  in
+  let on_loss (loss : Netsim.Cca.loss_info) =
+    match loss.kind with
+    | Netsim.Cca.Timeout -> w.cwnd <- 2.0
+    | Netsim.Cca.Gap_detected -> ()
+  in
+  Classic_cc.Window.cca ~name:"indigo" w ~on_ack ~on_loss

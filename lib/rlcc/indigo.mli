@@ -3,13 +3,4 @@
     estimate with a conservative margin, reproducing Indigo's
     under-utilised equilibrium. *)
 
-type t
-
-val create : ?margin:float -> ?mss:int -> unit -> t
-val cwnd : t -> float
-
-val on_ack : t -> Netsim.Cca.ack_info -> unit
-val on_loss : t -> Netsim.Cca.loss_info -> unit
-
-val as_cca : ?name:string -> t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t

@@ -6,28 +6,28 @@
    Fig. 2(b) and Tab. 6. *)
 
 let make ?(seed = 113) ?(stochastic = true) () =
-  let cubic = Classic_cc.Cubic.create () in
+  let w = Classic_cc.Window.create () in
+  let cubic = Classic_cc.Cubic.create w in
+  let cubic_cca = Classic_cc.Cubic.as_cca cubic in
   let outcome = Pretrained.orca_policy () in
   let agent =
     Agent.create ~seed ~stochastic ~policy:outcome.Train.policy
       ~action:Actions.Mimd_orca ~set:Features.orca ~history:5
       ~initial_rate:Aurora.default_initial_rate ()
   in
-  let mss = float_of_int Netsim.Units.mtu in
-  let cubic_rate () =
-    Classic_cc.Cubic.cwnd cubic *. mss /. Float.max 1e-3 (Classic_cc.Cubic.srtt cubic)
-  in
+  let mss = Classic_cc.Window.mss in
+  (* Not the shell's rate: Orca's pacing below scales this quotient,
+     which rounds differently from 1.2 * cwnd * mss / srtt. *)
+  let cubic_rate () = w.cwnd *. mss /. Float.max 1e-3 (Classic_cc.Window.srtt w) in
   let on_ack ack =
-    Classic_cc.Cubic.on_ack cubic ack;
+    cubic_cca.Netsim.Cca.on_ack ack;
     (* Mirror CUBIC's rate into the agent so the MIMD action rescales
        the *current* operating point, then write the decision back. *)
     Agent.set_rate agent (cubic_rate ());
     let decided = Agent.on_ack agent ack in
     if decided then begin
       let new_cwnd =
-        Agent.rate agent
-        *. Float.max 1e-3 (Classic_cc.Cubic.srtt cubic)
-        /. mss
+        Agent.rate agent *. Float.max 1e-3 (Classic_cc.Window.srtt w) /. mss
       in
       Classic_cc.Cubic.set_cwnd cubic (Float.max 2.0 new_cwnd)
     end
@@ -37,11 +37,11 @@ let make ?(seed = 113) ?(stochastic = true) () =
     on_ack;
     on_loss =
       (fun loss ->
-        Classic_cc.Cubic.on_loss cubic loss;
+        cubic_cca.Netsim.Cca.on_loss loss;
         match loss.Netsim.Cca.kind with
         | Netsim.Cca.Timeout -> Agent.on_timeout_loss agent ~pkts:loss.Netsim.Cca.lost
         | Netsim.Cca.Gap_detected -> ());
     on_send = (fun send -> Agent.observe_send agent send);
     pacing_rate = (fun ~now:_ -> 1.2 *. cubic_rate ());
-    cwnd = (fun ~now:_ -> Classic_cc.Cubic.cwnd cubic);
+    cwnd = cubic_cca.Netsim.Cca.cwnd;
   }

@@ -6,7 +6,7 @@
    (The scavenger mode of Proteus is out of the paper's evaluation
    scope.) *)
 
-let utility = { Vivace.t_exp = 0.9; beta = 1800.0; gamma = 11.35 }
+let utility = { Utility.default with beta = 1800.0 }
 
 let make () =
   Vivace.as_cca ~name:"proteus" (Vivace.create ~u:utility ~eps:0.075 ())

@@ -7,7 +7,9 @@
    table over the same feature space with the same action form, which
    reproduces Remy's qualitative behaviour: decisive in conditions the
    rules anticipate, brittle outside them (cf. the paper's Fig. 7
-   discussion of offline-trained CCAs). *)
+   discussion of offline-trained CCAs). Like the classic window CCAs,
+   it is a control law over [Classic_cc.Window], starting at 4
+   packets. *)
 
 type rule = { rtt_ratio_below : float; multiplier : float; increment : float }
 
@@ -28,44 +30,21 @@ let lookup rtt_ratio =
   in
   find table
 
-type t = {
-  mutable cwnd : float;
-  mutable next_update : float;
-  rtt : Netsim.Cca.Rtt_tracker.tracker;
-  mss : int;
-}
-
-let create ?(mss = Netsim.Units.mtu) () =
-  { cwnd = 4.0; next_update = 0.0; rtt = Netsim.Cca.Rtt_tracker.create (); mss }
-
-let cwnd t = t.cwnd
-
-let on_ack t (ack : Netsim.Cca.ack_info) =
-  Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
-  if ack.now >= t.next_update then begin
-    let srtt = Netsim.Cca.Rtt_tracker.srtt t.rtt in
-    t.next_update <- ack.now +. srtt;
-    let ratio = srtt /. Float.max 1e-4 (Netsim.Cca.Rtt_tracker.min_rtt t.rtt) in
-    let rule = lookup ratio in
-    t.cwnd <- Float.max 2.0 ((t.cwnd *. rule.multiplier) +. rule.increment)
-  end
-
-let on_loss t (loss : Netsim.Cca.loss_info) =
-  match loss.Netsim.Cca.kind with
-  | Netsim.Cca.Timeout -> t.cwnd <- 2.0
-  | Netsim.Cca.Gap_detected -> ()
-
-let as_cca ?(name = "remy") t =
-  {
-    Netsim.Cca.name;
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_send = (fun _ -> ());
-    pacing_rate =
-      (fun ~now:_ ->
-        1.2 *. t.cwnd *. float_of_int t.mss
-        /. Float.max 1e-3 (Netsim.Cca.Rtt_tracker.srtt t.rtt));
-    cwnd = (fun ~now:_ -> t.cwnd);
-  }
-
-let make () = as_cca (create ())
+let make () =
+  let w = Classic_cc.Window.create ~cwnd:4.0 () in
+  let next_update = ref 0.0 in
+  let on_ack (ack : Netsim.Cca.ack_info) =
+    if ack.now >= !next_update then begin
+      let srtt = Classic_cc.Window.srtt w in
+      next_update := ack.now +. srtt;
+      let ratio = srtt /. Float.max 1e-4 (Classic_cc.Window.min_rtt w) in
+      let rule = lookup ratio in
+      w.cwnd <- Float.max 2.0 ((w.cwnd *. rule.multiplier) +. rule.increment)
+    end
+  in
+  let on_loss (loss : Netsim.Cca.loss_info) =
+    match loss.kind with
+    | Netsim.Cca.Timeout -> w.cwnd <- 2.0
+    | Netsim.Cca.Gap_detected -> ()
+  in
+  Classic_cc.Window.cca ~name:"remy" w ~on_ack ~on_loss

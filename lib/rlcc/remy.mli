@@ -10,13 +10,4 @@ val table : rule list
 (** First matching rule for an RTT ratio. *)
 val lookup : float -> rule
 
-type t
-
-val create : ?mss:int -> unit -> t
-val cwnd : t -> float
-
-val on_ack : t -> Netsim.Cca.ack_info -> unit
-val on_loss : t -> Netsim.Cca.loss_info -> unit
-
-val as_cca : ?name:string -> t -> Netsim.Cca.t
 val make : unit -> Netsim.Cca.t

@@ -8,7 +8,7 @@
 
 type form =
   | Weighted  (* w1 x/x_max - w2 d/d_min - w3 L, the paper's Alg. 2 *)
-  | Utility_eq1 of { t : float; alpha : float; beta : float; gamma : float }
+  | Utility_eq1 of Utility.params
       (* Eq. 1 on normalised throughput: the "Modified RL" baseline *)
 
 type cfg = {
@@ -29,13 +29,14 @@ type cfg = {
 let default =
   { w1 = 1.0; w2 = 0.5; w3 = 10.0; include_loss = true; use_delta = false; form = Weighted }
 
-(* Normalised Eq. 1 for RL training; Libra's evaluation stage uses the
-   raw-parameter version in the core library. *)
+(* Eq. 1 on normalised throughput for RL training, with its own
+   weights; Libra's evaluation stage scores raw rates with
+   [Utility.default]. *)
 let modified_rl =
   {
     default with
     use_delta = false;
-    form = Utility_eq1 { t = 0.9; alpha = 1.0; beta = 5.0; gamma = 5.0 };
+    form = Utility_eq1 { Utility.t_exp = 0.9; alpha = 1.0; beta = 5.0; gamma = 5.0 };
   }
 
 let value cfg (obs : Features.obs) =
@@ -49,11 +50,9 @@ let value cfg (obs : Features.obs) =
       if cfg.include_loss then cfg.w3 *. obs.Features.loss_rate else 0.0
     in
     throughput_term -. delay_term -. loss_term
-  | Utility_eq1 { t; alpha; beta; gamma } ->
-    let x_hat = Float.max 0.0 (obs.Features.throughput /. x_max) in
-    (alpha *. (x_hat ** t))
-    -. (beta *. x_hat *. Float.max 0.0 obs.Features.rtt_gradient)
-    -. (gamma *. x_hat *. obs.Features.loss_rate)
+  | Utility_eq1 params ->
+    Utility.eval_raw params ~rate_mbps:(obs.Features.throughput /. x_max)
+      ~rtt_gradient:obs.Features.rtt_gradient ~loss_rate:obs.Features.loss_rate
 
 (* Stateful wrapper producing the final training signal (r or delta-r). *)
 type tracker = { cfg : cfg; mutable prev : float; mutable initialised : bool }

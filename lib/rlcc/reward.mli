@@ -8,7 +8,7 @@
 
 type form =
   | Weighted
-  | Utility_eq1 of { t : float; alpha : float; beta : float; gamma : float }
+  | Utility_eq1 of Utility.params
 
 type cfg = {
   w1 : float;

@@ -52,8 +52,8 @@ let config_key (cfg : config) =
   let form =
     match cfg.reward.Reward.form with
     | Reward.Weighted -> "weighted"
-    | Reward.Utility_eq1 { t; alpha; beta; gamma } ->
-      Printf.sprintf "eq1(%g,%g,%g,%g)" t alpha beta gamma
+    | Reward.Utility_eq1 { Utility.t_exp; alpha; beta; gamma } ->
+      Printf.sprintf "eq1(%g,%g,%g,%g)" t_exp alpha beta gamma
   in
   Printf.sprintf
     "%s/%s/w=%g,%g,%g/loss=%b/delta=%b/%s/ep=%d/st=%d/seed=%d/h=%d/hid=%s/lr=%g/%s"

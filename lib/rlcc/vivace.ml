@@ -20,11 +20,6 @@
 
 type purpose = Normal | Double | Probe_up | Probe_down
 
-type utility_params = { t_exp : float; beta : float; gamma : float }
-
-(* The paper's Eq. 1 constants, on Mbit/s rate units as in PCC. *)
-let default_utility = { t_exp = 0.9; beta = 900.0; gamma = 11.35 }
-
 type mi_record = { rate : float; purpose : purpose; monitor : Netsim.Monitor.t }
 
 type phase =
@@ -35,7 +30,7 @@ type phase =
                     mutable u_down : float option }
 
 type t = {
-  u : utility_params;
+  u : Utility.params;
   eps : float;
   theta : float;  (* gradient step in Mbps per unit gradient *)
   omega : float;  (* max relative base change per decision *)
@@ -56,7 +51,7 @@ type t = {
   plan : (float * purpose) Queue.t;
 }
 
-let create ?(u = default_utility) ?(eps = 0.05) ?(theta = 1.0) ?(omega = 0.25)
+let create ?(u = Utility.default) ?(eps = 0.05) ?(theta = 1.0) ?(omega = 0.25)
     ?(initial_rate = Netsim.Units.mbps_to_bps 2.0) () =
   {
     u;
@@ -82,13 +77,6 @@ let create ?(u = default_utility) ?(eps = 0.05) ?(theta = 1.0) ?(omega = 0.25)
 let rate t = t.applied
 let base_rate t = t.base_rate
 let decisions t = t.decisions
-
-(* Eq. 1-family utility of an interval, exposed for tests. *)
-let utility u ~rate_bps (snap : Netsim.Monitor.snapshot) =
-  let x = Netsim.Units.bps_to_mbps rate_bps in
-  let grad = Float.max 0.0 snap.Netsim.Monitor.rtt_gradient in
-  (x ** u.t_exp) -. (u.beta *. x *. grad)
-  -. (u.gamma *. x *. snap.Netsim.Monitor.loss_rate)
 
 let clamp_step t step =
   let bound = t.omega *. t.base_rate in
@@ -166,7 +154,7 @@ let finalize_older t ~upto ~now =
       | Some mi ->
         let snap = Netsim.Monitor.snapshot mi.monitor ~now in
         if snap.Netsim.Monitor.acked >= 2 then
-          on_result t ~id ~rate_bps:mi.rate ~u_val:(utility t.u ~rate_bps:mi.rate snap);
+          on_result t ~id ~rate_bps:mi.rate ~u_val:(Utility.eval t.u ~rate_bps:mi.rate snap);
         Hashtbl.remove t.mis id
       | None -> ());
       go (id + 1)
@@ -206,7 +194,7 @@ let as_cca ?(name = "vivace") t =
     on_loss = on_loss t;
     on_send = on_send t;
     pacing_rate = (fun ~now:_ -> t.applied);
-    cwnd = (fun ~now:_ -> Aurora.rate_cwnd ~rate:t.applied ~min_rtt:t.min_rtt);
+    cwnd = (fun ~now:_ -> Netsim.Cca.rate_cwnd ~rate:t.applied ~min_rtt:t.min_rtt);
   }
 
 let make () = as_cca (create ())

@@ -2,16 +2,10 @@
     utility function over sequence-tagged monitor intervals, with
     PCC's Starting / Probing / Moving phases. *)
 
-type utility_params = { t_exp : float; beta : float; gamma : float }
-
-(** Eq. 1-family constants on Mbit/s units: t = 0.9, beta = 900,
-    gamma = 11.35. *)
-val default_utility : utility_params
-
 type t
 
 val create :
-  ?u:utility_params ->
+  ?u:Utility.params ->
   ?eps:float ->
   ?theta:float ->
   ?omega:float ->
@@ -27,9 +21,6 @@ val base_rate : t -> float
 
 (** Gradient decisions taken so far. *)
 val decisions : t -> int
-
-(** Utility of a measured interval, exposed for tests. *)
-val utility : utility_params -> rate_bps:float -> Netsim.Monitor.snapshot -> float
 
 val on_ack : t -> Netsim.Cca.ack_info -> unit
 val on_send : t -> Netsim.Cca.send_info -> unit

@@ -1,7 +1,7 @@
 (* Candidate fitness: run the scenario twice at the candidate's knobs —
    once clean, once under the candidate's impairment spec — and score
    the *relative* utility degradation using the paper's utility triple
-   (Eq. 1, lib/core/utility.ml). Comparing against a clean run at the
+   (Eq. 1, lib/rlcc/utility.ml). Comparing against a clean run at the
    same knobs means knob mutations only matter through their interaction
    with the impairment, never by starving both legs equally.
 

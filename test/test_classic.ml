@@ -21,28 +21,76 @@ let mk_loss ?(now = 0.0) ?(lost = 1) ?(kind = Netsim.Cca.Gap_detected) () =
 (* ------------------------------------------------------------------ *)
 (* Reno *)
 
+(* A law under test is driven through its Cca.t; the start window is
+   set through the shell. *)
+let reno_from cwnd =
+  let w = Classic_cc.Window.create ~cwnd () in
+  (w, Classic_cc.Reno.as_cca w)
+
 let test_reno_slow_start_doubles () =
-  let r = Classic_cc.Reno.create ~initial_cwnd:2.0 () in
-  let w0 = Classic_cc.Reno.cwnd r in
-  Classic_cc.Reno.on_ack r (mk_ack ~now:0.1 ());
-  Classic_cc.Reno.on_ack r (mk_ack ~now:0.11 ());
-  check_float "one packet per ack in slow start" (w0 +. 2.0)
-    (Classic_cc.Reno.cwnd r)
+  let w, r = reno_from 2.0 in
+  let w0 = w.cwnd in
+  r.on_ack (mk_ack ~now:0.1 ());
+  r.on_ack (mk_ack ~now:0.11 ());
+  check_float "one packet per ack in slow start" (w0 +. 2.0) w.cwnd
 
 let test_reno_halves_on_loss () =
-  let r = Classic_cc.Reno.create ~initial_cwnd:20.0 () in
-  Classic_cc.Reno.on_ack r (mk_ack ~now:0.1 ());
-  Classic_cc.Reno.on_loss r (mk_loss ~now:0.5 ());
-  check_bool "halved" true (Classic_cc.Reno.cwnd r <= 11.0)
+  let w, r = reno_from 20.0 in
+  r.on_ack (mk_ack ~now:0.1 ());
+  r.on_loss (mk_loss ~now:0.5 ());
+  check_bool "halved" true (w.cwnd <= 11.0)
 
 let test_reno_loss_once_per_rtt () =
-  let r = Classic_cc.Reno.create ~initial_cwnd:32.0 () in
-  Classic_cc.Reno.on_ack r (mk_ack ~now:0.1 ~rtt:0.05 ());
-  Classic_cc.Reno.on_loss r (mk_loss ~now:0.5 ());
-  let w1 = Classic_cc.Reno.cwnd r in
+  let w, r = reno_from 32.0 in
+  r.on_ack (mk_ack ~now:0.1 ~rtt:0.05 ());
+  r.on_loss (mk_loss ~now:0.5 ());
+  let w1 = w.cwnd in
   (* Another loss within the same RTT must not halve again. *)
-  Classic_cc.Reno.on_loss r (mk_loss ~now:0.51 ());
-  check_float "no double reduction" w1 (Classic_cc.Reno.cwnd r)
+  r.on_loss (mk_loss ~now:0.51 ());
+  check_float "no double reduction" w1 w.cwnd
+
+(* ------------------------------------------------------------------ *)
+(* The shell's recovery gate, over every law that uses it *)
+
+let gated_laws =
+  Classic_cc.
+    [
+      ("reno", Reno.make);
+      ("cubic", Cubic.make);
+      ("vegas", Vegas.make);
+      ("westwood", Westwood.make);
+      ("illinois", Illinois.make);
+    ]
+
+(* ACKs with one fixed RTT, then a gap loss that cuts the window; every
+   later loss or ACK before now + srtt (srtt = that RTT) must leave the
+   window where the cut put it. Delivery-rate samples of 10-30 kB/s
+   keep Westwood's BDP estimate under 10 packets, so its loss cuts too,
+   and the later ACKs move that estimate, so a second cut would show. *)
+let prop_one_reduction_per_rtt =
+  QCheck.Test.make ~name:"one reduction per rtt" ~count:300
+    QCheck.(
+      quad (int_range 0 (List.length gated_laws - 1)) (int_range 1 60)
+        (float_range 0.01 0.3)
+        (small_list (pair bool (float_range 0.0 0.99))))
+    (fun (law, acks, rtt, later) ->
+      let c = (snd (List.nth gated_laws law)) () in
+      let ack ?(rate_sample = 3e4) now = c.on_ack (mk_ack ~now ~rtt ~rate_sample ()) in
+      for i = 1 to acks do
+        ack (0.01 *. float_of_int i)
+      done;
+      let now = 0.01 *. float_of_int (acks + 1) in
+      let before = c.cwnd ~now in
+      c.on_loss (mk_loss ~now ());
+      let cut = c.cwnd ~now in
+      cut < before
+      && List.for_all
+           (fun (is_loss, f) ->
+             let t = now +. (f *. rtt) in
+             if is_loss then c.on_loss (mk_loss ~now:t ())
+             else ack ~rate_sample:(1e4 +. (2e4 *. f)) t;
+             c.cwnd ~now:t = cut)
+           (List.sort (fun (_, a) (_, b) -> Float.compare a b) later))
 
 (* ------------------------------------------------------------------ *)
 (* CUBIC *)
@@ -56,42 +104,44 @@ let test_cubic_curve_shape () =
   check_bool "concave rise before K" true (at (k /. 2.0) < origin);
   check_bool "probe after K" true (at (k +. 1.0) > origin)
 
+let cubic_from cwnd =
+  let w = Classic_cc.Window.create ~cwnd () in
+  (w, Classic_cc.Cubic.as_cca (Classic_cc.Cubic.create w))
+
 let test_cubic_reduces_by_beta () =
-  let t = Classic_cc.Cubic.create ~initial_cwnd:100.0 () in
-  Classic_cc.Cubic.on_ack t (mk_ack ~now:0.05 ());
-  let before = Classic_cc.Cubic.cwnd t in
-  Classic_cc.Cubic.on_loss t (mk_loss ~now:0.2 ());
-  Alcotest.(check (float 1e-6)) "beta reduction" (0.7 *. before)
-    (Classic_cc.Cubic.cwnd t)
+  let w, t = cubic_from 100.0 in
+  t.on_ack (mk_ack ~now:0.05 ());
+  let before = w.cwnd in
+  t.on_loss (mk_loss ~now:0.2 ());
+  Alcotest.(check (float 1e-6)) "beta reduction" (0.7 *. before) w.cwnd
 
 let test_cubic_recovers_toward_wmax () =
-  let t = Classic_cc.Cubic.create ~initial_cwnd:100.0 () in
+  let w, t = cubic_from 100.0 in
   (* Force out of slow start. *)
-  Classic_cc.Cubic.on_ack t (mk_ack ~now:0.05 ());
-  Classic_cc.Cubic.on_loss t (mk_loss ~now:0.1 ());
-  let after_loss = Classic_cc.Cubic.cwnd t in
+  t.on_ack (mk_ack ~now:0.05 ());
+  t.on_loss (mk_loss ~now:0.1 ());
+  let after_loss = w.cwnd in
   (* Feed ACKs for several seconds of simulated time. *)
   let now = ref 0.2 in
   for _ = 1 to 2000 do
     now := !now +. 0.005;
-    Classic_cc.Cubic.on_ack t (mk_ack ~now:!now ())
+    t.on_ack (mk_ack ~now:!now ())
   done;
-  let w = Classic_cc.Cubic.cwnd t in
-  check_bool "grew back toward w_max" true (w > after_loss +. 10.0)
+  check_bool "grew back toward w_max" true (w.cwnd > after_loss +. 10.0)
 
 let prop_cubic_window_positive =
   QCheck.Test.make ~name:"cubic window stays >= 2" ~count:100
     QCheck.(list (int_range 0 1))
     (fun choices ->
-      let t = Classic_cc.Cubic.create ~initial_cwnd:10.0 () in
+      let t = Classic_cc.Cubic.make () in
       let now = ref 0.0 in
       List.iter
         (fun choice ->
           now := !now +. 0.05;
-          if choice = 0 then Classic_cc.Cubic.on_ack t (mk_ack ~now:!now ())
-          else Classic_cc.Cubic.on_loss t (mk_loss ~now:!now ()))
+          if choice = 0 then t.on_ack (mk_ack ~now:!now ())
+          else t.on_loss (mk_loss ~now:!now ()))
         choices;
-      Classic_cc.Cubic.cwnd t >= 2.0)
+      t.cwnd ~now:!now >= 2.0)
 
 (* ------------------------------------------------------------------ *)
 (* BBR *)
@@ -122,32 +172,32 @@ let test_bbr_pacing_tracks_btlbw () =
 (* Westwood *)
 
 let test_westwood_sets_cwnd_to_bdp_on_loss () =
-  let t = Classic_cc.Westwood.create ~initial_cwnd:50.0 () in
+  let w = Classic_cc.Window.create ~cwnd:50.0 () in
+  let t = Classic_cc.Westwood.as_cca w in
   (* Feed ACKs establishing bw ~ 3e6 B/s at min RTT 50 ms: BDP = 100 pkts. *)
   for i = 1 to 50 do
-    Classic_cc.Westwood.on_ack t
-      (mk_ack ~now:(0.01 *. float_of_int i) ~rtt:0.05 ~rate_sample:3e6 ())
+    t.on_ack (mk_ack ~now:(0.01 *. float_of_int i) ~rtt:0.05 ~rate_sample:3e6 ())
   done;
-  Classic_cc.Westwood.on_loss t (mk_loss ~now:1.0 ());
-  let w = Classic_cc.Westwood.cwnd t in
+  t.on_loss (mk_loss ~now:1.0 ());
   check_bool
-    (Printf.sprintf "cwnd near BDP (got %.0f)" w)
+    (Printf.sprintf "cwnd near BDP (got %.0f)" w.cwnd)
     true
-    (w > 80.0 && w < 120.0)
+    (w.cwnd > 80.0 && w.cwnd < 120.0)
 
 (* ------------------------------------------------------------------ *)
 (* Illinois *)
 
 let test_illinois_alpha_shrinks_with_delay () =
-  let t = Classic_cc.Illinois.create () in
+  let t = Classic_cc.Illinois.create (Classic_cc.Window.create ()) in
+  let c = Classic_cc.Illinois.as_cca t in
   (* Low delay: max step. *)
   for i = 1 to 20 do
-    Classic_cc.Illinois.on_ack t (mk_ack ~now:(0.01 *. float_of_int i) ~rtt:0.05 ())
+    c.on_ack (mk_ack ~now:(0.01 *. float_of_int i) ~rtt:0.05 ())
   done;
   let a_low = Classic_cc.Illinois.alpha t in
   (* Queue builds: delay near the observed max. *)
   for i = 21 to 60 do
-    Classic_cc.Illinois.on_ack t (mk_ack ~now:(0.01 *. float_of_int i) ~rtt:0.15 ())
+    c.on_ack (mk_ack ~now:(0.01 *. float_of_int i) ~rtt:0.15 ())
   done;
   let a_high = Classic_cc.Illinois.alpha t in
   check_bool
@@ -158,13 +208,24 @@ let test_illinois_alpha_shrinks_with_delay () =
 (* Embedded interface *)
 
 let test_embedded_set_rate_roundtrip () =
-  let e = Classic_cc.Cubic.embedded () in
-  (* Give it an RTT estimate first. *)
-  e.Classic_cc.Embedded.cca.Netsim.Cca.on_ack (mk_ack ~now:0.1 ~rtt:0.1 ());
-  e.Classic_cc.Embedded.set_rate ~now:0.2 2e6;
-  let r = e.Classic_cc.Embedded.get_rate ~now:0.2 in
-  check_bool "set then get preserves rate" true
-    (Float.abs (r -. 2e6) /. 2e6 < 0.05)
+  List.iter
+    (fun (name, embedded) ->
+      let e : Classic_cc.Embedded.t = embedded () in
+      (* Give it an RTT estimate first. *)
+      e.cca.on_ack (mk_ack ~now:0.1 ~rtt:0.1 ());
+      e.set_rate ~now:0.2 2e6;
+      let r = e.get_rate ~now:0.2 in
+      check_bool (name ^ ": set then get preserves rate") true
+        (Float.abs (r -. 2e6) /. 2e6 < 0.05))
+    Classic_cc.
+      [
+        ("reno", Reno.embedded);
+        ("cubic", Cubic.embedded);
+        ("vegas", Vegas.embedded);
+        ("westwood", Westwood.embedded);
+        ("illinois", Illinois.embedded);
+        ("copa", Copa.embedded);
+      ]
 
 let test_embedded_bbr_exploration_length () =
   let e = Classic_cc.Bbr.embedded () in
@@ -333,6 +394,7 @@ let () =
           Alcotest.test_case "halves on loss" `Quick test_reno_halves_on_loss;
           Alcotest.test_case "once per rtt" `Quick test_reno_loss_once_per_rtt;
         ] );
+      ("window", qsuite [ prop_one_reduction_per_rtt ]);
       ( "cubic",
         [
           Alcotest.test_case "curve shape" `Quick test_cubic_curve_shape;

@@ -302,6 +302,83 @@ let test_golden_codel_jitter_dup () =
         0x1.5cb97p+21 )
     ~acked:[ 5541; 5886 ] ~queue_drops:23 ~events:65068 ()
 
+(* Every CCA pinned: each registered CCA, plus the W- and I-Libra
+   extensions, runs four seeded 4 s scenarios -- two flows on wired:24,
+   one flow under 2% Bernoulli loss, one flow on an LTE driving trace,
+   and one flow against CUBIC starting 0.5 s later. One MD5 per CCA
+   covers each run's event count and queue drops and, per flow, the
+   delivered bytes, acked and lost packets and mean RTT (as %h). The
+   learned CCAs train at the tiny scale. *)
+let cca_pins =
+  [
+    ("cubic", "b0a15ffe5140ca912a28fcd69f08fa5e");
+    ("bbr", "97429398d525162a563e394739148722");
+    ("reno", "e308fb9c85318bb7f5b02466750d7868");
+    ("vegas", "08b3a79c457a4b96601a8549b178ba0d");
+    ("westwood", "53fea7a8f912acc857265bbaf9d7231c");
+    ("illinois", "ac9b216939f48c1d59f86d6a065e0119");
+    ("copa", "a39df94f5d2cb05afb37a94f6d3d31f9");
+    ("sprout", "643b7fdce089a727bda690add5600cb5");
+    ("vivace", "6586e0a814547c7e650a68fcea58a27f");
+    ("proteus", "7fbd1d91601b83dfb8d0e6069fd44c0e");
+    ("remy", "141f4c2ecc90ae3b8915b7b5049e14c9");
+    ("indigo", "7eff210c42363eb9219ad078833f745f");
+    ("aurora", "96eebd295b19f49fd50c8c9a9062364c");
+    ("orca", "9eff1842e2249524dd20581ec162e3d7");
+    ("mod-rl", "f7cdccf93ff1407e4c808bf68cae918c");
+    ("c-libra", "7fafc3c5941fa2e661358f2b713102e9");
+    ("b-libra", "37b17819adb8e27abab96c0f44f76fdf");
+    ("cl-libra", "8700742e588f0cf75a985037a1f7796b");
+    ("r-libra", "a80718a0f891eb19f25c5091790072c7");
+    ("w-libra", "edd0a254126d475859e306939d22daf7");
+    ("i-libra", "cb940e74aa64f130117036d3b80aacf6");
+  ]
+
+let summary_lines (s : Netsim.Network.summary) =
+  Printf.sprintf "events=%d drops=%d" s.Netsim.Network.events
+    s.Netsim.Network.queue_drops
+  :: List.map
+       (fun f ->
+         let st = f.Netsim.Network.stats in
+         Printf.sprintf "%d %d %d %h"
+           (Netsim.Flow_stats.total_delivered_bytes st)
+           (Netsim.Flow_stats.total_acked_pkts st)
+           (Netsim.Flow_stats.total_lost_pkts st)
+           (Netsim.Flow_stats.mean_rtt st))
+       s.Netsim.Network.flows
+
+let cca_digest factory =
+  let wired = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in
+  let uniform ?n_flows spec =
+    (Harness.Scenario.run_uniform ~seed:5 ?n_flows ~factory ~duration:4.0 spec)
+      .Harness.Scenario.summary
+  in
+  let runs =
+    [
+      uniform ~n_flows:2 wired;
+      uniform (Harness.Scenario.make_spec ~loss_p:0.02 (Traces.Rate.constant 24.0));
+      uniform
+        (Harness.Scenario.make_spec
+           (Traces.Lte.generate ~seed:7 ~duration:4.0 Traces.Lte.Driving));
+      Harness.Scenario.run_mixed ~seed:5
+        ~flows:[ (factory, 0.0); (Harness.Ccas.cubic, 0.5) ]
+        ~duration:4.0 wired;
+    ]
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" (List.concat_map summary_lines runs)))
+
+let test_golden_every_cca () =
+  Harness.Scale.set Harness.Scale.tiny;
+  let factories =
+    Harness.Ccas.all
+    @ List.filter
+        (fun (name, _) -> not (List.mem_assoc name Harness.Ccas.all))
+        (Harness.Exp_extension.other_libras ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "per-CCA digests" cca_pins
+    (List.map (fun (name, factory) -> (name, cca_digest factory)) factories)
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
@@ -330,5 +407,6 @@ let () =
           Alcotest.test_case "mixed jitter" `Quick test_golden_mixed_jitter;
           Alcotest.test_case "codel" `Quick test_golden_codel;
           Alcotest.test_case "codel jitter+dup" `Quick test_golden_codel_jitter_dup;
+          Alcotest.test_case "every cca" `Quick test_golden_every_cca;
         ] );
     ]

@@ -264,12 +264,13 @@ let test_vivace_utility_shape () =
       rtt_gradient = 0.0; rtt_grad_se = 0.001; loss_rate = 0.0; acked = 50; lost_pkts = 0 }
   in
   let snap_bad = { snap_ok with Netsim.Monitor.rtt_gradient = 0.05; loss_rate = 0.1 } in
-  let u = Rlcc.Vivace.default_utility in
-  let good = Rlcc.Vivace.utility u ~rate_bps:6e6 snap_ok in
-  let bad = Rlcc.Vivace.utility u ~rate_bps:6e6 snap_bad in
+  (* Vivace scores its monitor intervals with Eq. 1. *)
+  let u = Rlcc.Utility.default in
+  let good = Rlcc.Utility.eval u ~rate_bps:6e6 snap_ok in
+  let bad = Rlcc.Utility.eval u ~rate_bps:6e6 snap_bad in
   check_bool "congestion lowers utility" true (bad < good);
   (* With clean conditions, higher rate has higher utility (x^0.9). *)
-  let faster = Rlcc.Vivace.utility u ~rate_bps:12e6 snap_ok in
+  let faster = Rlcc.Utility.eval u ~rate_bps:12e6 snap_ok in
   check_bool "monotone when clean" true (faster > good)
 
 let test_vivace_converges_near_capacity () =
