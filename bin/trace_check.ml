@@ -19,9 +19,14 @@
    demands one on the first non-empty line (the contract of
    Obs.Trace.to_jsonl).
 
-   Exits 0 on success, 1 with a diagnostic otherwise. *)
+   Exits 0 on success, 1 with a diagnostic when the file is unreadable
+   or fails validation, 2 on a usage error. *)
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
+
+let usage () =
+  prerr_endline "usage: trace_check [--require-manifest] FILE";
+  exit 2
 
 (* A row as the validator reads it: a field's numeric value (nan for a
    JSON null or an empty cell) and its string value; [None] when the
@@ -89,11 +94,12 @@ let validate ~at row =
 
 let () =
   let require_manifest, file =
-    match Array.to_list Sys.argv with
-    | [ _; file ] -> (false, file)
-    | [ _; "--require-manifest"; file ] | [ _; file; "--require-manifest" ] -> (true, file)
-    | _ -> fail "usage: trace_check [--require-manifest] FILE"
+    match List.tl (Array.to_list Sys.argv) with
+    | [ file ] -> (false, file)
+    | [ "--require-manifest"; file ] | [ file; "--require-manifest" ] -> (true, file)
+    | _ -> usage ()
   in
+  if String.starts_with ~prefix:"-" file then usage ();
   let csv = Filename.check_suffix file ".csv" in
   if csv && require_manifest then
     fail "%s: --require-manifest applies to JSONL exports only" file;

@@ -2,10 +2,8 @@
    harness's persistence operations (Chaos.Io) and the domain pool's
    tasks (Exec.Pool).
 
-   Decisions are drawn from splitmix64 keyed streams — the same
-   construction as [Netsim.Rng.split_key], re-implemented locally
-   because this library sits below netsim in the dependency order (the
-   same precedent as Obs.Sample). Every decision is a pure function of
+   Decisions are drawn from {!Splitmix} keyed streams, the ones
+   [Netsim.Rng.split_key] derives. Every decision is a pure function of
    (chaos seed, fault class, operation/task index, attempt): no draw
    position is shared between operations, so concurrent I/O from pool
    workers cannot perturb which faults fire for a given index.
@@ -17,18 +15,7 @@
    deliberately independent of whether a plane is installed, because a
    corrupt checkpoint must be detected on a clean host too. *)
 
-(* ---- keyed streams (bit-compatible with Netsim.Rng.split_key) ---- *)
-
-let golden = 0x9E3779B97F4A7C15L
-
-let mix64 z =
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+(* ---- keyed streams ---- *)
 
 (* Tags keep the per-class streams independent even at equal indices. *)
 let tag_torn = 1
@@ -41,14 +28,8 @@ let tag_read_eio = 6
 (* The [n]-th draw of the child stream keyed (seed, tag, a, b):
    uniform float in [0, 1). *)
 let draw ~seed ~tag ~a ~b ~n =
-  let key = (tag * 1_000_003) + (a * 8191) + (b * 127) + 1 in
-  let z = Int64.add (Int64.of_int seed) (Int64.mul golden (Int64.of_int key)) in
-  let child = mix64 (Int64.logxor (mix64 z) 0x6A09E667F3BCC909L) in
-  let word =
-    mix64 (Int64.add child (Int64.mul golden (Int64.of_int (n + 1))))
-  in
-  let bits = Int64.shift_right_logical word 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+  let key = (tag * 1_000_003) + (a * 8191) + (b * 127) in
+  Splitmix.draw (Splitmix.child ~seed:(Int64.of_int seed) ~key) ~n
 
 (* ---- installed state ---- *)
 

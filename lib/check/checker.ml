@@ -240,9 +240,7 @@ let step t m ev fields ~index ~time =
       m.armed_time <- time
     end
 
-let eval_probe = Obs.Span.probe "check.eval"
-
-let eval t ev =
+let on_event t ev =
   let index = t.index in
   t.index <- index + 1;
   match Obs.Event.category ev with
@@ -260,12 +258,6 @@ let eval t ev =
     for i = 0 to Array.length t.machines - 1 do
       step t t.machines.(i) ev fields ~index ~time
     done
-
-(* The observer hook for [Obs.Trace.run ~observer]. Span-profiled when
-   a recorder is active; the guard keeps the disabled path closure-free. *)
-let on_event t ev =
-  if Obs.Span.enabled () then Obs.Span.timed eval_probe (fun () -> eval t ev)
-  else eval t ev
 
 (* ---- reporting ---- *)
 

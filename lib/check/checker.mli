@@ -45,8 +45,7 @@ val first : t -> violation option
     [Obs.Flight] ring was installed. *)
 val flight : t -> (string * int) option
 
-(** The [Obs.Trace.run ~observer] hook: consume one event. Profiled
-    under the [check.eval] span when a recorder is active. *)
+(** The [Obs.Trace.run ~observer] hook: consume one event. *)
 val on_event : t -> Obs.Event.t -> unit
 
 (** Raise {!Violation_error} describing the first violation (and the

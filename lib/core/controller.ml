@@ -47,7 +47,6 @@ type t = {
   mutable cycle_start : float;
   mutable started : bool;
   mutable ambient_loss : float;  (* slow EWMA of measured loss rate *)
-  mutable rtt_ceiling : float;  (* highest window-average RTT seen *)
   mutable explore_sent : int;  (* packets sent in the current exploration *)
   mutable consecutive_timeouts : int;
   mutable decisions_at_cycle_start : int;
@@ -74,14 +73,8 @@ let exploitation_rtts t =
 
 let srtt t = Netsim.Cca.Rtt_tracker.srtt t.rtt
 
-let create ?(initial_rate = Netsim.Units.mbps_to_bps 2.0) ~params ~classic ~policy
-    ~state_set () =
-  let agent =
-    Rlcc.Agent.create ~seed:params.Params.seed
-      ~stochastic:params.Params.rl_stochastic ~mi_of_rtt:params.Params.mi_of_rtt
-      ~policy ~action:Rlcc.Actions.Mimd_orca ~set:state_set
-      ~history:params.Params.history ~initial_rate ()
-  in
+let create ?(initial_rate = Netsim.Units.mbps_to_bps 2.0) ~params ~classic ~outcome () =
+  let agent = Rlcc.Agent.create ~seed:params.Params.seed ~initial_rate outcome in
   {
     params;
     classic;
@@ -104,7 +97,6 @@ let create ?(initial_rate = Netsim.Units.mbps_to_bps 2.0) ~params ~classic ~poli
     cycle_start = 0.0;
     started = false;
     ambient_loss = 0.0;
-    rtt_ceiling = 0.0;
     explore_sent = 0;
     consecutive_timeouts = 0;
     decisions_at_cycle_start = 0;
@@ -352,34 +344,6 @@ let finish_cycle t ~now =
     t.ambient_loss <- (0.9 *. t.ambient_loss) +. (0.1 *. pooled_loss);
     Rlcc.Agent.set_loss_discount t.agent (Float.min t.ambient_loss ambient_cap)
   end;
-  (* Track the highest window-average RTT (the queue ceiling used by
-     [grad_gate]). *)
-  List.iter
-    (fun (w : Netsim.Monitor.snapshot) ->
-      if (not (Float.is_nan w.Netsim.Monitor.avg_rtt))
-         && w.Netsim.Monitor.avg_rtt > t.rtt_ceiling
-      then t.rtt_ceiling <- w.Netsim.Monitor.avg_rtt)
-    [ explore; low; high ];
-  if t.params.Params.debug then begin
-    let show label rate (s : Netsim.Monitor.snapshot) =
-      Printf.printf
-        "  %-7s x=%6.2fMbps thr=%6.2f grad=%+8.4f se=%7.4f gadj=%+8.4f L=%5.3f \
-         Ladj=%5.3f acked=%d\n"
-        label
-        (Netsim.Units.bps_to_mbps rate)
-        (Netsim.Units.bps_to_mbps s.Netsim.Monitor.throughput)
-        s.Netsim.Monitor.rtt_gradient s.Netsim.Monitor.rtt_grad_se
-        (excess_grad ~common:common_grad s)
-        (shrunk_loss s)
-        (excess_loss t s)
-        s.Netsim.Monitor.acked
-    in
-    Printf.printf "cycle @%.2fs ambient_loss=%.3f common_grad=%+.4f\n" now
-      t.ambient_loss common_grad;
-    show "explore" t.x_prev explore;
-    show "ev-lo" t.eval_low_rate low;
-    show "ev-hi" t.eval_high_rate high
-  end;
   if enough low && enough high && enough explore then begin
     let u = utility_of t ~common_grad in
     let u_prev = u ~rate_bps:t.x_prev explore in
@@ -465,9 +429,7 @@ let check_divergence t ~now =
       begin_evaluation t ~now
   end
 
-let span_on_ack = Obs.Span.probe "libra.on_ack"
-
-let on_ack_impl t (ack : Netsim.Cca.ack_info) =
+let on_ack t (ack : Netsim.Cca.ack_info) =
   Netsim.Cca.Rtt_tracker.observe t.rtt ack.rtt;
   t.consecutive_timeouts <- 0;
   (* The classic CCA keeps learning from every ACK (its per-ACK cost is
@@ -496,12 +458,6 @@ let on_ack_impl t (ack : Netsim.Cca.ack_info) =
     check_divergence t ~now:ack.now
   end;
   advance t ~now:ack.now
-
-(* Per-ACK entry point of the whole controller; gated like the heap
-   probes so the disabled path stays a branch. *)
-let on_ack t ack =
-  if Obs.Span.enabled () then Obs.Span.timed span_on_ack (fun () -> on_ack_impl t ack)
-  else on_ack_impl t ack
 
 let on_loss t (loss : Netsim.Cca.loss_info) =
   (match t.classic with

@@ -17,15 +17,15 @@ type stage = Exploration | Eval_low | Eval_high | Exploitation
 
 type t
 
-(** [create ~params ~classic ~policy ~state_set ()] builds a controller.
-    [classic = None] is Clean-slate Libra: the second candidate becomes
-    a 1.25x multiplicative probe of the base rate. *)
+(** [create ~params ~classic ~outcome ()] builds a controller whose
+    DRL agent deploys the trained [outcome]. [classic = None] is
+    Clean-slate Libra: the second candidate becomes a 1.25x
+    multiplicative probe of the base rate. *)
 val create :
   ?initial_rate:float ->
   params:Params.t ->
   classic:Classic_cc.Embedded.t option ->
-  policy:Rlcc.Ppo.t ->
-  state_set:Rlcc.Features.set ->
+  outcome:Rlcc.Train.outcome ->
   unit ->
   t
 

@@ -23,10 +23,9 @@ let initial_rate_default = Netsim.Units.mbps_to_bps 2.0
 
 let make_instrumented ?(params = Params.default) ?(initial_rate = initial_rate_default)
     ~name ~classic () =
-  let outcome = Rlcc.Pretrained.libra_policy () in
   let controller =
     Controller.create ~initial_rate ~params ~classic
-      ~policy:outcome.Rlcc.Train.policy ~state_set:Rlcc.Features.libra ()
+      ~outcome:(Rlcc.Pretrained.libra_policy ()) ()
   in
   { cca = Controller.as_cca ~name controller; controller }
 

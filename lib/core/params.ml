@@ -14,11 +14,7 @@ type t = {
   eval_lower_first : bool;  (* Fig. 4's "lower rate first" rule; the
                                ablation bench flips it *)
   utility : Rlcc.Utility.params;
-  history : int;  (* RL state history length h *)
-  mi_of_rtt : float;  (* RL decision interval within exploration *)
-  rl_stochastic : bool;
-  seed : int;
-  debug : bool;  (* print per-cycle utility components *)
+  seed : int;  (* the DRL agent's sampling seed *)
 }
 
 let default =
@@ -29,9 +25,5 @@ let default =
     th1_frac = 0.3;
     eval_lower_first = true;
     utility = Rlcc.Utility.default;
-    history = 5;
-    mi_of_rtt = 1.0;
-    rl_stochastic = true;
     seed = 211;
-    debug = false;
   }

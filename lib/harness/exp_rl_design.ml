@@ -177,9 +177,7 @@ let run_tab4 () =
         (* Fairness: two agents with this policy share a 48 Mbit/s link. *)
         let factory ~seed =
           let agent =
-            Rlcc.Agent.create ~seed ~stochastic:true ~policy:o.Rlcc.Train.policy
-              ~action:Rlcc.Actions.Mimd_orca ~set:Rlcc.Features.libra ~history:5
-              ~initial_rate:(Netsim.Units.mbps_to_bps 2.0) ()
+            Rlcc.Agent.create ~seed ~initial_rate:(Netsim.Units.mbps_to_bps 2.0) o
           in
           Rlcc.Aurora.make_from_agent ~name:label ~agent ()
         in

@@ -19,8 +19,7 @@
    Pushes go through a one-slot staging cell filled by [@inline]
    wrappers, so the timestamp never crosses a function boundary as a
    (boxed) float argument; pops land in a scratch slot read back through
-   [@inline] accessors. With spans disabled, neither operation touches
-   the minor heap. *)
+   [@inline] accessors. Neither operation touches the minor heap. *)
 
 type t = {
   (* parallel slots 0 .. size-1 *)
@@ -136,20 +135,10 @@ let rec sift_up t seq i =
     else write_staged t i seq
   end
 
-let push_staged_impl t seq =
+let push_staged t seq =
   if t.size = Array.length t.times then grow t;
   sift_up t seq t.size;
   t.size <- t.size + 1
-
-let span_push = Obs.Span.probe "heap.push"
-
-(* Span probes on the hottest structure are gated on [Span.enabled] so
-   the disabled path keeps PR 1's no-closure discipline: one atomic
-   load + branch, no allocation. *)
-let push_staged t seq =
-  if Obs.Span.enabled () then
-    Obs.Span.timed span_push (fun () -> push_staged_impl t seq)
-  else push_staged_impl t seq
 
 let[@inline] push_ticket t ~time ~ticket ~kind ~a ~b =
   t.st_time.(0) <- time;
@@ -185,7 +174,7 @@ let rec sift_down t seq i =
   end
 
 (* Pop the root into the scratch slot; no allocation. *)
-let pop_into_impl t =
+let pop_into t =
   if t.size = 0 then raise Empty;
   t.sc_time.(0) <- t.times.(0);
   t.sc_seq <- t.seqs.(0);
@@ -202,12 +191,6 @@ let pop_into_impl t =
     t.st_b <- t.pb.(n);
     sift_down t t.seqs.(n) 0
   end
-
-let span_pop = Obs.Span.probe "heap.pop"
-
-let pop_into t =
-  if Obs.Span.enabled () then Obs.Span.timed span_pop (fun () -> pop_into_impl t)
-  else pop_into_impl t
 
 let[@inline] scratch_time t = t.sc_time.(0)
 let[@inline] scratch_seq t = t.sc_seq

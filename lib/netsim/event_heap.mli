@@ -8,8 +8,7 @@
 
     An event is an int [kind] plus two int operands; the simulator
     dispatches it through its handler table ({!Sim.register}). The heap
-    is struct-of-arrays, and [push]/[pop_into] allocate nothing when
-    span profiling is disabled. *)
+    is struct-of-arrays, and [push]/[pop_into] allocate nothing. *)
 
 type t
 

@@ -1,4 +1,4 @@
-(* Deterministic splitmix64 PRNG.
+(* Deterministic splitmix64 PRNG over the shared {!Splitmix} helpers.
 
    Every stochastic component of the simulator draws from an explicit
    [Rng.t] so that a run is fully reproducible from its seed, and
@@ -8,22 +8,12 @@ type t = { mutable state : int64; seed : int64 }
 
 let create seed = { state = Int64.of_int seed; seed = Int64.of_int seed }
 
-let golden = 0x9E3779B97F4A7C15L
+let[@inline] next_int64 t =
+  t.state <- Int64.add t.state Splitmix.golden;
+  Splitmix.mix64 t.state
 
-(* splitmix64 finalizer: scrambles a counter into an output word. *)
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  mix64 t.state
-
-(* Uniform float in [0, 1). Uses the top 53 bits of the state. *)
-let float t =
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+(* Uniform float in [0, 1) from the top 53 bits of the next word. *)
+let[@inline] float t = Splitmix.to_unit (next_int64 t)
 
 let uniform t ~lo ~hi =
   assert (hi >= lo);
@@ -54,11 +44,9 @@ let split t = create (Int64.to_int (next_int64 t))
    depends on the parent's draw position, so components that derive
    their streams by key stay deterministic regardless of how many draws
    happen on the parent in between (the structural-determinism property
-   lib/faults relies on). Two rounds of the splitmix64 finalizer mix
-   seed and key so that nearby keys yield unrelated streams. *)
+   lib/faults relies on). *)
 let split_key t ~key =
-  let z = Int64.add t.seed (Int64.mul golden (Int64.add (Int64.of_int key) 1L)) in
-  let z = mix64 (Int64.logxor (mix64 z) 0x6A09E667F3BCC909L) in
+  let z = Splitmix.child ~seed:t.seed ~key in
   { state = z; seed = z }
 
 (* Snapshot / restore of the full generator state, for checkpointed

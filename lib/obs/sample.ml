@@ -1,13 +1,11 @@
 (* Deterministic head-based flow sampling.
 
-   The inclusion decision mirrors [Netsim.Rng.split_key] + one [float]
-   draw, re-implemented here because the dependency arrow points the
-   other way (netsim depends on obs). Keeping the construction
-   bit-compatible with the simulator's keyed streams means the sampled
-   flow set is a pure function of (seed, flow id): no draw-position
-   coupling, no pool-size coupling, and the same flows are kept whether
-   the decision is made at the probe site ([Trace.on_flow]) or at
-   [Trace.emit] time. *)
+   The inclusion decision is the first draw of the {!Splitmix} child
+   keyed by (seed, flow id), the stream [Netsim.Rng.split_key] derives.
+   The sampled flow set is therefore a pure function of (seed, flow
+   id): no draw-position coupling, no pool-size coupling, and the same
+   flows are kept whether the decision is made at the probe site
+   ([Trace.on_flow]) or at [Trace.emit] time. *)
 
 type t = { n : int; seed : int64 }
 
@@ -31,26 +29,6 @@ let parse ?seed s =
 let denominator t = t.n
 let to_string t = Printf.sprintf "1/%d" t.n
 
-(* splitmix64 finalizer and keyed-stream derivation, bit-identical to
-   lib/netsim/rng.ml. *)
-let golden = 0x9E3779B97F4A7C15L
-
-let mix64 z =
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let keep t ~flow =
   t.n <= 1 || flow < 0
-  ||
-  (* split_key(seed, flow): two finalizer rounds over seed and key. *)
-  let z = Int64.add t.seed (Int64.mul golden (Int64.add (Int64.of_int flow) 1L)) in
-  let child = mix64 (Int64.logxor (mix64 z) 0x6A09E667F3BCC909L) in
-  (* First draw of the child stream, as a uniform float in [0, 1). *)
-  let bits = Int64.shift_right_logical (mix64 (Int64.add child golden)) 11 in
-  let u = Int64.to_float bits *. (1.0 /. 9007199254740992.0) in
-  u *. float_of_int t.n < 1.0
+  || Splitmix.draw (Splitmix.child ~seed:t.seed ~key:flow) ~n:0 *. float_of_int t.n < 1.0

@@ -2,9 +2,9 @@
 
     A sampling spec [1/N] keeps every event of roughly one flow in [N]
     and drops every event of the others. The keep/drop decision for a
-    flow is the first draw of a splitmix64 stream derived from
-    [(seed, flow id)] by the same keyed-stream construction as
-    [Netsim.Rng.split_key] — a pure function of the seed and the flow
+    flow is the first draw of the {!Splitmix} stream keyed by
+    [(seed, flow id)], the one [Netsim.Rng.split_key] derives — a pure
+    function of the seed and the flow
     id, independent of any other randomness, of draw position, and of
     the [--domains] pool size. Two runs with the same seed therefore
     sample the same flows, and a sampled trace is byte-identical at any

@@ -39,9 +39,10 @@ val create : unit -> t
     contexts sharing a lane id are merged at export. *)
 val run : t -> ?lane:int -> (unit -> 'a) -> 'a
 
-(** True iff any recorder is active anywhere (one atomic load). Guard
-    allocation-sensitive call sites behind it so the disabled path
-    builds no closure. *)
+(** True iff any recorder is active anywhere (one atomic load). Spans
+    sit at coarse grain only (a run, a simulation loop, a Libra cycle,
+    an RL forward, a pool fan-out, an experiment); per-event counts
+    come from [Netsim.Sim.dispatched] and the invariant checker. *)
 val enabled : unit -> bool
 
 (** [timed p f] runs [f] inside a span for [p] on the ambient recorder

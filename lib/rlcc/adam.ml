@@ -1,19 +1,14 @@
 (* Adam optimiser over a flat parameter vector (Kingma & Ba 2015). *)
 
-type t = {
-  lr : float;
-  beta1 : float;
-  beta2 : float;
-  eps : float;
-  m : float array;
-  v : float array;
-  mutable steps : int;
-}
+let beta1 = 0.9
+let beta2 = 0.999
+let eps = 1e-8
 
-let create ?(lr = 3e-4) ?(beta1 = 0.9) ?(beta2 = 0.999) ?(eps = 1e-8) n =
-  { lr; beta1; beta2; eps; m = Array.make n 0.0; v = Array.make n 0.0; steps = 0 }
+type t = { lr : float; m : float array; v : float array; mutable steps : int }
 
-(* Moment-vector snapshot for checkpoint/rollback: hyperparameters are
+let create ?(lr = 3e-4) n = { lr; m = Array.make n 0.0; v = Array.make n 0.0; steps = 0 }
+
+(* Moment-vector snapshot for checkpoint/rollback: the learning rate is
    immutable, so (m, v, steps) is the whole mutable state. *)
 type state = { s_m : float array; s_v : float array; s_steps : int }
 
@@ -31,12 +26,12 @@ let step t ~params ~grads =
   assert (Array.length params = Array.length t.m);
   assert (Array.length grads = Array.length t.m);
   t.steps <- t.steps + 1;
-  let bc1 = 1.0 -. (t.beta1 ** float_of_int t.steps) in
-  let bc2 = 1.0 -. (t.beta2 ** float_of_int t.steps) in
+  let bc1 = 1.0 -. (beta1 ** float_of_int t.steps) in
+  let bc2 = 1.0 -. (beta2 ** float_of_int t.steps) in
   for i = 0 to Array.length params - 1 do
     let g = grads.(i) in
-    t.m.(i) <- (t.beta1 *. t.m.(i)) +. ((1.0 -. t.beta1) *. g);
-    t.v.(i) <- (t.beta2 *. t.v.(i)) +. ((1.0 -. t.beta2) *. g *. g);
+    t.m.(i) <- (beta1 *. t.m.(i)) +. ((1.0 -. beta1) *. g);
+    t.v.(i) <- (beta2 *. t.v.(i)) +. ((1.0 -. beta2) *. g *. g);
     let m_hat = t.m.(i) /. bc1 and v_hat = t.v.(i) /. bc2 in
-    params.(i) <- params.(i) -. (t.lr *. m_hat /. (sqrt v_hat +. t.eps))
+    params.(i) <- params.(i) -. (t.lr *. m_hat /. (sqrt v_hat +. eps))
   done

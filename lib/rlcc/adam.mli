@@ -2,14 +2,15 @@
 
 type t
 
-(** [create n] holds first/second-moment state for [n] parameters. *)
-val create : ?lr:float -> ?beta1:float -> ?beta2:float -> ?eps:float -> int -> t
+(** [create n] holds first/second-moment state for [n] parameters
+    (beta1 0.9, beta2 0.999, eps 1e-8). *)
+val create : ?lr:float -> int -> t
 
 (** One bias-corrected update step; [params] is modified in place. *)
 val step : t -> params:float array -> grads:float array -> unit
 
 (** The optimiser's mutable state (first/second moments + step count),
-    for checkpointing and NaN-rollback. Hyperparameters are immutable
+    for checkpointing and NaN-rollback. The learning rate is immutable
     and not captured. *)
 type state = { s_m : float array; s_v : float array; s_steps : int }
 

@@ -1,12 +1,14 @@
 (* A trained policy driving a sending rate in the packet simulator.
 
-   The agent works per monitor interval (MI): ACKs accumulate into a
-   {!Netsim.Monitor}; when the MI elapses, the observation is pushed
-   onto the feature history, the policy produces an action, and the
-   action updates the rate. Evaluation runs use the deterministic mean
-   action unless [stochastic] is set (the paper attributes Orca's
-   safety problems partly to decision stochasticity, which Tab. 6
-   exercises by varying the seed of stochastic agents). *)
+   The agent works per monitor interval (MI) of one minimum RTT: ACKs
+   accumulate into a {!Netsim.Monitor}; when the MI elapses, the
+   observation is pushed onto the feature history, the policy samples
+   an action, and the action updates the rate. The state set, the
+   action space and the history length are the ones the policy was
+   trained with, read from its training outcome. Decisions are sampled
+   (the paper attributes Orca's safety problems partly to decision
+   stochasticity, which Tab. 6 exercises by varying the agent's
+   seed). *)
 
 type t = {
   policy : Ppo.t;
@@ -14,8 +16,6 @@ type t = {
   history : Features.History.t;
   monitor : Netsim.Monitor.t;
   rng : Netsim.Rng.t;
-  stochastic : bool;
-  mi_of_rtt : float;
   mutable rate : float;  (* bytes/s *)
   mutable mi_end : float;
   mutable min_rtt : float;
@@ -29,16 +29,14 @@ type t = {
                                      loss feature (Libra sets this) *)
 }
 
-let create ?(seed = 97) ?(stochastic = false) ?(mi_of_rtt = 1.0) ~policy ~action
-    ~set ~history ~initial_rate () =
+let create ?(seed = 97) ~initial_rate (outcome : Train.outcome) =
+  let cfg = outcome.Train.config in
   {
-    policy;
-    action;
-    history = Features.History.create ~set ~h:history;
+    policy = outcome.Train.policy;
+    action = cfg.Train.action;
+    history = Features.History.create ~set:cfg.Train.state_set ~h:Train.history;
     monitor = Netsim.Monitor.create ~now:0.0;
     rng = Netsim.Rng.create seed;
-    stochastic;
-    mi_of_rtt;
     rate = initial_rate;
     mi_end = 0.0;
     min_rtt = 0.1;
@@ -69,7 +67,7 @@ let min_rtt t = t.min_rtt
    exploration stage re-opens after the agent was dormant). *)
 let begin_mi t ~now =
   Netsim.Monitor.reset t.monitor ~now;
-  t.mi_end <- now +. (t.mi_of_rtt *. t.min_rtt)
+  t.mi_end <- now +. t.min_rtt
 
 let blend old v = if old <= 0.0 then v else (0.8 *. old) +. (0.2 *. v)
 
@@ -105,10 +103,8 @@ let decide t ~now =
   let state = Features.History.state t.history in
   let a =
     Obs.Span.timed span_forward (fun () ->
-        if t.stochastic then
-          let action, _, _ = Ppo.sample t.policy t.rng state in
-          action
-        else Ppo.mean_action t.policy state)
+        let action, _, _ = Ppo.sample t.policy t.rng state in
+        action)
   in
   t.decisions <- t.decisions + 1;
   t.rate <-
@@ -119,7 +115,7 @@ let decide t ~now =
          { t = now; episode = -1; step = t.decisions; rate = t.rate;
            reward = nan; action = a });
   Netsim.Monitor.reset t.monitor ~now;
-  t.mi_end <- now +. (t.mi_of_rtt *. t.min_rtt)
+  t.mi_end <- now +. t.min_rtt
 
 (* Feed an ACK; returns [true] when this ACK closed an MI (a fresh
    decision was made). The paper's "no ACK in the interval" rule is

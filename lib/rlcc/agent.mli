@@ -1,25 +1,18 @@
 (** A trained PPO policy driving a sending rate per monitor interval in
     the packet simulator.
 
-    ACKs accumulate into a monitor; when the MI elapses the observation
-    joins the feature history, the policy acts, and the action updates
-    the rate. [stochastic] agents sample the policy (reproducing the
-    run-to-run variability the paper's Tab. 6 measures); deterministic
-    ones use the mean action. *)
+    ACKs accumulate into a monitor; when the MI (one minimum RTT)
+    elapses the observation joins the feature history, the policy
+    acts, and the action updates the rate. Agents sample the policy,
+    reproducing the run-to-run variability the paper's Tab. 6
+    measures. *)
 
 type t
 
-val create :
-  ?seed:int ->
-  ?stochastic:bool ->
-  ?mi_of_rtt:float ->
-  policy:Ppo.t ->
-  action:Actions.mode ->
-  set:Features.set ->
-  history:int ->
-  initial_rate:float ->
-  unit ->
-  t
+(** [create ~initial_rate outcome] deploys [outcome]'s policy with the
+    state set and action space it was trained with. [seed] drives the
+    agent's action sampling. *)
+val create : ?seed:int -> initial_rate:float -> Train.outcome -> t
 
 (** Current rate decision, bytes/s. *)
 val rate : t -> float

@@ -23,11 +23,8 @@ let make_from_agent ~name ~(agent : Agent.t) () =
         Netsim.Cca.rate_cwnd ~rate:(Agent.rate agent) ~min_rtt:(Agent.min_rtt agent));
   }
 
-let make ?(seed = 97) ?(stochastic = true) () =
-  let outcome = Pretrained.aurora_policy () in
+let make ?(seed = 97) () =
   let agent =
-    Agent.create ~seed ~stochastic ~policy:outcome.Train.policy
-      ~action:(Actions.Mimd_aurora 5.0) ~set:Features.aurora ~history:5
-      ~initial_rate:default_initial_rate ()
+    Agent.create ~seed ~initial_rate:default_initial_rate (Pretrained.aurora_policy ())
   in
   make_from_agent ~name:"aurora" ~agent ()

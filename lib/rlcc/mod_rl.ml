@@ -4,11 +4,9 @@
    coupled rate-control algorithm -- does not deliver convergence or
    fairness. *)
 
-let make ?(seed = 131) ?(stochastic = true) () =
-  let outcome = Pretrained.modified_rl_policy () in
+let make ?(seed = 131) () =
   let agent =
-    Agent.create ~seed ~stochastic ~policy:outcome.Train.policy
-      ~action:Actions.Mimd_orca ~set:Features.libra ~history:5
-      ~initial_rate:Aurora.default_initial_rate ()
+    Agent.create ~seed ~initial_rate:Aurora.default_initial_rate
+      (Pretrained.modified_rl_policy ())
   in
   Aurora.make_from_agent ~name:"mod-rl" ~agent ()

@@ -3,4 +3,4 @@
     the baseline showing that the utility function alone does not
     deliver convergence or fairness. *)
 
-val make : ?seed:int -> ?stochastic:bool -> unit -> Netsim.Cca.t
+val make : ?seed:int -> unit -> Netsim.Cca.t

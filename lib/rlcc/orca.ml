@@ -5,15 +5,13 @@
    bad agent decision is applied directly -- the behaviour behind
    Fig. 2(b) and Tab. 6. *)
 
-let make ?(seed = 113) ?(stochastic = true) () =
+let make ?(seed = 113) () =
   let w = Classic_cc.Window.create () in
   let cubic = Classic_cc.Cubic.create w in
   let cubic_cca = Classic_cc.Cubic.as_cca cubic in
-  let outcome = Pretrained.orca_policy () in
   let agent =
-    Agent.create ~seed ~stochastic ~policy:outcome.Train.policy
-      ~action:Actions.Mimd_orca ~set:Features.orca ~history:5
-      ~initial_rate:Aurora.default_initial_rate ()
+    Agent.create ~seed ~initial_rate:Aurora.default_initial_rate
+      (Pretrained.orca_policy ())
   in
   let mss = Classic_cc.Window.mss in
   (* Not the shell's rate: Orca's pacing below scales this quotient,

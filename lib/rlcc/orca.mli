@@ -3,4 +3,4 @@
     -- and, unlike Libra, no evaluation step between the agent and the
     wire. *)
 
-val make : ?seed:int -> ?stochastic:bool -> unit -> Netsim.Cca.t
+val make : ?seed:int -> unit -> Netsim.Cca.t

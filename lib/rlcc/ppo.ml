@@ -16,67 +16,37 @@ type t = {
   actor_opt : Adam.t;
   critic_opt : Adam.t;
   log_std_opt : Adam.t;
-  clip : float;
-  entropy_coef : float;
-  epochs : int;
-  minibatch : int;
-  gamma : float;
-  lam : float;
 }
 
-type config = {
-  state_dim : int;
-  hidden : int list;
-  lr : float;
-  clip : float;
-  entropy_coef : float;
-  epochs : int;
-  minibatch : int;
-  gamma : float;
-  lam : float;
-  init_log_std : float;
-  seed : int;
-}
+let hidden = [ 32; 32 ]
+let clip = 0.2
+let entropy_coef = 0.003
+let epochs = 4
+let minibatch = 64
+let gamma = 0.99
+let lam = 0.95
+let init_log_std = -0.5
 
-let default_config ~state_dim =
-  {
-    state_dim;
-    hidden = [ 32; 32 ];
-    lr = 3e-4;
-    clip = 0.2;
-    entropy_coef = 0.003;
-    epochs = 4;
-    minibatch = 64;
-    gamma = 0.99;
-    lam = 0.95;
-    init_log_std = -0.5;
-    seed = 23;
-  }
+type config = { state_dim : int; lr : float; seed : int }
 
 let create cfg =
   let rng = Netsim.Rng.create cfg.seed in
   let actor =
     Nn.create ~rng:(Netsim.Rng.split rng)
-      { Nn.input = cfg.state_dim; hidden = cfg.hidden; output = 1; hidden_act = Nn.Tanh }
+      { Nn.input = cfg.state_dim; hidden; output = 1; hidden_act = Nn.Tanh }
   in
   let critic =
     Nn.create ~rng:(Netsim.Rng.split rng)
-      { Nn.input = cfg.state_dim; hidden = cfg.hidden; output = 1; hidden_act = Nn.Tanh }
+      { Nn.input = cfg.state_dim; hidden; output = 1; hidden_act = Nn.Tanh }
   in
   {
     actor;
     critic;
-    log_std = [| cfg.init_log_std |];
+    log_std = [| init_log_std |];
     log_std_grad = [| 0.0 |];
     actor_opt = Adam.create ~lr:cfg.lr (Nn.n_params actor);
     critic_opt = Adam.create ~lr:cfg.lr (Nn.n_params critic);
     log_std_opt = Adam.create ~lr:cfg.lr 1;
-    clip = cfg.clip;
-    entropy_coef = cfg.entropy_coef;
-    epochs = cfg.epochs;
-    minibatch = cfg.minibatch;
-    gamma = cfg.gamma;
-    lam = cfg.lam;
   }
 
 (* ---- snapshot / restore ----
@@ -158,7 +128,7 @@ type transition = {
 }
 
 (* GAE(lambda) over one episode; [last_value] bootstraps truncation. *)
-let advantages (t : t) ~transitions ~last_value =
+let advantages ~transitions ~last_value =
   let n = Array.length transitions in
   let adv = Array.make n 0.0 in
   let ret = Array.make n 0.0 in
@@ -166,9 +136,9 @@ let advantages (t : t) ~transitions ~last_value =
   for i = n - 1 downto 0 do
     let next_v = if i = n - 1 then last_value else transitions.(i + 1).val_est in
     let delta =
-      transitions.(i).reward +. (t.gamma *. next_v) -. transitions.(i).val_est
+      transitions.(i).reward +. (gamma *. next_v) -. transitions.(i).val_est
     in
-    gae := delta +. (t.gamma *. t.lam *. !gae);
+    gae := delta +. (gamma *. lam *. !gae);
     adv.(i) <- !gae;
     ret.(i) <- adv.(i) +. transitions.(i).val_est
   done;
@@ -188,10 +158,10 @@ let normalise a =
 let update (t : t) rng ~transitions ~last_value =
   let n = Array.length transitions in
   if n > 0 then begin
-    let adv_raw, ret = advantages t ~transitions ~last_value in
+    let adv_raw, ret = advantages ~transitions ~last_value in
     let adv = normalise adv_raw in
     let idx = Array.init n (fun i -> i) in
-    for _ = 1 to t.epochs do
+    for _ = 1 to epochs do
       (* Fisher-Yates shuffle. *)
       for i = n - 1 downto 1 do
         let j = Netsim.Rng.int rng (i + 1) in
@@ -201,7 +171,7 @@ let update (t : t) rng ~transitions ~last_value =
       done;
       let pos = ref 0 in
       while !pos < n do
-        let batch = min t.minibatch (n - !pos) in
+        let batch = min minibatch (n - !pos) in
         Nn.zero_grads t.actor;
         Nn.zero_grads t.critic;
         t.log_std_grad.(0) <- 0.0;
@@ -215,7 +185,7 @@ let update (t : t) rng ~transitions ~last_value =
           let logp = log_prob t ~mean ~action:tr.action in
           let ratio = exp (logp -. tr.logp) in
           let active =
-            if a >= 0.0 then ratio <= 1.0 +. t.clip else ratio >= 1.0 -. t.clip
+            if a >= 0.0 then ratio <= 1.0 +. clip else ratio >= 1.0 -. clip
           in
           let dlogp = if active then -.a *. ratio else 0.0 in
           let sigma = exp t.log_std.(0) in
@@ -225,7 +195,7 @@ let update (t : t) rng ~transitions ~last_value =
           ignore (Nn.backward t.actor cache ~dout:[| dmean *. scale |]);
           t.log_std_grad.(0) <-
             t.log_std_grad.(0)
-            +. (scale *. ((dlogp *. ((z *. z) -. 1.0)) -. t.entropy_coef));
+            +. (scale *. ((dlogp *. ((z *. z) -. 1.0)) -. entropy_coef));
           (* Critic: 0.5 (V - R)^2. *)
           let vcache = Nn.forward t.critic tr.state in
           let dv = vcache.Nn.out.(0) -. r in

@@ -2,7 +2,10 @@
     one-dimensional action (the paper's DRL-based CCA, Alg. 2).
 
     Actor and critic are separate MLPs; the log standard deviation is a
-    single free parameter optimised jointly; advantages use GAE. *)
+    single free parameter optimised jointly; advantages use GAE. The
+    hyperparameters are fixed: 2x32 tanh nets, clip 0.2, entropy bonus
+    0.003, 4 epochs of 64-sample minibatches, gamma 0.99, lambda 0.95,
+    initial log-std -0.5. *)
 
 type t = {
   actor : Nn.t;
@@ -12,30 +15,13 @@ type t = {
   actor_opt : Adam.t;
   critic_opt : Adam.t;
   log_std_opt : Adam.t;
-  clip : float;
-  entropy_coef : float;
-  epochs : int;
-  minibatch : int;
-  gamma : float;
-  lam : float;
 }
 
-type config = {
-  state_dim : int;
-  hidden : int list;
-  lr : float;
-  clip : float;
-  entropy_coef : float;
-  epochs : int;
-  minibatch : int;
-  gamma : float;
-  lam : float;
-  init_log_std : float;
-  seed : int;
-}
+(** Hidden layer widths of both nets. *)
+val hidden : int list
 
-(** 2x32 tanh nets, lr 3e-4, clip 0.2, gamma 0.99, lambda 0.95. *)
-val default_config : state_dim:int -> config
+(** [state_dim] inputs, Adam learning rate [lr], initialisation seed. *)
+type config = { state_dim : int; lr : float; seed : int }
 
 val create : config -> t
 
@@ -64,7 +50,7 @@ val all_finite : t -> bool
 (** Log-density of [action] under the current Gaussian at [mean]. *)
 val log_prob : t -> mean:float -> action:float -> float
 
-(** Deterministic (evaluation-time) action. *)
+(** Deterministic action: the Gaussian's mean (greedy evaluation). *)
 val mean_action : t -> float array -> float
 
 (** Critic's value estimate. *)
@@ -84,7 +70,7 @@ type transition = {
 (** GAE(lambda) advantages and returns over one episode; [last_value]
     bootstraps truncation. *)
 val advantages :
-  t -> transitions:transition array -> last_value:float -> float array * float array
+  transitions:transition array -> last_value:float -> float array * float array
 
 (** One PPO update (epochs x shuffled minibatches) over a batch. *)
 val update : t -> Netsim.Rng.t -> transitions:transition array -> last_value:float -> unit

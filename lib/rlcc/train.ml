@@ -13,11 +13,11 @@ type config = {
   state_set : Features.set;
   reward : Reward.cfg;
   action : Actions.mode;
-  history : int;
-  hidden : int list;
-  lr : float;
   env_mode : [ `Fixed of Env.cfg | `Randomized ];
 }
+
+let history = 5
+let lr = 1e-3  (* Adam learning rate of every trained policy *)
 
 let default_config =
   {
@@ -27,9 +27,6 @@ let default_config =
     state_set = Features.libra;
     reward = Reward.default;
     action = Actions.Mimd_orca;
-    history = 5;
-    hidden = [ 32; 32 ];
-    lr = 1e-3;
     env_mode = `Fixed Env.default_cfg;
   }
 
@@ -60,9 +57,9 @@ let config_key (cfg : config) =
     cfg.state_set.Features.set_name (Actions.name cfg.action) cfg.reward.Reward.w1
     cfg.reward.Reward.w2 cfg.reward.Reward.w3 cfg.reward.Reward.include_loss
     cfg.reward.Reward.use_delta form cfg.episodes cfg.steps_per_episode cfg.seed
-    cfg.history
-    (String.concat "x" (List.map string_of_int cfg.hidden))
-    cfg.lr
+    history
+    (String.concat "x" (List.map string_of_int Ppo.hidden))
+    lr
     (match cfg.env_mode with
     | `Fixed e ->
       Printf.sprintf "fixed(%g,%g,%g,%g)" e.Env.capacity e.Env.min_rtt e.Env.buffer
@@ -93,11 +90,8 @@ type snapshot = {
 }
 
 let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
-  let state_dim = Features.set_width cfg.state_set * cfg.history in
-  let ppo_cfg =
-    { (Ppo.default_config ~state_dim) with hidden = cfg.hidden; lr = cfg.lr; seed = cfg.seed }
-  in
-  let policy = Ppo.create ppo_cfg in
+  let state_dim = Features.set_width cfg.state_set * history in
+  let policy = Ppo.create { Ppo.state_dim; lr; seed = cfg.seed } in
   let rng = Netsim.Rng.create (cfg.seed * 31 + 7) in
   let env_rng = Netsim.Rng.create (cfg.seed * 131 + 11) in
   let env = Env.create ~seed:(cfg.seed + 1) Env.default_cfg in
@@ -158,7 +152,7 @@ let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
       Obs.Trace.emit
         (Obs.Event.Run_start
            { t = Env.time env; label = Printf.sprintf "episode %d" ep });
-    let history = Features.History.create ~set:cfg.state_set ~h:cfg.history in
+    let history = Features.History.create ~set:cfg.state_set ~h:history in
     let tracker = Reward.tracker cfg.reward in
     (* Start from a modest rate and let the policy steer. *)
     let rate = ref (Env.capacity env /. 8.0) in
@@ -264,7 +258,7 @@ let eval_episode (outcome : outcome) ~seed =
   in
   let env = Env.create ~seed:(seed + 1) env_cfg in
   Env.reset env env_cfg;
-  let history = Features.History.create ~set:cfg.state_set ~h:cfg.history in
+  let history = Features.History.create ~set:cfg.state_set ~h:history in
   let rate = ref (Env.capacity env /. 8.0) in
   let obs0 = Env.step env ~rate:!rate in
   Features.History.push history obs0;

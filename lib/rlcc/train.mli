@@ -8,11 +8,12 @@ type config = {
   state_set : Features.set;
   reward : Reward.cfg;
   action : Actions.mode;
-  history : int;
-  hidden : int list;
-  lr : float;
   env_mode : [ `Fixed of Env.cfg | `Randomized ];
 }
+
+(** Observations stacked into one policy state (the history length h),
+    in training and wherever the policy is deployed. *)
+val history : int
 
 (** 150 episodes x 160 MIs on the fixed Sec. 4.2 environment, Libra
     state set, MIMD(2^a) actions. *)

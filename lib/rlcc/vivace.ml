@@ -29,11 +29,12 @@ type phase =
   | Wait_probe of { up_id : int; down_id : int; mutable u_up : float option;
                     mutable u_down : float option }
 
+let theta = 1.0  (* gradient step in Mbps per unit gradient *)
+let omega = 0.25  (* max relative base change per decision *)
+
 type t = {
   u : Utility.params;
   eps : float;
-  theta : float;  (* gradient step in Mbps per unit gradient *)
-  omega : float;  (* max relative base change per decision *)
   tagger : int Netsim.Tagger.t;
   mis : (int, mi_record) Hashtbl.t;
   mutable next_id : int;
@@ -51,13 +52,11 @@ type t = {
   plan : (float * purpose) Queue.t;
 }
 
-let create ?(u = Utility.default) ?(eps = 0.05) ?(theta = 1.0) ?(omega = 0.25)
+let create ?(u = Utility.default) ?(eps = 0.05)
     ?(initial_rate = Netsim.Units.mbps_to_bps 2.0) () =
   {
     u;
     eps;
-    theta;
-    omega;
     tagger = Netsim.Tagger.create ~initial:(-1);
     mis = Hashtbl.create 16;
     next_id = 0;
@@ -79,7 +78,7 @@ let base_rate t = t.base_rate
 let decisions t = t.decisions
 
 let clamp_step t step =
-  let bound = t.omega *. t.base_rate in
+  let bound = omega *. t.base_rate in
   Float.min bound (Float.max (-.bound) step)
 
 (* Schedule the next MI: honour the plan queue, else run at base. *)
@@ -117,7 +116,7 @@ let apply_gradient t ~u_up ~u_down =
   if dir = t.last_dir then t.amplifier <- Float.min 10.0 (t.amplifier +. 1.0)
   else t.amplifier <- 1.0;
   t.last_dir <- dir;
-  let step_mbps = t.theta *. t.amplifier *. grad in
+  let step_mbps = theta *. t.amplifier *. grad in
   let step = clamp_step t (Netsim.Units.mbps_to_bps step_mbps) in
   t.base_rate <-
     Float.min Actions.max_rate (Float.max 1500.0 (t.base_rate +. step));

@@ -271,7 +271,7 @@ let test_span_structure_pool_independent () =
       let what = if nested then " (nested fan-out)" else "" in
       Alcotest.(check string) ("span structure bytes" ^ what) seq par;
       check_bool ("profiles the simulator" ^ what) true
-        (contains "netsim.run" seq && contains "heap.push" seq);
+        (contains "netsim.run" seq && contains "sim.loop" seq);
       check_bool ("all three lanes exported" ^ what) true
         (List.for_all (fun l -> contains l seq) [ "lane 0"; "lane 1"; "lane 2" ]))
     [ false; true ];

@@ -99,9 +99,8 @@ let mk_controller ?(params = Libra.Params.default) ?classic () =
   let classic =
     match classic with Some c -> c | None -> Some (Classic_cc.Cubic.embedded ())
   in
-  let policy = (Rlcc.Pretrained.libra_policy ()).Rlcc.Train.policy in
   Libra.Controller.create ~initial_rate:1e6 ~params ~classic
-    ~policy ~state_set:Rlcc.Features.libra ()
+    ~outcome:(Rlcc.Pretrained.libra_policy ()) ()
 
 let ack ~now ~seq ?(rtt = 0.05) () =
   {

@@ -161,7 +161,7 @@ let test_aiad_step_is_packets_per_rtt () =
 (* Vivace internals *)
 
 let test_vivace_clamp_step () =
-  let v = Rlcc.Vivace.create ~omega:0.25 ~initial_rate:1e6 () in
+  let v = Rlcc.Vivace.create ~initial_rate:1e6 () in
   ignore v;
   (* The base rate can change by at most 25% per decision: drive a huge
      artificial gradient through one probe pair and check the bound. *)

@@ -68,6 +68,32 @@ let prop_rng_uniform_bounds =
       let v = Netsim.Rng.uniform rng ~lo ~hi:(lo +. width) in
       v >= lo && v < lo +. width)
 
+(* Trace sampling and the chaos plane draw from keyed streams of their
+   own: each decision must equal a draw of Rng.split_key's child. *)
+let prop_sample_keep_is_keyed_draw =
+  QCheck.Test.make ~name:"sample keep is a keyed rng draw" ~count:500
+    QCheck.(triple int (int_range 1 1000) (int_range 0 1_000_000))
+    (fun (seed, d, flow) ->
+      let child = Netsim.Rng.split_key (Netsim.Rng.create seed) ~key:flow in
+      Obs.Sample.keep (Obs.Sample.create ~seed d) ~flow
+      = (Netsim.Rng.float child *. float_of_int d < 1.0))
+
+let prop_plane_draw_is_keyed_draw =
+  QCheck.Test.make ~name:"plane draw is a keyed rng draw" ~count:500
+    QCheck.(
+      pair int
+        (quad (int_range 0 16) (int_range 0 100_000) (int_range 0 64) (int_range 0 8)))
+    (fun (seed, (tag, a, b, n)) ->
+      let child =
+        Netsim.Rng.split_key (Netsim.Rng.create seed)
+          ~key:((tag * 1_000_003) + (a * 8191) + (b * 127))
+      in
+      let want = ref 0.0 in
+      for _ = 0 to n do
+        want := Netsim.Rng.float child
+      done;
+      Chaos.Plane.draw ~seed ~tag ~a ~b ~n = !want)
+
 (* ------------------------------------------------------------------ *)
 (* Event heap *)
 
@@ -765,7 +791,13 @@ let () =
           Alcotest.test_case "split_key stable" `Quick test_rng_split_key_stable;
           Alcotest.test_case "split_key distinct" `Quick test_rng_split_key_distinct;
         ]
-        @ qsuite [ prop_rng_range; prop_rng_uniform_bounds ] );
+        @ qsuite
+            [
+              prop_rng_range;
+              prop_rng_uniform_bounds;
+              prop_sample_keep_is_keyed_draw;
+              prop_plane_draw_is_keyed_draw;
+            ] );
       ( "event_heap",
         [
           Alcotest.test_case "orders events" `Quick test_heap_orders_events;

@@ -503,7 +503,7 @@ let test_span_attribution () =
        let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
        go 0
      in
-     contains "netsim.run" && contains "heap.push");
+     contains "netsim.run" && contains "sim.loop");
   match Obs.Span.lanes_json t with
   | [ (0, spans) ] ->
     let frac = Obs.Perf.attributed_fraction ~spans ~wall in

@@ -95,7 +95,7 @@ let test_adam_minimises_quadratic () =
 (* PPO *)
 
 let mk_ppo ?(state_dim = 4) () =
-  Rlcc.Ppo.create (Rlcc.Ppo.default_config ~state_dim)
+  Rlcc.Ppo.create { Rlcc.Ppo.state_dim; lr = 3e-4; seed = 23 }
 
 let test_ppo_logprob_peak_at_mean () =
   let ppo = mk_ppo () in
@@ -106,10 +106,9 @@ let test_ppo_logprob_peak_at_mean () =
   check_bool "density peaks at the mean" true (at_mean > off)
 
 let test_ppo_gae_discounts () =
-  let ppo = mk_ppo () in
   let mk reward val_est = { Rlcc.Ppo.state = [||]; action = 0.0; logp = 0.0; val_est; reward } in
   let transitions = [| mk 1.0 0.0; mk 1.0 0.0; mk 1.0 0.0 |] in
-  let adv, ret = Rlcc.Ppo.advantages ppo ~transitions ~last_value:0.0 in
+  let adv, ret = Rlcc.Ppo.advantages ~transitions ~last_value:0.0 in
   (* With V = 0: returns are lambda-discounted reward sums, decreasing
      towards the episode end. *)
   check_bool "advantage decreases towards the end" true (adv.(0) > adv.(1) && adv.(1) > adv.(2));
@@ -418,6 +417,72 @@ let test_pretrained_failed_fill_retries () =
   check_int "second call retrained cleanly" 2
     (Array.length outcome.Rlcc.Train.episode_rewards)
 
+(* ------------------------------------------------------------------ *)
+(* Trained-policy pins: one MD5 per training run over its actor and
+   critic parameters and its log-std, every float as %h. The four
+   evaluation policies train at the tiny scale; the fifth run trains
+   AIAD(5) actions on delta-r without the loss term on the fixed
+   environment. A change that moves one bit of a trained parameter, or
+   a training run's identity string, fails here. *)
+
+let policy_digest (o : Rlcc.Train.outcome) =
+  let p = o.Rlcc.Train.policy in
+  let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Digest.to_hex
+    (Digest.string
+       (String.concat ";"
+          [
+            floats p.Rlcc.Ppo.actor.Rlcc.Nn.params;
+            floats p.Rlcc.Ppo.critic.Rlcc.Nn.params;
+            floats p.Rlcc.Ppo.log_std;
+          ]))
+
+let pretrained_tiny () =
+  Harness.Scale.set Harness.Scale.tiny;
+  [
+    ("libra", Rlcc.Pretrained.libra_policy ());
+    ("aurora", Rlcc.Pretrained.aurora_policy ());
+    ("orca", Rlcc.Pretrained.orca_policy ());
+    ("mod-rl", Rlcc.Pretrained.modified_rl_policy ());
+  ]
+
+let aiad_fixed =
+  {
+    Rlcc.Train.default_config with
+    Rlcc.Train.episodes = 4;
+    action = Rlcc.Actions.Aiad 5.0;
+    reward = { Rlcc.Reward.default with Rlcc.Reward.use_delta = true; include_loss = false };
+    env_mode = `Fixed Rlcc.Env.default_cfg;
+  }
+
+let test_pin_pretrained () =
+  Alcotest.(check (list (pair string string)))
+    "policy digests"
+    [
+      ("libra", "c1f8778439563e1ded68e56e352f8e21");
+      ("aurora", "f4292034762673431b32805fc8e7f23b");
+      ("orca", "913d22aa9983a1d3586c9dce42246363");
+      ("mod-rl", "624b2019bf22b4caa5930719f3889ec3");
+    ]
+    (List.map (fun (name, o) -> (name, policy_digest o)) (pretrained_tiny ()))
+
+let test_pin_aiad_fixed () =
+  Alcotest.(check string) "policy digest" "bd39de4665826ce155d688ef9e211228"
+    (policy_digest (Rlcc.Train.run aiad_fixed))
+
+let test_pin_config_keys () =
+  Alcotest.(check (list string))
+    "config keys"
+    [
+      "Libra/MIMD(2^a)/w=1,0.5,10/loss=true/delta=false/weighted/ep=4/st=160/seed=41/h=5/hid=32x32/lr=0.001/rand";
+      "Aurora/MIMD(scale=5)/w=1,0.5,10/loss=true/delta=false/weighted/ep=4/st=160/seed=43/h=5/hid=32x32/lr=0.001/rand";
+      "Orca/MIMD(2^a)/w=1,0.5,10/loss=true/delta=false/weighted/ep=4/st=160/seed=47/h=5/hid=32x32/lr=0.001/rand";
+      "Libra/MIMD(2^a)/w=1,0.5,10/loss=true/delta=false/eq1(0.9,1,5,5)/ep=4/st=160/seed=53/h=5/hid=32x32/lr=0.001/rand";
+      "Libra/AIAD(scale=5)/w=1,0.5,10/loss=false/delta=true/weighted/ep=4/st=160/seed=23/h=5/hid=32x32/lr=0.001/fixed(1.25e+07,0.1,1.25e+06,0)";
+    ]
+    (List.map Rlcc.Train.config_key
+       (List.map (fun (_, o) -> o.Rlcc.Train.config) (pretrained_tiny ()) @ [ aiad_fixed ]))
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -475,5 +540,11 @@ let () =
             test_resume_rejects_other_config;
           Alcotest.test_case "cache not poisoned" `Quick
             test_pretrained_failed_fill_retries;
+        ] );
+      ( "policy-pin",
+        [
+          Alcotest.test_case "pretrained" `Quick test_pin_pretrained;
+          Alcotest.test_case "aiad fixed env" `Quick test_pin_aiad_fixed;
+          Alcotest.test_case "config keys" `Quick test_pin_config_keys;
         ] );
     ]
