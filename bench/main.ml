@@ -62,7 +62,8 @@ let micro_tests () =
     cca_on_ack_test ~name:"bbr/on-ack" Classic_cc.Bbr.make;
     cca_on_ack_test ~name:"copa/on-ack" Classic_cc.Copa.make;
     Test.make ~name:"drl/forward-pass"
-      (Staged.stage (fun () -> ignore (Rlcc.Ppo.mean_action policy state)));
+      (let ws = Rlcc.Ppo.workspace policy in
+       Staged.stage (fun () -> ignore (Rlcc.Ppo.mean_action policy ws state)));
     Test.make ~name:"libra/utility-eval"
       (Staged.stage (fun () ->
            ignore (Libra.Utility.eval Libra.Utility.default ~rate_bps:3e6 utility_snap)));
@@ -499,15 +500,16 @@ let scaleout_arena () =
   Netsim.Sim.run sim ~until:scaleout_duration;
   Netsim.Sim.events sim
 
-(* The arena's allocation contract, asserted: with tracing off, the
-   steady-state ACK path (Flow_table.deliver_ack) and the link egress
-   path (Link.drain_one) of a FIFO and of a CoDel link allocate zero
-   minor-heap words. Preloads inflight packets via bench_send,
-   pre-reserves the event heap, warms every path, calibrates the cost
-   of the Gc.counters probe itself with an empty loop, then fails the
-   bench if any path exceeds the calibration. *)
+(* The hot paths' allocation contract, asserted: with tracing off, the
+   steady-state ACK path (Flow_table.deliver_ack), the link egress path
+   (Link.drain_one) of a FIFO and of a CoDel link, the NN kernel's
+   forward and backward on a policy-sized net, and a generator draw
+   allocate zero minor-heap words. Preloads inflight packets via
+   bench_send, pre-reserves the event heap, warms every path, calibrates
+   the cost of the Gc.counters probe itself with an empty loop, then
+   fails the bench if any path exceeds the calibration. *)
 let run_alloc_contract () =
-  Harness.Table.heading "Allocation contract: arena ACK / link egress paths";
+  Harness.Table.heading "Allocation contract: arena ACK / link egress / NN / Rng paths";
   let k = 20_000 in
   let preloaded aqm =
     let sim, table, link, add =
@@ -526,10 +528,21 @@ let run_alloc_contract () =
   let ack ~from n =
     for s = from to from + n - 1 do Netsim.Flow_table.deliver_ack table h s done
   in
+  let nn = Rlcc.Nn.create { Rlcc.Nn.input = 20; hidden = [ 32; 32 ]; output = 1 } in
+  let nn_ws = Rlcc.Nn.workspace nn in
+  let x = Array.make 20 0.3 and dout = [| 1.0 |] in
+  let forward n = for _ = 1 to n do ignore (Rlcc.Nn.forward nn nn_ws x) done in
+  let backward n = for _ = 1 to n do ignore (Rlcc.Nn.backward nn nn_ws ~dout) done in
+  let rng = Netsim.Rng.create 7 in
+  let acc = [| 0.0 |] in
+  let draw n = for _ = 1 to n do acc.(0) <- acc.(0) +. Netsim.Rng.float rng done in
   (* Warm every path past any growth/laziness before measuring. *)
   drain link 100;
   drain codel_link 100;
   ack ~from:0 100;
+  forward 100;
+  backward 100;
+  draw 100;
   let minor_words f =
     let m0, _, _ = Gc.counters () in
     f ();
@@ -544,7 +557,6 @@ let run_alloc_contract () =
      inlined and 2-3 words/op when opaque; if the canary trips we still
      print the numbers but skip the hard assertion (run the bench with
      --profile release to assert the contract). *)
-  let acc = [| 0.0 |] in
   let canary =
     minor_words (fun () ->
         for _ = 1 to k do
@@ -559,6 +571,9 @@ let run_alloc_contract () =
       ( "link egress, CoDel (drain_one)",
         per (minor_words (fun () -> drain codel_link k)) );
       ("ACK (deliver_ack)", per (minor_words (fun () -> ack ~from:100 k)));
+      ("NN forward, 20-32-32-1 (Nn.forward)", per (minor_words (fun () -> forward k)));
+      ("NN backward, 20-32-32-1 (Nn.backward)", per (minor_words (fun () -> backward k)));
+      ("generator draw (Rng.float)", per (minor_words (fun () -> draw k)));
     ]
   in
   Harness.Table.print

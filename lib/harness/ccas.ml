@@ -18,9 +18,9 @@ let vivace : factory = fun ~seed:_ -> Rlcc.Vivace.make ()
 let proteus : factory = fun ~seed:_ -> Rlcc.Proteus.make ()
 let remy : factory = fun ~seed:_ -> Rlcc.Remy.make ()
 let indigo : factory = fun ~seed:_ -> Rlcc.Indigo.make ()
-let aurora : factory = fun ~seed -> Rlcc.Aurora.make ~seed ()
-let orca : factory = fun ~seed -> Rlcc.Orca.make ~seed ()
-let mod_rl : factory = fun ~seed -> Rlcc.Mod_rl.make ~seed ()
+let aurora : factory = Rlcc.Aurora.make
+let orca : factory = Rlcc.Orca.make
+let mod_rl : factory = Rlcc.Mod_rl.make
 
 let libra_params ~seed = { Libra.Params.default with Libra.Params.seed }
 

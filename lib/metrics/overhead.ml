@@ -19,10 +19,11 @@ type ledger = {
 
 let create () = { callbacks = 0; nn_forwards = 0 }
 
-(* Fixed unit costs (seconds / minor-heap words per operation), the
-   ballpark the micro-benchmarks measure for this repository's 2x32
-   networks on one core. Absolute values only scale the report; the
-   figures normalise per column. *)
+(* Fixed pricing units (seconds / minor-heap words per operation), not
+   measured values: they price the counts so reports stay comparable
+   across builds, and no longer track the micro-benchmarks (an
+   `Rlcc.Nn` forward allocates nothing). Absolute values only scale
+   the report; the figures normalise per column. *)
 let callback_cost_s = 150e-9
 let forward_cost_s = 2.5e-6
 let callback_alloc_words = 40.0

@@ -1,8 +1,8 @@
 (** Decision-cost accounting (Fig. 2(c), Fig. 12): callbacks and
     neural-network forward passes inside a CCA's callbacks, priced at
-    fixed calibrated per-operation costs. Deterministic by construction
-    (counting, not timing), so overhead reports are bit-identical across
-    runs and pool sizes. *)
+    fixed per-operation pricing units (not measured costs).
+    Deterministic by construction (counting, not timing), so overhead
+    reports are bit-identical across runs and pool sizes. *)
 
 type ledger = {
   mutable callbacks : int;

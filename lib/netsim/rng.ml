@@ -4,13 +4,22 @@
    [Rng.t] so that a run is fully reproducible from its seed, and
    repeated-trial experiments can vary the seed alone. *)
 
-type t = { mutable state : int64; seed : int64 }
+(* The counter lives in an 8-byte cell: an int64 stored in a record
+   field is boxed, so a [mutable int64] field would allocate on every
+   draw, while the cell is read and written unboxed. *)
+type t = { cell : Bytes.t; seed : int64 }
 
-let create seed = { state = Int64.of_int seed; seed = Int64.of_int seed }
+let make ~state ~seed =
+  let cell = Bytes.create 8 in
+  Bytes.set_int64_ne cell 0 state;
+  { cell; seed }
+
+let create seed = make ~state:(Int64.of_int seed) ~seed:(Int64.of_int seed)
 
 let[@inline] next_int64 t =
-  t.state <- Int64.add t.state Splitmix.golden;
-  Splitmix.mix64 t.state
+  let s = Int64.add (Bytes.get_int64_ne t.cell 0) Splitmix.golden in
+  Bytes.set_int64_ne t.cell 0 s;
+  Splitmix.mix64 s
 
 (* Uniform float in [0, 1) from the top 53 bits of the next word. *)
 let[@inline] float t = Splitmix.to_unit (next_int64 t)
@@ -47,14 +56,14 @@ let split t = create (Int64.to_int (next_int64 t))
    lib/faults relies on). *)
 let split_key t ~key =
   let z = Splitmix.child ~seed:t.seed ~key in
-  { state = z; seed = z }
+  make ~state:z ~seed:z
 
 (* Snapshot / restore of the full generator state, for checkpointed
    training runs that must resume bit-identically mid-stream. *)
-let state t = (t.state, t.seed)
+let state t = (Bytes.get_int64_ne t.cell 0, t.seed)
 
-let of_state (state, seed) = { state; seed }
+let of_state (state, seed) = make ~state ~seed
 
 let set_state t (state, seed) =
   if seed <> t.seed then invalid_arg "Rng.set_state: seed mismatch";
-  t.state <- state
+  Bytes.set_int64_ne t.cell 0 state

@@ -6,7 +6,7 @@ let eps = 1e-8
 
 type t = { lr : float; m : float array; v : float array; mutable steps : int }
 
-let create ?(lr = 3e-4) n = { lr; m = Array.make n 0.0; v = Array.make n 0.0; steps = 0 }
+let create ~lr n = { lr; m = Array.make n 0.0; v = Array.make n 0.0; steps = 0 }
 
 (* Moment-vector snapshot for checkpoint/rollback: the learning rate is
    immutable, so (m, v, steps) is the whole mutable state. *)

@@ -2,9 +2,9 @@
 
 type t
 
-(** [create n] holds first/second-moment state for [n] parameters
-    (beta1 0.9, beta2 0.999, eps 1e-8). *)
-val create : ?lr:float -> int -> t
+(** [create ~lr n] holds first/second-moment state for [n] parameters
+    at learning rate [lr] (beta1 0.9, beta2 0.999, eps 1e-8). *)
+val create : lr:float -> int -> t
 
 (** One bias-corrected update step; [params] is modified in place. *)
 val step : t -> params:float array -> grads:float array -> unit

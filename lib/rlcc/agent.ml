@@ -12,6 +12,7 @@
 
 type t = {
   policy : Ppo.t;
+  ws : Ppo.ws;  (* this agent's own: the policy is shared across domains *)
   action : Actions.mode;
   history : Features.History.t;
   monitor : Netsim.Monitor.t;
@@ -29,10 +30,11 @@ type t = {
                                      loss feature (Libra sets this) *)
 }
 
-let create ?(seed = 97) ~initial_rate (outcome : Train.outcome) =
+let create ~seed ~initial_rate (outcome : Train.outcome) =
   let cfg = outcome.Train.config in
   {
     policy = outcome.Train.policy;
+    ws = Ppo.workspace outcome.Train.policy;
     action = cfg.Train.action;
     history = Features.History.create ~set:cfg.Train.state_set ~h:Train.history;
     monitor = Netsim.Monitor.create ~now:0.0;
@@ -103,7 +105,7 @@ let decide t ~now =
   let state = Features.History.state t.history in
   let a =
     Obs.Span.timed span_forward (fun () ->
-        let action, _, _ = Ppo.sample t.policy t.rng state in
+        let action, _, _ = Ppo.sample t.policy t.ws t.rng state in
         action)
   in
   t.decisions <- t.decisions + 1;

@@ -9,10 +9,11 @@
 
 type t
 
-(** [create ~initial_rate outcome] deploys [outcome]'s policy with the
-    state set and action space it was trained with. [seed] drives the
-    agent's action sampling. *)
-val create : ?seed:int -> initial_rate:float -> Train.outcome -> t
+(** [create ~seed ~initial_rate outcome] deploys [outcome]'s policy
+    with the state set and action space it was trained with. [seed]
+    drives the agent's action sampling. The agent owns its own
+    {!Ppo.ws}, so agents sharing one policy may run on any domains. *)
+val create : seed:int -> initial_rate:float -> Train.outcome -> t
 
 (** Current rate decision, bytes/s. *)
 val rate : t -> float

@@ -23,7 +23,7 @@ let make_from_agent ~name ~(agent : Agent.t) () =
         Netsim.Cca.rate_cwnd ~rate:(Agent.rate agent) ~min_rtt:(Agent.min_rtt agent));
   }
 
-let make ?(seed = 97) () =
+let make ~seed =
   let agent =
     Agent.create ~seed ~initial_rate:default_initial_rate (Pretrained.aurora_policy ())
   in

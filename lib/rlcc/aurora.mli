@@ -7,4 +7,4 @@ val default_initial_rate : float
     Modified-RL). *)
 val make_from_agent : name:string -> agent:Agent.t -> unit -> Netsim.Cca.t
 
-val make : ?seed:int -> unit -> Netsim.Cca.t
+val make : seed:int -> Netsim.Cca.t

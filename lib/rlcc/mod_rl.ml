@@ -4,7 +4,7 @@
    coupled rate-control algorithm -- does not deliver convergence or
    fairness. *)
 
-let make ?(seed = 131) () =
+let make ~seed =
   let agent =
     Agent.create ~seed ~initial_rate:Aurora.default_initial_rate
       (Pretrained.modified_rl_policy ())

@@ -2,22 +2,22 @@
 
    Parameters live in one flat array so the optimiser (Adam) can treat
    the whole network uniformly; gradients accumulate into a parallel
-   array. Only what PPO needs is implemented: dense layers, tanh/relu
-   hidden activations, a linear output layer, and reverse-mode gradients
-   for both parameters and (unused but tested) inputs.
+   array. Only what PPO needs is implemented: dense layers, tanh hidden
+   activations, a linear output layer, and reverse-mode gradients for
+   both parameters and (unused but tested) inputs.
+
+   The kernel allocates nothing: a forward/backward pair writes its
+   scratch (each layer's activations and deltas) into a caller-owned
+   workspace, so one [t] can be read by many domains at once, each
+   with its own workspace. Every float operation runs in the order of
+   the plain one-neuron-at-a-time loops (see [forward]), so trained
+   parameters do not depend on the blocking.
 
    A global forward counter feeds the overhead accounting: the paper's
    CPU-utilisation comparison (Fig. 2(c), Fig. 12) boils down to how
    often each CCA runs its DRL agent. *)
 
-type activation = Tanh | Relu
-
-type spec = {
-  input : int;
-  hidden : int list;
-  output : int;
-  hidden_act : activation;
-}
+type spec = { input : int; hidden : int list; output : int }
 
 type t = {
   spec : spec;
@@ -27,10 +27,12 @@ type t = {
   layers : (int * int * int * int) array;
 }
 
-type cache = {
-  inputs : float array array;  (* input to each layer *)
-  preacts : float array array;  (* pre-activation of each layer *)
-  out : float array;
+type ws = {
+  mutable last : float array;  (* params of the net whose forward ran last *)
+  h : float array array;
+      (* h.(0) the input; h.(l + 1) layer l's output (tanh for hidden
+         layers, linear for the last) *)
+  d : float array array;  (* d.(l) the gradient with respect to h.(l) *)
 }
 
 (* Domain-local so overhead ledgers on one domain are not polluted by
@@ -76,70 +78,110 @@ let create ?(rng = Netsim.Rng.create 17) spec =
 
 let n_params t = Array.length t.params
 
-let act t v = match t.spec.hidden_act with Tanh -> tanh v | Relu -> Float.max 0.0 v
+let workspace t =
+  let widths = Array.of_list ((t.spec.input :: t.spec.hidden) @ [ t.spec.output ]) in
+  {
+    last = [||];
+    h = Array.map (fun w -> Array.make w 0.0) widths;
+    d = Array.map (fun w -> Array.make w 0.0) (Array.sub widths 0 (Array.length t.layers));
+  }
 
-let act_grad t pre =
-  match t.spec.hidden_act with
-  | Tanh ->
-    let h = tanh pre in
-    1.0 -. (h *. h)
-  | Relu -> if pre > 0.0 then 1.0 else 0.0
+let check_shape t ws =
+  let n = Array.length t.layers in
+  if Array.length ws.h <> n + 1 then invalid_arg "Nn.forward: workspace of another shape";
+  for l = 0 to n - 1 do
+    let _, _, in_dim, out_dim = t.layers.(l) in
+    if Array.length ws.h.(l) <> in_dim || Array.length ws.h.(l + 1) <> out_dim then
+      invalid_arg "Nn.forward: workspace of another shape"
+  done
 
-let forward t x =
-  assert (Array.length x = t.spec.input);
+(* Each output neuron sums its bias plus w_ji * x_i left to right over
+   i, as the plain loop [for j .. for i ..] does. Four neurons share one
+   pass over the input, each with its own accumulator, so the four add
+   chains run side by side without reordering any of them; a scalar
+   loop takes the [out_dim mod 4] tail. The stores are written out
+   inline: a local closure would box every float it returns. *)
+let forward t ws x =
+  check_shape t ws;
+  if Array.length x <> t.spec.input then invalid_arg "Nn.forward: input width";
   incr (Domain.DLS.get forward_count_key);
-  let n_layers = Array.length t.layers in
-  let inputs = Array.make n_layers [||] in
-  let preacts = Array.make n_layers [||] in
-  let cur = ref x in
-  for l = 0 to n_layers - 1 do
+  Array.blit x 0 ws.h.(0) 0 (Array.length x);
+  let p = t.params in
+  let n = Array.length t.layers in
+  for l = 0 to n - 1 do
     let w_off, b_off, in_dim, out_dim = t.layers.(l) in
-    inputs.(l) <- !cur;
-    let pre = Array.make out_dim 0.0 in
-    for j = 0 to out_dim - 1 do
-      let acc = ref t.params.(b_off + j) in
-      let row = w_off + (j * in_dim) in
+    let x = ws.h.(l) and y = ws.h.(l + 1) in
+    let j = ref 0 in
+    while !j + 3 < out_dim do
+      let j0 = !j in
+      let r0 = w_off + (j0 * in_dim) in
+      let r1 = r0 + in_dim in
+      let r2 = r1 + in_dim in
+      let r3 = r2 + in_dim in
+      let a0 = ref p.(b_off + j0) in
+      let a1 = ref p.(b_off + j0 + 1) in
+      let a2 = ref p.(b_off + j0 + 2) in
+      let a3 = ref p.(b_off + j0 + 3) in
       for i = 0 to in_dim - 1 do
-        acc := !acc +. (t.params.(row + i) *. !cur.(i))
+        let xi = x.(i) in
+        a0 := !a0 +. (p.(r0 + i) *. xi);
+        a1 := !a1 +. (p.(r1 + i) *. xi);
+        a2 := !a2 +. (p.(r2 + i) *. xi);
+        a3 := !a3 +. (p.(r3 + i) *. xi)
       done;
-      pre.(j) <- !acc
+      y.(j0) <- !a0;
+      y.(j0 + 1) <- !a1;
+      y.(j0 + 2) <- !a2;
+      y.(j0 + 3) <- !a3;
+      j := j0 + 4
     done;
-    preacts.(l) <- pre;
-    if l < n_layers - 1 then cur := Array.map (act t) pre else cur := pre
+    for j = !j to out_dim - 1 do
+      let row = w_off + (j * in_dim) in
+      let acc = ref p.(b_off + j) in
+      for i = 0 to in_dim - 1 do
+        acc := !acc +. (p.(row + i) *. x.(i))
+      done;
+      y.(j) <- !acc
+    done;
+    if l < n - 1 then
+      for j = 0 to out_dim - 1 do
+        y.(j) <- tanh y.(j)
+      done
   done;
-  { inputs; preacts; out = !cur }
-
-let output cache = cache.out
+  ws.last <- t.params;
+  ws.h.(n)
 
 (* Accumulate parameter gradients for upstream gradient [dout]; returns
-   the gradient with respect to the network input. *)
-let backward t cache ~dout =
-  let n_layers = Array.length t.layers in
-  assert (Array.length dout = t.spec.output);
-  let dcur = ref dout in
-  for l = n_layers - 1 downto 0 do
+   the gradient with respect to the network input. A hidden layer's
+   tanh' is 1 - h^2 from its stored output h = tanh pre. *)
+let backward t ws ~dout =
+  if ws.last != t.params then
+    invalid_arg "Nn.backward: the workspace's last forward was another net's";
+  if Array.length dout <> t.spec.output then invalid_arg "Nn.backward: dout width";
+  let p = t.params and g = t.grads in
+  let n = Array.length t.layers in
+  for l = n - 1 downto 0 do
     let w_off, b_off, in_dim, out_dim = t.layers.(l) in
     (* Through the activation (output layer is linear). *)
-    let dpre =
-      if l = n_layers - 1 then !dcur
-      else Array.mapi (fun j d -> d *. act_grad t cache.preacts.(l).(j)) !dcur
-    in
-    let x = cache.inputs.(l) in
-    let dx = Array.make in_dim 0.0 in
+    let dpre = if l = n - 1 then dout else ws.d.(l + 1) in
+    if l < n - 1 then begin
+      let h = ws.h.(l + 1) in
+      for j = 0 to out_dim - 1 do
+        dpre.(j) <- dpre.(j) *. (1.0 -. (h.(j) *. h.(j)))
+      done
+    end;
+    let x = ws.h.(l) and dx = ws.d.(l) in
+    Array.fill dx 0 in_dim 0.0;
     for j = 0 to out_dim - 1 do
       let row = w_off + (j * in_dim) in
-      t.grads.(b_off + j) <- t.grads.(b_off + j) +. dpre.(j);
+      let dj = dpre.(j) in
+      g.(b_off + j) <- g.(b_off + j) +. dj;
       for i = 0 to in_dim - 1 do
-        t.grads.(row + i) <- t.grads.(row + i) +. (dpre.(j) *. x.(i));
-        dx.(i) <- dx.(i) +. (t.params.(row + i) *. dpre.(j))
+        g.(row + i) <- g.(row + i) +. (dj *. x.(i));
+        dx.(i) <- dx.(i) +. (p.(row + i) *. dj)
       done
-    done;
-    dcur := dx
+    done
   done;
-  !dcur
+  ws.d.(0)
 
 let zero_grads t = Array.fill t.grads 0 (Array.length t.grads) 0.0
-
-let copy_params ~src ~dst =
-  assert (Array.length src.params = Array.length dst.params);
-  Array.blit src.params 0 dst.params 0 (Array.length src.params)

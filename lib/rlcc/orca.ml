@@ -5,7 +5,7 @@
    bad agent decision is applied directly -- the behaviour behind
    Fig. 2(b) and Tab. 6. *)
 
-let make ?(seed = 113) () =
+let make ~seed =
   let w = Classic_cc.Window.create () in
   let cubic = Classic_cc.Cubic.create w in
   let cubic_cca = Classic_cc.Cubic.as_cca cubic in

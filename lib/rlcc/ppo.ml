@@ -32,12 +32,10 @@ type config = { state_dim : int; lr : float; seed : int }
 let create cfg =
   let rng = Netsim.Rng.create cfg.seed in
   let actor =
-    Nn.create ~rng:(Netsim.Rng.split rng)
-      { Nn.input = cfg.state_dim; hidden; output = 1; hidden_act = Nn.Tanh }
+    Nn.create ~rng:(Netsim.Rng.split rng) { Nn.input = cfg.state_dim; hidden; output = 1 }
   in
   let critic =
-    Nn.create ~rng:(Netsim.Rng.split rng)
-      { Nn.input = cfg.state_dim; hidden; output = 1; hidden_act = Nn.Tanh }
+    Nn.create ~rng:(Netsim.Rng.split rng) { Nn.input = cfg.state_dim; hidden; output = 1 }
   in
   {
     actor;
@@ -106,18 +104,24 @@ let log_prob (t : t) ~mean ~action =
   let z = (action -. mean) /. sigma in
   (-0.5 *. z *. z) -. t.log_std.(0) -. (0.5 *. log_2pi)
 
-(* Mean action: deterministic evaluation-time behaviour. *)
-let mean_action (t : t) state = (Nn.forward t.actor state).Nn.out.(0)
+(* Actor and critic have the same shape, so one Nn workspace serves
+   both: each forward's one output is read before the next forward. *)
+type ws = Nn.ws
 
-let value (t : t) state = (Nn.forward t.critic state).Nn.out.(0)
+let workspace (t : t) = Nn.workspace t.actor
+
+(* Mean action: deterministic evaluation-time behaviour. *)
+let mean_action (t : t) ws state = (Nn.forward t.actor ws state).(0)
+
+let value (t : t) ws state = (Nn.forward t.critic ws state).(0)
 
 (* Sample an action plus the bookkeeping PPO needs. *)
-let sample (t : t) rng state =
-  let mean = mean_action t state in
+let sample (t : t) ws rng state =
+  let mean = mean_action t ws state in
   let sigma = exp t.log_std.(0) in
   let action = mean +. (sigma *. Netsim.Rng.normal rng) in
   let logp = log_prob t ~mean ~action in
-  (action, logp, value t state)
+  (action, logp, value t ws state)
 
 type transition = {
   state : float array;
@@ -155,7 +159,7 @@ let normalise a =
   end
 
 (* One PPO update over a batch of transitions. *)
-let update (t : t) rng ~transitions ~last_value =
+let update (t : t) ws rng ~transitions ~last_value =
   let n = Array.length transitions in
   if n > 0 then begin
     let adv_raw, ret = advantages ~transitions ~last_value in
@@ -180,8 +184,7 @@ let update (t : t) rng ~transitions ~last_value =
           let tr = transitions.(idx.(k)) in
           let a = adv.(idx.(k)) and r = ret.(idx.(k)) in
           (* Actor. *)
-          let cache = Nn.forward t.actor tr.state in
-          let mean = cache.Nn.out.(0) in
+          let mean = (Nn.forward t.actor ws tr.state).(0) in
           let logp = log_prob t ~mean ~action:tr.action in
           let ratio = exp (logp -. tr.logp) in
           let active =
@@ -192,14 +195,13 @@ let update (t : t) rng ~transitions ~last_value =
           let z = (tr.action -. mean) /. sigma in
           (* dlogp/dmean = z / sigma; dlogp/dlog_std = z^2 - 1. *)
           let dmean = dlogp *. z /. sigma in
-          ignore (Nn.backward t.actor cache ~dout:[| dmean *. scale |]);
+          ignore (Nn.backward t.actor ws ~dout:[| dmean *. scale |]);
           t.log_std_grad.(0) <-
             t.log_std_grad.(0)
             +. (scale *. ((dlogp *. ((z *. z) -. 1.0)) -. entropy_coef));
           (* Critic: 0.5 (V - R)^2. *)
-          let vcache = Nn.forward t.critic tr.state in
-          let dv = vcache.Nn.out.(0) -. r in
-          ignore (Nn.backward t.critic vcache ~dout:[| dv *. scale |])
+          let dv = (Nn.forward t.critic ws tr.state).(0) -. r in
+          ignore (Nn.backward t.critic ws ~dout:[| dv *. scale |])
         done;
         Adam.step t.actor_opt ~params:t.actor.Nn.params ~grads:t.actor.Nn.grads;
         Adam.step t.critic_opt ~params:t.critic.Nn.params ~grads:t.critic.Nn.grads;

@@ -50,14 +50,24 @@ val all_finite : t -> bool
 (** Log-density of [action] under the current Gaussian at [mean]. *)
 val log_prob : t -> mean:float -> action:float -> float
 
+(** Scratch for the actor's and the critic's forward and backward
+    passes ({!Nn.ws}). A [t] is read-only to {!mean_action}, {!value}
+    and {!sample}, so a trained policy is shared by every agent on
+    every domain; each caller owns its workspace, and a workspace is
+    never stored in a [t]. *)
+type ws
+
+(** A fresh workspace shaped for [t]'s nets. *)
+val workspace : t -> ws
+
 (** Deterministic action: the Gaussian's mean (greedy evaluation). *)
-val mean_action : t -> float array -> float
+val mean_action : t -> ws -> float array -> float
 
 (** Critic's value estimate. *)
-val value : t -> float array -> float
+val value : t -> ws -> float array -> float
 
 (** Sample (action, log-prob, value). *)
-val sample : t -> Netsim.Rng.t -> float array -> float * float * float
+val sample : t -> ws -> Netsim.Rng.t -> float array -> float * float * float
 
 type transition = {
   state : float array;
@@ -73,4 +83,5 @@ val advantages :
   transitions:transition array -> last_value:float -> float array * float array
 
 (** One PPO update (epochs x shuffled minibatches) over a batch. *)
-val update : t -> Netsim.Rng.t -> transitions:transition array -> last_value:float -> unit
+val update :
+  t -> ws -> Netsim.Rng.t -> transitions:transition array -> last_value:float -> unit

@@ -92,6 +92,7 @@ type snapshot = {
 let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
   let state_dim = Features.set_width cfg.state_set * history in
   let policy = Ppo.create { Ppo.state_dim; lr; seed = cfg.seed } in
+  let ws = Ppo.workspace policy in
   let rng = Netsim.Rng.create (cfg.seed * 31 + 7) in
   let env_rng = Netsim.Rng.create (cfg.seed * 131 + 11) in
   let env = Env.create ~seed:(cfg.seed + 1) Env.default_cfg in
@@ -166,7 +167,7 @@ let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
          (the analogue of the sim loop's per-event tick). *)
       Netsim.Budget.tick ();
       let state = Features.History.state history in
-      let action, logp, val_est = Ppo.sample policy rng state in
+      let action, logp, val_est = Ppo.sample policy ws rng state in
       let action = Actions.clamp cfg.action action in
       rate :=
         Actions.apply cfg.action ~rate:!rate ~min_rtt:env_cfg.Env.min_rtt
@@ -192,10 +193,8 @@ let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
       end
     done;
     let transitions = Array.of_list (List.rev !transitions) in
-    let last_value =
-      Ppo.value policy (Features.History.state history)
-    in
-    Ppo.update policy rng ~transitions ~last_value;
+    let last_value = Ppo.value policy ws (Features.History.state history) in
+    Ppo.update policy ws rng ~transitions ~last_value;
     (match after_update with Some h -> h ~ep policy | None -> ());
     (* Divergence guard: a NaN/Inf parameter after the update would
        poison every later forward pass, so roll the policy (and its
@@ -259,6 +258,7 @@ let eval_episode (outcome : outcome) ~seed =
   let env = Env.create ~seed:(seed + 1) env_cfg in
   Env.reset env env_cfg;
   let history = Features.History.create ~set:cfg.state_set ~h:history in
+  let ws = Ppo.workspace outcome.policy in
   let rate = ref (Env.capacity env /. 8.0) in
   let obs0 = Env.step env ~rate:!rate in
   Features.History.push history obs0;
@@ -266,7 +266,7 @@ let eval_episode (outcome : outcome) ~seed =
   let thr = ref 0.0 and rtt = ref 0.0 and loss = ref 0.0 in
   for _ = 1 to cfg.steps_per_episode do
     let state = Features.History.state history in
-    let action = Actions.clamp cfg.action (Ppo.mean_action outcome.policy state) in
+    let action = Actions.clamp cfg.action (Ppo.mean_action outcome.policy ws state) in
     rate :=
       Actions.apply cfg.action ~rate:!rate ~min_rtt:env_cfg.Env.min_rtt
         ~mss:Netsim.Units.mtu action;

@@ -115,13 +115,12 @@ let test_safety_statistics () =
 
 let test_overhead_counts_callbacks_and_forwards () =
   let ledger = Metrics.Overhead.create () in
-  let nn =
-    Rlcc.Nn.create { Rlcc.Nn.input = 2; hidden = [ 4 ]; output = 1; hidden_act = Rlcc.Nn.Tanh }
-  in
+  let nn = Rlcc.Nn.create { Rlcc.Nn.input = 2; hidden = [ 4 ]; output = 1 } in
+  let ws = Rlcc.Nn.workspace nn in
   let cca =
     {
       Netsim.Cca.name = "probe";
-      on_ack = (fun _ -> ignore (Rlcc.Nn.forward nn [| 0.0; 1.0 |]));
+      on_ack = (fun _ -> ignore (Rlcc.Nn.forward nn ws [| 0.0; 1.0 |]));
       on_loss = (fun _ -> ());
       on_send = (fun _ -> ());
       pacing_rate = (fun ~now:_ -> 1e6);

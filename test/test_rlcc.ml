@@ -7,29 +7,32 @@ let check_int = Alcotest.(check int)
 (* ------------------------------------------------------------------ *)
 (* Neural network *)
 
-let spec = { Rlcc.Nn.input = 3; hidden = [ 8; 8 ]; output = 2; hidden_act = Rlcc.Nn.Tanh }
+let spec = { Rlcc.Nn.input = 3; hidden = [ 8; 8 ]; output = 2 }
 
 let test_nn_forward_deterministic () =
   let nn = Rlcc.Nn.create spec in
+  let ws = Rlcc.Nn.workspace nn in
   let x = [| 0.3; -0.7; 1.2 |] in
-  let a = (Rlcc.Nn.forward nn x).Rlcc.Nn.out in
-  let b = (Rlcc.Nn.forward nn x).Rlcc.Nn.out in
+  let a = Array.copy (Rlcc.Nn.forward nn ws x) in
+  let b = Rlcc.Nn.forward nn ws x in
   Alcotest.(check (array (float 0.0))) "same output" a b
 
 let test_nn_output_dims () =
   let nn = Rlcc.Nn.create spec in
-  check_int "output size" 2 (Array.length (Rlcc.Nn.forward nn [| 0.1; 0.2; 0.3 |]).Rlcc.Nn.out)
+  check_int "output size" 2
+    (Array.length (Rlcc.Nn.forward nn (Rlcc.Nn.workspace nn) [| 0.1; 0.2; 0.3 |]))
 
 (* Central-difference gradient check on a scalar loss L = sum(out). *)
 let test_nn_gradients_match_finite_differences () =
   let nn = Rlcc.Nn.create ~rng:(Netsim.Rng.create 3) spec in
+  let ws = Rlcc.Nn.workspace nn in
   let x = [| 0.5; -0.25; 0.8 |] in
   Rlcc.Nn.zero_grads nn;
-  let cache = Rlcc.Nn.forward nn x in
-  ignore (Rlcc.Nn.backward nn cache ~dout:[| 1.0; 1.0 |]);
+  ignore (Rlcc.Nn.forward nn ws x);
+  ignore (Rlcc.Nn.backward nn ws ~dout:[| 1.0; 1.0 |]);
   let eps = 1e-5 in
   let loss () =
-    let out = (Rlcc.Nn.forward nn x).Rlcc.Nn.out in
+    let out = Rlcc.Nn.forward nn ws x in
     out.(0) +. out.(1)
   in
   (* Spot-check a spread of parameters. *)
@@ -53,15 +56,16 @@ let test_nn_gradients_match_finite_differences () =
 
 let test_nn_input_gradient () =
   let nn = Rlcc.Nn.create ~rng:(Netsim.Rng.create 5) spec in
+  let ws = Rlcc.Nn.workspace nn in
   let x = [| 0.1; 0.2; -0.4 |] in
   Rlcc.Nn.zero_grads nn;
-  let cache = Rlcc.Nn.forward nn x in
-  let dx = Rlcc.Nn.backward nn cache ~dout:[| 1.0; 0.0 |] in
+  ignore (Rlcc.Nn.forward nn ws x);
+  let dx = Array.copy (Rlcc.Nn.backward nn ws ~dout:[| 1.0; 0.0 |]) in
   let eps = 1e-5 in
   let loss v =
     let x' = Array.copy x in
     x'.(1) <- v;
-    (Rlcc.Nn.forward nn x').Rlcc.Nn.out.(0)
+    (Rlcc.Nn.forward nn ws x').(0)
   in
   let numeric = (loss (x.(1) +. eps) -. loss (x.(1) -. eps)) /. (2.0 *. eps) in
   check_bool "input grad matches" true (Float.abs (dx.(1) -. numeric) < 1e-4)
@@ -71,11 +75,136 @@ let prop_forward_count_increments =
     (fun n ->
       let n = (n mod 10) + 1 in
       let nn = Rlcc.Nn.create spec in
+      let ws = Rlcc.Nn.workspace nn in
       let before = Rlcc.Nn.forward_count () in
       for _ = 1 to n do
-        ignore (Rlcc.Nn.forward nn [| 0.0; 0.0; 0.0 |])
+        ignore (Rlcc.Nn.forward nn ws [| 0.0; 0.0; 0.0 |])
       done;
       Rlcc.Nn.forward_count () = before + n)
+
+(* The plain one-neuron-at-a-time loops the kernel must match bit for
+   bit: forward keeps each layer's input and pre-activation, backward
+   recomputes tanh' from the pre-activation and accumulates into
+   [grads]. *)
+let ref_forward (nn : Rlcc.Nn.t) x =
+  let n = Array.length nn.Rlcc.Nn.layers in
+  let inputs = Array.make n [||] and preacts = Array.make n [||] in
+  let cur = ref x in
+  for l = 0 to n - 1 do
+    let w_off, b_off, in_dim, out_dim = nn.Rlcc.Nn.layers.(l) in
+    inputs.(l) <- !cur;
+    let pre = Array.make out_dim 0.0 in
+    for j = 0 to out_dim - 1 do
+      let acc = ref nn.Rlcc.Nn.params.(b_off + j) in
+      for i = 0 to in_dim - 1 do
+        acc := !acc +. (nn.Rlcc.Nn.params.(w_off + (j * in_dim) + i) *. !cur.(i))
+      done;
+      pre.(j) <- !acc
+    done;
+    preacts.(l) <- pre;
+    cur := if l < n - 1 then Array.map tanh pre else pre
+  done;
+  (inputs, preacts, !cur)
+
+let ref_backward (nn : Rlcc.Nn.t) ~grads (inputs, preacts, _) ~dout =
+  let n = Array.length nn.Rlcc.Nn.layers in
+  let dcur = ref dout in
+  for l = n - 1 downto 0 do
+    let w_off, b_off, in_dim, out_dim = nn.Rlcc.Nn.layers.(l) in
+    let dpre =
+      if l = n - 1 then !dcur
+      else
+        Array.mapi
+          (fun j d ->
+            let h = tanh preacts.(l).(j) in
+            d *. (1.0 -. (h *. h)))
+          !dcur
+    in
+    let dx = Array.make in_dim 0.0 in
+    for j = 0 to out_dim - 1 do
+      let row = w_off + (j * in_dim) in
+      grads.(b_off + j) <- grads.(b_off + j) +. dpre.(j);
+      for i = 0 to in_dim - 1 do
+        grads.(row + i) <- grads.(row + i) +. (dpre.(j) *. inputs.(l).(i));
+        dx.(i) <- dx.(i) +. (nn.Rlcc.Nn.params.(row + i) *. dpre.(j))
+      done
+    done;
+    dcur := dx
+  done;
+  !dcur
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* Random shapes hit every remainder of the forward's four-neuron
+   blocking; every parameter (biases too) is random. Two forward/
+   backward pairs on one workspace check reuse and accumulation. *)
+let prop_kernel_matches_reference =
+  QCheck.Test.make ~name:"kernel bit-equals the reference loops" ~count:200
+    QCheck.(
+      quad (int_range 1 37)
+        (list_of_size (Gen.int_range 1 3) (int_range 1 37))
+        (int_range 1 3) small_nat)
+    (fun (input, hidden, output, seed) ->
+      let rng = Netsim.Rng.create seed in
+      let nn = Rlcc.Nn.create { Rlcc.Nn.input; hidden; output } in
+      Array.iteri
+        (fun k _ -> nn.Rlcc.Nn.params.(k) <- Netsim.Rng.uniform rng ~lo:(-1.5) ~hi:1.5)
+        nn.Rlcc.Nn.params;
+      let draw n = Array.init n (fun _ -> Netsim.Rng.uniform rng ~lo:(-2.0) ~hi:2.0) in
+      let ws = Rlcc.Nn.workspace nn in
+      let grads = Array.make (Rlcc.Nn.n_params nn) 0.0 in
+      Rlcc.Nn.zero_grads nn;
+      let pass () =
+        let x = draw input and dout = draw output in
+        let y = Array.copy (Rlcc.Nn.forward nn ws x) in
+        let dx = Rlcc.Nn.backward nn ws ~dout in
+        let cache = ref_forward nn x in
+        let _, _, y_ref = cache in
+        let dx_ref = ref_backward nn ~grads cache ~dout in
+        same_bits y y_ref && same_bits dx dx_ref && same_bits nn.Rlcc.Nn.grads grads
+      in
+      pass () && pass ())
+
+(* One net read by two domains at once, each through its own
+   workspace, gives what one domain gives running both input streams
+   in turn. *)
+let test_nn_shared_across_domains () =
+  let nn =
+    Rlcc.Nn.create ~rng:(Netsim.Rng.create 11)
+      { Rlcc.Nn.input = 20; hidden = [ 32; 32 ]; output = 1 }
+  in
+  let stream seed =
+    let rng = Netsim.Rng.create seed in
+    Array.init 4000 (fun _ ->
+        Array.init 20 (fun _ -> Netsim.Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
+  in
+  let a = stream 1 and b = stream 2 in
+  let run ws xs = Array.map (fun x -> Array.copy (Rlcc.Nn.forward nn ws x)) xs in
+  let seq_ws = Rlcc.Nn.workspace nn in
+  let seq_a = run seq_ws a in
+  let seq_b = run seq_ws b in
+  let other = Domain.spawn (fun () -> run (Rlcc.Nn.workspace nn) b) in
+  let par_a = run (Rlcc.Nn.workspace nn) a in
+  let par_b = Domain.join other in
+  check_bool "domain A equals sequential" true (Array.for_all2 same_bits par_a seq_a);
+  check_bool "domain B equals sequential" true (Array.for_all2 same_bits par_b seq_b)
+
+let test_nn_backward_checks_last_forward () =
+  let a = Rlcc.Nn.create ~rng:(Netsim.Rng.create 1) spec in
+  let b = Rlcc.Nn.create ~rng:(Netsim.Rng.create 2) spec in
+  let ws = Rlcc.Nn.workspace a in
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check_bool "backward before any forward" true
+    (raises (fun () -> Rlcc.Nn.backward a ws ~dout:[| 1.0; 1.0 |]));
+  ignore (Rlcc.Nn.forward a ws [| 0.1; 0.2; 0.3 |]);
+  check_bool "backward after another net's forward" true
+    (raises (fun () -> Rlcc.Nn.backward b ws ~dout:[| 1.0; 1.0 |]));
+  check_bool "backward after its own forward" false
+    (raises (fun () -> Rlcc.Nn.backward a ws ~dout:[| 1.0; 1.0 |]))
 
 (* ------------------------------------------------------------------ *)
 (* Adam *)
@@ -100,7 +229,7 @@ let mk_ppo ?(state_dim = 4) () =
 let test_ppo_logprob_peak_at_mean () =
   let ppo = mk_ppo () in
   let state = [| 0.1; 0.2; 0.3; 0.4 |] in
-  let mean = Rlcc.Ppo.mean_action ppo state in
+  let mean = Rlcc.Ppo.mean_action ppo (Rlcc.Ppo.workspace ppo) state in
   let at_mean = Rlcc.Ppo.log_prob ppo ~mean ~action:mean in
   let off = Rlcc.Ppo.log_prob ppo ~mean ~action:(mean +. 1.0) in
   check_bool "density peaks at the mean" true (at_mean > off)
@@ -118,19 +247,20 @@ let test_ppo_learns_a_bandit () =
   (* One state, reward = -(a - 1.5)^2: the mean action must move
      towards 1.5. *)
   let ppo = mk_ppo ~state_dim:1 () in
+  let ws = Rlcc.Ppo.workspace ppo in
   let rng = Netsim.Rng.create 7 in
   let state = [| 1.0 |] in
-  let before = Rlcc.Ppo.mean_action ppo state in
+  let before = Rlcc.Ppo.mean_action ppo ws state in
   for _ = 1 to 60 do
     let transitions =
       Array.init 64 (fun _ ->
-          let action, logp, val_est = Rlcc.Ppo.sample ppo rng state in
+          let action, logp, val_est = Rlcc.Ppo.sample ppo ws rng state in
           let reward = -.((action -. 1.5) ** 2.0) in
           { Rlcc.Ppo.state; action; logp; val_est; reward })
     in
-    Rlcc.Ppo.update ppo rng ~transitions ~last_value:0.0
+    Rlcc.Ppo.update ppo ws rng ~transitions ~last_value:0.0
   done;
-  let after = Rlcc.Ppo.mean_action ppo state in
+  let after = Rlcc.Ppo.mean_action ppo ws state in
   check_bool
     (Printf.sprintf "mean moved toward 1.5 (%.2f -> %.2f)" before after)
     true
@@ -495,8 +625,11 @@ let () =
           Alcotest.test_case "param gradients" `Quick
             test_nn_gradients_match_finite_differences;
           Alcotest.test_case "input gradient" `Quick test_nn_input_gradient;
+          Alcotest.test_case "shared across domains" `Quick test_nn_shared_across_domains;
+          Alcotest.test_case "backward checks last forward" `Quick
+            test_nn_backward_checks_last_forward;
         ]
-        @ qsuite [ prop_forward_count_increments ] );
+        @ qsuite [ prop_forward_count_increments; prop_kernel_matches_reference ] );
       ("adam", [ Alcotest.test_case "minimises quadratic" `Quick test_adam_minimises_quadratic ]);
       ( "ppo",
         [
