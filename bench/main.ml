@@ -502,14 +502,19 @@ let scaleout_arena () =
 
 (* The hot paths' allocation contract, asserted: with tracing off, the
    steady-state ACK path (Flow_table.deliver_ack), the link egress path
-   (Link.drain_one) of a FIFO and of a CoDel link, the NN kernel's
+   (Link.drain_one) of a FIFO and of a CoDel link, admission into a busy
+   constant-rate FIFO link (Link.send), the NN kernel's
    forward and backward on a policy-sized net, and a generator draw
    allocate zero minor-heap words. Preloads inflight packets via
    bench_send, pre-reserves the event heap, warms every path, calibrates
-   the cost of the Gc.counters probe itself with an empty loop, then
-   fails the bench if any path exceeds the calibration. *)
+   the cost of the probe itself with an empty loop, then fails the bench
+   if any path exceeds the calibration. The probe is [Gc.minor_words],
+   not [Gc.counters]: on OCaml 5.1 the latter counts the current minor
+   cycle's allocation at an eighth (a Link.send that allocates 4 words
+   reads 0.5). *)
 let run_alloc_contract () =
-  Harness.Table.heading "Allocation contract: arena ACK / link egress / NN / Rng paths";
+  Harness.Table.heading
+    "Allocation contract: arena ACK / link egress and admission / NN / Rng paths";
   let k = 20_000 in
   let preloaded aqm =
     let sim, table, link, add =
@@ -525,6 +530,13 @@ let run_alloc_contract () =
   let sim, table, link, h = preloaded `Fifo in
   let _, _, codel_link, _ = preloaded `Codel in
   let drain link n = for _ = 1 to n do Netsim.Link.drain_one link done in
+  (* Nothing drains this link: after the first send starts its service,
+     every send is an admission into the queue. *)
+  let _, _, busy_link, _ =
+    arena ~capacity:8 ~mbps:1000.0 ~buffer_bytes:(Netsim.Units.mb 256) ()
+  in
+  let pkt = { Netsim.Packet.flow = 0; seq = 0; size = 1500; corrupt = false } in
+  let admit n = for _ = 1 to n do Netsim.Link.send busy_link pkt done in
   let ack ~from n =
     for s = from to from + n - 1 do Netsim.Flow_table.deliver_ack table h s done
   in
@@ -539,15 +551,16 @@ let run_alloc_contract () =
   (* Warm every path past any growth/laziness before measuring. *)
   drain link 100;
   drain codel_link 100;
+  (* Grows the queue's ring past the 3k packets it will hold. *)
+  admit (2 * k);
   ack ~from:0 100;
   forward 100;
   backward 100;
   draw 100;
   let minor_words f =
-    let m0, _, _ = Gc.counters () in
+    let m0 = Gc.minor_words () in
     f ();
-    let m1, _, _ = Gc.counters () in
-    m1 -. m0
+    Gc.minor_words () -. m0
   in
   let baseline = minor_words (fun () -> for _ = 1 to k do () done) in
   (* Canary for cross-module inlining: dune's dev profile compiles with
@@ -570,6 +583,7 @@ let run_alloc_contract () =
       ("link egress (drain_one)", per (minor_words (fun () -> drain link k)));
       ( "link egress, CoDel (drain_one)",
         per (minor_words (fun () -> drain codel_link k)) );
+      ("link admission (Link.send)", per (minor_words (fun () -> admit k)));
       ("ACK (deliver_ack)", per (minor_words (fun () -> ack ~from:100 k)));
       ("NN forward, 20-32-32-1 (Nn.forward)", per (minor_words (fun () -> forward k)));
       ("NN backward, 20-32-32-1 (Nn.backward)", per (minor_words (fun () -> backward k)));

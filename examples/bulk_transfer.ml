@@ -11,17 +11,7 @@
 let () =
   let duration = 30.0 in
   let path = Traces.Wan.inter_continental ~duration () in
-  let spec =
-    {
-      Harness.Scenario.trace = path.Traces.Wan.rate;
-      rtt = path.Traces.Wan.rtt;
-      buffer_bytes = path.Traces.Wan.buffer_bytes;
-      loss_p = path.Traces.Wan.loss_p;
-      aqm = `Fifo;
-      impair = Faults.Spec.empty;
-      dup_thresh = 1;
-    }
-  in
+  let spec = Harness.Scenario.wan_spec path in
   Printf.printf "inter-continental path: %.0f ms RTT, %.1f%% stochastic loss\n\n"
     (1000.0 *. path.Traces.Wan.rtt)
     (100.0 *. path.Traces.Wan.loss_p);

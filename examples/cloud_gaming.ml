@@ -12,12 +12,9 @@ let percentile sorted q =
   let n = Array.length sorted in
   sorted.(min (n - 1) (int_of_float (q *. float_of_int (n - 1))))
 
-let rtt_distribution (o : Harness.Scenario.outcome) =
-  let stats =
-    (List.hd o.Harness.Scenario.summary.Netsim.Network.flows).Netsim.Network.stats
-  in
+let rtt_distribution o =
   let rtts =
-    Netsim.Flow_stats.rtt_series stats
+    Netsim.Flow_stats.rtt_series (Harness.Scenario.first_stats o)
     |> Array.to_list
     |> List.filter_map (fun (_, r) -> if Float.is_nan r then None else Some r)
     |> Array.of_list

@@ -11,11 +11,9 @@
 
 let () =
   let duration = 40.0 in
-  let rate = Netsim.Units.mbps_to_bps 48.0 in
-  let spec = Harness.Scenario.make_spec ~rtt:0.1 (Traces.Rate.constant 48.0) in
   let spec =
-    { spec with Harness.Scenario.buffer_bytes =
-        Netsim.Units.bdp_bytes ~rate_bps:rate ~rtt_s:0.1 }
+    Harness.Scenario.one_bdp
+      (Harness.Scenario.make_spec ~rtt:0.1 (Traces.Rate.constant 48.0))
   in
   print_endline "three C-Libra flows starting together on 48 Mbit/s...\n";
   let summary =
@@ -47,19 +45,8 @@ let () =
   Printf.printf "\nsteady-state Jain index (second half): %.3f\n" jain;
   let third = List.nth summary.Netsim.Network.flows 2 in
   let series = Netsim.Flow_stats.throughput_series third.Netsim.Network.stats in
-  let coarse =
-    (* half-second grain for the convergence detector *)
-    let acc = Hashtbl.create 64 in
-    Array.iter
-      (fun (time, v) ->
-        let slot = int_of_float (time /. 0.5) in
-        let sum, n = Option.value (Hashtbl.find_opt acc slot) ~default:(0.0, 0) in
-        Hashtbl.replace acc slot (sum +. v, n + 1))
-      series;
-    Hashtbl.fold (fun slot (sum, n) l ->
-        ((float_of_int slot +. 0.5) *. 0.5, sum /. float_of_int n) :: l) acc []
-    |> List.sort compare |> Array.of_list
-  in
+  (* half-second grain for the convergence detector *)
+  let coarse = Metrics.Convergence.coarsen ~step:0.5 series in
   (match (Metrics.Convergence.analyse ~entry:0.0 coarse).Metrics.Convergence.conv_time with
   | Some conv -> Printf.printf "third flow stabilised %.1f s after entering\n" conv
   | None -> print_endline "third flow did not meet the +/-25%/5s stability bar");

@@ -36,9 +36,9 @@ let fsync_out oc =
   try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
 
 (* Write [contents] to [path] atomically, applying any injected fault. *)
-let write_file ?(atomic = true) path contents =
+let write_file path contents =
   let len = String.length contents in
-  let dest = if atomic then path ^ tmp_suffix else path in
+  let dest = path ^ tmp_suffix in
   match Plane.on_write ~len with
   | Some Plane.W_enospc ->
     raise_fault ~fault:"enospc" ~path
@@ -75,9 +75,9 @@ let write_file ?(atomic = true) path contents =
        close_out oc
      with e ->
        close_out_noerr oc;
-       if atomic then (try Sys.remove dest with Sys_error _ -> ());
+       (try Sys.remove dest with Sys_error _ -> ());
        raise e);
-    if atomic then Sys.rename dest path;
+    Sys.rename dest path;
     Plane.note_written len
 
 (* Read [path] entirely; [None] when it doesn't exist. Injected read

@@ -47,10 +47,12 @@ let combine a b =
       let time, ua = a.(i) and _, ub = b.(i) in
       (time, Float.max ua ub))
 
-(* Normalise a utility series to [0, 1] for plotting (Fig. 18). *)
-let normalise series =
-  let values = Array.map snd series in
+(* Normalise utility series jointly for plotting (Fig. 18): [normalise
+   all] maps a series by the one offset and scale that take the values
+   of [all] onto [0, 1]. *)
+let normalise all =
+  let values = Array.map snd (Array.concat all) in
   let lo = Array.fold_left Float.min infinity values in
   let hi = Array.fold_left Float.max neg_infinity values in
   let span = Float.max 1e-9 (hi -. lo) in
-  Array.map (fun (time, u) -> (time, (u -. lo) /. span)) series
+  Array.map (fun (time, u) -> (time, (u -. lo) /. span))

@@ -10,27 +10,6 @@
    evaluation stage (a zero-length exploitation stage) evaluates
    candidates on stale feedback. *)
 
-let evaluate ~params ~traces =
-  let scale = Scale.get () in
-  let factory ~seed =
-    Libra.make_c_libra ~params:{ params with Libra.Params.seed } ()
-  in
-  let per =
-    List.map
-      (fun trace ->
-        let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
-        let util, delay, loss, _ =
-          Scenario.averaged ~runs:scale.Scale.runs ~factory
-            ~duration:scale.Scale.duration spec
-        in
-        (util, delay, loss))
-      traces
-  in
-  let n = float_of_int (List.length per) in
-  ( List.fold_left (fun a (u, _, _) -> a +. u) 0.0 per /. n,
-    List.fold_left (fun a (_, d, _) -> a +. d) 0.0 per /. n,
-    List.fold_left (fun a (_, _, l) -> a +. l) 0.0 per /. n )
-
 let run () =
   let scale = Scale.get () in
   Table.heading "Ablations: evaluation order and exploitation stage";
@@ -48,6 +27,7 @@ let run () =
     ~header:[ "variant"; "cell util"; "cell delay(ms)"; "cell loss" ]
     (List.map
        (fun (label, params) ->
-         let u, d, l = evaluate ~params ~traces:cellular in
-         [ label; Table.f2 u; Table.ms d; Table.pct l ])
+         let m = Exp_sensitivity.evaluate ~params ~traces:cellular in
+         [ label; Table.f2 m.Scenario.util; Table.ms m.Scenario.delay;
+           Table.pct m.Scenario.loss ])
        variants)

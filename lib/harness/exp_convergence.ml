@@ -16,23 +16,6 @@ let candidates =
     ("b-libra", Ccas.b_libra);
   ]
 
-let spec () =
-  let rate = Netsim.Units.mbps_to_bps 48.0 in
-  let spec = Scenario.make_spec ~rtt:0.1 (Traces.Rate.constant 48.0) in
-  { spec with Scenario.buffer_bytes = Netsim.Units.bdp_bytes ~rate_bps:rate ~rtt_s:0.1 }
-
-(* Coarsen a 10 ms-binned series to [step]-second averages. *)
-let coarsen ~step series =
-  let acc = Hashtbl.create 64 in
-  Array.iter
-    (fun (time, v) ->
-      let slot = int_of_float (time /. step) in
-      let sum, n = Option.value (Hashtbl.find_opt acc slot) ~default:(0.0, 0) in
-      Hashtbl.replace acc slot (sum +. v, n + 1))
-    series;
-  List.sort compare (Hashtbl.fold (fun slot (sum, n) l ->
-      ((float_of_int slot +. 0.5) *. step, sum /. float_of_int n) :: l) acc [])
-
 let run () =
   let scale = Scale.get () in
   let duration = Float.max 40.0 scale.Scale.duration in
@@ -44,7 +27,7 @@ let run () =
         let summary =
           Scenario.run_mixed
             ~flows:[ (factory, 0.0); (factory, 5.0); (factory, entry3) ]
-            ~duration (spec ())
+            ~duration (Exp_fairness.spec ())
         in
         (name, summary))
       candidates
@@ -55,22 +38,23 @@ let run () =
       Table.subheading (Printf.sprintf "Fig. 15 [%s]: per-flow throughput (Mbit/s)" name);
       let series =
         List.map
-          (fun f -> coarsen ~step:2.0 (Netsim.Flow_stats.throughput_series f.Netsim.Network.stats))
+          (fun f ->
+            Metrics.Convergence.coarsen ~step:2.0
+              (Netsim.Flow_stats.throughput_series f.Netsim.Network.stats))
           summary.Netsim.Network.flows
       in
-      let slots = List.map fst (List.hd series) in
       Table.print
         ~header:[ "t(s)"; "flow1"; "flow2"; "flow3" ]
         (List.map
-           (fun t ->
+           (fun (t, _) ->
              Printf.sprintf "%.0f" t
              :: List.map
                   (fun s ->
-                    match List.assoc_opt t s with
-                    | Some v -> Table.mbps v
+                    match Array.find_opt (fun (t', _) -> t' = t) s with
+                    | Some (_, v) -> Table.mbps v
                     | None -> "-")
                   series)
-           slots))
+           (Array.to_list (List.hd series))))
     results;
   (* Tab. 5 for the third flow. *)
   Table.heading "Tab. 5: quantitative convergence of the third flow";
@@ -80,7 +64,7 @@ let run () =
        (fun (name, summary) ->
          let third = List.nth summary.Netsim.Network.flows 2 in
          let series = Netsim.Flow_stats.throughput_series third.Netsim.Network.stats in
-         let coarse = Array.of_list (coarsen ~step:0.5 series) in
+         let coarse = Metrics.Convergence.coarsen ~step:0.5 series in
          let conv = Metrics.Convergence.analyse ~entry:entry3 coarse in
          let jain = Scenario.jain ~duration summary in
          [

@@ -12,25 +12,6 @@ let scenarios ~duration =
     ("wired", Traces.Rate.constant 48.0);
   ]
 
-let fractions_of
-    ~(make :
-       ?params:Libra.Params.t ->
-       ?initial_rate:float ->
-       unit ->
-       Libra.instrumented) ~duration trace =
-  let instrumented = ref None in
-  let factory ~seed =
-    let inst = make ~params:{ Libra.Params.default with Libra.Params.seed } () in
-    instrumented := Some inst;
-    inst.Libra.cca
-  in
-  let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
-  ignore (Scenario.run_uniform ~factory ~duration spec);
-  match !instrumented with
-  | Some inst ->
-    Libra.Telemetry.fractions (Libra.Controller.telemetry inst.Libra.controller)
-  | None -> (nan, nan, nan)
-
 let run_fig17 () =
   let scale = Scale.get () in
   let duration = scale.Scale.duration in
@@ -42,7 +23,13 @@ let run_fig17 () =
         ~header:[ "scenario"; "x_prev"; "x_rl"; "x_cl" ]
         (List.map
            (fun (scn, trace) ->
-             let prev, rl, cl = fractions_of ~make ~duration trace in
+             let _, controller =
+               Scenario.run_libra ~make ~duration
+                 (Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace)
+             in
+             let prev, rl, cl =
+               Libra.Telemetry.fractions (Libra.Controller.telemetry controller)
+             in
              [ scn; Table.f2 prev; Table.f2 rl; Table.f2 cl ])
            (scenarios ~duration)))
     [
@@ -60,8 +47,8 @@ let run_fig18 () =
   let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
   let utility_series factory =
     let o = Scenario.run_uniform ~factory ~duration spec in
-    let stats = (List.hd o.Scenario.summary.Netsim.Network.flows).Netsim.Network.stats in
-    Libra.Ideal.utility_of_stats ~window:2.0 Libra.Utility.default stats ~duration
+    Libra.Ideal.utility_of_stats ~window:2.0 Libra.Utility.default (Scenario.first_stats o)
+      ~duration
   in
   let cubic = utility_series Ccas.cubic in
   let bbr = utility_series Ccas.bbr in
@@ -70,13 +57,7 @@ let run_fig18 () =
   let b_libra = utility_series Ccas.b_libra in
   let c_ideal = Libra.Ideal.combine cubic clean in
   let b_ideal = Libra.Ideal.combine bbr clean in
-  (* Normalise across all series with a common scale. *)
-  let all = Array.concat [ c_libra; c_ideal; b_libra; b_ideal ] in
-  let values = Array.map snd all in
-  let lo = Array.fold_left Float.min infinity values in
-  let hi = Array.fold_left Float.max neg_infinity values in
-  let span = Float.max 1e-9 (hi -. lo) in
-  let norm series = Array.map (fun (time, u) -> (time, (u -. lo) /. span)) series in
+  let norm = Libra.Ideal.normalise [ c_libra; c_ideal; b_libra; b_ideal ] in
   let c_libra = norm c_libra and c_ideal = norm c_ideal in
   let b_libra = norm b_libra and b_ideal = norm b_ideal in
   Table.print

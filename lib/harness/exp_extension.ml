@@ -11,21 +11,14 @@
        simulator we can put numbers on that comparison. *)
 
 let other_libras () =
+  let over name classic ~seed =
+    (Libra.make_instrumented ~params:(Ccas.libra_params ~seed) ~name
+       ~classic:(Some (classic ())) ())
+      .Libra.cca
+  in
   [
-    ( "w-libra",
-      fun ~seed ->
-        let params = { Libra.Params.default with Libra.Params.seed } in
-        (Libra.make_instrumented ~params ~name:"w-libra"
-           ~classic:(Some (Classic_cc.Westwood.embedded ()))
-           ())
-          .Libra.cca );
-    ( "i-libra",
-      fun ~seed ->
-        let params = { Libra.Params.default with Libra.Params.seed } in
-        (Libra.make_instrumented ~params ~name:"i-libra"
-           ~classic:(Some (Classic_cc.Illinois.embedded ()))
-           ())
-          .Libra.cca );
+    ("w-libra", over "w-libra" Classic_cc.Westwood.embedded);
+    ("i-libra", over "i-libra" Classic_cc.Illinois.embedded);
     ("r-libra", Ccas.r_libra);
   ]
 
@@ -52,12 +45,12 @@ let run_other_classics () =
          name
          :: List.concat_map
               (fun (_, trace) ->
-                let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
-                let util, delay, _, _ =
+                let m =
                   Scenario.averaged ~runs:scale.Scale.runs ~factory
-                    ~duration:scale.Scale.duration spec
+                    ~duration:scale.Scale.duration
+                    (Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace)
                 in
-                [ Table.f2 util; Table.ms delay ])
+                [ Table.f2 m.Scenario.util; Table.ms m.Scenario.delay ])
               traces)
        candidates)
 
@@ -75,25 +68,14 @@ let run_other_networks () =
   List.iter
     (fun (path : Traces.Wan.path) ->
       Table.subheading path.Traces.Wan.name;
-      let spec =
-        {
-          Scenario.trace = path.Traces.Wan.rate;
-          rtt = path.Traces.Wan.rtt;
-          buffer_bytes = path.Traces.Wan.buffer_bytes;
-          loss_p = path.Traces.Wan.loss_p;
-          aqm = `Fifo;
-          impair = Faults.Spec.empty;
-          dup_thresh = 1;
-        }
-      in
+      let spec = Scenario.wan_spec path in
       Table.print
         ~header:[ "cca"; "utilization"; "avg delay(ms)"; "loss" ]
         (List.map
            (fun (name, factory) ->
-             let util, delay, loss, _ =
-               Scenario.averaged ~runs:scale.Scale.runs ~factory ~duration spec
-             in
-             [ name; Table.f2 util; Table.ms delay; Table.pct loss ])
+             let m = Scenario.averaged ~runs:scale.Scale.runs ~factory ~duration spec in
+             [ name; Table.f2 m.Scenario.util; Table.ms m.Scenario.delay;
+               Table.pct m.Scenario.loss ])
            candidates))
     paths
 
@@ -104,12 +86,13 @@ let run_codel () =
   let rows =
     List.map
       (fun (label, factory, aqm) ->
-        let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:600 ~aqm trace in
-        let util, delay, loss, _ =
+        let m =
           Scenario.averaged ~runs:scale.Scale.runs ~factory
-            ~duration:scale.Scale.duration spec
+            ~duration:scale.Scale.duration
+            (Scenario.make_spec ~rtt:0.03 ~buffer_kb:600 ~aqm trace)
         in
-        [ label; Table.f2 util; Table.ms delay; Table.pct loss ])
+        [ label; Table.f2 m.Scenario.util; Table.ms m.Scenario.delay;
+          Table.pct m.Scenario.loss ])
       [
         ("cubic + droptail", Ccas.cubic, `Fifo);
         ("cubic + codel", Ccas.cubic, `Codel);

@@ -14,45 +14,33 @@ let candidates =
     ("b-libra", Ccas.b_libra);
   ]
 
-let spec () =
-  let rate = Netsim.Units.mbps_to_bps 48.0 in
-  let spec = Scenario.make_spec ~rtt:0.1 (Traces.Rate.constant 48.0) in
-  { spec with Scenario.buffer_bytes = Netsim.Units.bdp_bytes ~rate_bps:rate ~rtt_s:0.1 }
+(* Also the setting of Fig. 15 and of Tab. 4's fairness column. *)
+let spec () = Scenario.one_bdp (Scenario.make_spec ~rtt:0.1 (Traces.Rate.constant 48.0))
 
-let run_fig13 () =
-  let scale = Scale.get () in
-  let duration = scale.Scale.duration in
-  Table.heading "Fig. 13: inter-protocol fairness (CCA under test vs CUBIC)";
-  Table.print
-    ~header:[ "cca"; "cca share"; "cubic share"; "jain" ]
+(* Each candidate shares the link with its partner from t = 0: both
+   steady-state shares and the Jain index. *)
+let race ~header partner =
+  let duration = (Scale.get ()).Scale.duration in
+  Table.print ~header
     (List.map
        (fun (name, factory) ->
          let summary =
-           Scenario.run_mixed ~flows:[ (factory, 0.0); (Ccas.cubic, 0.0) ] ~duration
+           Scenario.run_mixed ~flows:[ (factory, 0.0); (partner factory, 0.0) ] ~duration
              (spec ())
          in
          let share = Scenario.share_of_first ~duration summary in
-         let jain = Scenario.jain ~duration summary in
-         [ name; Table.f2 share; Table.f2 (1.0 -. share); Table.f3 jain ])
-       candidates);
+         [ name; Table.f2 share; Table.f2 (1.0 -. share);
+           Table.f3 (Scenario.jain ~duration summary) ])
+       candidates)
+
+let run_fig13 () =
+  Table.heading "Fig. 13: inter-protocol fairness (CCA under test vs CUBIC)";
+  race ~header:[ "cca"; "cca share"; "cubic share"; "jain" ] (fun _ -> Ccas.cubic);
   Report.text "optimal share: 0.50 each"
 
 let run_fig14 () =
-  let scale = Scale.get () in
-  let duration = scale.Scale.duration in
   Table.heading "Fig. 14: intra-protocol fairness (two flows, same CCA)";
-  Table.print
-    ~header:[ "cca"; "flow1 share"; "flow2 share"; "jain" ]
-    (List.map
-       (fun (name, factory) ->
-         let summary =
-           Scenario.run_mixed ~flows:[ (factory, 0.0); (factory, 0.0) ] ~duration
-             (spec ())
-         in
-         let share = Scenario.share_of_first ~duration summary in
-         let jain = Scenario.jain ~duration summary in
-         [ name; Table.f2 share; Table.f2 (1.0 -. share); Table.f3 jain ])
-       candidates)
+  race ~header:[ "cca"; "flow1 share"; "flow2 share"; "jain" ] Fun.id
 
 let run () =
   run_fig13 ();

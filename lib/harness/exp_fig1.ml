@@ -35,11 +35,11 @@ let run () =
         let per_cca =
           List.map
             (fun (cca_name, factory) ->
-              let util, delay, _, _ =
+              let m =
                 Scenario.averaged ~runs:scale.Scale.runs ~factory
                   ~duration:scale.Scale.duration spec
               in
-              (cca_name, util, delay))
+              (cca_name, m.Scenario.util, m.Scenario.delay))
             candidates
         in
         (scn_name, per_cca))

@@ -8,20 +8,44 @@
 
 let step_levels = [ 12.0; 24.0; 5.0; 18.0; 25.0 ]
 
+(* A binned throughput series' mean over each second [0, seconds); a
+   second with no bin reads 0. *)
+let per_second ~seconds series =
+  let out = Array.make seconds 0.0 in
+  Array.iter
+    (fun (time, v) ->
+      let sec = int_of_float time in
+      if sec < seconds then out.(sec) <- v)
+    (Metrics.Convergence.coarsen ~step:1.0 series);
+  out
+
+(* Figs. 2(a) and 8: one flow of each candidate over [spec]; prints each
+   second's mean throughput beside the trace's capacity and returns the
+   per-second series. *)
+let track_capacity ~candidates ~duration spec =
+  let seconds = int_of_float duration in
+  let series =
+    List.map
+      (fun (name, factory) ->
+        let o = Scenario.run_uniform ~factory ~duration spec in
+        ( name,
+          per_second ~seconds
+            (Netsim.Flow_stats.throughput_series (Scenario.first_stats o)) ))
+      candidates
+  in
+  Table.print
+    ~header:("t(s)" :: "capacity" :: List.map fst series)
+    (List.init seconds (fun sec ->
+         Printf.sprintf "%d" sec
+         :: Table.mbps (Traces.Rate.fn spec.Scenario.trace (float_of_int sec +. 0.5))
+         :: List.map (fun (_, s) -> Table.mbps s.(sec)) series));
+  series
+
 let run_fig2a () =
   let scale = Scale.get () in
   let duration = Float.max 50.0 scale.Scale.duration in
   Table.heading "Fig. 2(a): throughput over the step-scenario";
   let trace = Traces.Rate.step ~period:10.0 step_levels in
-  let spec = Scenario.make_spec ~rtt:0.08 trace in
-  (* 1 BDP buffer at the mean level. *)
-  let spec =
-    {
-      spec with
-      Scenario.buffer_bytes =
-        Netsim.Units.bdp_bytes ~rate_bps:(Traces.Rate.mean_bps trace) ~rtt_s:0.08;
-    }
-  in
   let candidates =
     [
       ("proteus", Ccas.proteus);
@@ -30,35 +54,9 @@ let run_fig2a () =
       ("orca", Ccas.orca);
     ]
   in
-  let series =
-    List.map
-      (fun (name, factory) ->
-        let outcome = Scenario.run_uniform ~factory ~duration spec in
-        let stats =
-          (List.hd outcome.Scenario.summary.Netsim.Network.flows).Netsim.Network.stats
-        in
-        (name, Netsim.Flow_stats.throughput_series stats))
-      candidates
-  in
-  (* Print 1-second averages side by side, plus the capacity. *)
-  let seconds = int_of_float duration in
-  let avg_over s lo hi =
-    let vals =
-      Array.to_list s
-      |> List.filter (fun (time, _) -> time >= lo && time < hi)
-      |> List.map snd
-    in
-    match vals with
-    | [] -> 0.0
-    | _ -> List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals)
-  in
-  Table.print
-    ~header:("t(s)" :: "capacity" :: List.map fst series)
-    (List.init seconds (fun sec ->
-         let lo = float_of_int sec and hi = float_of_int (sec + 1) in
-         Printf.sprintf "%d" sec
-         :: Table.mbps (Traces.Rate.fn trace (lo +. 0.5))
-         :: List.map (fun (_, s) -> Table.mbps (avg_over s lo hi)) series))
+  ignore
+    (track_capacity ~candidates ~duration
+       (Scenario.one_bdp (Scenario.make_spec ~rtt:0.08 trace)))
 
 let run_fig2b () =
   let scale = Scale.get () in

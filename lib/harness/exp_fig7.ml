@@ -22,37 +22,22 @@ let candidates =
     ("b-libra", Ccas.b_libra);
   ]
 
-let aggregate ~traces ~runs ~duration =
-  List.map
-    (fun (name, factory) ->
-      let per_trace =
-        List.map
-          (fun trace ->
-            let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
-            let util, delay, _, _ = Scenario.averaged ~runs ~factory ~duration spec in
-            (util, delay))
-          traces
-      in
-      let n = float_of_int (List.length per_trace) in
-      let util = List.fold_left (fun a (u, _) -> a +. u) 0.0 per_trace /. n in
-      let delay = List.fold_left (fun a (_, d) -> a +. d) 0.0 per_trace /. n in
-      (name, util, delay))
-    candidates
-
-let print_group title rows =
+let print_group title traces =
+  let scale = Scale.get () in
   Table.subheading title;
   Table.print
     ~header:[ "cca"; "norm.throughput"; "avg delay(ms)" ]
-    (List.map (fun (name, u, d) -> [ name; Table.f2 u; Table.ms d ]) rows)
+    (List.map
+       (fun (name, factory) ->
+         let m =
+           Scenario.over_traces ~runs:scale.Scale.runs ~factory
+             ~duration:scale.Scale.duration traces
+         in
+         [ name; Table.f2 m.Scenario.util; Table.ms m.Scenario.delay ])
+       candidates)
 
 let run () =
-  let scale = Scale.get () in
-  let duration = scale.Scale.duration in
+  let duration = (Scale.get ()).Scale.duration in
   Table.heading "Fig. 7: throughput/delay over wired and cellular traces";
-  let wired = aggregate ~traces:(Scenario.wired_traces ()) ~runs:scale.Scale.runs ~duration in
-  print_group "(a) four wired traces" wired;
-  let cellular =
-    aggregate ~traces:(Scenario.cellular_traces ~seed:31 ~duration ())
-      ~runs:scale.Scale.runs ~duration
-  in
-  print_group "(b) four cellular traces" cellular
+  print_group "(a) four wired traces" (Scenario.wired_traces ());
+  print_group "(b) four cellular traces" (Scenario.cellular_traces ~seed:31 ~duration ())

@@ -13,62 +13,23 @@ let candidates =
   ]
 
 (* Mean absolute tracking error against capacity, per second. *)
-let tracking_error ~trace ~seconds series =
-  let sum = ref 0.0 in
-  for sec = 0 to seconds - 1 do
-    let cap = Traces.Rate.fn trace (float_of_int sec +. 0.5) in
-    let vals =
-      Array.to_list series
-      |> List.filter (fun (time, _) ->
-             time >= float_of_int sec && time < float_of_int (sec + 1))
-      |> List.map snd
-    in
-    let thr =
-      match vals with
-      | [] -> 0.0
-      | _ -> List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals)
-    in
-    sum := !sum +. Float.abs (thr -. cap)
-  done;
-  !sum /. float_of_int seconds
+let tracking_error ~trace per_second =
+  let errors =
+    Array.mapi
+      (fun sec thr -> Float.abs (thr -. Traces.Rate.fn trace (float_of_int sec +. 0.5)))
+      per_second
+  in
+  Array.fold_left ( +. ) 0.0 errors /. float_of_int (Array.length per_second)
 
 let run () =
   let scale = Scale.get () in
   let duration = Float.max 35.0 scale.Scale.duration in
   Table.heading "Fig. 8: following a moving-user LTE trace";
   let trace = Traces.Lte.generate ~seed:8 ~duration Traces.Lte.Moving in
-  let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
   let series =
-    List.map
-      (fun (name, factory) ->
-        let o = Scenario.run_uniform ~factory ~duration spec in
-        let stats =
-          (List.hd o.Scenario.summary.Netsim.Network.flows).Netsim.Network.stats
-        in
-        (name, Netsim.Flow_stats.throughput_series stats))
-      candidates
+    Exp_fig2.track_capacity ~candidates ~duration
+      (Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace)
   in
-  let seconds = int_of_float duration in
-  let avg_over s lo hi =
-    let vals =
-      Array.to_list s
-      |> List.filter (fun (time, _) -> time >= lo && time < hi)
-      |> List.map snd
-    in
-    match vals with
-    | [] -> 0.0
-    | _ -> List.fold_left ( +. ) 0.0 vals /. float_of_int (List.length vals)
-  in
-  Table.print
-    ~header:("t(s)" :: "capacity" :: List.map fst series)
-    (List.init seconds (fun sec ->
-         let lo = float_of_int sec and hi = float_of_int (sec + 1) in
-         Printf.sprintf "%d" sec
-         :: Table.mbps (Traces.Rate.fn trace (lo +. 0.5))
-         :: List.map (fun (_, s) -> Table.mbps (avg_over s lo hi)) series));
   Table.subheading "mean absolute tracking error (Mbit/s)";
   Table.print ~header:[ "cca"; "error" ]
-    (List.map
-       (fun (name, s) ->
-         [ name; Table.mbps (tracking_error ~trace ~seconds s) ])
-       series)
+    (List.map (fun (name, s) -> [ name; Table.mbps (tracking_error ~trace s) ]) series)

@@ -23,18 +23,11 @@ let single_flow ~traces ~label () =
   let rows =
     List.map
       (fun (name, factory) ->
-        let per =
-          List.map
-            (fun trace ->
-              let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
-              Scenario.averaged ~runs:scale.Scale.runs ~factory
-                ~duration:scale.Scale.duration spec)
-            traces
+        let m =
+          Scenario.over_traces ~runs:scale.Scale.runs ~factory
+            ~duration:scale.Scale.duration traces
         in
-        let n = float_of_int (List.length per) in
-        let util = List.fold_left (fun a (u, _, _, _) -> a +. u) 0.0 per /. n in
-        let delay = List.fold_left (fun a (_, d, _, _) -> a +. d) 0.0 per /. n in
-        [ name; Table.f2 util; Table.ms delay ])
+        [ name; Table.f2 m.Scenario.util; Table.ms m.Scenario.delay ])
       variants
   in
   Table.print ~header:[ "variant"; "utilization"; "delay(ms)" ] rows

@@ -181,14 +181,9 @@ let run_tab4 () =
           in
           Rlcc.Aurora.make_from_agent ~name:label ~agent ()
         in
-        let spec = Scenario.make_spec ~rtt:0.1 (Traces.Rate.constant 48.0) in
-        let spec =
-          { spec with Scenario.buffer_bytes =
-              Netsim.Units.bdp_bytes ~rate_bps:(Netsim.Units.mbps_to_bps 48.0) ~rtt_s:0.1 }
-        in
         let summary =
           Scenario.run_mixed ~flows:[ (factory, 0.0); (factory, 0.0) ]
-            ~duration:scale.Scale.duration spec
+            ~duration:scale.Scale.duration (Exp_fairness.spec ())
         in
         let jain = Scenario.jain ~duration:scale.Scale.duration summary in
         [ label; Printf.sprintf "%.1f Mbps" thr; Printf.sprintf "%.0f ms" rtt;

@@ -9,25 +9,14 @@ let durations = [ (1.0, 0.5, 1.0); (1.0, 1.0, 1.0); (2.0, 0.5, 2.0); (2.0, 1.0, 
 
 let thresholds = [ 0.1; 0.2; 0.3; 0.4 ]
 
+(* C-Libra under [params] over a trace set (also the ablations'). *)
 let evaluate ~params ~traces =
   let scale = Scale.get () in
   let factory ~seed =
     Libra.make_c_libra ~params:{ params with Libra.Params.seed } ()
   in
-  let per =
-    List.map
-      (fun trace ->
-        let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
-        let util, delay, _, _ =
-          Scenario.averaged ~runs:scale.Scale.runs ~factory
-            ~duration:scale.Scale.duration spec
-        in
-        (util, delay))
-      traces
-  in
-  let n = float_of_int (List.length per) in
-  ( List.fold_left (fun a (u, _) -> a +. u) 0.0 per /. n,
-    List.fold_left (fun a (_, d) -> a +. d) 0.0 per /. n )
+  Scenario.over_traces ~runs:scale.Scale.runs ~factory ~duration:scale.Scale.duration
+    traces
 
 let run_fig19 () =
   let scale = Scale.get () in
@@ -46,11 +35,12 @@ let run_fig19 () =
              ei_rtts = ei;
            }
          in
-         let wu, wd = evaluate ~params ~traces:wired in
-         let cu, cd = evaluate ~params ~traces:cellular in
+         let w = evaluate ~params ~traces:wired in
+         let c = evaluate ~params ~traces:cellular in
          [
            Printf.sprintf "[%g,%g,%g]" expl ei expt;
-           Table.f2 wu; Table.ms wd; Table.f2 cu; Table.ms cd;
+           Table.f2 w.Scenario.util; Table.ms w.Scenario.delay;
+           Table.f2 c.Scenario.util; Table.ms c.Scenario.delay;
          ])
        durations)
 
@@ -66,8 +56,9 @@ let run_tab7 () =
          List.map
            (fun th1_frac ->
              let params = { Libra.Params.default with Libra.Params.th1_frac } in
-             let u, d = evaluate ~params ~traces in
-             [ Printf.sprintf "%s-%.1fx" label th1_frac; Table.f2 u; Table.ms d ])
+             let m = evaluate ~params ~traces in
+             [ Printf.sprintf "%s-%.1fx" label th1_frac; Table.f2 m.Scenario.util;
+               Table.ms m.Scenario.delay ])
            thresholds)
        [ ("Wired", wired); ("Cellular", cellular) ])
 

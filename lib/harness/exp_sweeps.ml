@@ -25,11 +25,11 @@ let run_fig9 () =
         let per =
           List.map
             (fun (_, factory) ->
-              let util, delay, _, _ =
+              let m =
                 Scenario.averaged ~runs:scale.Scale.runs ~factory
                   ~duration:scale.Scale.duration spec
               in
-              Printf.sprintf "%s/%s" (Table.f2 util) (Table.ms delay))
+              Printf.sprintf "%s/%s" (Table.f2 m.Scenario.util) (Table.ms m.Scenario.delay))
             candidates
         in
         Printf.sprintf "%dKB" buffer_kb :: per)
@@ -51,11 +51,10 @@ let run_fig10 () =
         let per =
           List.map
             (fun (_, factory) ->
-              let util, _, _, _ =
-                Scenario.averaged ~runs:scale.Scale.runs ~factory
-                  ~duration:scale.Scale.duration spec
-              in
-              Table.f2 util)
+              Table.f2
+                (Scenario.averaged ~runs:scale.Scale.runs ~factory
+                   ~duration:scale.Scale.duration spec)
+                  .Scenario.util)
             candidates
         in
         Table.pct loss_p :: per)

@@ -22,32 +22,13 @@ let categories =
 (* One C-Libra flow over [trace]; returns the telemetry fractions and
    the windowed utility series of the flow. *)
 let run_scenario ~duration trace =
-  let instrumented = ref None in
-  let factory ~seed =
-    let inst =
-      Libra.make_c_libra_instrumented
-        ~params:{ Libra.Params.default with Libra.Params.seed }
-        ()
-    in
-    instrumented := Some inst;
-    inst.Libra.cca
+  let o, controller =
+    Scenario.run_libra ~make:Libra.make_c_libra_instrumented ~duration
+      (Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace)
   in
-  let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
-  let o = Scenario.run_uniform ~factory ~duration spec in
-  let fractions =
-    match !instrumented with
-    | Some inst ->
-      Libra.Telemetry.fractions (Libra.Controller.telemetry inst.Libra.controller)
-    | None -> (nan, nan, nan)
-  in
-  let stats =
-    (List.hd o.Scenario.summary.Netsim.Network.flows).Netsim.Network.stats
-  in
-  let series =
-    Libra.Ideal.utility_of_stats ~window:2.0 Libra.Utility.default stats
-      ~duration
-  in
-  (fractions, series)
+  ( Libra.Telemetry.fractions (Libra.Controller.telemetry controller),
+    Libra.Ideal.utility_of_stats ~window:2.0 Libra.Utility.default (Scenario.first_stats o)
+      ~duration )
 
 let fcell v = if Float.is_finite v then Printf.sprintf "%.6f" v else ""
 

@@ -16,37 +16,25 @@ let candidates =
     ("orca", Ccas.orca);
   ]
 
-let run_path label (path : Traces.Wan.path) =
+let run_path label path =
   let scale = Scale.get () in
   Table.subheading label;
-  let spec =
-    {
-      Scenario.trace = path.Traces.Wan.rate;
-      rtt = path.Traces.Wan.rtt;
-      buffer_bytes = path.Traces.Wan.buffer_bytes;
-      loss_p = path.Traces.Wan.loss_p;
-      aqm = `Fifo;
-      impair = Faults.Spec.empty;
-      dup_thresh = 1;
-    }
-  in
+  let spec = Scenario.wan_spec path in
   let rows =
     List.map
       (fun (name, factory) ->
-        let _, delay, loss, thr =
-          Scenario.averaged ~runs:scale.Scale.runs ~factory
-            ~duration:scale.Scale.duration spec
-        in
-        (name, thr, delay, loss))
+        ( name,
+          Scenario.averaged ~runs:scale.Scale.runs ~factory ~duration:scale.Scale.duration
+            spec ))
       candidates
   in
-  let max_thr = List.fold_left (fun a (_, t, _, _) -> Float.max a t) 1e-9 rows in
-  let min_delay = List.fold_left (fun a (_, _, d, _) -> Float.min a d) infinity rows in
+  let max_thr = List.fold_left (fun a (_, m) -> Float.max a m.Scenario.thr) 1e-9 rows in
+  let min_delay = List.fold_left (fun a (_, m) -> Float.min a m.Scenario.delay) infinity rows in
   Table.print
     ~header:[ "cca"; "norm.thr"; "norm.delay"; "loss" ]
     (List.map
-       (fun (name, thr, delay, loss) ->
-         [ name; Table.f2 (thr /. max_thr); Table.f2 (delay /. min_delay); Table.pct loss ])
+       (fun (name, (m : Scenario.mean)) ->
+         [ name; Table.f2 (m.thr /. max_thr); Table.f2 (m.delay /. min_delay); Table.pct m.loss ])
        rows)
 
 let run () =

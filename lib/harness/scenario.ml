@@ -1,8 +1,11 @@
-(* Scenario runners: the repeated shapes behind the paper's experiments.
+(* Scenario runners: the one place a (CCA, scenario) pair turns into
+   the numbers the paper's experiments report.
 
-   A scenario is a trace + propagation RTT + buffer + stochastic loss;
-   runners place one or more flows on it, repeat over seeds, and reduce
-   the per-flow statistics into the metrics the figures report. *)
+   A scenario is a trace + propagation RTT + buffer + stochastic loss
+   (+ the ambient impairment); runners place one or more flows on it,
+   repeat over seeds or trace sets, and reduce the per-flow statistics
+   into the metrics the figures report. The experiment modules keep
+   only what is specific to their figure: CCAs, scenarios, columns. *)
 
 type spec = {
   trace : Traces.Rate.t;
@@ -15,9 +18,10 @@ type spec = {
 }
 
 (* Ambient impairment, set by the CLIs' --impair flag: applied by
-   [make_spec] whenever a caller doesn't pass one explicitly, so a whole
-   experiment suite can be rerun under a fault schedule. Set once before
-   any simulation starts (it is read concurrently by pool workers). *)
+   [make_spec] and [wan_spec] whenever a caller doesn't pass one
+   explicitly, so a whole experiment suite can be rerun under a fault
+   schedule. Set once before any simulation starts (it is read
+   concurrently by pool workers). *)
 let default_impair = ref Faults.Spec.empty
 let set_default_impair s = default_impair := s
 
@@ -34,6 +38,23 @@ let make_spec ?(rtt = 0.03) ?(buffer_kb = 150) ?(loss_p = 0.0) ?(aqm = `Fifo)
   in
   { trace; rtt; buffer_bytes = Netsim.Units.kb buffer_kb; loss_p; aqm;
     impair; dup_thresh }
+
+(* A WAN path keeps its own RTT, buffer and stochastic loss. *)
+let wan_spec ?impair (path : Traces.Wan.path) =
+  {
+    (make_spec ~rtt:path.Traces.Wan.rtt ~loss_p:path.Traces.Wan.loss_p ?impair
+       path.Traces.Wan.rate)
+    with
+    buffer_bytes = path.Traces.Wan.buffer_bytes;
+  }
+
+(* [spec] with a one-BDP buffer at its trace's mean rate. *)
+let one_bdp spec =
+  {
+    spec with
+    buffer_bytes =
+      Netsim.Units.bdp_bytes ~rate_bps:(Traces.Rate.mean_bps spec.trace) ~rtt_s:spec.rtt;
+  }
 
 (* The CLI trace grammar shared by libra_sim and diverge:
    wired:<mbps> | lte:<stationary|walking|driving|moving> |
@@ -93,27 +114,14 @@ let trace_to_string = function
 
 (* A full spec from the CLI knobs: the scenario-level rtt/buffer/loss
    apply to rate-trace specs; WAN paths keep their own. *)
-let spec_of_cli ?(rtt = 0.03) ?(buffer_kb = 150) ?(loss_p = 0.0) ?impair ~duration
-    ~seed trace_spec =
-  let rate trace = make_spec ~rtt ~buffer_kb ~loss_p ?impair trace in
-  let wan path =
-    let impair = match impair with Some i -> i | None -> !default_impair in
-    {
-      trace = path.Traces.Wan.rate;
-      rtt = path.Traces.Wan.rtt;
-      buffer_bytes = path.Traces.Wan.buffer_bytes;
-      loss_p = path.Traces.Wan.loss_p;
-      aqm = `Fifo;
-      impair;
-      dup_thresh = (if Faults.Spec.may_reorder impair then 3 else 1);
-    }
-  in
+let spec_of_cli ~rtt ~buffer_kb ~loss_p ~impair ~duration ~seed trace_spec =
+  let rate trace = make_spec ~rtt ~buffer_kb ~loss_p ~impair trace in
   match trace_spec with
   | Wired mbps -> rate (Traces.Rate.constant mbps)
   | Lte s -> rate (Traces.Lte.generate ~seed ~duration s)
   | Step levels -> rate (Traces.Rate.step ~period:10.0 levels)
-  | Wan `Inter -> wan (Traces.Wan.inter_continental ~duration ())
-  | Wan `Intra -> wan (Traces.Wan.intra_continental ~duration ())
+  | Wan `Inter -> wan_spec ~impair (Traces.Wan.inter_continental ~duration ())
+  | Wan `Intra -> wan_spec ~impair (Traces.Wan.intra_continental ~duration ())
 
 (* Network.run's [faults] argument for this spec ([None] when clean, so
    unimpaired runs take the hook-free fast path and stay bit-identical
@@ -134,6 +142,23 @@ let link_of spec =
     aqm = spec.aqm;
   }
 
+(* Flows with individual start times (flow i seeded [seed + 1000 i]);
+   returns the raw summary for fairness/convergence analysis. *)
+let run_mixed ?(seed = 1) ~flows ~duration spec =
+  let flows =
+    List.mapi
+      (fun i (factory, start_at) ->
+        {
+          Netsim.Network.cca = factory ~seed:(seed + (1000 * i));
+          start_at;
+          stop_at = duration;
+          rtt = spec.rtt;
+        })
+      flows
+  in
+  Netsim.Network.run ~seed ~dup_thresh:spec.dup_thresh ?faults:(faults_of spec)
+    ~link:(link_of spec) ~flows ~duration ()
+
 type outcome = {
   utilization : float;
   mean_delay : float;  (* seconds *)
@@ -142,20 +167,12 @@ type outcome = {
   summary : Netsim.Network.summary;
 }
 
-(* Run [n_flows] copies of one CCA for [duration]; all flows start at 0. *)
+(* Run [n_flows] copies of one CCA for [duration], all starting at 0,
+   and reduce the summary: mean RTT over the flows that got an ACK,
+   loss over all packets, throughput summed over flows. *)
 let run_uniform ?(seed = 1) ?(n_flows = 1) ~factory ~duration spec =
-  let flows =
-    List.init n_flows (fun i ->
-        {
-          Netsim.Network.cca = factory ~seed:(seed + (1000 * i));
-          start_at = 0.0;
-          stop_at = duration;
-          rtt = spec.rtt;
-        })
-  in
   let summary =
-    Netsim.Network.run ~seed ~dup_thresh:spec.dup_thresh ?faults:(faults_of spec)
-      ~link:(link_of spec) ~flows ~duration ()
+    run_mixed ~seed ~flows:(List.init n_flows (fun _ -> (factory, 0.0))) ~duration spec
   in
   let stats = List.map (fun f -> f.Netsim.Network.stats) summary.Netsim.Network.flows in
   let delays = List.filter_map (fun s ->
@@ -184,6 +201,27 @@ let run_uniform ?(seed = 1) ?(n_flows = 1) ~factory ~duration spec =
     summary;
   }
 
+(* The statistics of a run's first flow (the single-flow figures plot
+   it over time). *)
+let first_stats o = (List.hd o.summary.Netsim.Network.flows).Netsim.Network.stats
+
+(* An outcome's reduction averaged over seeds or traces: utilization,
+   mean delay (s), loss rate and throughput (bytes/s). *)
+type mean = { util : float; delay : float; loss : float; thr : float }
+
+(* The mean of [f] over [items]: left folds in list order, then / n.
+   The figures' printed digits depend on this float order. *)
+let mean_of f items =
+  let ms = List.map f items in
+  let n = float_of_int (List.length ms) in
+  let avg g = List.fold_left (fun a m -> a +. g m) 0.0 ms /. n in
+  {
+    util = avg (fun m -> m.util);
+    delay = avg (fun m -> m.delay);
+    loss = avg (fun m -> m.loss);
+    thr = avg (fun m -> m.thr);
+  }
+
 (* Average an outcome over [runs] seeds. Each repetition is an isolated,
    seed-deterministic simulation, so they fan out across the pool; the
    averages fold in seed order, keeping the result bit-identical to a
@@ -195,29 +233,15 @@ let averaged ?pool ?(base_seed = 1) ~runs ~factory ~duration spec =
       (fun i -> run_uniform ~seed:(base_seed + (7919 * i)) ~factory ~duration spec)
       (Array.init runs Fun.id)
   in
-  let n = float_of_int runs in
-  let avg f = Array.fold_left (fun a o -> a +. f o) 0.0 outcomes /. n in
-  ( avg (fun o -> o.utilization),
-    avg (fun o -> o.mean_delay),
-    avg (fun o -> o.loss_rate),
-    avg (fun o -> o.throughput) )
+  mean_of
+    (fun o ->
+      { util = o.utilization; delay = o.mean_delay; loss = o.loss_rate; thr = o.throughput })
+    (Array.to_list outcomes)
 
-(* Two (or more) heterogeneous flows with individual start times;
-   returns the raw summary for fairness/convergence analysis. *)
-let run_mixed ?(seed = 1) ~flows ~duration spec =
-  let flows =
-    List.mapi
-      (fun i (factory, start_at) ->
-        {
-          Netsim.Network.cca = factory ~seed:(seed + (1000 * i));
-          start_at;
-          stop_at = duration;
-          rtt = spec.rtt;
-        })
-      flows
-  in
-  Netsim.Network.run ~seed ~dup_thresh:spec.dup_thresh ?faults:(faults_of spec)
-    ~link:(link_of spec) ~flows ~duration ()
+(* [averaged] over each trace of a set on the standard 30 ms / 150 KB
+   path, then the mean over the traces. *)
+let over_traces ~runs ~factory ~duration traces =
+  mean_of (fun trace -> averaged ~runs ~factory ~duration (make_spec trace)) traces
 
 (* Steady-state throughput share of flow 0 vs the rest (Fig. 13's
    normalised throughput ratio), measured over the second half. *)
@@ -243,6 +267,22 @@ let jain ~duration (summary : Netsim.Network.summary) =
       summary.Netsim.Network.flows
   in
   Metrics.Jain.index (Array.of_list thr)
+
+(* One flow of an instrumented Libra variant over [spec]: the run's
+   outcome and the flow's controller, whose telemetry Figs. 17/18
+   read. *)
+let run_libra
+    ~(make :
+       ?params:Libra.Params.t -> ?initial_rate:float -> unit -> Libra.instrumented)
+    ~duration spec =
+  let controller = ref None in
+  let factory ~seed =
+    let inst = make ~params:(Ccas.libra_params ~seed) () in
+    controller := Some inst.Libra.controller;
+    inst.Libra.cca
+  in
+  let o = run_uniform ~factory ~duration spec in
+  (o, Option.get !controller)
 
 (* The paper's standard wired and cellular trace sets (Fig. 7). *)
 let wired_traces () =

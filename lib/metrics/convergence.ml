@@ -13,9 +13,34 @@ type result = {
   avg_throughput : float;  (* mean throughput after convergence, bytes/s *)
 }
 
-(* [analyse ~entry ~window ~tolerance series] expects the flow's binned
-   throughput time series (time, bytes/s). *)
-let analyse ?(window = 5.0) ?(tolerance = 0.25) ~entry series =
+(* Coarsen a binned (time, value) series to [step]-second windows:
+   window k holds the samples whose [int_of_float (time /. step)] is k.
+   Returns, for each window that holds a sample, in increasing order,
+   its centre (k + 0.5) step and the mean of its samples, summed in
+   array order. Times are non-negative. *)
+let coarsen ~step series =
+  let slot (time, _) = int_of_float (time /. step) in
+  let n = Array.fold_left (fun a s -> max a (slot s + 1)) 0 series in
+  let sum = Array.make n 0.0 and count = Array.make n 0 in
+  Array.iter
+    (fun ((_, v) as s) ->
+      let k = slot s in
+      sum.(k) <- sum.(k) +. v;
+      count.(k) <- count.(k) + 1)
+    series;
+  Array.of_list
+    (List.filter_map
+       (fun k ->
+         if count.(k) = 0 then None
+         else Some ((float_of_int k +. 0.5) *. step, sum.(k) /. float_of_int count.(k)))
+       (List.init n Fun.id))
+
+(* Stable = within +/-25% of the window mean. *)
+let tolerance = 0.25
+
+(* [analyse ~entry ~window series] expects the flow's throughput time
+   series (time, bytes/s), binned or coarsened. *)
+let analyse ?(window = 5.0) ~entry series =
   let samples =
     Array.of_list
       (List.filter (fun (time, _) -> time >= entry) (Array.to_list series))

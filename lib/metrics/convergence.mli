@@ -10,8 +10,15 @@ type result = {
   avg_throughput : float;
 }
 
-(** [analyse ~entry series] over a (time, throughput) series; defaults
-    follow the paper: stable = within +/-25% of the window mean
-    ([tolerance]) for 5 seconds ([window]). *)
-val analyse :
-  ?window:float -> ?tolerance:float -> entry:float -> (float * float) array -> result
+(** [coarsen ~step series] averages a binned (time, value) series over
+    [step]-second windows: window k holds the samples whose
+    [int_of_float (time /. step)] is k. For each window holding a
+    sample, in increasing order, it returns the window's centre
+    [(k + 0.5) *. step] and the mean of its samples, summed in array
+    order. Times must be non-negative. *)
+val coarsen : step:float -> (float * float) array -> (float * float) array
+
+(** [analyse ~entry series] over a (time, throughput) series, following
+    the paper: stable = within +/-25% of the window mean for 5 seconds
+    ([window]). *)
+val analyse : ?window:float -> entry:float -> (float * float) array -> result

@@ -7,8 +7,8 @@
    start; operands: flow handle and a version, ticket or sequence
    number), so a flow costs a few array slots rather than records and
    closures, and the steady-state ACK path allocates nothing on the
-   minor heap when tracing is off. The events-per-sec bench asserts
-   that contract with [Gc.counters].
+   minor heap when tracing is off. The alloc-contract bench asserts
+   that contract.
 
    A sender paces packets at its CCA's pacing rate, capped by its
    window. Loss is detected by dup-ACK counting: an outstanding packet
@@ -38,7 +38,6 @@ let min_pacing = 750.0 (* bytes/s: half a packet per second floor *)
 type t = {
   sim : Sim.t;
   mutable link : Link.t option;
-  stats_bin : float;
   lite : bool;  (* skip per-flow Flow_stats; keep scalar aggregates only *)
   mutable n : int;  (* live flow count; handles are [0, n) *)
   (* Per-flow float state (flat arrays keep loads/stores unboxed). *)
@@ -124,7 +123,6 @@ let stats t h =
 let delivered_bytes t h = t.delivered.(h)
 let acked_pkts t h = t.acked.(h)
 let lost_pkts t h = t.lost.(h)
-let sent_pkts t h = t.next_seq.(h)
 let inflight t h = t.inflight.(h)
 
 let mean_rtt t h =
@@ -450,7 +448,7 @@ let on_pkt_delivered t (pkt : Packet.t) =
     Sim.after t.sim t.rdelay.(pkt.Packet.flow) ~kind:t.ev_ack ~a:pkt.Packet.flow
       ~b:pkt.Packet.seq
 
-let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
+let create ?(capacity = 64) ?(lite = false) ~sim () =
   assert (capacity > 0);
   let fz () = Array.make capacity 0.0 in
   let iz () = Array.make capacity 0 in
@@ -458,7 +456,6 @@ let create ?(capacity = 64) ?(stats_bin = 0.01) ?(lite = false) ~sim () =
     {
       sim;
       link = None;
-      stats_bin;
       lite;
       n = 0;
       start_at = fz ();
@@ -615,7 +612,7 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
     t.kind.(h) <- ck_generic;
     t.gen.(h) <- c);
   if not t.lite then
-    t.stats.(h) <- Flow_stats.create ~bin:t.stats_bin ();
+    t.stats.(h) <- Flow_stats.create ();
   h
 
 (* One event at [start_at] that enters the versioned send chain. The

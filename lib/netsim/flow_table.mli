@@ -25,11 +25,11 @@ type t
     takes this path). *)
 type cca = Aimd | Generic of Cca.t
 
-(** [create ?capacity ?stats_bin ?lite ~sim ()] — [capacity] presizes
-    the arena (it grows by doubling); [lite] skips per-flow
-    {!Flow_stats} time series and keeps only scalar aggregates, the
-    right mode for thousands of short flows. *)
-val create : ?capacity:int -> ?stats_bin:float -> ?lite:bool -> sim:Sim.t -> unit -> t
+(** [create ?capacity ?lite ~sim ()] — [capacity] presizes the arena
+    (it grows by doubling); [lite] skips per-flow {!Flow_stats} time
+    series (10 ms bins) and keeps only scalar aggregates, the right mode
+    for thousands of short flows. *)
+val create : ?capacity:int -> ?lite:bool -> sim:Sim.t -> unit -> t
 
 (** Attach the bottleneck link all flows send into. *)
 val attach : t -> Link.t -> unit
@@ -74,7 +74,6 @@ val stats : t -> int -> Flow_stats.t
 val delivered_bytes : t -> int -> int
 val acked_pkts : t -> int -> int
 val lost_pkts : t -> int -> int
-val sent_pkts : t -> int -> int
 val inflight : t -> int -> int
 
 (** Mean/min RTT over acknowledged packets; [nan]/[inf] when none. *)

@@ -62,8 +62,6 @@ type t = {
   mutable busy : bool;
   mutable delivered_bytes : int;
   mutable random_drops : int;
-  mutable queue_delay_sum : float;
-  mutable queue_delay_samples : int;
   mutable traced_rate : float;  (* last service rate put on the trace *)
 }
 
@@ -86,10 +84,6 @@ let rate_at t time =
   match t.hooks with
   | None -> t.rate_fn time
   | Some h -> h.shape_rate ~now:time (t.rate_fn time)
-
-let mean_queue_delay t =
-  if t.queue_delay_samples = 0 then 0.0
-  else t.queue_delay_sum /. float_of_int t.queue_delay_samples
 
 let no_pkt = { Packet.flow = -1; seq = -1; size = 0; corrupt = false }
 
@@ -118,7 +112,7 @@ let trace_drop t (pkt : Packet.t) reason =
    returns the stored packet, the CoDel law is inlined (its float
    arguments stay unboxed), and a constant-rate unshaped link skips the
    (boxing) rate-closure call.
-   The events-per-sec bench asserts the contract with Gc.counters. *)
+   The alloc-contract bench asserts it. *)
 let rec start_service t =
   if t.len = 0 then t.busy <- false
   else begin
@@ -215,10 +209,6 @@ let admit t pkt =
         (Obs.Event.Enqueue
            { t = now; flow = pkt.Packet.flow; seq = pkt.Packet.seq;
              size = pkt.Packet.size; backlog = t.bytes });
-    (* Track queueing delay via the backlog at admission. *)
-    let rate = Float.max min_rate (rate_at t now) in
-    t.queue_delay_sum <- t.queue_delay_sum +. (float_of_int t.bytes /. rate);
-    t.queue_delay_samples <- t.queue_delay_samples + 1;
     if not t.busy then start_service t
   end
 
@@ -257,8 +247,6 @@ let create ?(aqm = `Fifo) ?hooks ?const_rate ~sim ~rate_fn ~grain ~buffer_bytes
       busy = false;
       delivered_bytes = 0;
       random_drops = 0;
-      queue_delay_sum = 0.0;
-      queue_delay_samples = 0;
       traced_rate = nan;
     }
   in

@@ -50,9 +50,6 @@ val delivered_bytes : t -> int
 (** Packets dropped by the stochastic-loss process (not the queue). *)
 val random_drops : t -> int
 
-(** Mean queueing delay experienced at admission, seconds. *)
-val mean_queue_delay : t -> float
-
 (** Bench/test hook: run one service completion directly — exactly the
     event the link schedules for itself — without spinning the event
     loop. The allocation-contract bench drives egress through this. *)

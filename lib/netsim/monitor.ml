@@ -11,13 +11,11 @@ type t = {
   mutable acked_bytes : int;
   mutable acks : int;
   mutable lost : int;
-  mutable sent_bytes : int;
   mutable rtt_sum : float;
   mutable rtt_min : float;
-  (* Least-squares accumulators for the RTT-over-time slope. *)
-  mutable n : float;
+  (* Least-squares accumulators for the RTT-over-time slope; the count
+     is [acks] and the RTT sum is [rtt_sum]. *)
   mutable sum_t : float;
-  mutable sum_r : float;
   mutable sum_tr : float;
   mutable sum_tt : float;
   mutable sum_rr : float;
@@ -41,12 +39,9 @@ let create ~now =
     acked_bytes = 0;
     acks = 0;
     lost = 0;
-    sent_bytes = 0;
     rtt_sum = 0.0;
     rtt_min = infinity;
-    n = 0.0;
     sum_t = 0.0;
-    sum_r = 0.0;
     sum_tr = 0.0;
     sum_tt = 0.0;
     sum_rr = 0.0;
@@ -57,12 +52,9 @@ let reset t ~now =
   t.acked_bytes <- 0;
   t.acks <- 0;
   t.lost <- 0;
-  t.sent_bytes <- 0;
   t.rtt_sum <- 0.0;
   t.rtt_min <- infinity;
-  t.n <- 0.0;
   t.sum_t <- 0.0;
-  t.sum_r <- 0.0;
   t.sum_tr <- 0.0;
   t.sum_tt <- 0.0;
   t.sum_rr <- 0.0
@@ -75,18 +67,12 @@ let on_ack t (ack : Cca.ack_info) =
   if ack.rtt < t.rtt_min then t.rtt_min <- ack.rtt;
   (* Centre timestamps on the interval start for numerical stability. *)
   let x = ack.now -. t.started_at in
-  t.n <- t.n +. 1.0;
   t.sum_t <- t.sum_t +. x;
-  t.sum_r <- t.sum_r +. ack.rtt;
   t.sum_tr <- t.sum_tr +. (x *. ack.rtt);
   t.sum_tt <- t.sum_tt +. (x *. x);
   t.sum_rr <- t.sum_rr +. (ack.rtt *. ack.rtt)
 
 let on_timeout_loss t ~pkts = t.lost <- t.lost + pkts
-
-let on_send t ~bytes = t.sent_bytes <- t.sent_bytes + bytes
-
-let acks t = t.acks
 
 (* Emit the snapshot on the trace stream, when subscribed. *)
 let publish ~now snap =
@@ -127,24 +113,24 @@ let snapshot t ~now =
   let duration = Float.max 1e-9 duration in
   let throughput = float_of_int t.acked_bytes /. duration in
   let avg_rtt = if t.acks = 0 then nan else t.rtt_sum /. float_of_int t.acks in
-  let denom = (t.n *. t.sum_tt) -. (t.sum_t *. t.sum_t) in
+  let n = float_of_int t.acks in
+  let denom = (n *. t.sum_tt) -. (t.sum_t *. t.sum_t) in
   let rtt_gradient =
-    if t.n < 2.0 || Float.abs denom < 1e-12 then 0.0
-    else ((t.n *. t.sum_tr) -. (t.sum_t *. t.sum_r)) /. denom
+    if t.acks < 2 || Float.abs denom < 1e-12 then 0.0
+    else ((n *. t.sum_tr) -. (t.sum_t *. t.rtt_sum)) /. denom
   in
   (* Standard error of the least-squares slope: residual variance over
      the spread of the regressor. Decision code uses it to ignore
      slopes indistinguishable from measurement noise. *)
   let rtt_grad_se =
-    if t.n < 3.0 || Float.abs denom < 1e-12 then infinity
+    if t.acks < 3 || Float.abs denom < 1e-12 then infinity
     else begin
-      let sxx = denom /. t.n in
-      let mean_t = t.sum_t /. t.n and mean_r = t.sum_r /. t.n in
-      let ss_tot = t.sum_rr -. (t.n *. mean_r *. mean_r) in
+      let sxx = denom /. n in
+      let mean_r = t.rtt_sum /. n in
+      let ss_tot = t.sum_rr -. (n *. mean_r *. mean_r) in
       let ss_reg = rtt_gradient *. rtt_gradient *. sxx in
       let ss_res = Float.max 0.0 (ss_tot -. ss_reg) in
-      let var_resid = ss_res /. (t.n -. 2.0) in
-      ignore mean_t;
+      let var_resid = ss_res /. (n -. 2.0) in
       (* Slope variance = residual variance / Sxx, flooring the
          residual at packet-serialization jitter (~0.1 ms of RTT) so a
          perfectly linear handful of samples is not treated as

@@ -24,9 +24,4 @@ val on_ack : t -> Cca.ack_info -> unit
 (** Account losses detected by timeout (no ACK carries them). *)
 val on_timeout_loss : t -> pkts:int -> unit
 
-val on_send : t -> bytes:int -> unit
-
-(** ACKs accumulated since the last reset. *)
-val acks : t -> int
-
 val snapshot : t -> now:float -> snapshot

@@ -69,7 +69,7 @@ let capacity_integral ?const_rate ~rate_fn ~grain ~duration () =
 
 let span_run = Obs.Span.probe "netsim.run"
 
-let run ?(seed = 42) ?(stats_bin = 0.01) ?(dup_thresh = 1) ?faults ~link ~flows
+let run ?(seed = 42) ?(dup_thresh = 1) ?faults ~link ~flows
     ~duration () =
  Obs.Span.timed span_run @@ fun () ->
   let sim = Sim.create () in
@@ -86,7 +86,7 @@ let run ?(seed = 42) ?(stats_bin = 0.01) ?(dup_thresh = 1) ?faults ~link ~flows
     Option.map (fun mk -> mk (Rng.split_key rng ~key:0xFA)) faults
   in
   let table =
-    Flow_table.create ~capacity:(max 64 (List.length flows)) ~stats_bin ~sim ()
+    Flow_table.create ~capacity:(max 64 (List.length flows)) ~sim ()
   in
   List.iter
     (fun (cfg : flow_cfg) ->

@@ -57,7 +57,6 @@ val capacity_integral :
     {!Population}). *)
 val run :
   ?seed:int ->
-  ?stats_bin:float ->
   ?dup_thresh:int ->
   ?faults:(Rng.t -> Link.hooks) ->
   link:link_cfg ->

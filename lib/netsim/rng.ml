@@ -62,8 +62,6 @@ let split_key t ~key =
    training runs that must resume bit-identically mid-stream. *)
 let state t = (Bytes.get_int64_ne t.cell 0, t.seed)
 
-let of_state (state, seed) = make ~state ~seed
-
 let set_state t (state, seed) =
   if seed <> t.seed then invalid_arg "Rng.set_state: seed mismatch";
   Bytes.set_int64_ne t.cell 0 state

@@ -42,11 +42,8 @@ val split : t -> t
 val split_key : t -> key:int -> t
 
 (** Full generator state (position, seed) — opaque words for
-    checkpointing; round-trips through {!of_state}/{!set_state}. *)
+    checkpointing; round-trips through {!set_state}. *)
 val state : t -> int64 * int64
-
-(** Rebuild a generator from a {!state} snapshot. *)
-val of_state : int64 * int64 -> t
 
 (** [set_state t s] rewinds [t] to snapshot [s] in place. Raises
     [Invalid_argument] if [s] came from a generator with a different

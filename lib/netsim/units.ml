@@ -12,17 +12,9 @@ let mbps_to_bps mbps = mbps *. bytes_per_mbit
 
 let bps_to_mbps bps = bps /. bytes_per_mbit
 
-let ms_to_s ms = ms /. 1000.0
-
-let s_to_ms s = s *. 1000.0
-
 let kb kilobytes = kilobytes * 1000
 
 let mb megabytes = megabytes * 1_000_000
 
 (* Bandwidth-delay product in bytes. *)
 let bdp_bytes ~rate_bps ~rtt_s = int_of_float (rate_bps *. rtt_s)
-
-(* BDP expressed in whole packets, at least one. *)
-let bdp_packets ~rate_bps ~rtt_s =
-  max 1 (bdp_bytes ~rate_bps ~rtt_s / mtu)

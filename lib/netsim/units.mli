@@ -14,9 +14,6 @@ val mbps_to_bps : float -> float
 (** Bytes per second to megabits per second. *)
 val bps_to_mbps : float -> float
 
-val ms_to_s : float -> float
-val s_to_ms : float -> float
-
 (** [kb n] is [n] kilobytes in bytes (decimal, as buffer sizes in the
     paper). *)
 val kb : int -> int
@@ -25,6 +22,3 @@ val mb : int -> int
 
 (** Bandwidth-delay product in bytes. *)
 val bdp_bytes : rate_bps:float -> rtt_s:float -> int
-
-(** Bandwidth-delay product in MTU-sized packets (at least 1). *)
-val bdp_packets : rate_bps:float -> rtt_s:float -> int

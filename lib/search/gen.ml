@@ -78,14 +78,14 @@ let shaper rng =
     Spec.Flap
       { from_; until; period = draw rng r_flap_period; duty = draw rng r_flap_duty }
 
-(* A random spec: up to [max_channels] channels and [max_shapers]
-   shapers (either list may be empty; both empty = clean). *)
-let spec ?(max_channels = 3) ?(max_shapers = 2) rng =
-  let channels = List.init (Rng.int rng (max_channels + 1)) (fun _ -> channel_item rng) in
-  let shapers = List.init (Rng.int rng (max_shapers + 1)) (fun _ -> shaper rng) in
+(* A random spec: up to 3 channels and 2 shapers (either list may be
+   empty; both empty = clean). *)
+let spec rng =
+  let channels = List.init (Rng.int rng 4) (fun _ -> channel_item rng) in
+  let shapers = List.init (Rng.int rng 3) (fun _ -> shaper rng) in
   { Spec.channels; shapers }
 
 (* A spec guaranteed non-clean, for search population seeding. *)
-let rec nonempty_spec ?max_channels ?max_shapers rng =
-  let s = spec ?max_channels ?max_shapers rng in
-  if Spec.is_empty s then nonempty_spec ?max_channels ?max_shapers rng else s
+let rec nonempty_spec rng =
+  let s = spec rng in
+  if Spec.is_empty s then nonempty_spec rng else s

@@ -111,11 +111,11 @@ let outcome_quad ~pool ~base_seed spec ~duration =
   Harness.Scenario.averaged ~pool ~base_seed ~runs:4 ~factory:Harness.Ccas.cubic
     ~duration spec
 
-let check_exact_quad label (u1, d1, l1, t1) (u2, d2, l2, t2) =
-  check_bool (label ^ ": utilization bit-identical") true (u1 = u2);
-  check_bool (label ^ ": delay bit-identical") true (d1 = d2);
-  check_bool (label ^ ": loss bit-identical") true (l1 = l2);
-  check_bool (label ^ ": throughput bit-identical") true (t1 = t2)
+let check_exact_quad label (a : Harness.Scenario.mean) (b : Harness.Scenario.mean) =
+  check_bool (label ^ ": utilization bit-identical") true (a.util = b.util);
+  check_bool (label ^ ": delay bit-identical") true (a.delay = b.delay);
+  check_bool (label ^ ": loss bit-identical") true (a.loss = b.loss);
+  check_bool (label ^ ": throughput bit-identical") true (a.thr = b.thr)
 
 let test_averaged_deterministic_wired () =
   let spec = Harness.Scenario.make_spec (Traces.Rate.constant 24.0) in

@@ -346,7 +346,8 @@ let test_ideal_combine_is_pointwise_max () =
   Alcotest.(check (float 1e-9)) "max at 1" 3.0 (snd c.(1))
 
 let test_ideal_normalise_range () =
-  let s = Libra.Ideal.normalise [| (0.0, 5.0); (1.0, 10.0); (2.0, 7.5) |] in
+  let s = [| (0.0, 5.0); (1.0, 10.0); (2.0, 7.5) |] in
+  let s = Libra.Ideal.normalise [ s ] s in
   Alcotest.(check (float 1e-9)) "min 0" 0.0 (snd s.(0));
   Alcotest.(check (float 1e-9)) "max 1" 1.0 (snd s.(1));
   Alcotest.(check (float 1e-9)) "mid 0.5" 0.5 (snd s.(2))
