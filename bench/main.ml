@@ -62,7 +62,7 @@ let micro_tests () =
     cca_on_ack_test ~name:"bbr/on-ack" Classic_cc.Bbr.make;
     cca_on_ack_test ~name:"copa/on-ack" Classic_cc.Copa.make;
     Test.make ~name:"drl/forward-pass"
-      (let ws = Rlcc.Ppo.workspace policy in
+      (let ws = Rlcc.Ppo.workspace policy ~rows:1 in
        Staged.stage (fun () -> ignore (Rlcc.Ppo.mean_action policy ws state)));
     Test.make ~name:"libra/utility-eval"
       (Staged.stage (fun () ->
@@ -503,8 +503,9 @@ let scaleout_arena () =
 (* The hot paths' allocation contract, asserted: with tracing off, the
    steady-state ACK path (Flow_table.deliver_ack), the link egress path
    (Link.drain_one) of a FIFO and of a CoDel link, admission into a busy
-   constant-rate FIFO link (Link.send), the NN kernel's
-   forward and backward on a policy-sized net, and a generator draw
+   constant-rate FIFO link (Link.send), the NN kernel's forward and
+   backward on a policy-sized net (one row, as an agent decides, and a
+   64-row block, as a PPO minibatch trains), and a generator draw
    allocate zero minor-heap words. Preloads inflight packets via
    bench_send, pre-reserves the event heap, warms every path, calibrates
    the cost of the probe itself with an empty loop, then fails the bench
@@ -541,10 +542,23 @@ let run_alloc_contract () =
     for s = from to from + n - 1 do Netsim.Flow_table.deliver_ack table h s done
   in
   let nn = Rlcc.Nn.create { Rlcc.Nn.input = 20; hidden = [ 32; 32 ]; output = 1 } in
-  let nn_ws = Rlcc.Nn.workspace nn in
-  let x = Array.make 20 0.3 and dout = [| 1.0 |] in
-  let forward n = for _ = 1 to n do ignore (Rlcc.Nn.forward nn nn_ws x) done in
-  let backward n = for _ = 1 to n do ignore (Rlcc.Nn.backward nn nn_ws ~dout) done in
+  let block = 64 in
+  let nn_ws = Rlcc.Nn.workspace nn ~rows:1 and block_ws = Rlcc.Nn.workspace nn ~rows:block in
+  let x = Array.make 20 0.3 and dout = Array.make block 1.0 in
+  for row = 0 to block - 1 do
+    Rlcc.Nn.set_input block_ws ~row x
+  done;
+  let forward ws ~rows n =
+    for _ = 1 to n do
+      ignore (Rlcc.Nn.forward nn ws ~rows)
+    done
+  in
+  let backward ws ~rows n =
+    for _ = 1 to n do
+      Rlcc.Nn.backward nn ws ~rows ~dout
+    done
+  in
+  let k_block = k / block in
   let rng = Netsim.Rng.create 7 in
   let acc = [| 0.0 |] in
   let draw n = for _ = 1 to n do acc.(0) <- acc.(0) +. Netsim.Rng.float rng done in
@@ -554,8 +568,11 @@ let run_alloc_contract () =
   (* Grows the queue's ring past the 3k packets it will hold. *)
   admit (2 * k);
   ack ~from:0 100;
-  forward 100;
-  backward 100;
+  Rlcc.Nn.set_input nn_ws ~row:0 x;
+  forward nn_ws ~rows:1 100;
+  backward nn_ws ~rows:1 100;
+  forward block_ws ~rows:block 10;
+  backward block_ws ~rows:block 10;
   draw 100;
   let minor_words f =
     let m0 = Gc.minor_words () in
@@ -577,29 +594,35 @@ let run_alloc_contract () =
         done)
   in
   let inlined = (canary -. baseline) /. float_of_int k < 0.5 in
-  let per v = (v -. baseline) /. float_of_int k in
+  (* (path, ops, minor words/op) *)
+  let path name ops run =
+    (name, ops, (minor_words (fun () -> run ops) -. baseline) /. float_of_int ops)
+  in
   let paths =
     [
-      ("link egress (drain_one)", per (minor_words (fun () -> drain link k)));
-      ( "link egress, CoDel (drain_one)",
-        per (minor_words (fun () -> drain codel_link k)) );
-      ("link admission (Link.send)", per (minor_words (fun () -> admit k)));
-      ("ACK (deliver_ack)", per (minor_words (fun () -> ack ~from:100 k)));
-      ("NN forward, 20-32-32-1 (Nn.forward)", per (minor_words (fun () -> forward k)));
-      ("NN backward, 20-32-32-1 (Nn.backward)", per (minor_words (fun () -> backward k)));
-      ("generator draw (Rng.float)", per (minor_words (fun () -> draw k)));
+      path "link egress (drain_one)" k (drain link);
+      path "link egress, CoDel (drain_one)" k (drain codel_link);
+      path "link admission (Link.send)" k admit;
+      path "ACK (deliver_ack)" k (ack ~from:100);
+      path "NN forward, 20-32-32-1 (Nn.forward)" k (forward nn_ws ~rows:1);
+      path "NN backward, 20-32-32-1 (Nn.backward)" k (backward nn_ws ~rows:1);
+      path "NN forward, 64 rows, 20-32-32-1" k_block (forward block_ws ~rows:block);
+      path "NN backward, 64 rows, 20-32-32-1" k_block (backward block_ws ~rows:block);
+      path "generator draw (Rng.float)" k draw;
     ]
   in
   Harness.Table.print
     ~header:[ "path"; "ops"; "minor words/op" ]
-    (List.map (fun (p, w) -> [ p; string_of_int k; Printf.sprintf "%.4f" w ]) paths);
+    (List.map
+       (fun (p, ops, w) -> [ p; string_of_int ops; Printf.sprintf "%.4f" w ])
+       paths);
   if not inlined then
     print_endline
       "\nalloc contract reported, not asserted: cross-module inlining is \
        inactive (dev/-opaque build); run with --profile release to assert"
   else begin
     List.iter
-      (fun (path, w) ->
+      (fun (path, _, w) ->
         if w > 1e-3 then
           failwith
             (Printf.sprintf "alloc contract violated: %s allocates %.4f minor words/op"

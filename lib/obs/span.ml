@@ -4,8 +4,9 @@
    (one node per distinct probe per call path) and an explicit open-span
    stack stored in growable parallel arrays, so entering and leaving a
    span allocates nothing once the node exists. Host measurements are
-   bechamel's monotonic clock (ns, noalloc) and [Gc.counters] word
-   counts; both are recorded as deltas on exit.
+   bechamel's monotonic clock (ns, noalloc) and GC word counts
+   ([Gc.minor_words] for the minor heap, [Gc.counters] for the major
+   one); both are recorded as deltas on exit.
 
    Determinism: which *host numbers* a span records depends on the
    machine and scheduling, so exports split in two — [structure]
@@ -119,10 +120,14 @@ let enter c p =
   in
   node.count <- node.count + 1;
   if c.depth = Array.length c.frames then grow_stack c;
-  (* [Gc.counters], not [Gc.quick_stat]: on OCaml 5 the latter only
-     reflects this domain's allocations after a GC slice, so deltas
-     over short spans would read zero. *)
-  let minor, _, major = Gc.counters () in
+  (* Not [Gc.quick_stat]: on OCaml 5 it only reflects this domain's
+     allocations after a GC slice, so deltas over short spans would
+     read zero. Minor words come from [Gc.minor_words]: OCaml 5.1's
+     [Gc.counters] counts the current minor cycle's words at an eighth.
+     Read last on entry and first on exit, so the [Gc.counters] tuple
+     stays outside the span. *)
+  let _, _, major = Gc.counters () in
+  let minor = Gc.minor_words () in
   c.frames.(c.depth) <- node;
   c.minor0.(c.depth) <- minor;
   c.major0.(c.depth) <- major;
@@ -133,7 +138,8 @@ let leave c =
   let dt = now_ns () in
   c.depth <- c.depth - 1;
   let node = c.frames.(c.depth) in
-  let minor, _, major = Gc.counters () in
+  let minor = Gc.minor_words () in
+  let _, _, major = Gc.counters () in
   node.total_ns <- node.total_ns + (dt - c.t0.(c.depth));
   node.minor_w <- node.minor_w +. (minor -. c.minor0.(c.depth));
   node.major_w <- node.major_w +. (major -. c.major0.(c.depth))

@@ -34,7 +34,7 @@ let create ~seed ~initial_rate (outcome : Train.outcome) =
   let cfg = outcome.Train.config in
   {
     policy = outcome.Train.policy;
-    ws = Ppo.workspace outcome.Train.policy;
+    ws = Ppo.workspace outcome.Train.policy ~rows:1;
     action = cfg.Train.action;
     history = Features.History.create ~set:cfg.Train.state_set ~h:Train.history;
     monitor = Netsim.Monitor.create ~now:0.0;
@@ -105,7 +105,7 @@ let decide t ~now =
   let state = Features.History.state t.history in
   let a =
     Obs.Span.timed span_forward (fun () ->
-        let action, _, _ = Ppo.sample t.policy t.ws t.rng state in
+        let action, _ = Ppo.sample t.policy t.ws t.rng state in
         action)
   in
   t.decisions <- t.decisions + 1;

@@ -11,8 +11,9 @@ type t
 
 (** [create ~seed ~initial_rate outcome] deploys [outcome]'s policy
     with the state set and action space it was trained with. [seed]
-    drives the agent's action sampling. The agent owns its own
-    {!Ppo.ws}, so agents sharing one policy may run on any domains. *)
+    drives the agent's action sampling. The agent owns its own one-row
+    {!Ppo.ws}, so agents sharing one policy may run on any domains.
+    A decision runs the actor only: one NN forward, no critic. *)
 val create : seed:int -> initial_rate:float -> Train.outcome -> t
 
 (** Current rate decision, bytes/s. *)

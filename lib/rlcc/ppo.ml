@@ -105,23 +105,40 @@ let log_prob (t : t) ~mean ~action =
   (-0.5 *. z *. z) -. t.log_std.(0) -. (0.5 *. log_2pi)
 
 (* Actor and critic have the same shape, so one Nn workspace serves
-   both: each forward's one output is read before the next forward. *)
-type ws = Nn.ws
+   both: each forward's outputs are read before the next forward.
+   [dout] holds the upstream gradient rows of a minibatch's backward
+   passes. *)
+type ws = { nn : Nn.ws; dout : float array }
 
-let workspace (t : t) = Nn.workspace t.actor
+let workspace (t : t) ~rows = { nn = Nn.workspace t.actor ~rows; dout = Array.make rows 0.0 }
 
 (* Mean action: deterministic evaluation-time behaviour. *)
-let mean_action (t : t) ws state = (Nn.forward t.actor ws state).(0)
+let mean_action (t : t) ws state =
+  Nn.set_input ws.nn ~row:0 state;
+  (Nn.forward t.actor ws.nn ~rows:1).(0)
 
-let value (t : t) ws state = (Nn.forward t.critic ws state).(0)
-
-(* Sample an action plus the bookkeeping PPO needs. *)
+(* Sample an action and its log-probability; the critic does not run. *)
 let sample (t : t) ws rng state =
   let mean = mean_action t ws state in
   let sigma = exp t.log_std.(0) in
   let action = mean +. (sigma *. Netsim.Rng.normal rng) in
-  let logp = log_prob t ~mean ~action in
-  (action, logp, value t ws state)
+  (action, log_prob t ~mean ~action)
+
+(* The critic over [states], a block of the workspace's rows per
+   forward. A row's value does not depend on its block. *)
+let values (t : t) ws states =
+  let n = Array.length states in
+  let out = Array.make n 0.0 in
+  let pos = ref 0 in
+  while !pos < n do
+    let rows = min (Nn.capacity ws.nn) (n - !pos) in
+    for s = 0 to rows - 1 do
+      Nn.set_input ws.nn ~row:s states.(!pos + s)
+    done;
+    Array.blit (Nn.forward t.critic ws.nn ~rows) 0 out !pos rows;
+    pos := !pos + rows
+  done;
+  out
 
 type transition = {
   state : float array;
@@ -158,13 +175,20 @@ let normalise a =
     Array.map (fun v -> (v -. mean) /. sd) a
   end
 
-(* One PPO update over a batch of transitions. *)
+(* One PPO update over a batch of transitions. Each minibatch is one
+   block of rows: one actor forward, the surrogate terms per transition
+   in minibatch order, one actor backward, then the same for the critic.
+   Parameters change only at the Adam steps, so this is the arithmetic
+   of one forward/backward pair per transition. *)
 let update (t : t) ws rng ~transitions ~last_value =
   let n = Array.length transitions in
+  if Nn.capacity ws.nn < minibatch then
+    invalid_arg "Ppo.update: the workspace holds fewer rows than a minibatch";
   if n > 0 then begin
     let adv_raw, ret = advantages ~transitions ~last_value in
     let adv = normalise adv_raw in
     let idx = Array.init n (fun i -> i) in
+    let dout = ws.dout in
     for _ = 1 to epochs do
       (* Fisher-Yates shuffle. *)
       for i = n - 1 downto 1 do
@@ -180,11 +204,14 @@ let update (t : t) ws rng ~transitions ~last_value =
         Nn.zero_grads t.critic;
         t.log_std_grad.(0) <- 0.0;
         let scale = 1.0 /. float_of_int batch in
-        for k = !pos to !pos + batch - 1 do
-          let tr = transitions.(idx.(k)) in
-          let a = adv.(idx.(k)) and r = ret.(idx.(k)) in
-          (* Actor. *)
-          let mean = (Nn.forward t.actor ws tr.state).(0) in
+        for s = 0 to batch - 1 do
+          Nn.set_input ws.nn ~row:s transitions.(idx.(!pos + s)).state
+        done;
+        (* Actor. *)
+        let means = Nn.forward t.actor ws.nn ~rows:batch in
+        for s = 0 to batch - 1 do
+          let k = idx.(!pos + s) in
+          let tr = transitions.(k) and a = adv.(k) and mean = means.(s) in
           let logp = log_prob t ~mean ~action:tr.action in
           let ratio = exp (logp -. tr.logp) in
           let active =
@@ -195,14 +222,18 @@ let update (t : t) ws rng ~transitions ~last_value =
           let z = (tr.action -. mean) /. sigma in
           (* dlogp/dmean = z / sigma; dlogp/dlog_std = z^2 - 1. *)
           let dmean = dlogp *. z /. sigma in
-          ignore (Nn.backward t.actor ws ~dout:[| dmean *. scale |]);
+          dout.(s) <- dmean *. scale;
           t.log_std_grad.(0) <-
             t.log_std_grad.(0)
-            +. (scale *. ((dlogp *. ((z *. z) -. 1.0)) -. entropy_coef));
-          (* Critic: 0.5 (V - R)^2. *)
-          let dv = (Nn.forward t.critic ws tr.state).(0) -. r in
-          ignore (Nn.backward t.critic ws ~dout:[| dv *. scale |])
+            +. (scale *. ((dlogp *. ((z *. z) -. 1.0)) -. entropy_coef))
         done;
+        Nn.backward t.actor ws.nn ~rows:batch ~dout;
+        (* Critic: 0.5 (V - R)^2. *)
+        let v = Nn.forward t.critic ws.nn ~rows:batch in
+        for s = 0 to batch - 1 do
+          dout.(s) <- (v.(s) -. ret.(idx.(!pos + s))) *. scale
+        done;
+        Nn.backward t.critic ws.nn ~rows:batch ~dout;
         Adam.step t.actor_opt ~params:t.actor.Nn.params ~grads:t.actor.Nn.grads;
         Adam.step t.critic_opt ~params:t.critic.Nn.params ~grads:t.critic.Nn.grads;
         Adam.step t.log_std_opt ~params:t.log_std ~grads:t.log_std_grad;

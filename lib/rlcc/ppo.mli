@@ -51,23 +51,35 @@ val all_finite : t -> bool
 val log_prob : t -> mean:float -> action:float -> float
 
 (** Scratch for the actor's and the critic's forward and backward
-    passes ({!Nn.ws}). A [t] is read-only to {!mean_action}, {!value}
-    and {!sample}, so a trained policy is shared by every agent on
-    every domain; each caller owns its workspace, and a workspace is
-    never stored in a [t]. *)
+    passes: an {!Nn.ws} of some number of rows and as many upstream
+    gradient rows. A [t] is read-only to {!mean_action}, {!sample} and
+    {!values}, so a trained policy is shared by every agent on every
+    domain; each caller owns its workspace, and a workspace is never
+    stored in a [t]. Agents and evaluation episodes keep one-row
+    workspaces; the trainer owns one of {!minibatch} rows for its
+    rollouts, value estimates and updates. *)
 type ws
 
-(** A fresh workspace shaped for [t]'s nets. *)
-val workspace : t -> ws
+(** Transitions per PPO minibatch (64): the rows an {!update}
+    workspace needs. *)
+val minibatch : int
 
-(** Deterministic action: the Gaussian's mean (greedy evaluation). *)
+(** [workspace t ~rows] is a fresh workspace of [rows] rows shaped for
+    [t]'s nets. *)
+val workspace : t -> rows:int -> ws
+
+(** Deterministic action: the Gaussian's mean (greedy evaluation). One
+    actor forward. *)
 val mean_action : t -> ws -> float array -> float
 
-(** Critic's value estimate. *)
-val value : t -> ws -> float array -> float
+(** Sample (action, log-prob): one actor forward and one normal draw;
+    the critic does not run. *)
+val sample : t -> ws -> Netsim.Rng.t -> float array -> float * float
 
-(** Sample (action, log-prob, value). *)
-val sample : t -> ws -> Netsim.Rng.t -> float array -> float * float * float
+(** [values t ws states] is the critic's value estimate of each state,
+    run a block of the workspace's rows per forward. Each value has the
+    bits of a one-row forward of its state. *)
+val values : t -> ws -> float array array -> float array
 
 type transition = {
   state : float array;
@@ -82,6 +94,10 @@ type transition = {
 val advantages :
   transitions:transition array -> last_value:float -> float array * float array
 
-(** One PPO update (epochs x shuffled minibatches) over a batch. *)
+(** One PPO update (epochs x shuffled minibatches) over a batch. Each
+    minibatch runs as one block of rows through each net, with the
+    arithmetic, and so the bits, of one forward/backward pair per
+    transition. Raises [Invalid_argument] if [ws] has fewer than
+    {!minibatch} rows. *)
 val update :
   t -> ws -> Netsim.Rng.t -> transitions:transition array -> last_value:float -> unit

@@ -92,7 +92,9 @@ type snapshot = {
 let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
   let state_dim = Features.set_width cfg.state_set * history in
   let policy = Ppo.create { Ppo.state_dim; lr; seed = cfg.seed } in
-  let ws = Ppo.workspace policy in
+  (* The run's one workspace: one-row actor forwards in the rollout,
+     blocks of rows for the value estimates and the updates. *)
+  let ws = Ppo.workspace policy ~rows:Ppo.minibatch in
   let rng = Netsim.Rng.create (cfg.seed * 31 + 7) in
   let env_rng = Netsim.Rng.create (cfg.seed * 131 + 11) in
   let env = Env.create ~seed:(cfg.seed + 1) Env.default_cfg in
@@ -160,14 +162,14 @@ let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
     let obs0 = Env.step env ~rate:!rate in
     Features.History.push history obs0;
     ignore (Reward.signal tracker obs0);
-    let transitions = ref [] in
+    let steps = ref [] in
     let total = ref 0.0 in
     for step = 1 to cfg.steps_per_episode do
       (* One training step = one unit of deterministic deadline budget
          (the analogue of the sim loop's per-event tick). *)
       Netsim.Budget.tick ();
       let state = Features.History.state history in
-      let action, logp, val_est = Ppo.sample policy ws rng state in
+      let action, logp = Ppo.sample policy ws rng state in
       let action = Actions.clamp cfg.action action in
       rate :=
         Actions.apply cfg.action ~rate:!rate ~min_rtt:env_cfg.Env.min_rtt
@@ -184,7 +186,7 @@ let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
          training signal telescopes to ~0 per episode and hides
          progress). *)
       total := !total +. Reward.value cfg.reward obs;
-      transitions := { Ppo.state; action; logp; val_est; reward } :: !transitions;
+      steps := (state, action, logp, reward) :: !steps;
       if ep >= tail_from then begin
         tail_thr := !tail_thr +. obs.Features.throughput;
         tail_rtt := !tail_rtt +. obs.Features.avg_rtt;
@@ -192,9 +194,21 @@ let run ?after_update ?(snapshot_every = 0) ?on_snapshot ?resume_from cfg =
         incr tail_n
       end
     done;
-    let transitions = Array.of_list (List.rev !transitions) in
-    let last_value = Ppo.value policy ws (Features.History.state history) in
-    Ppo.update policy ws rng ~transitions ~last_value;
+    (* The critic does not change during the rollout, so its value
+       estimates run after it, in blocks of rows, with the bits they
+       would have had at each step. *)
+    let steps = Array.of_list (List.rev !steps) in
+    let states = Array.map (fun (state, _, _, _) -> state) steps in
+    let values =
+      Ppo.values policy ws (Array.append states [| Features.History.state history |])
+    in
+    let transitions =
+      Array.mapi
+        (fun i (state, action, logp, reward) ->
+          { Ppo.state; action; logp; val_est = values.(i); reward })
+        steps
+    in
+    Ppo.update policy ws rng ~transitions ~last_value:values.(Array.length steps);
     (match after_update with Some h -> h ~ep policy | None -> ());
     (* Divergence guard: a NaN/Inf parameter after the update would
        poison every later forward pass, so roll the policy (and its
@@ -258,7 +272,7 @@ let eval_episode (outcome : outcome) ~seed =
   let env = Env.create ~seed:(seed + 1) env_cfg in
   Env.reset env env_cfg;
   let history = Features.History.create ~set:cfg.state_set ~h:history in
-  let ws = Ppo.workspace outcome.policy in
+  let ws = Ppo.workspace outcome.policy ~rows:1 in
   let rate = ref (Env.capacity env /. 8.0) in
   let obs0 = Env.step env ~rate:!rate in
   Features.History.push history obs0;

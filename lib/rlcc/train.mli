@@ -55,7 +55,14 @@ val snapshot_of_json : Obs.Json.t -> snapshot option
     [resume_from] continues from a snapshot (raising [Invalid_argument]
     if its {!config_key} disagrees with [cfg]). Each training step
     charges one [Netsim.Budget] tick, so supervised runs can impose
-    deterministic deadlines. *)
+    deterministic deadlines.
+
+    The run owns one {!Ppo.ws} of {!Ppo.minibatch} rows, allocated once:
+    the rollout samples the actor one row at a time, the critic's value
+    estimates (each step's and the bootstrap [last_value]) run after the
+    rollout in blocks of rows, and each update runs its minibatches as
+    row blocks. The critic does not change during a rollout, so each
+    estimate has the bits it would have had at its step. *)
 val run :
   ?after_update:(ep:int -> Ppo.t -> unit) ->
   ?snapshot_every:int ->
@@ -74,7 +81,7 @@ type eval = {
 
 (** Greedy (mean-action) rollouts of a trained policy over independent,
     per-episode-seeded environments, fanned out across [pool] (default:
-    the shared pool). Episode results reduce in episode order, so the
+    the shared pool); each episode owns a one-row workspace. Episode results reduce in episode order, so the
     outcome is identical at any pool size. *)
 val evaluate : ?pool:Exec.Pool.t -> ?episodes:int -> ?base_seed:int -> outcome -> eval
 

@@ -484,6 +484,29 @@ let test_span_json_sanity () =
     | _ -> Alcotest.fail "expected exactly one child")
   | _ -> Alcotest.fail "expected a single lane with a single root"
 
+(* A span counts every minor word allocated inside it, also when no
+   minor collection runs before it closes: after [Gc.minor], a 1000-cell
+   list (3 words a cell, far below one minor heap) must read at least
+   3000 words. *)
+let test_span_counts_minor_words () =
+  let a = Obs.Span.probe "t.span.words" in
+  let t = Obs.Span.create () in
+  let cells = 1000 in
+  Gc.minor ();
+  Obs.Span.run t ~lane:0 (fun () ->
+      Obs.Span.timed a (fun () -> ignore (Sys.opaque_identity (List.init cells Fun.id))));
+  match Obs.Span.lanes_json t with
+  | [ (0, Obs.Json.List [ root ]) ] ->
+    let words =
+      Option.value ~default:nan
+        (Option.bind (Obs.Json.member "minor_words" root) Obs.Json.num)
+    in
+    check_bool
+      (Printf.sprintf "span minor words %.0f >= %d" words (3 * cells))
+      true
+      (words >= float_of_int (3 * cells))
+  | _ -> Alcotest.fail "expected a single lane with a single root"
+
 (* End-to-end attribution: running a real scenario under a recorder,
    the named top-level spans must cover nearly all of the measured wall
    time (the >= 90% acceptance threshold, with margin for test noise). *)
@@ -1093,6 +1116,7 @@ let () =
           Alcotest.test_case "unobserved" `Quick test_span_unobserved_masks;
           Alcotest.test_case "lane merge + sort" `Quick test_span_lane_merge_and_sort;
           Alcotest.test_case "json sanity" `Quick test_span_json_sanity;
+          Alcotest.test_case "minor words" `Quick test_span_counts_minor_words;
           Alcotest.test_case "attribution >= 90%" `Quick test_span_attribution;
         ] );
       ( "manifest",

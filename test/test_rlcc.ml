@@ -9,30 +9,37 @@ let check_int = Alcotest.(check int)
 
 let spec = { Rlcc.Nn.input = 3; hidden = [ 8; 8 ]; output = 2 }
 
+(* One row through the kernel. *)
+let fwd nn ws x =
+  Rlcc.Nn.set_input ws ~row:0 x;
+  Rlcc.Nn.forward nn ws ~rows:1
+
 let test_nn_forward_deterministic () =
   let nn = Rlcc.Nn.create spec in
-  let ws = Rlcc.Nn.workspace nn in
+  let ws = Rlcc.Nn.workspace nn ~rows:1 in
   let x = [| 0.3; -0.7; 1.2 |] in
-  let a = Array.copy (Rlcc.Nn.forward nn ws x) in
-  let b = Rlcc.Nn.forward nn ws x in
+  let a = Array.copy (fwd nn ws x) in
+  let b = fwd nn ws x in
   Alcotest.(check (array (float 0.0))) "same output" a b
 
 let test_nn_output_dims () =
   let nn = Rlcc.Nn.create spec in
   check_int "output size" 2
-    (Array.length (Rlcc.Nn.forward nn (Rlcc.Nn.workspace nn) [| 0.1; 0.2; 0.3 |]))
+    (Array.length (fwd nn (Rlcc.Nn.workspace nn ~rows:1) [| 0.1; 0.2; 0.3 |]))
 
-(* Central-difference gradient check on a scalar loss L = sum(out). *)
+(* Central-difference gradient check on a scalar loss L = sum(out).
+   Indices 0, 7 and 23 are layer-0 weights, so the check runs through
+   every hidden layer's delta. *)
 let test_nn_gradients_match_finite_differences () =
   let nn = Rlcc.Nn.create ~rng:(Netsim.Rng.create 3) spec in
-  let ws = Rlcc.Nn.workspace nn in
+  let ws = Rlcc.Nn.workspace nn ~rows:1 in
   let x = [| 0.5; -0.25; 0.8 |] in
   Rlcc.Nn.zero_grads nn;
-  ignore (Rlcc.Nn.forward nn ws x);
-  ignore (Rlcc.Nn.backward nn ws ~dout:[| 1.0; 1.0 |]);
+  ignore (fwd nn ws x);
+  Rlcc.Nn.backward nn ws ~rows:1 ~dout:[| 1.0; 1.0 |];
   let eps = 1e-5 in
   let loss () =
-    let out = Rlcc.Nn.forward nn ws x in
+    let out = fwd nn ws x in
     out.(0) +. out.(1)
   in
   (* Spot-check a spread of parameters. *)
@@ -54,38 +61,25 @@ let test_nn_gradients_match_finite_differences () =
         (Float.abs (analytic -. numeric) < 1e-4 *. Float.max 1.0 (Float.abs numeric)))
     [ 0; 7; 23; 55; 91; n - 1 ]
 
-let test_nn_input_gradient () =
-  let nn = Rlcc.Nn.create ~rng:(Netsim.Rng.create 5) spec in
-  let ws = Rlcc.Nn.workspace nn in
-  let x = [| 0.1; 0.2; -0.4 |] in
-  Rlcc.Nn.zero_grads nn;
-  ignore (Rlcc.Nn.forward nn ws x);
-  let dx = Array.copy (Rlcc.Nn.backward nn ws ~dout:[| 1.0; 0.0 |]) in
-  let eps = 1e-5 in
-  let loss v =
-    let x' = Array.copy x in
-    x'.(1) <- v;
-    (Rlcc.Nn.forward nn ws x').(0)
-  in
-  let numeric = (loss (x.(1) +. eps) -. loss (x.(1) -. eps)) /. (2.0 *. eps) in
-  check_bool "input grad matches" true (Float.abs (dx.(1) -. numeric) < 1e-4)
-
+(* One-row forwards add one each, a k-row forward adds k. *)
 let prop_forward_count_increments =
   QCheck.Test.make ~name:"forward counter counts" ~count:20 QCheck.small_int
     (fun n ->
       let n = (n mod 10) + 1 in
       let nn = Rlcc.Nn.create spec in
-      let ws = Rlcc.Nn.workspace nn in
+      let ws = Rlcc.Nn.workspace nn ~rows:n in
       let before = Rlcc.Nn.forward_count () in
       for _ = 1 to n do
-        ignore (Rlcc.Nn.forward nn ws [| 0.0; 0.0; 0.0 |])
+        ignore (fwd nn ws [| 0.0; 0.0; 0.0 |])
       done;
-      Rlcc.Nn.forward_count () = before + n)
+      let one_row = Rlcc.Nn.forward_count () = before + n in
+      ignore (Rlcc.Nn.forward nn ws ~rows:n);
+      one_row && Rlcc.Nn.forward_count () = before + (2 * n))
 
 (* The plain one-neuron-at-a-time loops the kernel must match bit for
-   bit: forward keeps each layer's input and pre-activation, backward
-   recomputes tanh' from the pre-activation and accumulates into
-   [grads]. *)
+   bit, one row at a time: forward keeps each layer's input and
+   pre-activation, backward recomputes tanh' from the pre-activation
+   and accumulates into [grads]. *)
 let ref_forward (nn : Rlcc.Nn.t) x =
   let n = Array.length nn.Rlcc.Nn.layers in
   let inputs = Array.make n [||] and preacts = Array.make n [||] in
@@ -130,8 +124,7 @@ let ref_backward (nn : Rlcc.Nn.t) ~grads (inputs, preacts, _) ~dout =
       done
     done;
     dcur := dx
-  done;
-  !dcur
+  done
 
 let same_bits a b =
   Array.length a = Array.length b
@@ -139,35 +132,48 @@ let same_bits a b =
        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
        a b
 
-(* Random shapes hit every remainder of the forward's four-neuron
-   blocking; every parameter (biases too) is random. Two forward/
-   backward pairs on one workspace check reuse and accumulation. *)
+(* Random shapes hit every remainder of the forward's four-neuron and
+   two-row blocking and of the backward's eight-entry blocking; every
+   parameter (biases too) is random. Row counts run from 1 past one
+   64-row block, odd ones included. Two forward/backward passes on one
+   workspace, the second over fewer rows, check reuse and accumulation
+   against the reference loops run row after row. *)
 let prop_kernel_matches_reference =
   QCheck.Test.make ~name:"kernel bit-equals the reference loops" ~count:200
     QCheck.(
       quad (int_range 1 37)
         (list_of_size (Gen.int_range 1 3) (int_range 1 37))
-        (int_range 1 3) small_nat)
-    (fun (input, hidden, output, seed) ->
+        (int_range 1 3)
+        (pair small_nat (oneof [ int_range 1 4; int_range 1 150 ])))
+    (fun (input, hidden, output, (seed, capacity)) ->
       let rng = Netsim.Rng.create seed in
       let nn = Rlcc.Nn.create { Rlcc.Nn.input; hidden; output } in
       Array.iteri
         (fun k _ -> nn.Rlcc.Nn.params.(k) <- Netsim.Rng.uniform rng ~lo:(-1.5) ~hi:1.5)
         nn.Rlcc.Nn.params;
       let draw n = Array.init n (fun _ -> Netsim.Rng.uniform rng ~lo:(-2.0) ~hi:2.0) in
-      let ws = Rlcc.Nn.workspace nn in
+      let ws = Rlcc.Nn.workspace nn ~rows:capacity in
       let grads = Array.make (Rlcc.Nn.n_params nn) 0.0 in
       Rlcc.Nn.zero_grads nn;
-      let pass () =
-        let x = draw input and dout = draw output in
-        let y = Array.copy (Rlcc.Nn.forward nn ws x) in
-        let dx = Rlcc.Nn.backward nn ws ~dout in
-        let cache = ref_forward nn x in
-        let _, _, y_ref = cache in
-        let dx_ref = ref_backward nn ~grads cache ~dout in
-        same_bits y y_ref && same_bits dx dx_ref && same_bits nn.Rlcc.Nn.grads grads
+      let pass rows =
+        let xs = Array.init rows (fun _ -> draw input) in
+        let dout = draw (rows * output) in
+        Array.iteri (fun row x -> Rlcc.Nn.set_input ws ~row x) xs;
+        let y = Array.sub (Rlcc.Nn.forward nn ws ~rows) 0 (rows * output) in
+        Rlcc.Nn.backward nn ws ~rows ~dout;
+        let y_ref =
+          Array.concat
+            (List.mapi
+               (fun s x ->
+                 let cache = ref_forward nn x in
+                 ref_backward nn ~grads cache ~dout:(Array.sub dout (s * output) output);
+                 let _, _, y = cache in
+                 y)
+               (Array.to_list xs))
+        in
+        same_bits y y_ref && same_bits nn.Rlcc.Nn.grads grads
       in
-      pass () && pass ())
+      pass capacity && pass (1 + Netsim.Rng.int rng capacity))
 
 (* One net read by two domains at once, each through its own
    workspace, gives what one domain gives running both input streams
@@ -183,12 +189,12 @@ let test_nn_shared_across_domains () =
         Array.init 20 (fun _ -> Netsim.Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
   in
   let a = stream 1 and b = stream 2 in
-  let run ws xs = Array.map (fun x -> Array.copy (Rlcc.Nn.forward nn ws x)) xs in
-  let seq_ws = Rlcc.Nn.workspace nn in
+  let run ws xs = Array.map (fun x -> Array.copy (fwd nn ws x)) xs in
+  let seq_ws = Rlcc.Nn.workspace nn ~rows:1 in
   let seq_a = run seq_ws a in
   let seq_b = run seq_ws b in
-  let other = Domain.spawn (fun () -> run (Rlcc.Nn.workspace nn) b) in
-  let par_a = run (Rlcc.Nn.workspace nn) a in
+  let other = Domain.spawn (fun () -> run (Rlcc.Nn.workspace nn ~rows:1) b) in
+  let par_a = run (Rlcc.Nn.workspace nn ~rows:1) a in
   let par_b = Domain.join other in
   check_bool "domain A equals sequential" true (Array.for_all2 same_bits par_a seq_a);
   check_bool "domain B equals sequential" true (Array.for_all2 same_bits par_b seq_b)
@@ -196,15 +202,20 @@ let test_nn_shared_across_domains () =
 let test_nn_backward_checks_last_forward () =
   let a = Rlcc.Nn.create ~rng:(Netsim.Rng.create 1) spec in
   let b = Rlcc.Nn.create ~rng:(Netsim.Rng.create 2) spec in
-  let ws = Rlcc.Nn.workspace a in
+  let ws = Rlcc.Nn.workspace a ~rows:2 in
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  let dout = [| 1.0; 1.0; 1.0; 1.0 |] in
   check_bool "backward before any forward" true
-    (raises (fun () -> Rlcc.Nn.backward a ws ~dout:[| 1.0; 1.0 |]));
-  ignore (Rlcc.Nn.forward a ws [| 0.1; 0.2; 0.3 |]);
+    (raises (fun () -> Rlcc.Nn.backward a ws ~rows:1 ~dout));
+  ignore (fwd a ws [| 0.1; 0.2; 0.3 |]);
   check_bool "backward after another net's forward" true
-    (raises (fun () -> Rlcc.Nn.backward b ws ~dout:[| 1.0; 1.0 |]));
+    (raises (fun () -> Rlcc.Nn.backward b ws ~rows:1 ~dout));
+  check_bool "backward over rows the forward did not run" true
+    (raises (fun () -> Rlcc.Nn.backward a ws ~rows:2 ~dout));
+  check_bool "forward over more rows than the workspace holds" true
+    (raises (fun () -> Rlcc.Nn.forward a ws ~rows:3));
   check_bool "backward after its own forward" false
-    (raises (fun () -> Rlcc.Nn.backward a ws ~dout:[| 1.0; 1.0 |]))
+    (raises (fun () -> Rlcc.Nn.backward a ws ~rows:1 ~dout))
 
 (* ------------------------------------------------------------------ *)
 (* Adam *)
@@ -229,7 +240,7 @@ let mk_ppo ?(state_dim = 4) () =
 let test_ppo_logprob_peak_at_mean () =
   let ppo = mk_ppo () in
   let state = [| 0.1; 0.2; 0.3; 0.4 |] in
-  let mean = Rlcc.Ppo.mean_action ppo (Rlcc.Ppo.workspace ppo) state in
+  let mean = Rlcc.Ppo.mean_action ppo (Rlcc.Ppo.workspace ppo ~rows:1) state in
   let at_mean = Rlcc.Ppo.log_prob ppo ~mean ~action:mean in
   let off = Rlcc.Ppo.log_prob ppo ~mean ~action:(mean +. 1.0) in
   check_bool "density peaks at the mean" true (at_mean > off)
@@ -247,14 +258,15 @@ let test_ppo_learns_a_bandit () =
   (* One state, reward = -(a - 1.5)^2: the mean action must move
      towards 1.5. *)
   let ppo = mk_ppo ~state_dim:1 () in
-  let ws = Rlcc.Ppo.workspace ppo in
+  let ws = Rlcc.Ppo.workspace ppo ~rows:Rlcc.Ppo.minibatch in
   let rng = Netsim.Rng.create 7 in
   let state = [| 1.0 |] in
   let before = Rlcc.Ppo.mean_action ppo ws state in
   for _ = 1 to 60 do
+    let val_est = (Rlcc.Ppo.values ppo ws [| state |]).(0) in
     let transitions =
       Array.init 64 (fun _ ->
-          let action, logp, val_est = Rlcc.Ppo.sample ppo ws rng state in
+          let action, logp = Rlcc.Ppo.sample ppo ws rng state in
           let reward = -.((action -. 1.5) ** 2.0) in
           { Rlcc.Ppo.state; action; logp; val_est; reward })
     in
@@ -266,6 +278,141 @@ let test_ppo_learns_a_bandit () =
     true
     (Float.abs (after -. 1.5) < Float.abs (before -. 1.5)
     && Float.abs (after -. 1.5) < 0.5)
+
+(* The reference update: one one-row forward/backward pair per net and
+   transition, with clip 0.2, entropy bonus 0.003, 4 epochs and
+   64-transition minibatches. *)
+let ref_normalise a =
+  let n = float_of_int (Array.length a) in
+  if n < 2.0 then a
+  else begin
+    let mean = Array.fold_left ( +. ) 0.0 a /. n in
+    let var = Array.fold_left (fun acc v -> acc +. ((v -. mean) ** 2.0)) 0.0 a /. n in
+    let sd = Float.max 1e-6 (sqrt var) in
+    Array.map (fun v -> (v -. mean) /. sd) a
+  end
+
+let ref_update (t : Rlcc.Ppo.t) rng ~transitions ~last_value =
+  let clip = 0.2 and entropy_coef = 0.003 and epochs = 4 and minibatch = 64 in
+  let ws = Rlcc.Nn.workspace t.Rlcc.Ppo.actor ~rows:1 in
+  let n = Array.length transitions in
+  if n > 0 then begin
+    let adv_raw, ret = Rlcc.Ppo.advantages ~transitions ~last_value in
+    let adv = ref_normalise adv_raw in
+    let idx = Array.init n (fun i -> i) in
+    for _ = 1 to epochs do
+      for i = n - 1 downto 1 do
+        let j = Netsim.Rng.int rng (i + 1) in
+        let tmp = idx.(i) in
+        idx.(i) <- idx.(j);
+        idx.(j) <- tmp
+      done;
+      let pos = ref 0 in
+      while !pos < n do
+        let batch = min minibatch (n - !pos) in
+        Rlcc.Nn.zero_grads t.Rlcc.Ppo.actor;
+        Rlcc.Nn.zero_grads t.Rlcc.Ppo.critic;
+        t.Rlcc.Ppo.log_std_grad.(0) <- 0.0;
+        let scale = 1.0 /. float_of_int batch in
+        for k = !pos to !pos + batch - 1 do
+          let tr = transitions.(idx.(k)) in
+          let a = adv.(idx.(k)) and r = ret.(idx.(k)) in
+          let mean = (fwd t.Rlcc.Ppo.actor ws tr.Rlcc.Ppo.state).(0) in
+          let logp = Rlcc.Ppo.log_prob t ~mean ~action:tr.Rlcc.Ppo.action in
+          let ratio = exp (logp -. tr.Rlcc.Ppo.logp) in
+          let active = if a >= 0.0 then ratio <= 1.0 +. clip else ratio >= 1.0 -. clip in
+          let dlogp = if active then -.a *. ratio else 0.0 in
+          let sigma = exp t.Rlcc.Ppo.log_std.(0) in
+          let z = (tr.Rlcc.Ppo.action -. mean) /. sigma in
+          let dmean = dlogp *. z /. sigma in
+          Rlcc.Nn.backward t.Rlcc.Ppo.actor ws ~rows:1 ~dout:[| dmean *. scale |];
+          t.Rlcc.Ppo.log_std_grad.(0) <-
+            t.Rlcc.Ppo.log_std_grad.(0)
+            +. (scale *. ((dlogp *. ((z *. z) -. 1.0)) -. entropy_coef));
+          let dv = (fwd t.Rlcc.Ppo.critic ws tr.Rlcc.Ppo.state).(0) -. r in
+          Rlcc.Nn.backward t.Rlcc.Ppo.critic ws ~rows:1 ~dout:[| dv *. scale |]
+        done;
+        Rlcc.Adam.step t.Rlcc.Ppo.actor_opt ~params:t.Rlcc.Ppo.actor.Rlcc.Nn.params
+          ~grads:t.Rlcc.Ppo.actor.Rlcc.Nn.grads;
+        Rlcc.Adam.step t.Rlcc.Ppo.critic_opt ~params:t.Rlcc.Ppo.critic.Rlcc.Nn.params
+          ~grads:t.Rlcc.Ppo.critic.Rlcc.Nn.grads;
+        Rlcc.Adam.step t.Rlcc.Ppo.log_std_opt ~params:t.Rlcc.Ppo.log_std
+          ~grads:t.Rlcc.Ppo.log_std_grad;
+        t.Rlcc.Ppo.log_std.(0) <- Float.min 0.5 (Float.max (-3.0) t.Rlcc.Ppo.log_std.(0));
+        pos := !pos + batch
+      done
+    done
+  end
+
+(* Every learnable float of a policy and its optimisers, and the Adam
+   step counts. *)
+let learnable (t : Rlcc.Ppo.t) =
+  let s = Rlcc.Ppo.snapshot t in
+  let adam (a : Rlcc.Adam.state) = [ a.Rlcc.Adam.s_m; a.Rlcc.Adam.s_v ] in
+  ( Array.concat
+      ([ s.Rlcc.Ppo.s_actor; s.Rlcc.Ppo.s_critic; [| s.Rlcc.Ppo.s_log_std |] ]
+      @ adam s.Rlcc.Ppo.s_actor_opt @ adam s.Rlcc.Ppo.s_critic_opt
+      @ adam s.Rlcc.Ppo.s_log_std_opt),
+    List.map
+      (fun (a : Rlcc.Adam.state) -> a.Rlcc.Adam.s_steps)
+      [ s.Rlcc.Ppo.s_actor_opt; s.Rlcc.Ppo.s_critic_opt; s.Rlcc.Ppo.s_log_std_opt ] )
+
+let random_states rng ~n ~dim =
+  Array.init n (fun _ -> Array.init dim (fun _ -> Netsim.Rng.uniform rng ~lo:(-1.0) ~hi:1.0))
+
+(* Episode lengths from 1 to 200 leave 1-64 rows in the last minibatch.
+   Two updates in a row, so the second starts from moved parameters and
+   Adam moments. *)
+let prop_minibatch_update_matches_reference =
+  QCheck.Test.make ~name:"minibatch update bit-equals the per-transition update" ~count:40
+    QCheck.(pair (int_range 1 200) small_nat)
+    (fun (n, seed) ->
+      let rng = Netsim.Rng.create seed in
+      let u lo hi = Netsim.Rng.uniform rng ~lo ~hi in
+      let state_dim = 1 + Netsim.Rng.int rng 24 in
+      let cfg = { Rlcc.Ppo.state_dim; lr = 1e-3; seed = seed + 5 } in
+      let batched = Rlcc.Ppo.create cfg and reference = Rlcc.Ppo.create cfg in
+      let ws = Rlcc.Ppo.workspace batched ~rows:Rlcc.Ppo.minibatch in
+      let batch_rng = Netsim.Rng.create (seed + 9) and ref_rng = Netsim.Rng.create (seed + 9) in
+      let episode () =
+        let states = random_states rng ~n ~dim:state_dim in
+        let transitions =
+          Array.map
+            (fun state ->
+              {
+                Rlcc.Ppo.state;
+                action = u (-1.5) 1.5;
+                logp = u (-2.0) 0.5;
+                val_est = u (-1.0) 1.0;
+                reward = u (-1.0) 1.0;
+              })
+            states
+        in
+        let last_value = u (-1.0) 1.0 in
+        Rlcc.Ppo.update batched ws batch_rng ~transitions ~last_value;
+        ref_update reference ref_rng ~transitions ~last_value
+      in
+      episode ();
+      episode ();
+      let floats, steps = learnable batched and ref_floats, ref_steps = learnable reference in
+      same_bits floats ref_floats && steps = ref_steps)
+
+(* The trainer's episode-end value pass runs the critic in blocks of
+   rows; each value has the bits of a one-row critic forward. *)
+let prop_values_match_one_row =
+  QCheck.Test.make ~name:"value pass bit-equals one-row critic forwards" ~count:40
+    QCheck.(pair (int_range 1 200) small_nat)
+    (fun (n, seed) ->
+      let rng = Netsim.Rng.create seed in
+      let state_dim = 1 + Netsim.Rng.int rng 24 in
+      let ppo = Rlcc.Ppo.create { Rlcc.Ppo.state_dim; lr = 1e-3; seed } in
+      let states = random_states rng ~n ~dim:state_dim in
+      let values =
+        Rlcc.Ppo.values ppo (Rlcc.Ppo.workspace ppo ~rows:Rlcc.Ppo.minibatch) states
+      in
+      let ws = Rlcc.Nn.workspace ppo.Rlcc.Ppo.critic ~rows:1 in
+      same_bits values
+        (Array.map (fun s -> (fwd ppo.Rlcc.Ppo.critic ws s).(0)) states))
 
 (* ------------------------------------------------------------------ *)
 (* Environment *)
@@ -624,7 +771,6 @@ let () =
           Alcotest.test_case "output dims" `Quick test_nn_output_dims;
           Alcotest.test_case "param gradients" `Quick
             test_nn_gradients_match_finite_differences;
-          Alcotest.test_case "input gradient" `Quick test_nn_input_gradient;
           Alcotest.test_case "shared across domains" `Quick test_nn_shared_across_domains;
           Alcotest.test_case "backward checks last forward" `Quick
             test_nn_backward_checks_last_forward;
@@ -636,7 +782,8 @@ let () =
           Alcotest.test_case "logprob peak" `Quick test_ppo_logprob_peak_at_mean;
           Alcotest.test_case "gae" `Quick test_ppo_gae_discounts;
           Alcotest.test_case "learns a bandit" `Slow test_ppo_learns_a_bandit;
-        ] );
+        ]
+        @ qsuite [ prop_minibatch_update_matches_reference; prop_values_match_one_row ] );
       ( "env",
         [
           Alcotest.test_case "below capacity" `Quick test_env_conserves_fluid;
