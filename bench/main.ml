@@ -400,7 +400,7 @@ let run_chaos_overhead () =
     for i = 0 to 199 do
       let key = Exec.Checkpoint.key ~parts:[ "bench"; string_of_int i ] in
       Exec.Checkpoint.save store ~key payload;
-      match Exec.Checkpoint.load store ~key with
+      match Exec.Checkpoint.load store ~key ~decode:Result.ok with
       | Exec.Checkpoint.Hit _ -> ()
       | Exec.Checkpoint.Miss | Exec.Checkpoint.Corrupt _ ->
         failwith "checkpoint cell did not round-trip"

@@ -47,7 +47,7 @@ let impair_conv = conv Faults.Spec.of_string Faults.Spec.to_string
 let chaos_conv = conv Chaos.Spec.of_string Chaos.Spec.to_string
 let trace_conv = conv Harness.Scenario.parse_trace Harness.Scenario.trace_to_string
 let cca_conv = conv (fun s -> Result.map (fun _ -> s) (Harness.Ccas.lookup s)) Fun.id
-let sample_conv = conv (fun s -> Obs.Sample.parse s) Obs.Sample.to_string
+let sample_conv = conv Obs.Sample.parse Obs.Sample.to_string
 
 let filter_conv =
   conv Obs.Category.parse_filter (fun cs ->

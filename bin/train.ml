@@ -44,20 +44,20 @@ let run_cmd set_name episodes steps seed randomized delta no_loss chaos
     let resume_from =
       match store with
       | Some st when ckpt.resume ->
-        (* A snapshot that fails verification is quarantined and
-           training restarts fresh — a torn or bit-flipped cell is
-           detected and named, never resumed from. *)
+        (* A snapshot that fails verification or does not decode is
+           quarantined and training restarts fresh — a torn,
+           bit-flipped or foreign cell is detected and named, never
+           resumed from. *)
         let snap =
-          match Exec.Checkpoint.load st ~key:ckpt_key with
-          | Exec.Checkpoint.Hit blob -> (
-            match Obs.Json.parse blob with
-            | Ok j -> Rlcc.Train.snapshot_of_json j
-            | Error _ -> None)
+          match
+            Exec.Checkpoint.load st ~key:ckpt_key
+              ~decode:(Exec.Checkpoint.json ~what:"snapshot" Rlcc.Train.snapshot_of_json)
+          with
+          | Exec.Checkpoint.Hit snap -> Some snap
           | Exec.Checkpoint.Miss -> None
-          | Exec.Checkpoint.Corrupt { path; reason } ->
-            let q = Exec.Checkpoint.quarantine st ~key:ckpt_key in
+          | Exec.Checkpoint.Corrupt { path; reason; quarantined } ->
             Printf.eprintf "[train] CORRUPT snapshot %s (%s)%s\n%!" path reason
-              (match q with
+              (match quarantined with
               | Some qp -> Printf.sprintf "; quarantined to %s" qp
               | None -> "");
             None

@@ -6,8 +6,10 @@
    Libra's online combination loses little and sometimes wins (the two
    CCAs reset each other's operating points). *)
 
-(* Utility time series of a finished flow, on a fixed time grid. *)
-let utility_of_stats ?(window = 0.5) params (stats : Netsim.Flow_stats.t) ~duration =
+(* Utility time series of a finished flow under the default utility,
+   on a 2-second grid (Fig. 18's grain). *)
+let utility_of_stats (stats : Netsim.Flow_stats.t) ~duration =
+  let window = 2.0 in
   let thr = Netsim.Flow_stats.throughput_series stats in
   let rtt = Netsim.Flow_stats.rtt_series stats in
   let bin = Netsim.Flow_stats.bin_width stats in
@@ -34,7 +36,7 @@ let utility_of_stats ?(window = 0.5) params (stats : Netsim.Flow_stats.t) ~durat
       in
       let time = (float_of_int w +. 0.5) *. window in
       let u =
-        Rlcc.Utility.eval_raw params
+        Rlcc.Utility.eval_raw Rlcc.Utility.default
           ~rate_mbps:(Netsim.Units.bps_to_mbps mean_thr)
           ~rtt_gradient:grad ~loss_rate:0.0
       in

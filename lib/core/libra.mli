@@ -24,8 +24,6 @@ module Ideal = Ideal
     (Fig. 17 / Fig. 18). *)
 type instrumented = { cca : Netsim.Cca.t; controller : Controller.t }
 
-val initial_rate_default : float
-
 val make_instrumented :
   ?params:Params.t ->
   ?initial_rate:float ->

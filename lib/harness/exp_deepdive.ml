@@ -47,8 +47,7 @@ let run_fig18 () =
   let spec = Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace in
   let utility_series factory =
     let o = Scenario.run_uniform ~factory ~duration spec in
-    Libra.Ideal.utility_of_stats ~window:2.0 Libra.Utility.default (Scenario.first_stats o)
-      ~duration
+    Libra.Ideal.utility_of_stats (Scenario.first_stats o) ~duration
   in
   let cubic = utility_series Ccas.cubic in
   let bbr = utility_series Ccas.bbr in

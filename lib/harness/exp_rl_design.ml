@@ -7,13 +7,12 @@
    Tab. 3  -- reward with vs without the loss-rate term;
    Tab. 4  -- reward value r vs difference delta-r. *)
 
-let train_with ?(seed = 23) ?reward ?action ~episodes state_set =
+let train_with ?reward ?action ~episodes state_set =
   let cfg =
     {
       Rlcc.Train.default_config with
       Rlcc.Train.state_set;
       episodes;
-      seed;
       reward = Option.value reward ~default:Rlcc.Reward.default;
       action = Option.value action ~default:Rlcc.Actions.Mimd_orca;
     }

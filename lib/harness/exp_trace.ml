@@ -27,8 +27,7 @@ let run_scenario ~duration trace =
       (Scenario.make_spec ~rtt:0.03 ~buffer_kb:150 trace)
   in
   ( Libra.Telemetry.fractions (Libra.Controller.telemetry controller),
-    Libra.Ideal.utility_of_stats ~window:2.0 Libra.Utility.default (Scenario.first_stats o)
-      ~duration )
+    Libra.Ideal.utility_of_stats (Scenario.first_stats o) ~duration )
 
 let fcell v = if Float.is_finite v then Printf.sprintf "%.6f" v else ""
 

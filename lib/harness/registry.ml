@@ -10,7 +10,7 @@
 type entry = { id : string; what : string; run : unit -> Report.t; group : string }
 
 (* Every entry runs inside an [exp.<id>] span and every group fan-out
-   adds a [group.<name>] span (see [run_all_reports]), so a profiled
+   adds a [group.<name>] span (see [run_entries]), so a profiled
    run attributes wall time per experiment with no per-site wiring. *)
 let e id what runner group =
   let span = Obs.Span.probe ("exp." ^ id) in
@@ -170,15 +170,14 @@ let run_entries ?pool ?(wrap = fun _i run -> run ())
         let key = cell_key e in
         let corrupt = ref None in
         let io_fault = ref None in
-        (* A cell that fails verification is never served: it is
-           quarantined (the evidence survives), dumped to the flight
-           recorder, rendered as a structured Corrupt failure for the
-           stderr report — and the entry re-executes. *)
-        let on_corrupt store ~path ~reason =
-          let qpath = Exec.Checkpoint.quarantine store ~key in
+        (* A cell that fails verification is never served: [load] has
+           quarantined it (the evidence survives); it is dumped to the
+           flight recorder, rendered as a structured Corrupt failure
+           for the stderr report — and the entry re-executes. *)
+        let on_corrupt ~path ~reason ~quarantined =
           let flight = Obs.Flight.dump ~reason:(e.id ^ "-corrupt") () in
           let detail =
-            match qpath with
+            match quarantined with
             | Some q -> Printf.sprintf "%s (quarantined to %s)" reason q
             | None -> reason
           in
@@ -198,30 +197,14 @@ let run_entries ?pool ?(wrap = fun _i run -> run ())
         let cached =
           match sv.checkpoint with
           | Some store when sv.resume -> (
-            match Exec.Checkpoint.load store ~key with
-            | Exec.Checkpoint.Hit blob -> (
-              (* The envelope checksum passed, but the payload must
-                 still parse as a report — anything else is format
-                 drift or garbage, rejected like byte corruption. *)
-              match Obs.Json.parse blob with
-              | Ok j -> (
-                match Report.of_json j with
-                | Some r -> Some r
-                | None ->
-                  Chaos.Plane.note_corrupt_detected ();
-                  on_corrupt store
-                    ~path:(Exec.Checkpoint.path store ~key)
-                    ~reason:"sealed payload is not a report";
-                  None)
-              | Error msg ->
-                Chaos.Plane.note_corrupt_detected ();
-                on_corrupt store
-                  ~path:(Exec.Checkpoint.path store ~key)
-                  ~reason:("sealed payload is not valid JSON: " ^ msg);
-                None)
+            match
+              Exec.Checkpoint.load store ~key
+                ~decode:(Exec.Checkpoint.json ~what:"report" Report.of_json)
+            with
+            | Exec.Checkpoint.Hit r -> Some r
             | Exec.Checkpoint.Miss -> None
-            | Exec.Checkpoint.Corrupt { path; reason } ->
-              on_corrupt store ~path ~reason;
+            | Exec.Checkpoint.Corrupt { path; reason; quarantined } ->
+              on_corrupt ~path ~reason ~quarantined;
               None
             | exception Chaos.Io.Fault { fault; path; _ } ->
               (* Injected read fault: resume degrades to re-execution. *)
@@ -286,13 +269,6 @@ let summarize outcomes =
     { total = 0; ok = 0; failed = 0; resumed = 0; corrupt = 0 }
     outcomes
 
-(* Compatibility shape used by tests: (group, report) pairs for the
-   default group list, unsupervised. *)
-let run_all_reports ?pool ?wrap () =
-  List.map
-    (fun o -> (o.entry.group, o.report))
-    (run_entries ?pool ?wrap ())
-
 (* Render everything in input order (stdout stays byte-identical to an
    unsupervised clean run) and summarize on stderr — the summary line
    must not disturb report bytes, which checkpoint resumes and the
@@ -329,5 +305,5 @@ let print_outcomes outcomes =
     outcomes;
   s
 
-let run_all ?pool ?wrap ?supervision ?entries () =
-  print_outcomes (run_entries ?pool ?wrap ?supervision ?entries ())
+let run_all ?wrap ?supervision ?entries () =
+  print_outcomes (run_entries ?wrap ?supervision ?entries ())

@@ -25,17 +25,13 @@ type spec = {
 let default_impair = ref Faults.Spec.empty
 let set_default_impair s = default_impair := s
 
-(* Unless overridden, the dup-ACK threshold follows the impairment: a
-   spec whose channels can reorder ACKs gets the TCP-style 3, a clean
-   path keeps exact gap detection (1). *)
+(* The dup-ACK threshold follows the impairment: a spec whose channels
+   can reorder ACKs gets the TCP-style 3, a clean path keeps exact gap
+   detection (1). *)
 let make_spec ?(rtt = 0.03) ?(buffer_kb = 150) ?(loss_p = 0.0) ?(aqm = `Fifo)
-    ?impair ?dup_thresh trace =
+    ?impair trace =
   let impair = match impair with Some i -> i | None -> !default_impair in
-  let dup_thresh =
-    match dup_thresh with
-    | Some d -> d
-    | None -> if Faults.Spec.may_reorder impair then 3 else 1
-  in
+  let dup_thresh = if Faults.Spec.may_reorder impair then 3 else 1 in
   { trace; rtt; buffer_bytes = Netsim.Units.kb buffer_kb; loss_p; aqm;
     impair; dup_thresh }
 
@@ -60,7 +56,10 @@ let one_bdp spec =
    wired:<mbps> | lte:<stationary|walking|driving|moving> |
    step:<mbps,mbps,...> | wan:<inter|intra>. Parsing only checks the
    text, so bad input fails at the command line; [spec_of_cli] builds
-   the trace (LTE traces need the run's duration and seed). *)
+   the trace (LTE traces need the run's duration and seed). Every rate
+   must be finite and positive: a NaN capacity breaks the simulator's
+   clock, an infinite one never finishes a run, and a non-positive one
+   never delivers. *)
 type trace_spec =
   | Wired of float
   | Lte of Traces.Lte.scenario
@@ -75,7 +74,9 @@ let parse_trace spec =
   let ( let* ) = Result.bind in
   let num v =
     match float_of_string_opt v with
-    | Some f -> Ok f
+    | Some f when Float.is_finite f && f > 0.0 -> Ok f
+    | Some _ ->
+      Error (Printf.sprintf "trace %S: %S is not a finite, positive rate" spec v)
     | None -> Error (Printf.sprintf "trace %S: %S is not a number" spec v)
   in
   let rec nums acc = function
@@ -402,14 +403,39 @@ let counterexample_of_string ~fallback_name s =
   in
   let kvs = List.rev kvs in
   let get k = Option.map snd (List.assoc_opt k kvs) in
-  let num k default =
+  (* Numeric keys: integers where the scenario counts, finite floats
+     elsewhere, and the knobs inside Search.Space's validity box — a
+     value the replay would truncate or cannot run is rejected with its
+     line, never loaded. *)
+  let value k default parse =
     match List.assoc_opt k kvs with
     | None -> Ok default
-    | Some (ln, v) -> (
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None ->
-        Error (Printf.sprintf "line %d: key %s: %S is not a number" ln k v))
+    | Some (ln, v) ->
+      Result.map_error (Printf.sprintf "line %d: key %s: %S %s" ln k v) (parse v)
+  in
+  let within show ~lo ~hi x =
+    if x >= lo && x <= hi then Ok x
+    else Error (Printf.sprintf "is outside [%s, %s]" (show lo) (show hi))
+  in
+  let float_of v =
+    match float_of_string_opt v with
+    | None -> Error "is not a number"
+    | Some f when not (Float.is_finite f) -> Error "is not finite"
+    | Some f -> Ok f
+  in
+  let int_of v =
+    match (int_of_string_opt v, float_of_string_opt v) with
+    | Some i, _ -> Ok i
+    | None, Some _ -> Error "is not an integer"
+    | None, None -> Error "is not a number"
+  in
+  let num k default = value k default float_of in
+  let knob k default ~lo ~hi =
+    value k default (fun v ->
+        Result.bind (float_of v) (within (Printf.sprintf "%g") ~lo ~hi))
+  in
+  let int_knob k default ~lo ~hi =
+    value k default (fun v -> Result.bind (int_of v) (within string_of_int ~lo ~hi))
   in
   let* impair =
     match List.assoc_opt "impair" kvs with
@@ -420,33 +446,42 @@ let counterexample_of_string ~fallback_name s =
       | Error m -> Error (Printf.sprintf "line %d: %s" ln m))
   in
   let* cca =
-    match get "cca" with
+    match List.assoc_opt "cca" kvs with
     | None -> Error "scenario file: missing required key 'cca'"
-    | Some v -> Ok v
+    | Some (ln, v) -> (
+      match Ccas.lookup v with
+      | Ok _ -> Ok v
+      | Error m -> Error (Printf.sprintf "line %d: key cca: %s" ln m))
   in
-  let* bw = num "bandwidth_mbps" Search.Space.base_knobs.Search.Space.bw_mbps in
-  let* rtt = num "rtt" Search.Space.base_knobs.Search.Space.rtt in
-  let* buf = num "buffer_kb" (float_of_int Search.Space.base_knobs.Search.Space.buffer_kb) in
-  let* flows = num "flows" (float_of_int Search.Space.base_knobs.Search.Space.flows) in
+  let base = Search.Space.base_knobs in
+  let* bw =
+    knob "bandwidth_mbps" base.bw_mbps ~lo:Search.Space.min_bw ~hi:Search.Space.max_bw
+  in
+  let* rtt = knob "rtt" base.rtt ~lo:Search.Space.min_rtt ~hi:Search.Space.max_rtt in
+  let* buffer_kb =
+    int_knob "buffer_kb" base.buffer_kb ~lo:Search.Space.min_buffer_kb
+      ~hi:Search.Space.max_buffer_kb
+  in
+  let* flows =
+    int_knob "flows" base.flows ~lo:Search.Space.min_flows ~hi:Search.Space.max_flows
+  in
   let* threshold = num "threshold" 0.25 in
   let* degradation = num "degradation" 0.0 in
-  let* seed = num "seed" 11.0 in
-  let* duration = num "duration" 6.0 in
+  let* seed = value "seed" 11 int_of in
+  let* duration =
+    value "duration" 6.0 (fun v ->
+        Result.bind (float_of v) (fun d ->
+            if d > 0.0 then Ok d else Error "is not a positive duration"))
+  in
   Ok
     {
       name = Option.value (get "name") ~default:fallback_name;
       cca;
       impair;
-      knobs =
-        {
-          Search.Space.bw_mbps = bw;
-          rtt;
-          buffer_kb = int_of_float buf;
-          flows = int_of_float flows;
-        };
+      knobs = { Search.Space.bw_mbps = bw; rtt; buffer_kb; flows };
       threshold;
       degradation;
-      seed = int_of_float seed;
+      seed;
       duration;
     }
 

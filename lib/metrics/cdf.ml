@@ -45,11 +45,3 @@ let stddev t =
   sqrt var
 
 let range t = max t -. min t
-
-(* Evenly spaced (value, cumulative probability) points for printing a
-   CDF series. *)
-let series ?(points = 20) t =
-  let lo = min t and hi = max t in
-  Array.init points (fun i ->
-      let x = lo +. ((hi -. lo) *. float_of_int i /. float_of_int (points - 1)) in
-      (x, at t x))

@@ -18,6 +18,3 @@ val max : t -> float
 val mean : t -> float
 val stddev : t -> float
 val range : t -> float
-
-(** Evenly spaced (value, cumulative probability) points. *)
-val series : ?points:int -> t -> (float * float) array

@@ -50,9 +50,9 @@ let rate_cwnd ~rate ~min_rtt =
   Float.max 4.0 (rate *. (min_rtt +. 0.25) /. float_of_int Units.mtu)
 
 (* An unresponsive constant-bit-rate source; models UDP cross traffic. *)
-let constant_rate ?(name = "cbr") rate_bps =
+let constant_rate rate_bps =
   {
-    name;
+    name = "cbr";
     on_ack = (fun _ -> ());
     on_loss = (fun _ -> ());
     on_send = (fun _ -> ());
@@ -66,12 +66,11 @@ module Rtt_tracker = struct
     mutable srtt : float;
     mutable rttvar : float;
     mutable min_rtt : float;
-    mutable last_rtt : float;
     mutable samples : int;
   }
 
   let create () =
-    { srtt = 0.0; rttvar = 0.0; min_rtt = infinity; last_rtt = 0.0; samples = 0 }
+    { srtt = 0.0; rttvar = 0.0; min_rtt = infinity; samples = 0 }
 
   let observe t rtt =
     if t.samples = 0 then begin
@@ -84,12 +83,10 @@ module Rtt_tracker = struct
       t.srtt <- ((1.0 -. alpha) *. t.srtt) +. (alpha *. rtt)
     end;
     if rtt < t.min_rtt then t.min_rtt <- rtt;
-    t.last_rtt <- rtt;
     t.samples <- t.samples + 1
 
   let srtt t = if t.samples = 0 then 0.1 else t.srtt
   let min_rtt t = if t.samples = 0 then 0.1 else t.min_rtt
-  let last_rtt t = if t.samples = 0 then 0.1 else t.last_rtt
   let rttvar t = t.rttvar
   let samples t = t.samples
 end

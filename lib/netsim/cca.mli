@@ -41,8 +41,9 @@ val no_window : float
     (bytes/s) over [min_rtt] plus 250 ms of slack, at least 4. *)
 val rate_cwnd : rate:float -> min_rtt:float -> float
 
-(** Unresponsive constant-bit-rate source (UDP cross traffic). *)
-val constant_rate : ?name:string -> float -> t
+(** Unresponsive constant-bit-rate source (UDP cross traffic), named
+    ["cbr"]. *)
+val constant_rate : float -> t
 
 (** Standard smoothed-RTT / RTT-variance / minimum tracking. *)
 module Rtt_tracker : sig
@@ -55,7 +56,6 @@ module Rtt_tracker : sig
   val srtt : tracker -> float
 
   val min_rtt : tracker -> float
-  val last_rtt : tracker -> float
   val rttvar : tracker -> float
   val samples : tracker -> int
 end

@@ -48,14 +48,12 @@ type t = {
   mutable srtt : float array;
   mutable rttvar : float array;
   mutable minrtt : float array;
-  mutable lastrtt : float array;
   mutable cwnd : float array;  (* native AIMD state *)
   mutable ssthresh : float array;
   mutable completed_at : float array;  (* finite flows; nan = running *)
   mutable rtt_sum : float array;  (* scalar aggregate *)
   (* Per-flow int state. *)
   mutable samples : int array;  (* RTT samples observed *)
-  mutable pkt_size : int array;
   mutable dup_thresh : int array;
   mutable next_seq : int array;
   mutable inflight : int array;
@@ -146,7 +144,6 @@ let[@inline] rtt_observe t h rtt =
     t.srtt.(h) <- ((1.0 -. alpha) *. t.srtt.(h)) +. (alpha *. rtt)
   end;
   if rtt < t.minrtt.(h) then t.minrtt.(h) <- rtt;
-  t.lastrtt.(h) <- rtt;
   t.samples.(h) <- t.samples.(h) + 1
 
 let[@inline] rto_timeout t h =
@@ -166,7 +163,7 @@ let[@inline] pacing_of t h ~now =
     (* AIMD paces at twice cwnd per smoothed RTT so sending stays
        ACK-clocked (window-limited). *)
     let srtt = if t.samples.(h) = 0 then 0.1 else t.srtt.(h) in
-    2.0 *. t.cwnd.(h) *. float_of_int t.pkt_size.(h) /. srtt
+    2.0 *. t.cwnd.(h) *. float_of_int Units.mtu /. srtt
   | _ -> t.gen.(h).Cca.pacing_rate ~now
 
 let[@inline] cca_on_ack t h ~now ~seq ~rtt ~newly_lost ~rate_sample =
@@ -181,7 +178,7 @@ let[@inline] cca_on_ack t h ~now ~seq ~rtt ~newly_lost ~rate_sample =
         now;
         seq;
         rtt;
-        acked_bytes = t.pkt_size.(h);
+        acked_bytes = Units.mtu;
         inflight = t.inflight.(h);
         delivered_bytes = t.delivered.(h);
         rate_sample;
@@ -297,7 +294,7 @@ let send_packet t h now =
   | Some link ->
     let seq = t.next_seq.(h) in
     t.next_seq.(h) <- seq + 1;
-    let size = t.pkt_size.(h) in
+    let size = Units.mtu in
     let pkt = { Packet.flow = h; seq; size; corrupt = false } in
     ring_push t h ~now ~das:t.delivered.(h);
     t.inflight.(h) <- t.inflight.(h) + 1;
@@ -320,7 +317,7 @@ let try_send t h v =
       if float_of_int t.inflight.(h) < cwnd then begin
         send_packet t h now;
         let rate = Float.max min_pacing (pacing_of t h ~now) in
-        t.nsnb.(h) <- now +. (float_of_int t.pkt_size.(h) /. rate);
+        t.nsnb.(h) <- now +. (float_of_int Units.mtu /. rate);
         schedule_send t h t.nsnb.(h)
       end
       (* else: window-blocked; an ACK (or RTO) will reschedule us. *)
@@ -388,7 +385,7 @@ let deliver_ack t h seq =
       trim t h;
       t.inflight.(h) <- t.inflight.(h) - lost - 1;
       let rtt = now -. sent_at in
-      let size = t.pkt_size.(h) in
+      let size = Units.mtu in
       t.delivered.(h) <- t.delivered.(h) + size;
       rtt_observe t h rtt;
       t.acked.(h) <- t.acked.(h) + 1;
@@ -465,13 +462,11 @@ let create ?(capacity = 64) ?(lite = false) ~sim () =
       srtt = fz ();
       rttvar = fz ();
       minrtt = fz ();
-      lastrtt = fz ();
       cwnd = fz ();
       ssthresh = fz ();
       completed_at = fz ();
       rtt_sum = fz ();
       samples = iz ();
-      pkt_size = iz ();
       dup_thresh = iz ();
       next_seq = iz ();
       inflight = iz ();
@@ -534,13 +529,11 @@ let grow_table t =
   t.srtt <- gf t.srtt;
   t.rttvar <- gf t.rttvar;
   t.minrtt <- gf t.minrtt;
-  t.lastrtt <- gf t.lastrtt;
   t.cwnd <- gf t.cwnd;
   t.ssthresh <- gf t.ssthresh;
   t.completed_at <- gf t.completed_at;
   t.rtt_sum <- gf t.rtt_sum;
   t.samples <- gi t.samples;
-  t.pkt_size <- gi t.pkt_size;
   t.dup_thresh <- gi t.dup_thresh;
   t.next_seq <- gi t.next_seq;
   t.inflight <- gi t.inflight;
@@ -565,8 +558,8 @@ let grow_table t =
   t.gen <- go t.gen dummy_cca;
   t.stats <- go t.stats dummy_stats
 
-let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
-    ?(dup_thresh = 1) ?size_bytes () =
+let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(dup_thresh = 1) ?size_bytes
+    () =
   if t.n = Array.length t.start_at then grow_table t;
   let h = t.n in
   t.n <- h + 1;
@@ -577,13 +570,11 @@ let add_flow t ~cca ~return_delay ~start_at ~stop_at ?(pkt_size = Units.mtu)
   t.srtt.(h) <- 0.0;
   t.rttvar.(h) <- 0.0;
   t.minrtt.(h) <- infinity;
-  t.lastrtt.(h) <- 0.0;
   t.cwnd.(h) <- 4.0;
   t.ssthresh.(h) <- 1e9;
   t.completed_at.(h) <- nan;
   t.rtt_sum.(h) <- 0.0;
   t.samples.(h) <- 0;
-  t.pkt_size.(h) <- pkt_size;
   t.dup_thresh.(h) <- max 1 dup_thresh;
   t.next_seq.(h) <- 0;
   t.inflight.(h) <- 0;

@@ -34,16 +34,16 @@ val create : ?capacity:int -> ?lite:bool -> sim:Sim.t -> unit -> t
 (** Attach the bottleneck link all flows send into. *)
 val attach : t -> Link.t -> unit
 
-(** Add a flow; returns its handle. [size_bytes] bounds the transfer
-    (the flow completes once that many bytes are delivered, recording
-    its completion time); omitted means an unbounded source. *)
+(** Add a flow; returns its handle. Every packet is {!Units.mtu}
+    bytes. [size_bytes] bounds the transfer (the flow completes once
+    that many bytes are delivered, recording its completion time);
+    omitted means an unbounded source. *)
 val add_flow :
   t ->
   cca:cca ->
   return_delay:float ->
   start_at:float ->
   stop_at:float ->
-  ?pkt_size:int ->
   ?dup_thresh:int ->
   ?size_bytes:int ->
   unit ->

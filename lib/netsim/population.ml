@@ -14,39 +14,21 @@
    parent rng, and regardless of worker-pool size when the harness fans
    runs out (test_exec holds that line). *)
 
-type arrivals =
-  | Poisson of float  (* rate, flows/s: exponential inter-arrivals *)
-  | Lognormal_iat of { mu : float; sigma : float }  (* ln-space params *)
-
-type sizes =
-  | Pareto of { xm : float; alpha : float }  (* heavy tail; bytes *)
-  | Lognormal_size of { mu : float; sigma : float }  (* ln-space, bytes *)
-  | Fixed of int
-
 type diurnal = { amp : float; period : float }
 
-type cfg = {
-  arrivals : arrivals;
-  sizes : sizes;
-  diurnal : diurnal option;
-  rtt : float;  (* two-way propagation delay for every arrival *)
-  cca : Flow_table.cca;
-  pkt_size : int;
-  max_flows : int;  (* hard cap on spawned flows (memory guard) *)
-}
+type cfg = { rate : float; diurnal : diurnal option }
 
-let default ?(rate = 50.0) () =
-  {
-    arrivals = Poisson rate;
-    (* ~24 KB median, heavy tail (alpha < 2: infinite variance), the
-       classic mice-and-elephants mix of measured flow-size data. *)
-    sizes = Pareto { xm = 6_000.0; alpha = 1.2 };
-    diurnal = None;
-    rtt = 0.04;
-    cca = Flow_table.Aimd;
-    pkt_size = Units.mtu;
-    max_flows = 100_000;
-  }
+let default ?(rate = 50.0) () = { rate; diurnal = None }
+
+(* Every arrival is a native-AIMD flow of MTU-sized packets over a
+   40 ms two-way propagation delay. Sizes are Pareto with a ~24 KB
+   median and a heavy tail (alpha < 2: infinite variance), the classic
+   mice-and-elephants mix of measured flow-size data. The flow cap is
+   a memory guard. *)
+let rtt = 0.04
+let size_xm = 6_000.0
+let size_alpha = 1.2
+let max_flows = 100_000
 
 (* Arrival-rate modulation at time [now]: 1 without a diurnal profile,
    else 1 + amp*sin(2*pi*now/period), floored so the process never
@@ -61,24 +43,16 @@ let modulation diurnal ~now =
    instantaneous rate (so gaps shrink at the peak); with exponential
    gaps this is the standard piecewise approximation of an
    inhomogeneous Poisson process. *)
-let sample_iat rng arrivals diurnal ~now =
-  let m = modulation diurnal ~now in
-  match arrivals with
-  | Poisson rate -> Rng.exponential rng ~mean:(1.0 /. (rate *. m))
-  | Lognormal_iat { mu; sigma } -> exp (Rng.gaussian rng ~mu ~sigma) /. m
+let sample_iat rng ~rate diurnal ~now =
+  Rng.exponential rng ~mean:(1.0 /. (rate *. modulation diurnal ~now))
 
-(* Flow size in bytes (at least 1). *)
-let sample_size rng sizes =
-  match sizes with
-  | Pareto { xm; alpha } ->
-    (* Inverse-CDF: xm * (1-u)^(-1/alpha), u uniform in [0,1). Ceil,
-       not truncate: a draw near the scale with fractional xm must not
-       land below the distribution's floor. *)
-    let u = Rng.float rng in
-    max 1 (int_of_float (Float.ceil (xm /. ((1.0 -. u) ** (1.0 /. alpha)))))
-  | Lognormal_size { mu; sigma } ->
-    max 1 (int_of_float (exp (Rng.gaussian rng ~mu ~sigma)))
-  | Fixed b -> max 1 b
+(* Flow size in bytes (at least 1), Pareto by inverse CDF:
+   xm * (1-u)^(-1/alpha), u uniform in [0,1). Ceil, not truncate: a
+   draw near the scale with fractional xm must not land below the
+   distribution's floor. *)
+let sample_size rng ~xm ~alpha =
+  let u = Rng.float rng in
+  max 1 (int_of_float (Float.ceil (xm /. ((1.0 -. u) ** (1.0 /. alpha)))))
 
 (* Schedule the arrival process on the table's simulation. Flows spawn
    as bounded transfers starting at their arrival instant; handles are
@@ -91,20 +65,19 @@ let spawn ~table ~rng ~cfg ~until =
   let spawned = ref 0 in
   let kind = ref (-1) in
   let arrive _ _ =
-    if !spawned < cfg.max_flows then begin
+    if !spawned < max_flows then begin
       let now = Sim.now sim in
-      let size = sample_size size_rng cfg.sizes in
+      let size = sample_size size_rng ~xm:size_xm ~alpha:size_alpha in
       let h =
-        Flow_table.add_flow table ~cca:cfg.cca ~return_delay:cfg.rtt
-          ~start_at:now ~stop_at:infinity ~pkt_size:cfg.pkt_size
-          ~size_bytes:size ()
+        Flow_table.add_flow table ~cca:Flow_table.Aimd ~return_delay:rtt
+          ~start_at:now ~stop_at:infinity ~size_bytes:size ()
       in
       Flow_table.start table h;
       incr spawned;
-      let gap = sample_iat arr_rng cfg.arrivals cfg.diurnal ~now in
+      let gap = sample_iat arr_rng ~rate:cfg.rate cfg.diurnal ~now in
       if now +. gap < until then Sim.at sim (now +. gap) ~kind:!kind ~a:0 ~b:0
     end
   in
   kind := Sim.register sim arrive;
-  let first = sample_iat arr_rng cfg.arrivals cfg.diurnal ~now:0.0 in
+  let first = sample_iat arr_rng ~rate:cfg.rate cfg.diurnal ~now:0.0 in
   if first < until then Sim.at sim first ~kind:!kind ~a:0 ~b:0

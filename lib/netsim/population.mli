@@ -7,45 +7,29 @@
     the parent seed alone, so runs are bit-deterministic at any
     worker-pool size. *)
 
-(** Arrival process for new flows. *)
-type arrivals =
-  | Poisson of float  (** rate in flows/s; exponential inter-arrivals *)
-  | Lognormal_iat of { mu : float; sigma : float }
-      (** log-normal inter-arrival gaps, ln-space parameters *)
-
-(** Transfer-size distribution, bytes. *)
-type sizes =
-  | Pareto of { xm : float; alpha : float }
-      (** heavy tail: scale [xm], shape [alpha] (< 2 gives the classic
-          infinite-variance elephant tail) *)
-  | Lognormal_size of { mu : float; sigma : float }
-  | Fixed of int
-
 (** Sinusoidal arrival-rate modulation:
     [rate *. (1 + amp*sin(2*pi*t/period))], floored at 5%. *)
 type diurnal = { amp : float; period : float }
 
-type cfg = {
-  arrivals : arrivals;
-  sizes : sizes;
-  diurnal : diurnal option;
-  rtt : float;  (** two-way propagation delay for every arrival *)
-  cca : Flow_table.cca;
-  pkt_size : int;
-  max_flows : int;  (** hard cap on spawned flows (memory guard) *)
-}
+(** Poisson arrivals at [rate] flows/s, optionally modulated. Every
+    arrival is a native-AIMD flow ({!Flow_table.Aimd}) of
+    {!Units.mtu}-byte packets over a 40 ms two-way propagation delay,
+    carrying a Pareto-sized transfer (scale 6,000 bytes, shape 1.2:
+    ~24 KB median, infinite-variance elephant tail). At most 100,000
+    flows spawn per call (a memory guard). *)
+type cfg = { rate : float; diurnal : diurnal option }
 
-(** Web-like defaults: Poisson arrivals at [rate] (default 50 flows/s),
-    Pareto sizes (~6 KB scale, alpha 1.2), 40 ms RTT, native AIMD. *)
+(** [rate] defaults to 50 flows/s; no diurnal modulation. *)
 val default : ?rate:float -> unit -> cfg
 
-(** [sample_iat rng arrivals diurnal ~now] — next inter-arrival gap in
-    seconds (exposed for property tests). *)
-val sample_iat : Rng.t -> arrivals -> diurnal option -> now:float -> float
+(** [sample_iat rng ~rate diurnal ~now] — next exponential
+    inter-arrival gap in seconds at the modulated rate (exposed for
+    property tests). *)
+val sample_iat : Rng.t -> rate:float -> diurnal option -> now:float -> float
 
-(** [sample_size rng sizes] — one transfer size in bytes, at least 1
-    (exposed for property tests). *)
-val sample_size : Rng.t -> sizes -> int
+(** [sample_size rng ~xm ~alpha] — one Pareto transfer size in bytes,
+    never below [xm] and at least 1 (exposed for property tests). *)
+val sample_size : Rng.t -> xm:float -> alpha:float -> int
 
 (** [spawn ~table ~rng ~cfg ~until] schedules the arrival process on
     the table's simulation: each arrival before [until] adds and starts

@@ -16,9 +16,6 @@ val counter : string -> probe
 val gauge : string -> probe
 val histogram : string -> bounds:float array -> probe
 
-(** Number of probes registered so far. *)
-val probe_count : unit -> int
-
 val incr : probe -> unit
 val add : probe -> int -> unit
 val set : probe -> float -> unit

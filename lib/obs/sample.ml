@@ -13,7 +13,7 @@ let create ?(seed = 0) n =
   if n < 1 then invalid_arg "Obs.Sample.create: denominator < 1";
   { n; seed = Int64.of_int seed }
 
-let parse ?seed s =
+let parse s =
   let s = String.trim s in
   let num =
     match String.index_opt s '/' with
@@ -23,7 +23,7 @@ let parse ?seed s =
     | None -> int_of_string_opt s
   in
   match num with
-  | Some n when n >= 1 -> Ok (create ?seed n)
+  | Some n when n >= 1 -> Ok (create n)
   | _ -> Error (Printf.sprintf "bad sampling spec %S (want \"1/N\" with N >= 1)" s)
 
 let denominator t = t.n

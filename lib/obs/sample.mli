@@ -22,8 +22,9 @@ type t
 val create : ?seed:int -> int -> t
 
 (** Parse a [--trace-sample] spec: ["1/N"] or plain ["N"] both mean
-    keep one flow in [N]. *)
-val parse : ?seed:int -> string -> (t, string) result
+    keep one flow in [N]. The sampler has seed 0; a run re-creates it
+    with its own seed from {!denominator}. *)
+val parse : string -> (t, string) result
 
 (** The denominator [N] of the spec. *)
 val denominator : t -> int

@@ -25,8 +25,6 @@ type probe
 (** Register (or look up) a span probe by name. Idempotent. *)
 val probe : string -> probe
 
-val probe_name : probe -> string
-
 (** A recorder: a set of per-lane calling-context trees. *)
 type t
 

@@ -52,7 +52,6 @@ val snapshot : t -> snapshot
     came from a different seed than [t] was created with. *)
 val restore : t -> snapshot -> unit
 
-val mi_duration : t -> float
 val capacity : t -> float
 
 (** Accumulated simulated time (seconds of monitor intervals stepped);

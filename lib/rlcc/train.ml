@@ -492,8 +492,9 @@ let snapshot_of_json j =
       }
   | _ -> None
 
-(* Smoothed learning curve for plotting (moving average). *)
-let smooth ?(window = 10) curve =
+(* Smoothed learning curve for plotting (10-episode moving average). *)
+let smooth curve =
+  let window = 10 in
   Array.mapi
     (fun i _ ->
       let lo = max 0 (i - window + 1) in

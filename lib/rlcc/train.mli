@@ -85,5 +85,6 @@ type eval = {
     outcome is identical at any pool size. *)
 val evaluate : ?pool:Exec.Pool.t -> ?episodes:int -> ?base_seed:int -> outcome -> eval
 
-(** Moving-average smoothing for plotted curves. *)
-val smooth : ?window:int -> float array -> float array
+(** Moving-average smoothing for plotted curves (10-episode
+    window). *)
+val smooth : float array -> float array

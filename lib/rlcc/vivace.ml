@@ -52,8 +52,8 @@ type t = {
   plan : (float * purpose) Queue.t;
 }
 
-let create ?(u = Utility.default) ?(eps = 0.05)
-    ?(initial_rate = Netsim.Units.mbps_to_bps 2.0) () =
+let create ?(u = Utility.default) ?(eps = 0.05) () =
+  let initial_rate = Netsim.Units.mbps_to_bps 2.0 in
   {
     u;
     eps;

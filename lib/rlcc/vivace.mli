@@ -4,10 +4,10 @@
 
 type t
 
-(** [eps] is the probe amplitude. A decision moves the base rate by
-    1 Mbit/s per unit gradient, times the confidence amplifier, and by
-    at most 25% of the base. *)
-val create : ?u:Utility.params -> ?eps:float -> ?initial_rate:float -> unit -> t
+(** [eps] is the probe amplitude. The base rate starts at 2 Mbit/s; a
+    decision moves it by 1 Mbit/s per unit gradient, times the
+    confidence amplifier, and by at most 25% of the base. *)
+val create : ?u:Utility.params -> ?eps:float -> unit -> t
 
 (** Currently applied rate (probe rates included), bytes/s. *)
 val rate : t -> float

@@ -18,16 +18,14 @@ let grain t = t.grain
 let mean_bps t = t.mean_bps
 let const_bps t = t.const_bps
 
-let constant ?name mbps =
+let constant mbps =
   let bps = Netsim.Units.mbps_to_bps mbps in
-  let name =
-    match name with Some n -> n | None -> Printf.sprintf "wired-%gMbps" mbps
-  in
+  let name = Printf.sprintf "wired-%gMbps" mbps in
   { name; fn = (fun _ -> bps); grain = 0.02; mean_bps = bps; const_bps = Some bps }
 
 (* Capacity that switches between the listed Mbit/s levels every
    [period] seconds, cycling. This is the paper's "step-scenario". *)
-let step ?(name = "step") ~period levels_mbps =
+let step ~period levels_mbps =
   assert (levels_mbps <> [] && period > 0.0);
   let levels =
     Array.of_list (List.map Netsim.Units.mbps_to_bps levels_mbps)
@@ -39,7 +37,7 @@ let step ?(name = "step") ~period levels_mbps =
   in
   let mean = Array.fold_left ( +. ) 0.0 levels /. float_of_int n in
   let const_bps = if n = 1 then Some levels.(0) else None in
-  { name; fn; grain = 0.02; mean_bps = mean; const_bps }
+  { name = "step"; fn; grain = 0.02; mean_bps = mean; const_bps }
 
 (* A trace given directly as samples spaced [grain] apart; cycles when
    the simulation outlives the samples. *)

@@ -18,12 +18,13 @@ val mean_bps : t -> float
     simulator short-circuit capacity integration. *)
 val const_bps : t -> float option
 
-(** Fixed-capacity wired link. *)
-val constant : ?name:string -> float -> t
+(** Fixed-capacity wired link at the given Mbit/s, named
+    ["wired-<mbps>Mbps"]. *)
+val constant : float -> t
 
 (** Capacity cycling through the Mbit/s levels every [period] seconds
-    (the paper's "step-scenario"). *)
-val step : ?name:string -> period:float -> float list -> t
+    (the paper's "step-scenario"), named ["step"]. *)
+val step : period:float -> float list -> t
 
 (** Trace given as samples spaced [grain] apart; cycles when the run
     outlives the samples. *)

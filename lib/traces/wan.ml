@@ -17,8 +17,8 @@ type path = {
 }
 
 (* Background cross-traffic takes a slowly varying bite out of a fixed
-   pipe. *)
-let wobbly ?(seed = 3) ~name ~mbps ~rel_amp ~period ~duration () =
+   pipe. Each preset draws its wobble from its own fixed seed. *)
+let wobbly ~seed ~name ~mbps ~rel_amp ~period ~duration () =
   let grain = 0.05 in
   let rng = Netsim.Rng.create (seed * 104729) in
   let steps = max 1 (int_of_float (ceil (duration /. grain))) in
@@ -33,19 +33,19 @@ let wobbly ?(seed = 3) ~name ~mbps ~rel_amp ~period ~duration () =
   in
   Rate.of_samples ~name ~grain samples
 
-let inter_continental ?(seed = 3) ~duration () =
+let inter_continental ~duration () =
   {
     name = "inter-continental";
-    rate = wobbly ~seed ~name:"wan-inter" ~mbps:60.0 ~rel_amp:0.35 ~period:7.0 ~duration ();
+    rate = wobbly ~seed:3 ~name:"wan-inter" ~mbps:60.0 ~rel_amp:0.35 ~period:7.0 ~duration ();
     rtt = 0.180;
     loss_p = 0.008;
     buffer_bytes = Netsim.Units.kb 400;
   }
 
-let intra_continental ?(seed = 4) ~duration () =
+let intra_continental ~duration () =
   {
     name = "intra-continental";
-    rate = wobbly ~seed ~name:"wan-intra" ~mbps:90.0 ~rel_amp:0.15 ~period:11.0 ~duration ();
+    rate = wobbly ~seed:4 ~name:"wan-intra" ~mbps:90.0 ~rel_amp:0.15 ~period:11.0 ~duration ();
     rtt = 0.040;
     loss_p = 0.0008;
     buffer_bytes = Netsim.Units.kb 600;
@@ -54,21 +54,21 @@ let intra_continental ?(seed = 4) ~duration () =
 (* Sec. 7 ("what if we apply Libra to other networks?") targets: a GEO
    satellite path -- long RTT and high stochastic loss -- and a 5G
    mmWave-style link with abrupt capacity swings (blockage events). *)
-let satellite ?(seed = 6) ~duration () =
+let satellite ~duration () =
   {
     name = "satellite";
-    rate = wobbly ~seed ~name:"sat" ~mbps:40.0 ~rel_amp:0.1 ~period:20.0 ~duration ();
+    rate = wobbly ~seed:6 ~name:"sat" ~mbps:40.0 ~rel_amp:0.1 ~period:20.0 ~duration ();
     rtt = 0.560;
     loss_p = 0.02;
     buffer_bytes = Netsim.Units.mb 3;
   }
 
-let five_g ?(seed = 7) ~duration () =
+let five_g ~duration () =
   (* Alternate between line-of-sight (fast) and blocked (slow) regimes
      every few seconds -- the abrupt link-capacity fluctuation the
      paper's discussion singles out. *)
   let grain = 0.02 in
-  let rng = Netsim.Rng.create (seed * 52561) in
+  let rng = Netsim.Rng.create (7 * 52561) in
   let steps = max 1 (int_of_float (ceil (duration /. grain))) in
   let samples = Array.make steps 0.0 in
   let regime_fast = ref true in

@@ -3,7 +3,7 @@
 # persistence plane and the self-healing domain pool (tier-1;
 # `make chaos`).
 #
-#   chaoscheck.sh EXPERIMENTS_EXE [WORKDIR]
+#   chaoscheck.sh EXPERIMENTS_EXE TRAIN_EXE [WORKDIR]
 #
 # Every leg asserts the three chaos-layer contracts:
 #   (a) no injected fault escapes as an unstructured crash — every exit
@@ -14,10 +14,12 @@
 #       the clean run byte-for-byte,
 #   (c) the failure reports and exit codes name the injected fault
 #       class (torn / flip->corrupt / enospc / eio / kill-domain).
+# The closing train leg asserts (a) and (c) for training snapshots.
 set -eu
 
 EXE="$1"
-WORK="${2:-$(mktemp -d "${TMPDIR:-/tmp}/libra-chaoscheck.XXXXXX")}"
+TRAIN="$2"
+WORK="${3:-$(mktemp -d "${TMPDIR:-/tmp}/libra-chaoscheck.XXXXXX")}"
 mkdir -p "$WORK"
 
 # Same subset as faultcheck: robust-mini pins its own duration, fig17
@@ -134,6 +136,45 @@ esac
 grep -q "resurrected=" "$WORK/kill4.err" \
   || fail "kill run reported no resurrections"
 
+# ---- train: snapshots go through the same verify-decode-quarantine
+#      load as experiment cells; a flipped payload byte and a sealed
+#      payload that is not a snapshot both fail the resume (exit 6),
+#      named on stderr, with the evidence quarantined ----
+train_run() { # train_run NAME EXPECTED_EXIT STORE [--resume]
+  name="$1" want="$2" store="$3"
+  shift 3
+  status=0
+  "$TRAIN" --episodes 2 --steps 5 --checkpoint "$store" --snapshot-every 1 "$@" \
+    >"$WORK/$name.out" 2>"$WORK/$name.err" || status=$?
+  [ "$status" -eq "$want" ] \
+    || fail "$name exited $status, want $want (stderr: $(tail -2 "$WORK/$name.err" | tr '\n' ' '))"
+}
+
+train_corrupt() { # train_corrupt NAME STORE EXPECTED_REASON
+  train_run "$1" 6 "$2" --resume
+  grep -q "CORRUPT snapshot.*$3" "$WORK/$1.err" \
+    || fail "$1: corrupt snapshot not reported with \"$3\""
+  ls "$2"/*.corrupt >/dev/null 2>&1 \
+    || fail "$1: corrupt snapshot was not quarantined"
+}
+
+CK="$WORK/ck-train-flip"
+train_run train_flip_seed 0 "$CK"
+cell=$(ls "$CK"/*.ckpt)
+size=$(wc -c <"$cell")
+head -c $((size - 1)) "$cell" >"$cell.cut" && printf 'X' >>"$cell.cut"
+mv "$cell.cut" "$cell"
+train_corrupt train_flip "$CK" "at byte"
+
+CK="$WORK/ck-train-foreign"
+train_run train_foreign_seed 0 "$CK"
+cell=$(ls "$CK"/*.ckpt)
+payload='{"not":"a snapshot"}'
+md5=$(printf '%s' "$payload" | md5sum | cut -d' ' -f1)
+printf '%%LIBRA-CKPT 1 len=%d md5=%s\n%s' "${#payload}" "$md5" "$payload" >"$cell"
+train_corrupt train_foreign "$CK" "not a snapshot"
+
 echo "chaoscheck: ok (torn swept+resumed, flip detected+quarantined," \
   "enospc/eio structured, truncation positioned, kills healed" \
-  "size-independently; every recovery byte-identical to clean)"
+  "size-independently; every recovery byte-identical to clean;" \
+  "flipped and foreign train snapshots quarantined)"

@@ -1,7 +1,8 @@
 (* Tests for the host-fault chaos layer: the --chaos spec grammar
    (qcheck round-trip through the canonical printer), the checksummed
-   Exec.Io record envelope (truncation / flips / garbage detected with
-   a byte position, never served), the Chaos.Io write discipline
+   Exec.Checkpoint record envelope (truncation / flips / garbage
+   detected with a byte position, never served; payloads the decoder
+   rejects quarantined alike), the Chaos.Io write discipline
    (structured faults, orphaned-tmp sweep), the self-healing domain
    pool (kill schedules identical at sizes 1 and 4), and the registry's
    recovery transparency: resumes after every fault class render
@@ -121,16 +122,17 @@ let test_spec_printer_pinned () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Exec.Io: the checksummed record envelope *)
+(* Exec.Checkpoint: the checksummed record envelope *)
 
 let test_envelope_round_trip () =
   let payload = "report body\nwith a second line" in
-  match Exec.Io.unseal ~path:"cell" (Exec.Io.seal payload) with
+  match Exec.Checkpoint.unseal ~path:"cell" (Exec.Checkpoint.seal payload) with
   | Ok p -> check_string "seal/unseal round-trips" payload p
-  | Error c -> Alcotest.fail ("round-trip rejected: " ^ Exec.Io.corrupt_to_string c)
+  | Error c ->
+    Alcotest.fail ("round-trip rejected: " ^ Exec.Checkpoint.corrupt_to_string c)
 
 let expect_corrupt name ~expect blob =
-  match Exec.Io.unseal ~path:"cell" blob with
+  match Exec.Checkpoint.unseal ~path:"cell" blob with
   | Ok _ -> Alcotest.fail (name ^ ": corruption served as a hit")
   | Error { offset; reason; _ } ->
     check_bool
@@ -139,7 +141,7 @@ let expect_corrupt name ~expect blob =
     offset
 
 let test_envelope_detects_corruption () =
-  let sealed = Exec.Io.seal "0123456789" in
+  let sealed = Exec.Checkpoint.seal "0123456789" in
   (* Truncation: the header's declared length no longer matches. *)
   let off =
     expect_corrupt "truncated" ~expect:"truncated payload"
@@ -164,16 +166,16 @@ let test_read_record_counts_detections () =
      exit code 6 in the CLIs). *)
   let dir = temp_dir () in
   let path = Filename.concat dir "cell.ckpt" in
-  Exec.Io.write_record ~path "payload";
+  Exec.Checkpoint.write_record ~path "payload";
   let before = Chaos.Plane.corrupt_detected () in
-  (match Exec.Io.read_record path with
-  | Exec.Io.Hit p -> check_string "clean record read back" "payload" p
+  (match Exec.Checkpoint.read_record path with
+  | Exec.Checkpoint.Hit p -> check_string "clean record read back" "payload" p
   | _ -> Alcotest.fail "clean record not served");
   let oc = open_out_bin path in
   output_string oc "%LIBRA-CKPT 1 len=7 md5=0000";
   close_out oc;
-  (match Exec.Io.read_record path with
-  | Exec.Io.Corrupt _ -> ()
+  (match Exec.Checkpoint.read_record path with
+  | Exec.Checkpoint.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated record not detected");
   check_int "detection counted without a plane" (before + 1)
     (Chaos.Plane.corrupt_detected ())
@@ -228,14 +230,14 @@ let test_flip_caught_by_verify_on_read () =
   with_plane "flip:p=1,bytes=1" (fun () ->
       (* The write "succeeds": silent corruption surfaces only at the
          verify-on-read layer, as Corrupt — never as a lucky Hit. *)
-      Exec.Io.write_record ~path payload;
+      Exec.Checkpoint.write_record ~path payload;
       check_bool "flip is silent at write time" true (Sys.file_exists path);
       check_int "one flip injected" 1 (Chaos.Plane.stats ()).Chaos.Plane.flips);
-  match Exec.Io.read_record path with
-  | Exec.Io.Corrupt { reason; _ } ->
+  match Exec.Checkpoint.read_record path with
+  | Exec.Checkpoint.Corrupt { reason; _ } ->
     check_bool "flip detected with a cause" true (String.length reason > 0)
-  | Exec.Io.Hit _ -> Alcotest.fail "flipped record served as a hit"
-  | Exec.Io.Miss -> Alcotest.fail "flipped record read as a miss"
+  | Exec.Checkpoint.Hit _ -> Alcotest.fail "flipped record served as a hit"
+  | Exec.Checkpoint.Miss -> Alcotest.fail "flipped record read as a miss"
 
 let test_checkpoint_corrupt_and_quarantine () =
   let dir = temp_dir () in
@@ -250,18 +252,47 @@ let test_checkpoint_corrupt_and_quarantine () =
   let oc = open_out_bin path in
   output_string oc prefix;
   close_out oc;
-  (match Exec.Checkpoint.load store ~key with
-  | Exec.Checkpoint.Corrupt { reason; path = p } ->
+  (match Exec.Checkpoint.load store ~key ~decode:Result.ok with
+  | Exec.Checkpoint.Corrupt { reason; path = p; quarantined } -> (
     check_string "corrupt names the cell" path p;
-    check_bool "reason carries the byte position" true (contains reason "at byte")
+    check_bool "reason carries the byte position" true (contains reason "at byte");
+    match quarantined with
+    | Some q ->
+      check_bool "evidence survives quarantine" true
+        (Sys.file_exists q && Filename.check_suffix q ".corrupt")
+    | None -> Alcotest.fail "quarantine failed")
   | _ -> Alcotest.fail "truncated cell not detected");
-  (match Exec.Checkpoint.quarantine store ~key with
-  | Some q ->
-    check_bool "evidence survives quarantine" true
-      (Sys.file_exists q && Filename.check_suffix q ".corrupt")
-  | None -> Alcotest.fail "quarantine failed");
   check_bool "quarantined key reads Miss again" true
-    (Exec.Checkpoint.load store ~key = Exec.Checkpoint.Miss)
+    (Exec.Checkpoint.load store ~key ~decode:Result.ok = Exec.Checkpoint.Miss)
+
+(* A cell whose seal verifies but whose payload the caller's decoder
+   rejects is as corrupt as a flipped one: [load] counts it, moves it
+   aside and names the decoder's reason, so `train --resume` and the
+   registry recover the same way. *)
+let test_checkpoint_decode_rejected () =
+  let dir = temp_dir () in
+  let store = Exec.Checkpoint.create ~dir in
+  let decode = Exec.Checkpoint.json ~what:"snapshot" Rlcc.Train.snapshot_of_json in
+  let expect_rejected name payload ~reason:expect =
+    let key = Exec.Checkpoint.key ~parts:[ "train"; name ] in
+    Exec.Checkpoint.save store ~key payload;
+    let before = Chaos.Plane.corrupt_detected () in
+    (match Exec.Checkpoint.load store ~key ~decode with
+    | Exec.Checkpoint.Corrupt { reason; quarantined = Some q; _ } ->
+      check_bool
+        (Printf.sprintf "%s: reason %S is the decoder's" name reason)
+        true (contains reason expect);
+      check_bool (name ^ ": evidence quarantined") true
+        (Sys.file_exists q && Filename.check_suffix q ".corrupt")
+    | _ -> Alcotest.fail (name ^ ": undecodable payload not quarantined as corrupt"));
+    check_int (name ^ ": one detection counted") (before + 1)
+      (Chaos.Plane.corrupt_detected ());
+    check_bool (name ^ ": key reads Miss afterwards") true
+      (Exec.Checkpoint.load store ~key ~decode = Exec.Checkpoint.Miss)
+  in
+  expect_rejected "foreign" {|{"not":"a snapshot"}|}
+    ~reason:"sealed payload is not a snapshot";
+  expect_rejected "garbage" "not json" ~reason:"sealed payload is not valid JSON: "
 
 let test_supervisor_maps_fault_to_corrupt () =
   match
@@ -494,6 +525,8 @@ let () =
             test_flip_caught_by_verify_on_read;
           Alcotest.test_case "quarantine" `Quick
             test_checkpoint_corrupt_and_quarantine;
+          Alcotest.test_case "decode rejection quarantined" `Quick
+            test_checkpoint_decode_rejected;
           Alcotest.test_case "supervisor corrupt kind" `Quick
             test_supervisor_maps_fault_to_corrupt;
         ] );

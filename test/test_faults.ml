@@ -432,7 +432,10 @@ let test_fault_trace_roundtrip () =
 let vegas_loss ~dup_thresh =
   let impair = Faults.Spec.of_string_exn "reorder:p=0.05,depth=2" in
   let spec =
-    Harness.Scenario.make_spec ~impair ~dup_thresh (Traces.Rate.constant 24.0)
+    {
+      (Harness.Scenario.make_spec ~impair (Traces.Rate.constant 24.0)) with
+      Harness.Scenario.dup_thresh;
+    }
   in
   let o =
     Harness.Scenario.run_uniform ~seed:5 ~factory:Harness.Ccas.vegas
@@ -451,7 +454,10 @@ let test_dupack_absorbs_bounded_reordering () =
 let cubic_outcome ~dup_thresh =
   let impair = Faults.Spec.of_string_exn "reorder:p=0.08,depth=2" in
   let spec =
-    Harness.Scenario.make_spec ~impair ~dup_thresh (Traces.Rate.constant 24.0)
+    {
+      (Harness.Scenario.make_spec ~impair (Traces.Rate.constant 24.0)) with
+      Harness.Scenario.dup_thresh;
+    }
   in
   Harness.Scenario.run_uniform ~seed:5 ~factory:Harness.Ccas.cubic ~duration:4.0
     spec

@@ -31,7 +31,6 @@ let test_rtt_tracker_ewma_and_min () =
   let srtt = Netsim.Cca.Rtt_tracker.srtt t in
   check_bool "ewma between samples" true (srtt > 0.1 && srtt < 0.2);
   check_float "min tracked" 0.1 (Netsim.Cca.Rtt_tracker.min_rtt t);
-  check_float "last tracked" 0.2 (Netsim.Cca.Rtt_tracker.last_rtt t);
   check_int "two samples" 2 (Netsim.Cca.Rtt_tracker.samples t)
 
 let test_rtt_tracker_defaults_before_samples () =
@@ -161,8 +160,7 @@ let test_aiad_step_is_packets_per_rtt () =
 (* Vivace internals *)
 
 let test_vivace_clamp_step () =
-  let v = Rlcc.Vivace.create ~initial_rate:1e6 () in
-  ignore v;
+  let v = Rlcc.Vivace.create () in
   (* The base rate can change by at most 25% per decision: drive a huge
      artificial gradient through one probe pair and check the bound. *)
   let send ~seq ~now = Rlcc.Vivace.on_send v { Netsim.Cca.now; seq; size = 1500; inflight = 4 } in
@@ -207,13 +205,11 @@ let test_telemetry_utility_series_follows_choice () =
 
 let test_ideal_utility_of_stats_grid () =
   let stats = Netsim.Flow_stats.create ~bin:0.01 () in
-  for i = 1 to 400 do
+  for i = 1 to 800 do
     Netsim.Flow_stats.record_delivery stats ~now:(0.01 *. float_of_int i)
       ~bytes:1500 ~rtt:0.05
   done;
-  let series =
-    Libra.Ideal.utility_of_stats ~window:1.0 Libra.Utility.default stats ~duration:4.0
-  in
+  let series = Libra.Ideal.utility_of_stats stats ~duration:8.0 in
   check_int "four windows" 4 (Array.length series);
   (* Constant throughput, flat RTT: equal positive utility in each bin. *)
   let u0 = snd series.(0) and u3 = snd series.(3) in

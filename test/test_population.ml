@@ -21,14 +21,13 @@ let prop_poisson_iat_mean =
       for _ = 1 to n do
         sum :=
           !sum
-          +. Netsim.Population.sample_iat rng (Netsim.Population.Poisson rate)
-               None ~now:0.0
+          +. Netsim.Population.sample_iat rng ~rate None ~now:0.0
       done;
       let mean = !sum /. float_of_int n in
       Float.abs (mean -. (1.0 /. rate)) < 0.35 /. rate)
 
-(* Size samplers respect their floors: Pareto never goes below its
-   scale xm, and every distribution yields at least one byte. *)
+(* The size sampler respects its floor: Pareto never goes below its
+   scale xm. *)
 let prop_sizes_floored =
   QCheck.Test.make ~name:"size samples respect distribution floors" ~count:50
     QCheck.(pair (int_range 1 1000) (float_range 100.0 20000.0))
@@ -36,19 +35,10 @@ let prop_sizes_floored =
       let rng = Netsim.Rng.create seed in
       let ok = ref true in
       for _ = 1 to 200 do
-        let p =
-          Netsim.Population.sample_size rng
-            (Netsim.Population.Pareto { xm; alpha = 1.2 })
-        in
-        if float_of_int p < xm then ok := false;
-        let l =
-          Netsim.Population.sample_size rng
-            (Netsim.Population.Lognormal_size { mu = 8.0; sigma = 1.5 })
-        in
-        if l < 1 then ok := false
+        let p = Netsim.Population.sample_size rng ~xm ~alpha:1.2 in
+        if float_of_int p < xm then ok := false
       done;
-      !ok
-      && Netsim.Population.sample_size rng (Netsim.Population.Fixed 777) = 777)
+      !ok)
 
 (* Diurnal modulation never stalls the process: the gap stays finite
    and positive even at the trough of a full-amplitude swing (the
@@ -59,7 +49,7 @@ let prop_diurnal_gap_finite =
     (fun (seed, now) ->
       let rng = Netsim.Rng.create seed in
       let gap =
-        Netsim.Population.sample_iat rng (Netsim.Population.Poisson 30.0)
+        Netsim.Population.sample_iat rng ~rate:30.0
           (Some { Netsim.Population.amp = 1.0; period = 10.0 })
           ~now
       in
@@ -220,9 +210,13 @@ let test_golden_lte () =
 let check_mixed profile ~util ~acked ~lost ~delivered ~queue_drops ~events =
   Harness.Scale.set Harness.Scale.tiny;
   let spec =
-    Harness.Scenario.make_spec
-      ~impair:(List.assoc profile Faults.Spec.robustness_profiles)
-      ~dup_thresh:3 (Traces.Rate.constant 24.0)
+    {
+      (Harness.Scenario.make_spec
+         ~impair:(List.assoc profile Faults.Spec.robustness_profiles)
+         (Traces.Rate.constant 24.0))
+      with
+      Harness.Scenario.dup_thresh = 3;
+    }
   in
   let s =
     Harness.Scenario.run_mixed ~seed:5

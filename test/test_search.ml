@@ -3,7 +3,8 @@
    byte-identical at pool 1 vs 4 (per-candidate split_key streams +
    order-preserving pool map), the shrinker's output is still a
    counterexample and locally minimal, and the scenarios/ corpus
-   round-trips through its .scn file format. *)
+   round-trips through its .scn file format and rejects values a
+   replay would truncate or cannot run. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -272,6 +273,47 @@ let test_corpus_load_dir () =
     | exception Failure _ -> true
     | _ -> false)
 
+(* The reader rejects what it would otherwise truncate (a float count
+   or seed), what the replay cannot run (a NaN buffer, an RTT or a
+   bandwidth outside the search box, an unknown CCA) and non-finite
+   floats, each with the line it sits on. *)
+let test_scn_rejects_unrunnable_values () =
+  let expect_error name ~line ~expect body =
+    let text = "name: bad\ncca: cubic\nimpair: clean\n" ^ body ^ "\n" in
+    match Harness.Scenario.counterexample_of_string ~fallback_name:"bad" text with
+    | Ok _ -> Alcotest.fail (name ^ ": accepted")
+    | Error m ->
+      let contains sub =
+        let n = String.length sub and k = String.length m in
+        let rec go i = i + n <= k && (String.sub m i n = sub || go (i + 1)) in
+        go 0
+      in
+      check_bool (Printf.sprintf "%s: %S names line %d" name m line) true
+        (contains (Printf.sprintf "line %d:" line));
+      check_bool (Printf.sprintf "%s: %S says %S" name m expect) true (contains expect)
+  in
+  expect_error "fractional flows" ~line:4 ~expect:"not an integer" "flows: 2.5";
+  expect_error "nan buffer" ~line:4 ~expect:"not an integer" "buffer_kb: nan";
+  expect_error "huge seed" ~line:4 ~expect:"not an integer" "seed: 1e30";
+  expect_error "negative rtt" ~line:4 ~expect:"outside" "rtt: -5";
+  expect_error "infinite rtt" ~line:4 ~expect:"not finite" "rtt: inf";
+  expect_error "bandwidth above the box" ~line:4 ~expect:"outside"
+    "bandwidth_mbps: 1000";
+  expect_error "buffer below the box" ~line:4 ~expect:"outside" "buffer_kb: 1";
+  expect_error "too many flows" ~line:4 ~expect:"outside" "flows: 9";
+  expect_error "nan threshold" ~line:4 ~expect:"not finite" "threshold: nan";
+  expect_error "nan degradation" ~line:4 ~expect:"not finite" "degradation: nan";
+  expect_error "zero duration" ~line:4 ~expect:"not a positive duration"
+    "duration: 0";
+  match
+    Harness.Scenario.counterexample_of_string ~fallback_name:"x"
+      "cca: bogus\nimpair: clean\n"
+  with
+  | Ok _ -> Alcotest.fail "unknown cca accepted"
+  | Error m ->
+    check_bool (Printf.sprintf "unknown cca: %S names line 1" m) true
+      (String.length m > 7 && String.sub m 0 7 = "line 1:")
+
 let () =
   Alcotest.run "search"
     [
@@ -297,5 +339,7 @@ let () =
         [
           Alcotest.test_case ".scn round-trip" `Quick test_scn_roundtrip;
           Alcotest.test_case "load_dir" `Quick test_corpus_load_dir;
+          Alcotest.test_case "rejects unrunnable values" `Quick
+            test_scn_rejects_unrunnable_values;
         ] );
     ]

@@ -309,15 +309,16 @@ let test_checkpoint_round_trip () =
   let store = temp_store () in
   let key = Exec.Checkpoint.key ~parts:[ "fig7"; "quick"; "clean" ] in
   check_bool "absent before save" true
-    (Exec.Checkpoint.load store ~key = Exec.Checkpoint.Miss
+    (Exec.Checkpoint.load store ~key ~decode:Result.ok = Exec.Checkpoint.Miss
     && not (Exec.Checkpoint.mem store ~key));
   Exec.Checkpoint.save store ~key "payload-1\nline two";
   check_bool "present after save" true (Exec.Checkpoint.mem store ~key);
   check_string "bytes round-trip" "payload-1\nline two"
-    (hit (Exec.Checkpoint.load store ~key));
+    (hit (Exec.Checkpoint.load store ~key ~decode:Result.ok));
   (* Overwrite is atomic and last-write-wins. *)
   Exec.Checkpoint.save store ~key "payload-2";
-  check_string "overwrite" "payload-2" (hit (Exec.Checkpoint.load store ~key))
+  check_string "overwrite" "payload-2"
+    (hit (Exec.Checkpoint.load store ~key ~decode:Result.ok))
 
 let test_checkpoint_key_separates_contexts () =
   let k1 = Exec.Checkpoint.key ~parts:[ "fig7"; "quick" ] in
